@@ -361,6 +361,33 @@ def cmd_compare_tec(cfg, out_dir: Path):
     q_series = _q_series(cfg, spec)
     q_fd = _fd_q_series(cfg, spec)
 
+    tec_cfg = cfg["tec"]
+    tec = TecModel(tec_cfg["C_c"], tec_cfg["C_s"], tec_cfg["R_c"],
+                   tec_cfg["R_u"], tec_cfg["T_inf_C"])
+
+    # Timed before the FD reference: the millisecond-scale timed runs are
+    # slowed by heavy numerical work just before them (a threaded BLAS call
+    # leaves spinning helper threads behind for about 0.15 s).
+    timing_summary = None
+    if cfg["timing"]["enabled"]:
+        entries = [("TEC", lambda: tec_run(tec, q_series * vol, dt, horizon,
+                                           T0=cfg["t_init_C"]))]
+        entries += [(f"O{order}",
+                     _make_timed_run(spec, cooling, order, cfg, q_series))
+                    for order in cfg["orders"]]
+        table = timing_harness(entries, cfg["timing"]["repetitions"])
+        by_name = {row["model"]: row["mean_ms"] for row in table}
+        lines = ["model  mean_ms"]
+        lines += [f"{row['model']}  {row['mean_ms']:.3f}" for row in table]
+        first = f"O{cfg['orders'][0]}"
+        if "TEC" in by_name and first in by_name:
+            ratio = 100.0 * (1.0 - by_name[first] / by_name["TEC"])
+            lines.append(f"# measured {first} vs TEC time reduction: {ratio:.1f}%"
+                         f" (reference figure: {REFERENCE_TIME_REDUCTION_PCT}%)")
+        (out_dir / "timing.txt").parent.mkdir(parents=True, exist_ok=True)
+        (out_dir / "timing.txt").write_text("\n".join(lines) + "\n")
+        timing_summary = "timing.txt"
+
     fd = _fd_reference(cfg, spec, cooling, q_fd, stride=max(
         1, int(round(dt / cfg["fd"]["dt_s"]))))
     fd_t = fd.metrics_times
@@ -369,9 +396,6 @@ def cmd_compare_tec(cfg, out_dir: Path):
               zip(fd_t, _subsample(fd.metrics_times, fd.T_mean, fd_t),
                   fd.T_max, fd.dTr_max))
 
-    tec_cfg = cfg["tec"]
-    tec = TecModel(tec_cfg["C_c"], tec_cfg["C_s"], tec_cfg["R_c"],
-                   tec_cfg["R_u"], tec_cfg["T_inf_C"])
     times, t_c, t_s = tec_run(tec, q_series * vol, dt, horizon,
                               T0=cfg["t_init_C"])
     tec_mean, tec_grad = tec_metrics(t_c, t_s, spec)
@@ -389,8 +413,6 @@ def cmd_compare_tec(cfg, out_dir: Path):
         "dTr_max": float(np.abs(tec_grad - ref_grad).max()),
     }
 
-    entries = [("TEC", lambda: tec_run(tec, q_series * vol, dt, horizon,
-                                       T0=cfg["t_init_C"]))]
     for order in cfg["orders"]:
         result = _run_order(spec, cooling, order, cfg, q_series)
         write_csv(out_dir / f"trace_O{order}.csv",
@@ -405,23 +427,6 @@ def cmd_compare_tec(cfg, out_dir: Path):
             "dTr_max": float(np.abs(result.dTr_max - _subsample(
                 fd.metrics_times, fd.dTr_max, result.metrics_times)).max()),
         }
-        entries.append((f"O{order}",
-                        _make_timed_run(spec, cooling, order, cfg, q_series)))
-
-    timing_summary = None
-    if cfg["timing"]["enabled"]:
-        table = timing_harness(entries, cfg["timing"]["repetitions"])
-        by_name = {row["model"]: row["mean_ms"] for row in table}
-        lines = ["model  mean_ms"]
-        lines += [f"{row['model']}  {row['mean_ms']:.3f}" for row in table]
-        first = f"O{cfg['orders'][0]}"
-        if "TEC" in by_name and first in by_name:
-            ratio = 100.0 * (1.0 - by_name[first] / by_name["TEC"])
-            lines.append(f"# measured {first} vs TEC time reduction: {ratio:.1f}%"
-                         f" (reference figure: {REFERENCE_TIME_REDUCTION_PCT}%)")
-        (out_dir / "timing.txt").parent.mkdir(parents=True, exist_ok=True)
-        (out_dir / "timing.txt").write_text("\n".join(lines) + "\n")
-        timing_summary = "timing.txt"
 
     write_summary(out_dir, cfg, {
         "command": "compare-tec",

@@ -113,18 +113,18 @@ class _FdPlant:
         self.spec = solver.spec
         self.cooling = solver.cooling
         self._solver = solver
-        self.field = solver.uniform_field(T_init)
+        self.state = solver.uniform_field(T_init)
 
     def outputs(self, u_applied):
-        return self._solver.outputs(self.field)
+        return self._solver.outputs(self.state)
 
     def metrics(self, u_applied):
-        t_mean, _, _, _, _, _, d_r_mean, d_z_mean = self._solver.metrics(self.field)
+        t_mean, _, _, _, _, _, d_r_mean, d_z_mean = self._solver.metrics(self.state)
         return t_mean, d_r_mean, d_z_mean
 
     def step(self, u, w):
         tinf = self._solver.tinf_from_inputs(u)
-        self.field = self._solver.step(self.field, tinf, w)
+        self.state = self._solver.step(self.state, tinf, w)
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,6 +70,9 @@ class CellSpec:
     def __post_init__(self):
         if self.shape not in (CYLINDRICAL, POUCH):
             raise ValueError(f"unknown cell shape {self.shape!r}")
+        for name in ("L", "rho", "cp", "k_r", "k_z", "R_out", "R_in", "D"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"CellSpec.{name} must be finite")
         for name in ("L", "rho", "cp", "k_r", "k_z"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"CellSpec.{name} must be positive")
@@ -93,6 +96,9 @@ class SideCooling:
     T_inf: float    # degC
 
     def __post_init__(self):
+        for name in ("h", "T_inf"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"SideCooling.{name} must be finite")
         if self.h < 0.0:
             raise ValueError("convection coefficient h must be >= 0")
 

@@ -14,6 +14,14 @@ in physical coordinates makes it an independent check of the reduced model's
 nondimensionalization. The cylindrical grid spans r in [R_in, R_out], so no
 axis singularity arises.
 
+The 5-point operator on the node grid is the Kronecker sum
+L_r (x) I + I (x) L_z of two tridiagonal 1D ghost-node operators. Each is
+diagonalized once (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
+1964), so the same theta-method step becomes elementwise in modal
+coordinates, O(n_r n_z) per step instead of a sparse solve. The four mid-side outputs are modal row
+products; the field itself is transformed back to the grid only at metric
+samples and at the end of a run.
+
 The TEC model implements
 
     C_c dT_c/dt = q + (T_s - T_c)/R_c
@@ -26,14 +34,13 @@ exact zero-order hold.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import eye as sp_eye
-from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import splu
+from scipy.linalg import eigh_tridiagonal, expm
 
 from .core import CellSpec, CoolingConfig, input_sides
 from .exceptions import NumericalError, UnsupportedShapeError
@@ -52,18 +59,98 @@ class FdConfig:
     def __post_init__(self):
         if self.n_r < 3 or self.n_z < 3:
             raise ValueError("FD grid needs at least 3 nodes per direction")
-        if self.dt <= 0.0:
-            raise ValueError("FD dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError("FdConfig.dt must be finite and positive")
         if self.scheme not in (BACKWARD_EULER, CRANK_NICOLSON):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
-class FdSolver:
-    """Prefactorized implicit stepper for one (cell, cooling, grid) triple.
+class Modes(NamedTuple):
+    """Real eigendecomposition ``L = V diag(lam) V_inv`` of a 1D operator."""
 
-    The convection coefficients are baked into the operator; coolant
+    lam: np.ndarray
+    V: np.ndarray
+    V_inv: np.ndarray
+
+
+def tridiagonal_modes(sub: np.ndarray, diag: np.ndarray,
+                      sup: np.ndarray) -> Modes:
+    """Diagonalize the tridiagonal operator with sub-, main and
+    super-diagonals ``sub``, ``diag``, ``sup``.
+
+    Every product ``sub[i] * sup[i]`` must be positive. Then the positive
+    diagonal D with d[i+1] / d[i] = sqrt(sup[i] / sub[i]) makes
+    S = D L D^-1 symmetric tridiagonal, with off-diagonal sqrt(sub * sup);
+    from S = Q diag(lam) Q^T follow V = D^-1 Q and V^-1 = Q^T D, so the
+    spectrum is real and no complex arithmetic or matrix inverse is needed.
+    LAPACK's implicit-QL/QR driver (``stev``) keeps Q orthogonal to a few
+    ulps, which V^-1 = Q^T D relies on, and calls no threaded BLAS.
+    """
+    sub, diag, sup = (np.asarray(a, dtype=float) for a in (sub, diag, sup))
+    prod = sub * sup
+    if not np.all(prod > 0.0):
+        raise NumericalError("tridiagonal operator is not symmetrizable: "
+                             "an off-diagonal product is not positive")
+    d = np.concatenate(([1.0], np.cumprod(np.sqrt(sup / sub))))
+    try:
+        lam, q = eigh_tridiagonal(diag, np.sqrt(prod), lapack_driver="stev")
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"1D eigendecomposition failed: {exc}") from exc
+    return Modes(lam, q / d[:, None], q.T * d[None, :])
+
+
+def _ghost_node_operator(nodes: np.ndarray, k: float, h_lo: float,
+                         h_hi: float, radial: bool):
+    """Second-difference operator k (T'' + T'/r) on uniform ``nodes`` (the
+    T'/r term only when ``radial``) with convection closures at both ends.
+
+    The ghost node beyond each end, T_g = T_inner - (2 d h / k)(T_end - T_inf),
+    folds into the end row; its T_inf coefficient is returned as a boundary
+    input column. Returns (sub, diag, sup, b_lo, b_hi).
+    """
+    d = nodes[1] - nodes[0]
+    conv = k / (2.0 * nodes * d) if radial else np.zeros(nodes.size)
+    c_plus = k / d**2 + conv
+    c_minus = k / d**2 - conv
+    g_lo = c_minus[0] * 2.0 * d * h_lo / k
+    g_hi = c_plus[-1] * 2.0 * d * h_hi / k
+    diag = np.full(nodes.size, -2.0 * k / d**2)
+    diag[0] -= g_lo
+    diag[-1] -= g_hi
+    sup = c_plus[:-1].copy()
+    sup[0] += c_minus[0]
+    sub = c_minus[1:].copy()
+    sub[-1] += c_plus[-1]
+    b_lo = np.zeros(nodes.size)
+    b_lo[0] = g_lo
+    b_hi = np.zeros(nodes.size)
+    b_hi[-1] = g_hi
+    return sub, diag, sup, b_lo, b_hi
+
+
+def _lerp_weights(nodes: np.ndarray, x: float) -> np.ndarray:
+    """Linear-interpolation weights of the point ``x`` on uniform ``nodes``."""
+    i = min(max(int(np.searchsorted(nodes, x)) - 1, 0), nodes.size - 2)
+    f = min(max((x - nodes[i]) / (nodes[1] - nodes[0]), 0.0), 1.0)
+    w = np.zeros(nodes.size)
+    w[i] = 1.0 - f
+    w[i + 1] = f
+    return w
+
+
+class FdSolver:
+    """Modal theta-method stepper for one (cell, cooling, grid) triple.
+
+    The grid operator is the Kronecker sum L_r (x) I + I (x) L_z of two 1D
+    ghost-node operators, each diagonalized once by ``tridiagonal_modes``.
+    The solver state is the (n_r * n_z,) array X of modal coefficients of the
+    field T = V_r X V_z^T; it is opaque to callers, who create it with
+    ``uniform_field`` and pass it back to ``step``, ``outputs``, ``metrics``,
+    ``surface_flux`` and ``grid``. A step is elementwise:
+    X <- g X + [T_inf, q] B_hat with g = (1 + (1-theta) dt lam) / (1 - theta dt lam).
+    The convection coefficients are baked into the modes; coolant
     temperatures and the heat rate enter as affine per-step inputs, so
-    closed-loop runs with varying coolant commands reuse the factorization.
+    closed-loop runs with varying coolant commands reuse the decomposition.
     """
 
     def __init__(self, spec: CellSpec, cooling: CoolingConfig, cfg: FdConfig):
@@ -72,91 +159,52 @@ class FdSolver:
         self.cfg = cfg
         if spec.is_cylindrical:
             self.r_nodes = np.linspace(spec.R_in, spec.R_out, cfg.n_r)
-            k_r = spec.k_r
         else:
             self.r_nodes = np.linspace(0.0, spec.D, cfg.n_r)
-            k_r = spec.k_r
         self.z_nodes = np.linspace(0.0, spec.L, cfg.n_z)
-        dr = self.r_nodes[1] - self.r_nodes[0]
-        dz = self.z_nodes[1] - self.z_nodes[0]
-        self.dr, self.dz = dr, dz
+        self.dr = self.r_nodes[1] - self.r_nodes[0]
+        self.dz = self.z_nodes[1] - self.z_nodes[0]
         n_r, n_z = cfg.n_r, cfg.n_z
-        n = n_r * n_z
         rho_cp = spec.rho * spec.cp
 
-        h_s, h_c = cooling.surface.h, cooling.core.h
-        h_t, h_b = cooling.top.h, cooling.bottom.h
+        sub, diag, sup, b_core, b_surface = _ghost_node_operator(
+            self.r_nodes, spec.k_r, cooling.core.h, cooling.surface.h,
+            spec.is_cylindrical)
+        self._modes_r = m_r = tridiagonal_modes(
+            sub / rho_cp, diag / rho_cp, sup / rho_cp)
+        sub, diag, sup, b_bottom, b_top = _ghost_node_operator(
+            self.z_nodes, spec.k_z, cooling.bottom.h, cooling.top.h, False)
+        self._modes_z = m_z = tridiagonal_modes(
+            sub / rho_cp, diag / rho_cp, sup / rho_cp)
+        # eigenvalues of the Kronecker sum, in the state's (r, z) order
+        lam = (m_r.lam[:, None] + m_z.lam[None, :]).reshape(-1)
 
-        lap = lil_matrix((n, n))
-        # columns: [T_inf_surface, T_inf_core, T_inf_top, T_inf_bottom]
-        bmat = lil_matrix((n, 4))
+        ones_r, ones_z = np.ones(n_r), np.ones(n_z)
+        # input columns: [T_inf_surface, T_inf_core, T_inf_top, T_inf_bottom, q]
+        pairs = ((b_surface, ones_z), (b_core, ones_z), (ones_r, b_top),
+                 (ones_r, b_bottom), (ones_r, ones_z))
+        modal = np.stack([np.outer(m_r.V_inv @ a, m_z.V_inv @ b).reshape(-1)
+                          for a, b in pairs])
+        self._unit = modal[-1]   # modal coefficients of T = 1
 
-        def idx(i, j):
-            return i * n_z + j
-
-        for i in range(n_r):
-            r = self.r_nodes[i]
-            # radial stencil coefficients (k/dr^2 +- k/(2 r dr) for cylinders)
-            conv = k_r / (2.0 * r * dr) if self.spec.is_cylindrical else 0.0
-            c_plus = k_r / dr**2 + conv
-            c_minus = k_r / dr**2 - conv
-            c_diag_r = -2.0 * k_r / dr**2
-            for j in range(n_z):
-                row = idx(i, j)
-                lap[row, row] += c_diag_r
-                # +r neighbour or surface ghost: T_g = T[i-1] - (2 dr h_s/k)(T_i - T_inf)
-                if i + 1 < n_r:
-                    lap[row, idx(i + 1, j)] += c_plus
-                else:
-                    lap[row, idx(i - 1, j)] += c_plus
-                    lap[row, row] += -c_plus * 2.0 * dr * h_s / k_r
-                    bmat[row, 0] += c_plus * 2.0 * dr * h_s / k_r
-                # -r neighbour or core/back ghost: T_g = T[i+1] - (2 dr h_c/k)(T_i - T_inf)
-                if i - 1 >= 0:
-                    lap[row, idx(i - 1, j)] += c_minus
-                else:
-                    lap[row, idx(i + 1, j)] += c_minus
-                    lap[row, row] += -c_minus * 2.0 * dr * h_c / k_r
-                    bmat[row, 1] += c_minus * 2.0 * dr * h_c / k_r
-
-                c_z = spec.k_z / dz**2
-                lap[row, row] += -2.0 * c_z
-                # +z neighbour or top ghost
-                if j + 1 < n_z:
-                    lap[row, idx(i, j + 1)] += c_z
-                else:
-                    lap[row, idx(i, j - 1)] += c_z
-                    lap[row, row] += -c_z * 2.0 * dz * h_t / spec.k_z
-                    bmat[row, 2] += c_z * 2.0 * dz * h_t / spec.k_z
-                # -z neighbour or bottom ghost
-                if j - 1 >= 0:
-                    lap[row, idx(i, j - 1)] += c_z
-                else:
-                    lap[row, idx(i, j + 1)] += c_z
-                    lap[row, row] += -c_z * 2.0 * dz * h_b / spec.k_z
-                    bmat[row, 3] += c_z * 2.0 * dz * h_b / spec.k_z
-
-        self._rate = (lap / rho_cp).tocsr()
-        self._binp = (bmat / rho_cp).tocsr()
-        self._rho_cp = rho_cp
         theta = 1.0 if cfg.scheme == BACKWARD_EULER else 0.5
-        self._theta = theta
-        ident = sp_eye(n, format="csc")
-        try:
-            self._lu = splu((ident - cfg.dt * theta * self._rate).tocsc())
-        except RuntimeError as exc:
-            raise NumericalError(f"FD implicit factorization failed: {exc}") from exc
-        self._expl = (ident + cfg.dt * (1.0 - theta) * self._rate).tocsr()
+        denom = 1.0 - theta * cfg.dt * lam
+        self._gain = (1.0 + (1.0 - theta) * cfg.dt * lam) / denom
+        self._b_hat = modal * (cfg.dt / (rho_cp * denom))
 
-        # output interpolation weights at the four mid-side points
+        # bilinear interpolation at the four mid-side points, as modal rows
         r_mid = 0.5 * (self.r_nodes[0] + self.r_nodes[-1])
         z_mid = 0.5 * (self.z_nodes[0] + self.z_nodes[-1])
-        self._out_pts = [
+        out_pts = (
             (self.r_nodes[-1], z_mid),   # surface
             (self.r_nodes[0], z_mid),    # core / back
             (r_mid, self.z_nodes[-1]),   # top
             (r_mid, self.z_nodes[0]),    # bottom
-        ]
+        )
+        self._out_rows = np.stack([
+            np.outer(m_r.V.T @ _lerp_weights(self.r_nodes, r),
+                     m_z.V.T @ _lerp_weights(self.z_nodes, z)).reshape(-1)
+            for r, z in out_pts])
 
         tr = np.ones(n_r)
         tr[0] = tr[-1] = 0.5
@@ -167,7 +215,8 @@ class FdSolver:
         self._vol_weights = vol / vol.sum()
 
     def uniform_field(self, T: float) -> np.ndarray:
-        return np.full((self.cfg.n_r, self.cfg.n_z), float(T))
+        """Solver state of the uniform field T."""
+        return float(T) * self._unit
 
     def tinf_from_inputs(self, u_vec: np.ndarray) -> np.ndarray:
         """Coolant temperatures [surface, core, top, bottom] from the model
@@ -182,39 +231,30 @@ class FdSolver:
                 tinf[col] = by_side.get(side, 0.0) / h
         return tinf
 
-    def step(self, field: np.ndarray, tinf: np.ndarray, q: float) -> np.ndarray:
+    def step(self, state: np.ndarray, tinf: np.ndarray, q: float) -> np.ndarray:
         """One implicit step with inputs held constant over the interval."""
-        flat = field.reshape(-1)
-        b = self._binp @ tinf + q / self._rho_cp
-        rhs = self._expl @ flat + self.cfg.dt * b
-        out = self._lu.solve(rhs)
+        out = self._gain * state + np.append(tinf, q) @ self._b_hat
         if not np.all(np.isfinite(out)):
             raise NumericalError("FD step produced non-finite values")
-        return out.reshape(field.shape)
-
-    def outputs(self, field: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation of the four mid-side temperatures."""
-        out = np.empty(4)
-        for k, (r, z) in enumerate(self._out_pts):
-            out[k] = self._interp(field, r, z)
         return out
 
-    def _interp(self, field: np.ndarray, r: float, z: float) -> float:
-        i = min(np.searchsorted(self.r_nodes, r) - 1, self.cfg.n_r - 2)
-        i = max(i, 0)
-        j = min(np.searchsorted(self.z_nodes, z) - 1, self.cfg.n_z - 2)
-        j = max(j, 0)
-        fr = (r - self.r_nodes[i]) / self.dr
-        fz = (z - self.z_nodes[j]) / self.dz
-        fr = min(max(fr, 0.0), 1.0)
-        fz = min(max(fz, 0.0), 1.0)
-        return float(
-            field[i, j] * (1 - fr) * (1 - fz) + field[i + 1, j] * fr * (1 - fz)
-            + field[i, j + 1] * (1 - fr) * fz + field[i + 1, j + 1] * fr * fz)
+    def outputs(self, state: np.ndarray) -> np.ndarray:
+        """Bilinear interpolation of the four mid-side temperatures."""
+        return self._out_rows @ state
 
-    def metrics(self, field: np.ndarray):
+    def grid(self, state: np.ndarray) -> np.ndarray:
+        """Temperature field on the (n_r, n_z) node grid."""
+        x = state.reshape(self.cfg.n_r, self.cfg.n_z)
+        # einsum's own loops rather than a threaded BLAS GEMM: a GEMM wakes
+        # the BLAS thread pool, whose spinning helpers slow the
+        # millisecond-scale timed runs of compare-tec for ~0.15 s afterwards.
+        return np.einsum("ij,kj->ik", np.einsum("ij,jk->ik", self._modes_r.V, x),
+                         self._modes_z.V)
+
+    def metrics(self, state: np.ndarray):
         """(T_mean, T_max, T_min, dT, dTr_max, dTz_max, dTr_mean, dTz_mean)
         with gradients from second-order finite differences of the field."""
+        field = self.grid(state)
         g_r = np.gradient(field, self.dr, axis=0)
         g_z = np.gradient(field, self.dz, axis=1)
         return (
@@ -225,12 +265,12 @@ class FdSolver:
             float(np.abs(g_r).mean()), float(np.abs(g_z).mean()),
         )
 
-    def surface_flux(self, field: np.ndarray) -> float:
+    def surface_flux(self, state: np.ndarray) -> float:
         """Mean convective flux h_s (T_surface - T_inf) out of the outer face,
         W m^-2 (z-averaged with trapezoid weights)."""
         tz = np.ones(self.cfg.n_z)
         tz[0] = tz[-1] = 0.5
-        t_surf = np.sum(field[-1] * tz) / tz.sum()
+        t_surf = np.sum(self.grid(state)[-1] * tz) / tz.sum()
         side = self.cooling.surface
         return side.h * (t_surf - side.T_inf)
 
@@ -279,21 +319,21 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
     if q_arr.ndim == 0:
         q_arr = np.broadcast_to(q_arr, (n_steps + 1,))
 
-    field = solver.uniform_field(T_init)
+    state = solver.uniform_field(T_init)
     outputs = np.empty((n_steps + 1, 4))
-    outputs[0] = solver.outputs(field)
+    outputs[0] = solver.outputs(state)
     metric_idx = list(range(0, n_steps + 1, max(1, metrics_stride)))
     if metric_idx[-1] != n_steps:
         metric_idx.append(n_steps)
     metric_set = set(metric_idx)
-    rows = {0: solver.metrics(field)} if 0 in metric_set else {}
+    rows = {0: solver.metrics(state)} if 0 in metric_set else {}
 
     for k in range(n_steps):
         tinf = solver.tinf_from_inputs(u_arr[k])
-        field = solver.step(field, tinf, q_arr[k])
-        outputs[k + 1] = solver.outputs(field)
+        state = solver.step(state, tinf, q_arr[k])
+        outputs[k + 1] = solver.outputs(state)
         if (k + 1) in metric_set:
-            rows[k + 1] = solver.metrics(field)
+            rows[k + 1] = solver.metrics(state)
 
     stacked = np.array([rows[k] for k in metric_idx])
     return FdResult(
@@ -301,7 +341,7 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
         T_mean=stacked[:, 0], T_max=stacked[:, 1], T_min=stacked[:, 2],
         dT=stacked[:, 3], dTr_max=stacked[:, 4], dTz_max=stacked[:, 5],
         dTr_mean=stacked[:, 6], dTz_mean=stacked[:, 7],
-        final_field=field, r_nodes=solver.r_nodes, z_nodes=solver.z_nodes)
+        final_field=solver.grid(state), r_nodes=solver.r_nodes, z_nodes=solver.z_nodes)
 
 
 @dataclass(frozen=True)

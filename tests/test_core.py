@@ -1,5 +1,7 @@
 """Domain types: heat generation, volumes, profiles, scenario presets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -173,6 +175,19 @@ class TestValidation:
     def test_nonpositive_property_rejected(self):
         with pytest.raises(ValueError):
             CellSpec(shape=POUCH, L=0.2, D=0.1, rho=-1.0, cp=1.0, k_r=1.0, k_z=1.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("L", np.nan), ("k_r", np.inf), ("R_out", np.nan), ("R_in", -np.inf)])
+    def test_nonfinite_cell_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"CellSpec.{field} must be finite"):
+            replace(PAPER, **{field: value})
+
+    @pytest.mark.parametrize("h,T_inf,field", [
+        (np.nan, 15.0, "h"), (np.inf, 15.0, "h"), (400.0, np.inf, "T_inf"),
+        (400.0, np.nan, "T_inf")])
+    def test_nonfinite_cooling_rejected(self, h, T_inf, field):
+        with pytest.raises(ValueError, match=f"SideCooling.{field} must be finite"):
+            SideCooling(h, T_inf)
 
     def test_electrical_profile_conversion(self):
         p = HeatProfile(np.array([0.0, 1.0]),

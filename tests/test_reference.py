@@ -8,6 +8,7 @@ energy balance.
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from celltherm.core import (
     CYLINDRICAL,
@@ -17,7 +18,7 @@ from celltherm.core import (
     SideCooling,
     scenario_cooling,
 )
-from celltherm.exceptions import UnsupportedShapeError
+from celltherm.exceptions import NumericalError, UnsupportedShapeError
 from celltherm.reference import (
     BACKWARD_EULER,
     CRANK_NICOLSON,
@@ -25,6 +26,7 @@ from celltherm.reference import (
     FdSolver,
     TecModel,
     fd_solve,
+    tridiagonal_modes,
     tec_metrics,
     tec_run,
     tec_step,
@@ -36,6 +38,59 @@ PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
 RADIAL_ONLY = CoolingConfig(SideCooling(400.0, 15.0), SideCooling(0.0, 15.0),
                             SideCooling(0.0, 15.0), SideCooling(0.0, 15.0))
 INSULATED = CoolingConfig(*(SideCooling(0.0, 15.0) for _ in range(4)))
+POUCH_CELL = CellSpec(shape=POUCH, L=0.2, D=0.1, rho=2118.0, cp=795.0,
+                      k_r=0.9, k_z=30.0)
+# four distinct nonzero convection coefficients, core / back face included
+ALL_SIDES = CoolingConfig(SideCooling(400.0, 15.0), SideCooling(120.0, 15.0),
+                          SideCooling(30.0, 15.0), SideCooling(250.0, 15.0))
+
+
+def _dense_fd_reference(spec, cooling, cfg, tinf, q, T_init):
+    """Fields of the theta-method FD scheme, built node by node from the
+    5-point ghost-node stencil as a dense matrix and stepped with a dense
+    solve. ``tinf`` is (K, 4) [surface, core, top, bottom], ``q`` (K,)."""
+    r = (np.linspace(spec.R_in, spec.R_out, cfg.n_r) if spec.is_cylindrical
+         else np.linspace(0.0, spec.D, cfg.n_r))
+    z = np.linspace(0.0, spec.L, cfg.n_z)
+    dr, dz = r[1] - r[0], z[1] - z[0]
+    n_r, n_z = cfg.n_r, cfg.n_z
+    h = [cooling.surface.h, cooling.core.h, cooling.top.h, cooling.bottom.h]
+    rate = np.zeros((n_r * n_z, n_r * n_z))
+    binp = np.zeros((n_r * n_z, 4))
+    for i in range(n_r):
+        conv = spec.k_r / (2.0 * r[i] * dr) if spec.is_cylindrical else 0.0
+        for j in range(n_z):
+            row = i * n_z + j
+            # (neighbour, coefficient, input column, spacing, conductivity)
+            for (ni, nj), c, col, d, k in (
+                    ((i + 1, j), spec.k_r / dr**2 + conv, 0, dr, spec.k_r),
+                    ((i - 1, j), spec.k_r / dr**2 - conv, 1, dr, spec.k_r),
+                    ((i, j + 1), spec.k_z / dz**2, 2, dz, spec.k_z),
+                    ((i, j - 1), spec.k_z / dz**2, 3, dz, spec.k_z)):
+                rate[row, row] -= c
+                if 0 <= ni < n_r and 0 <= nj < n_z:
+                    rate[row, ni * n_z + nj] += c
+                else:
+                    # T_ghost = T_mirror - (2 d h / k)(T_node - T_inf)
+                    mi, mj = 2 * i - ni, 2 * j - nj
+                    rate[row, mi * n_z + mj] += c
+                    g = c * 2.0 * d * h[col] / k
+                    rate[row, row] -= g
+                    binp[row, col] += g
+    rho_cp = spec.rho * spec.cp
+    rate /= rho_cp
+    binp /= rho_cp
+    theta = 1.0 if cfg.scheme == BACKWARD_EULER else 0.5
+    ident = np.eye(n_r * n_z)
+    implicit = ident - theta * cfg.dt * rate
+    explicit = ident + (1.0 - theta) * cfg.dt * rate
+    x = np.full(n_r * n_z, float(T_init))
+    fields = [x.reshape(n_r, n_z)]
+    for k in range(len(q)):
+        rhs = explicit @ x + cfg.dt * (binp @ tinf[k] + q[k] / rho_cp)
+        x = np.linalg.solve(implicit, rhs)
+        fields.append(x.reshape(n_r, n_z))
+    return r, z, fields
 
 
 class TestFdBasics:
@@ -103,6 +158,84 @@ class TestFdBasics:
             FdConfig(16, 16, -1.0)
         with pytest.raises(ValueError):
             FdConfig(16, 16, 0.1, "leapfrog")
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_nonfinite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="FdConfig.dt"):
+            FdConfig(16, 16, dt)
+
+
+class TestTridiagonalModes:
+    def test_reconstructs_nonsymmetric_operator(self):
+        rng = np.random.default_rng(2)
+        n = 40
+        sub, sup = rng.uniform(0.2, 3.0, n - 1), rng.uniform(0.2, 3.0, n - 1)
+        diag = -rng.uniform(2.0, 8.0, n)
+        op = np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
+        modes = tridiagonal_modes(sub, diag, sup)
+        assert np.isrealobj(modes.lam)
+        np.testing.assert_allclose(modes.V_inv @ modes.V, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(modes.V @ np.diag(modes.lam) @ modes.V_inv, op,
+                                   atol=1e-12)
+
+    def test_rejects_nonpositive_off_diagonal_product(self):
+        with pytest.raises(NumericalError):
+            tridiagonal_modes([1.0, -1.0], [-2.0, -2.0, -2.0], [1.0, 1.0])
+
+
+class TestFdEquivalence:
+    """fd_solve against a dense matrix built straight from the stencil, on a
+    non-square grid (a swapped r/z index order fails) with per-step inputs."""
+
+    @pytest.mark.parametrize("spec", [PAPER, POUCH_CELL], ids=["cylinder", "pouch"])
+    @pytest.mark.parametrize("scheme", [CRANK_NICOLSON, BACKWARD_EULER])
+    def test_matches_dense_stencil(self, spec, scheme):
+        cfg = FdConfig(8, 5, 2.0, scheme)
+        n_steps = 30
+        rng = np.random.default_rng(11)
+        tinf_all = rng.uniform(5.0, 30.0, (n_steps + 1, 4))
+        if spec.is_cylindrical:
+            tinf_all[:, 1] = 0.0   # a cylinder's input vector has no core entry
+        sides = [ALL_SIDES.surface, ALL_SIDES.core, ALL_SIDES.top, ALL_SIDES.bottom]
+        u_all = tinf_all * np.array([s.h for s in sides])
+        if spec.is_cylindrical:
+            u_all = u_all[:, [0, 2, 3]]
+        q = rng.uniform(0.0, 2e5, n_steps + 1)
+        fd = fd_solve(spec, ALL_SIDES, u_all, q, cfg, T_init=20.0,
+                      horizon=n_steps * cfg.dt, metrics_stride=4)
+        r, z, fields = _dense_fd_reference(spec, ALL_SIDES, cfg,
+                                           tinf_all[:-1], q[:-1], 20.0)
+
+        pts = [(r[-1], z.mean()), (r[0], z.mean()), (r.mean(), z[-1]),
+               (r.mean(), z[0])]
+        ref_out = np.array([RegularGridInterpolator((r, z), f)(pts) for f in fields])
+        np.testing.assert_allclose(fd.outputs, ref_out, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fd.final_field, fields[-1], rtol=0, atol=1e-10)
+
+        idx = list(range(0, n_steps + 1, 4)) + [n_steps]
+        np.testing.assert_array_equal(fd.metrics_times, fd.times[idx])
+        w_r = r if spec.is_cylindrical else np.ones_like(r)
+        for m, k in enumerate(idx):
+            f = fields[k]
+            t_mean = (np.trapezoid(np.trapezoid(f, z, axis=1) * w_r, r)
+                      / np.trapezoid(np.trapezoid(np.ones_like(f), z, axis=1) * w_r, r))
+            g_r = np.abs(np.gradient(f, r, axis=0))
+            g_z = np.abs(np.gradient(f, z, axis=1))
+            got = [fd.T_mean[m], fd.T_max[m], fd.T_min[m], fd.dT[m]]
+            want = [t_mean, f.max(), f.min(), f.max() - f.min()]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            got = [fd.dTr_max[m], fd.dTz_max[m], fd.dTr_mean[m], fd.dTz_mean[m]]
+            want = [g_r.max(), g_z.max(), g_r.mean(), g_z.mean()]
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
+        solver = FdSolver(spec, ALL_SIDES, cfg)
+        state = solver.uniform_field(20.0)
+        for k in range(n_steps):
+            state = solver.step(state, solver.tinf_from_inputs(u_all[k]), q[k])
+            np.testing.assert_allclose(solver.outputs(state), fd.outputs[k + 1],
+                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose(solver.grid(state), fd.final_field,
+                                   rtol=0, atol=1e-12)
 
 
 class TestTec:
