@@ -165,11 +165,8 @@ def basis_deriv2(bs: BasisSet, k: int, x):
 def basis_matrix(bs: BasisSet, x, deriv: int = 0) -> np.ndarray:
     """Matrix of phi-k values (or derivatives) at the points x, shape (len(x), count)."""
     x = _check_domain(np.atleast_1d(x))
-    out = np.empty((x.size, bs.count))
-    for k in range(bs.count):
-        c = bs.coeffs[k] if deriv == 0 else ncheb.chebder(bs.coeffs[k], deriv)
-        out[:, k] = ncheb.chebval(x, c)
-    return out
+    # one Chebyshev series per column: chebval evaluates them all at once
+    return ncheb.chebval(x, ncheb.chebder(bs.coeffs.T, deriv, axis=0)).T
 
 
 def robin_residuals(bs: BasisSet) -> np.ndarray:

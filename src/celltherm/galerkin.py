@@ -14,6 +14,19 @@ first-derivative (gamma) term then has constant integrand alpha*k_r, so all
 assembled integrands are polynomials and the fixed-order Gauss rule is exact
 (verified by an order-doubling check).
 
+Both operators are Kronecker products of 1D Galerkin matrices,
+
+    G = rho cp (Gr (x) Gz),      A = Sr (x) Gz + Gr (x) Sz,
+
+with Gr, Gz the weighted Gram (mass) matrices and Sr, Sz the stiffness
+matrices of the two directions, so G^-1 A = (Gr^-1 Sr (x) I + I (x) Gz^-1 Sz)
+/ (rho cp) is a Kronecker sum. The model keeps only these four factors. Each
+symmetric-definite 1D pencil (Sr, Gr), (Sz, Gz) is diagonalized once (fast
+diagonalization: Lynch, Rice & Thomas, Numer. Math. 6, 1964, here on Shen's
+compact Robin-adapted Chebyshev-Galerkin bases); its modes give the exact
+step map and the dissipativity check, and cond(G) = cond(Gr) cond(Gz), so no
+(MN)^2 matrix is formed. G and A are derived properties, for inspection.
+
 B columns apply the same spatial operator to the per-side particular
 components; Dft adds their direct contribution to the four mid-side outputs.
 """
@@ -21,8 +34,10 @@ components; Dft adds their direct contribution to the four mid-side outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .core import CYLINDRICAL, CellSpec, CoolingConfig, input_sides
 from .chebyshev import BasisSet, build_basis, basis_matrix, gauss_quadrature
@@ -37,6 +52,7 @@ from .particular import (
     robin_pairs,
     solve_side_coefficients,
 )
+from .reference import Modes
 
 # Mid-points of the surface, core, top, and bottom sides in scaled coordinates.
 OUTPUT_LOCATIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
@@ -45,14 +61,21 @@ OUTPUT_LOCATIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 @dataclass(frozen=True, eq=False)
 class ReducedModel:
     """Assembled state-space system plus everything needed to reconstruct
-    the full temperature field."""
+    the full temperature field.
+
+    The operators are held as their 1D Kronecker factors (see the module
+    docstring): ``gram_r``/``stiff_r`` are M x M, ``gram_z``/``stiff_z``
+    N x N, and the stiffness factors are symmetric.
+    """
 
     spec: CellSpec
     cooling: CoolingConfig
     M: int
     N: int
-    G: np.ndarray
-    A: np.ndarray
+    gram_r: np.ndarray
+    stiff_r: np.ndarray
+    gram_z: np.ndarray
+    stiff_z: np.ndarray
     B: np.ndarray
     F: np.ndarray
     C: np.ndarray
@@ -73,6 +96,44 @@ class ReducedModel:
     @property
     def sides(self) -> tuple:
         return input_sides(self.spec.shape)
+
+    @property
+    def rho_cp(self) -> float:
+        return self.spec.rho * self.spec.cp
+
+    @property
+    def G(self) -> np.ndarray:
+        """Dense mass matrix rho cp (Gr (x) Gz); O(order^2) memory."""
+        return self.rho_cp * np.kron(self.gram_r, self.gram_z)
+
+    @property
+    def A(self) -> np.ndarray:
+        """Dense stiffness matrix Sr (x) Gz + Gr (x) Sz; O(order^2) memory."""
+        return np.kron(self.stiff_r, self.gram_z) + np.kron(self.gram_r, self.stiff_z)
+
+    @cached_property
+    def modes_r(self) -> Modes:
+        """Modes of the radial pencil: Gr^-1 Sr = V diag(lam) V_inv."""
+        return _pencil_modes(self.stiff_r, self.gram_r)
+
+    @cached_property
+    def modes_z(self) -> Modes:
+        """Modes of the axial pencil: Gz^-1 Sz = V diag(lam) V_inv."""
+        return _pencil_modes(self.stiff_z, self.gram_z)
+
+
+def _pencil_modes(stiff: np.ndarray, gram: np.ndarray) -> Modes:
+    """Diagonalize the symmetric-definite pencil (stiff, gram).
+
+    ``eigh`` returns gram-orthonormal eigenvectors Q (Q^T gram Q = I), so
+    gram^-1 stiff = Q diag(lam) Q^T gram: V = Q and V_inv = Q^T gram, with a
+    real spectrum and no matrix inverse.
+    """
+    try:
+        lam, q = eigh(stiff, gram)
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError(f"1D Galerkin pencil not diagonalizable: {exc}") from exc
+    return Modes(lam, q, q.T @ gram)
 
 
 def default_quad_order(M: int, N: int) -> int:
@@ -117,20 +178,23 @@ def _assemble_matrices(spec, cooling, basis_r, basis_z, components, order):
     s_h = pr0.T @ wr
     s_v = pz0.T @ wq
 
-    G = spec.rho * spec.cp * np.kron(gram_r, gram_z)
-    A = alpha**2 * spec.k_r * np.kron(diff_rr, gram_z) \
-        + beta**2 * spec.k_z * np.kron(gram_r, diff_zz)
+    stiff_r = alpha**2 * spec.k_r * diff_rr
     if spec.is_cylindrical:
         diff_r1 = pr0.T @ (wq[:, None] * pr1)  # w * gamma == alpha k_r, unweighted here
-        A = A + alpha * spec.k_r * np.kron(diff_r1, gram_z)
+        stiff_r = stiff_r + alpha * spec.k_r * diff_r1
+    stiff_z = beta**2 * spec.k_z * diff_zz
+    # Symmetric in exact arithmetic: integrating by parts leaves -<w phi', phi'>
+    # plus Robin boundary terms that are symmetric in (i, j).
+    stiff_r = 0.5 * (stiff_r + stiff_r.T)
+    stiff_z = 0.5 * (stiff_z + stiff_z.T)
     F = np.kron(s_h, s_v)
 
     sides = input_sides(spec.shape)
-    B = np.empty((G.shape[0], len(sides)))
+    B = np.empty((F.size, len(sides)))
     for col, side in enumerate(sides):
         lw = _operator_times_weight(spec, components, side, x, x)
         B[:, col] = (pr0.T @ ((wq[:, None] * wq[None, :]) * lw) @ pz0).ravel()
-    return G, A, B, F
+    return gram_r, stiff_r, gram_z, stiff_z, B, F
 
 
 def assemble(spec: CellSpec, cooling: CoolingConfig, M: int, N: int,
@@ -155,15 +219,18 @@ def assemble(spec: CellSpec, cooling: CoolingConfig, M: int, N: int,
     coeffs = solve_side_coefficients(basis_r, basis_z, scalars, quad, spec)
     components = ParticularComponents(spec, basis_r, basis_z, coeffs)
 
-    G, A, B, F = _assemble_matrices(spec, cooling, basis_r, basis_z, components, order)
-    G2, A2, B2, F2 = _assemble_matrices(spec, cooling, basis_r, basis_z,
-                                        components, 2 * order)
-    for name, m1, m2 in (("G", G, G2), ("A", A, A2), ("B", B, B2), ("F", F, F2)):
+    names = ("gram_r", "stiff_r", "gram_z", "stiff_z", "B", "F")
+    mats = _assemble_matrices(spec, cooling, basis_r, basis_z, components, order)
+    check = _assemble_matrices(spec, cooling, basis_r, basis_z, components, 2 * order)
+    for name, m1, m2 in zip(names, mats, check):
         scale = np.abs(m2).max()
         if scale > 0.0 and np.abs(m1 - m2).max() > 1e-8 * scale:
             raise AssemblyError(f"quadrature not converged for matrix {name}")
+    factors = dict(zip(names, mats))
 
-    cond = np.linalg.cond(G)
+    # the 2-norm condition number of a Kronecker product of SPD matrices is
+    # the product of theirs
+    cond = np.linalg.cond(factors["gram_r"]) * np.linalg.cond(factors["gram_z"])
     if not np.isfinite(cond) or cond > 1e12:
         raise AssemblyError(f"singular mass matrix (cond={cond:.3g})")
 
@@ -176,16 +243,27 @@ def assemble(spec: CellSpec, cooling: CoolingConfig, M: int, N: int,
         C[i] = np.kron(pr_out[i], pz_out[i])
     Dft = feedthrough_matrix(components, OUTPUT_LOCATIONS)
 
-    return ReducedModel(spec=spec, cooling=cooling, M=M, N=N, G=G, A=A, B=B,
-                        F=F, C=C, Dft=Dft, basis_r=basis_r, basis_z=basis_z,
-                        particular=components, quad_order=order)
+    model = ReducedModel(spec=spec, cooling=cooling, M=M, N=N, **factors,
+                         C=C, Dft=Dft, basis_r=basis_r, basis_z=basis_z,
+                         particular=components, quad_order=order)
+
+    # Dissipativity: every eigenvalue lam_r[i] + lam_z[j] of the Kronecker sum
+    # is <= 0. Zero is legal: an insulated cell conserves its mean.
+    lam = np.add.outer(model.modes_r.lam, model.modes_z.lam)
+    if lam.max() > 1e-9 * np.abs(lam).max():
+        raise AssemblyError(
+            f"model is not dissipative: largest eigenvalue {lam.max():.3g} > 0 "
+            f"(largest magnitude {np.abs(lam).max():.3g})")
+    return model
 
 
 def project_initial_state(model: ReducedModel, T_init: float, u0) -> np.ndarray:
     """Galerkin projection of the homogeneous part of a uniform initial field.
 
     Solves G X(0) = rho cp < w (T_init - T_p(.) u0), eta > so that the
-    reconstruction T_h(0) + T_p u0 approximates the uniform T_init.
+    reconstruction T_h(0) + T_p u0 approximates the uniform T_init. With
+    G = rho cp (Gr (x) Gz) this is X(0) = Gr^-1 R Gz^-1 for the M x N moment
+    matrix R, two small solves instead of one with G.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (model.n_inputs,):
@@ -198,9 +276,9 @@ def project_initial_state(model: ReducedModel, T_init: float, u0) -> np.ndarray:
 
     field = np.full((x.size, x.size), float(T_init))
     field -= model.particular.eval_total(u0, x, x)
-    rhs = model.spec.rho * model.spec.cp * \
-        (pr0.T @ ((wr[:, None] * wq[None, :]) * field) @ pz0).ravel()
-    return np.linalg.solve(model.G, rhs)
+    moments = pr0.T @ ((wr[:, None] * wq[None, :]) * field) @ pz0
+    return np.linalg.solve(model.gram_r,
+                           np.linalg.solve(model.gram_z, moments.T).T).ravel()
 
 
 def reassemble_cooling(model: ReducedModel, cooling: CoolingConfig) -> ReducedModel:

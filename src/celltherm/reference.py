@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, expm
 
-from .core import CellSpec, CoolingConfig, input_sides
+from .core import SIDES, CellSpec, CoolingConfig, input_sides
 from .exceptions import NumericalError, UnsupportedShapeError
 
 BACKWARD_EULER = "backward_euler"
@@ -225,7 +225,7 @@ class FdSolver:
         sides = input_sides(self.spec.shape)
         by_side = dict(zip(sides, np.asarray(u_vec, dtype=float)))
         tinf = np.zeros(4)
-        for col, side in enumerate(("surface", "core", "top", "bottom")):
+        for col, side in enumerate(SIDES):
             h = self.cooling.side(side).h
             if h > 0.0:
                 tinf[col] = by_side.get(side, 0.0) / h
@@ -308,9 +308,9 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
     times = np.arange(n_steps + 1) * dt
 
     if u is None:
-        baseline = np.array([cooling.side(s).h * cooling.side(s).T_inf
-                             for s in input_sides(spec.shape)])
-        u_arr = np.broadcast_to(baseline, (n_steps + 1, baseline.size))
+        # Straight from the config: a cylinder's input vector has no core
+        # entry, so a cooled core would lose its coolant temperature.
+        baseline = np.array([cooling.side(s).T_inf for s in SIDES])
     else:
         u_arr = np.asarray(u, dtype=float)
         if u_arr.ndim == 1:
@@ -329,7 +329,7 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
     rows = {0: solver.metrics(state)} if 0 in metric_set else {}
 
     for k in range(n_steps):
-        tinf = solver.tinf_from_inputs(u_arr[k])
+        tinf = baseline if u is None else solver.tinf_from_inputs(u_arr[k])
         state = solver.step(state, tinf, q_arr[k])
         outputs[k + 1] = solver.outputs(state)
         if (k + 1) in metric_set:

@@ -1,10 +1,14 @@
 """Time stepping of the reduced model, field reconstruction, and thermal metrics.
 
 The assembled system is LTI and the inputs are staircase by construction, so
-the discretization is the exact zero-order-hold map obtained from one matrix
-exponential of the augmented system per (model, dt). Gradients are computed
-by analytic differentiation of the expansions (not finite differences of the
-grid), mapped to physical units by the coordinate scale factors.
+the discretization is the exact zero-order-hold map. Because G^-1 A is the
+Kronecker sum of two diagonalized 1D pencils (see galerkin), its exponential
+is E_r (x) E_z with E = V diag(exp(dt lam / rho cp)) V_inv per direction, and
+the input map is the modal phi_1 = expm1(dt lam) / lam integral; one step costs
+two small matrix products instead of an (order)^2 matvec. Gradients are
+computed by analytic differentiation of the expansions (not finite
+differences of the grid), mapped to physical units by the coordinate scale
+factors.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import BoundaryInput, CellSpec
 from .chebyshev import basis_matrix
@@ -25,33 +28,50 @@ DEFAULT_GRID = (41, 41)
 
 @dataclass(frozen=True, eq=False)
 class Stepper:
-    """Exact ZOH step map X' = Ad X + Bd [u; w] for one fixed dt."""
+    """Exact ZOH step map X' = (E_r (x) E_z) X + Bd [u; w] for one fixed dt,
+    applied through the M x M and N x N factors E_r, E_z."""
 
     model: ReducedModel
     dt: float
-    Ad: np.ndarray
+    E_r: np.ndarray
+    E_z: np.ndarray
     Bd: np.ndarray
 
     def step(self, X: np.ndarray, u: np.ndarray, w: float) -> np.ndarray:
-        return self.Ad @ X + self.Bd @ np.concatenate([u, [w]])
+        xm = X.reshape(self.E_r.shape[0], self.E_z.shape[0])
+        return (self.E_r @ xm @ self.E_z.T).ravel() \
+            + self.Bd @ np.concatenate([u, [w]])
+
+
+def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
+    """(exp(dt lam) - 1) / lam, and dt where lam == 0."""
+    zero = lam == 0.0
+    return np.where(zero, dt, np.expm1(dt * lam) / np.where(zero, 1.0, lam))
 
 
 def discretize(model: ReducedModel, dt: float) -> Stepper:
-    """Exact zero-order-hold discretization via the matrix exponential of the
-    augmented [[A, B F], [0, 0]] system (inputs held constant over a step)."""
+    """Exact zero-order-hold discretization (inputs held constant over a
+    step) in the modal basis of the two 1D pencils.
+
+    With K = G^-1 A = V diag(lam) V^-1, V = V_r (x) V_z and
+    lam = (lam_r[i] + lam_z[j]) / rho cp: Ad = exp(dt K) = E_r (x) E_z and
+    Bd = V diag(phi_1(lam)) V^-1 G^-1 [B F], where V^-1 G^-1 reduces to
+    (Q_r^T (x) Q_z^T) / rho cp because V_inv = Q^T gram per direction.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    n = model.order
-    n_in = model.n_inputs + 1
-    a_c = np.linalg.solve(model.G, model.A)
-    b_c = np.linalg.solve(model.G, np.column_stack([model.B, model.F]))
-    aug = np.zeros((n + n_in, n + n_in))
-    aug[:n, :n] = a_c
-    aug[:n, n:] = b_c
-    phi = expm(aug * dt)
-    if not np.all(np.isfinite(phi)):
-        raise NumericalError("matrix exponential overflow: unstable dynamics")
-    return Stepper(model, dt, phi[:n, :n], phi[:n, n:])
+    m_r, m_z = model.modes_r, model.modes_z
+    rho_cp = model.rho_cp
+    e_r = (m_r.V * np.exp(dt * m_r.lam / rho_cp)) @ m_r.V_inv
+    e_z = (m_z.V * np.exp(dt * m_z.lam / rho_cp)) @ m_z.V_inv
+    phi1 = _phi1(np.add.outer(m_r.lam, m_z.lam) / rho_cp, dt) / rho_cp
+    inputs = np.column_stack([model.B, model.F]).T.reshape(-1, model.M, model.N)
+    modal = phi1 * (m_r.V.T @ inputs @ m_z.V)
+    bd = (m_r.V @ modal @ m_z.V.T).reshape(-1, model.order).T
+    if not (np.all(np.isfinite(e_r)) and np.all(np.isfinite(e_z))
+            and np.all(np.isfinite(bd))):
+        raise NumericalError("modal exponential overflow: unstable dynamics")
+    return Stepper(model, dt, e_r, e_z, bd)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,7 +1,9 @@
 """Command-line interface: configuration schema, drive-cycle I/O, command
 outputs, exit codes, and byte determinism."""
 
+import concurrent.futures
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -261,6 +263,52 @@ class TestDeterminism:
             assert main([command, "--config", str(cfg_path), "--seed", "3"]) == 0
             for rel, blob in first.items():
                 assert (tmp_path / rel).read_bytes() == blob, rel
+
+    @pytest.mark.parametrize("command", ["scenarios", "control", "sweep-geometry"])
+    def test_thread_pool_matches_serial(self, tmp_path, monkeypatch, command):
+        """The pooled points (_scenario_point, _control_point, _sweep_point)
+        share models and arrays across threads; their outputs must equal
+        those of the same points called one after the other."""
+
+        class SerialExecutor:
+            def __init__(self, max_workers=None):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg_path = _write_cfg(tmp_path, {
+            "orders": [9], "scenarios": ["SC", "aTSC"], "scenario": "btTC",
+            "control": {"c_rates": [1.0, 2.0, 3.0]},
+            "sweep": {"ratios": [2.0, 4.0, 6.0, 8.0]},
+            "heat": {"kind": "random_drive", "peak_current_A": 90.0},
+            "metrics_stride": 1,
+        })
+
+        def outputs():
+            out = tmp_path / "out"   # same path both times: it is hashed
+            assert main([command, "--config", str(cfg_path), "--out", str(out),
+                         "--seed", "5"]) == 0
+            return {f.relative_to(out): f.read_bytes()
+                    for f in out.rglob("*") if f.suffix in (".csv", ".json")}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # interleave the pool's threads often
+        try:
+            pooled = outputs()
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialExecutor)
+        serial = outputs()
+        assert pooled.keys() == serial.keys()
+        for rel, blob in serial.items():
+            assert pooled[rel] == blob, rel
 
 
 class TestConstantVolume:

@@ -21,6 +21,7 @@ from celltherm.core import (
     boundary_input_from_cooling,
     scenario_cooling,
 )
+from celltherm import galerkin
 from celltherm.exceptions import AssemblyError
 from celltherm.galerkin import (
     OUTPUT_LOCATIONS,
@@ -86,6 +87,17 @@ class TestAssembleStructure:
                 model = assemble(PAPER, cooling, count, count)
                 eig = np.linalg.eigvals(np.linalg.solve(model.G, model.A))
                 assert eig.real.max() <= 1e-9
+
+    def test_non_dissipative_model_rejected(self, monkeypatch):
+        real = galerkin._assemble_matrices
+
+        def sign_flipped(*args):
+            gram_r, stiff_r, *rest = real(*args)
+            return (gram_r, -stiff_r, *rest)
+
+        monkeypatch.setattr(galerkin, "_assemble_matrices", sign_flipped)
+        with pytest.raises(AssemblyError, match="not dissipative"):
+            assemble(PAPER, scenario_cooling("SC"), 3, 3)
 
     def test_energy_decay_on_random_states(self):
         rng = np.random.default_rng(11)

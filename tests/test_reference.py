@@ -101,6 +101,15 @@ class TestFdBasics:
         assert np.abs(fd.outputs - 15.0).max() <= 1e-10
         assert np.abs(fd.final_field - 15.0).max() <= 1e-10
 
+    def test_equilibrium_with_cooled_core(self):
+        """With u = None every coolant temperature comes from the config,
+        the core's included, although a cylinder's model input vector has no
+        core entry."""
+        fd = fd_solve(PAPER, ALL_SIDES, None, 0.0, FdConfig(32, 32, 0.5),
+                      T_init=15.0, horizon=100.0, metrics_stride=10**9)
+        assert np.abs(fd.outputs - 15.0).max() <= 1e-9
+        assert np.abs(fd.final_field - 15.0).max() <= 1e-9
+
     def test_insulated_energy_balance(self):
         fd = fd_solve(PAPER, INSULATED, None, 5e4, FdConfig(64, 64, 0.1),
                       T_init=15.0, horizon=50.0, metrics_stride=50)

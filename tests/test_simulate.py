@@ -1,17 +1,19 @@
 """Time stepping, reconstruction, and metrics.
 
-Oracles: a fine-step explicit RK4 integrator, closed-form radial steady
-states of the annulus, the adiabatic energy balance q/(rho cp), and exact
-ZOH semigroup identities.
+Oracles: the matrix exponential of the dense augmented system, a fine-step
+explicit RK4 integrator, closed-form radial steady states of the annulus, the
+adiabatic energy balance q/(rho cp), and exact ZOH semigroup identities.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from celltherm.core import (
     CYLINDRICAL,
+    POUCH,
     BoundaryInput,
     CellSpec,
     CoolingConfig,
@@ -47,12 +49,43 @@ RADIAL_ONLY = CoolingConfig(SideCooling(400.0, 15.0), SideCooling(0.0, 15.0),
 INSULATED = CoolingConfig(SideCooling(0.0, 15.0), SideCooling(0.0, 15.0),
                           SideCooling(0.0, 15.0), SideCooling(0.0, 15.0),
                           scenario_name="insulated")
+POUCH_CELL = CellSpec(shape=POUCH, L=0.2, D=0.1, rho=2118.0, cp=795.0,
+                      k_r=0.9, k_z=30.0)
+
+
+def expm_zoh(model, dt):
+    """Reference ZOH map (Ad, Bd) from the matrix exponential of the dense
+    augmented system [[G^-1 A, G^-1 [B F]], [0, 0]] (Van Loan, IEEE TAC 1978)."""
+    n, n_in = model.order, model.n_inputs + 1
+    aug = np.zeros((n + n_in, n + n_in))
+    aug[:n, :n] = np.linalg.solve(model.G, model.A)
+    aug[:n, n:] = np.linalg.solve(model.G, np.column_stack([model.B, model.F]))
+    phi = expm(aug * dt)
+    return phi[:n, :n], phi[:n, n:]
 
 
 class TestDiscretize:
+    @pytest.mark.parametrize("spec, cooling, M, N", [
+        (PAPER, SC, 5, 5),
+        (PAPER, scenario_cooling("btTC"), 5, 5),
+        (PAPER, scenario_cooling("aTSC"), 4, 3),
+        (PAPER, scenario_cooling("aTSC"), 1, 1),
+        (PAPER, INSULATED, 3, 4),
+        (POUCH_CELL, scenario_cooling("SC", POUCH), 4, 5),
+    ], ids=["SC", "btTC", "aTSC", "aTSC-O1", "insulated", "pouch"])
+    def test_modal_step_matches_augmented_expm(self, spec, cooling, M, N):
+        model = assemble(spec, cooling, M, N)
+        for dt in (0.1, 1.0, 20.0):
+            stepper = discretize(model, dt)
+            ad, bd = expm_zoh(model, dt)
+            ad_modal = np.kron(stepper.E_r, stepper.E_z)
+            assert np.abs(ad_modal - ad).max() <= 1e-12 * np.abs(ad).max()
+            assert np.abs(stepper.Bd - bd).max() <= 1e-12 * np.abs(bd).max()
+
     def test_pure_integrator_limit(self):
         model = assemble(PAPER, SC, 2, 2)
-        frozen = replace(model, A=np.zeros_like(model.A))
+        frozen = replace(model, stiff_r=np.zeros_like(model.stiff_r),
+                         stiff_z=np.zeros_like(model.stiff_z))
         dt = 0.5
         stepper = discretize(frozen, dt)
         x = np.ones(frozen.order)
@@ -172,7 +205,8 @@ class TestRun:
 
     def test_unstable_dynamics_reported_with_step(self):
         model = assemble(PAPER, SC, 2, 2)
-        unstable = replace(model, A=-200.0 * model.A)
+        unstable = replace(model, stiff_r=-200.0 * model.stiff_r,
+                           stiff_z=-200.0 * model.stiff_z)
         with pytest.raises(NumericalError, match="step"):
             run(unstable, np.ones(model.order), U_SC, 0.0, dt=5.0, horizon=500.0)
 
