@@ -15,7 +15,6 @@ from .core import (
     HeatProfile,
     SideCooling,
     SCENARIOS,
-    bernardi_q,
     boundary_input_from_cooling,
     cell_volume,
     constant_profile,
@@ -23,26 +22,8 @@ from .core import (
     resample_profile,
     scenario_cooling,
 )
-from .chebyshev import (
-    BasisSet,
-    Quadrature,
-    build_basis,
-    cheb_deriv_at_endpoints,
-    cheb_eval,
-    gauss_quadrature,
-    inner_product_1d,
-)
-from .galerkin import OUTPUT_LOCATIONS, ReducedModel, assemble, project_initial_state, reassemble_cooling
-from .particular import boundary_scalars, feedthrough_matrix, solve_side_coefficients
-from .simulate import (
-    FieldGrid,
-    MetricsRecord,
-    SimResult,
-    compute_metrics,
-    discretize,
-    reconstruct_field,
-    run,
-)
+from .galerkin import OUTPUT_LOCATIONS, ReducedModel, assemble, project_initial_state
+from .simulate import FieldEvaluator, MetricsRecord, SimResult, discretize, run
 
 __version__ = "0.1.0"
 

@@ -63,6 +63,9 @@ from .simulate import run
 
 SCHEMA_VERSION = 1
 
+# a metrics stride beyond any horizon: metrics only at the first and last step
+_NO_METRICS = 10**9
+
 _PAPER_CELL = {"shape": CYLINDRICAL, "L": 0.198, "R_out": 0.032, "R_in": 0.004,
                "rho": 2118.0, "cp": 795.0, "k_r": 0.67, "k_z": 66.6}
 
@@ -281,14 +284,20 @@ def _metric_rows(result):
                result.dTr_mean[i], result.dTz_mean[i])
 
 
-def _run_order(spec, cooling, order, cfg, q_series):
+def _order_model(spec, cooling, order):
     root = int(round(math.sqrt(order)))
-    model = assemble(spec, cooling, root, root)
+    return assemble(spec, cooling, root, root)
+
+
+def _run_order(spec, cooling, order, cfg, q_series, metrics_stride):
+    """Assemble the model of one order and return its run over the
+    configured horizon as a callable, so that timing leaves assembly out."""
+    model = _order_model(spec, cooling, order)
     u = boundary_input_from_cooling(cooling).as_vector(spec.shape)
     x0 = project_initial_state(model, cfg["t_init_C"], u)
     grid = (cfg["grid"]["n_r"], cfg["grid"]["n_z"])
-    return run(model, x0, u, q_series, cfg["dt_s"], cfg["horizon_s"],
-               grid_shape=grid, metrics_stride=cfg["metrics_stride"])
+    return lambda: run(model, x0, u, q_series, cfg["dt_s"], cfg["horizon_s"],
+                       grid_shape=grid, metrics_stride=metrics_stride)
 
 
 def cmd_simulate(cfg, out_dir: Path):
@@ -296,7 +305,8 @@ def cmd_simulate(cfg, out_dir: Path):
     cooling = _cooling_from_config(cfg, spec)
     q_series = _q_series(cfg, spec)
     for order in cfg["orders"]:
-        result = _run_order(spec, cooling, order, cfg, q_series)
+        result = _run_order(spec, cooling, order, cfg, q_series,
+                            cfg["metrics_stride"])()
         write_csv(out_dir / f"trace_O{order}.csv", _TRACE_HEADER, _trace_rows(result))
         write_csv(out_dir / f"metrics_O{order}.csv", _METRIC_HEADER, _metric_rows(result))
     write_summary(out_dir, cfg, {
@@ -332,11 +342,11 @@ def cmd_validate(cfg, out_dir: Path):
     for name in cfg["scenarios"]:
         cooling = _cooling_from_config(cfg, spec, scenario=name)
         q_fd = _fd_q_series(cfg, spec)
-        fd = _fd_reference(cfg, spec, cooling, q_fd, stride=10**9)
+        fd = _fd_reference(cfg, spec, cooling, q_fd, stride=_NO_METRICS)
         q_series = _q_series(cfg, spec)
         errors = {}
         for order in cfg["orders"]:
-            result = _run_order(spec, cooling, order, cfg, q_series)
+            result = _run_order(spec, cooling, order, cfg, q_series, _NO_METRICS)()
             ref = _subsample(fd.times, fd.outputs, result.times)
             err = float(np.abs(result.outputs - ref).max())
             rows.append((name, order, err))
@@ -373,7 +383,7 @@ def cmd_compare_tec(cfg, out_dir: Path):
         entries = [("TEC", lambda: tec_run(tec, q_series * vol, dt, horizon,
                                            T0=cfg["t_init_C"]))]
         entries += [(f"O{order}",
-                     _make_timed_run(spec, cooling, order, cfg, q_series))
+                     _run_order(spec, cooling, order, cfg, q_series, _NO_METRICS))
                     for order in cfg["orders"]]
         table = timing_harness(entries, cfg["timing"]["repetitions"])
         by_name = {row["model"]: row["mean_ms"] for row in table}
@@ -414,7 +424,8 @@ def cmd_compare_tec(cfg, out_dir: Path):
     }
 
     for order in cfg["orders"]:
-        result = _run_order(spec, cooling, order, cfg, q_series)
+        result = _run_order(spec, cooling, order, cfg, q_series,
+                            cfg["metrics_stride"])()
         write_csv(out_dir / f"trace_O{order}.csv",
                   ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"],
                   zip(result.metrics_times, result.T_mean, result.T_max,
@@ -436,25 +447,14 @@ def cmd_compare_tec(cfg, out_dir: Path):
     return 0
 
 
-def _make_timed_run(spec, cooling, order, cfg, q_series):
-    root = int(round(math.sqrt(order)))
-    model = assemble(spec, cooling, root, root)
-    u = boundary_input_from_cooling(cooling).as_vector(spec.shape)
-    x0 = project_initial_state(model, cfg["t_init_C"], u)
-
-    def _go():
-        return run(model, x0, u, q_series, cfg["dt_s"], cfg["horizon_s"],
-                   metrics_stride=10**9)
-    return _go
-
-
 _SCENARIO_METRICS = ("T_mean", "T_max", "dTr_max", "dTz_max", "dT")
 
 
 def _scenario_point(args):
     spec, cfg, name, q_series = args
     cooling = scenario_cooling(name, spec.shape, T_inf=cfg["t_init_C"])
-    result = _run_order(spec, cooling, cfg["orders"][0], cfg, q_series)
+    result = _run_order(spec, cooling, cfg["orders"][0], cfg, q_series,
+                        cfg["metrics_stride"])()
     merits = {m: float(getattr(result, m).max()) for m in _SCENARIO_METRICS}
     return name, result, merits
 
@@ -495,9 +495,7 @@ def _control_point(args):
     spec, cfg, name, c_rate, q_series = args
     cooling = scenario_cooling(name, spec.shape, T_inf=cfg["t_init_C"])
     ctl = cfg["control"]
-    order = ctl["estimator_order"] or cfg["orders"][0]
-    root = int(round(math.sqrt(order)))
-    model = assemble(spec, cooling, root, root)
+    model = _order_model(spec, cooling, ctl["estimator_order"] or cfg["orders"][0])
     trace = closed_loop_run(
         model, name, ctl["setpoint_C"], q_series * c_rate, cfg["dt_s"],
         cfg["horizon_s"], gains=(ctl["kp"], ctl["ki"]),
@@ -580,7 +578,8 @@ def _sweep_point(args):
     except ValueError:
         return ratio, None, None
     cooling = scenario_cooling(cfg["scenario"], cell.shape, T_inf=cfg["t_init_C"])
-    result = _run_order(cell, cooling, cfg["orders"][0], cfg, q_series)
+    result = _run_order(cell, cooling, cfg["orders"][0], cfg, q_series,
+                        cfg["metrics_stride"])()
     merits = {
         "L_m": length, "R_out_m": r_out, "volume_m3": cell_volume(cell),
         "T_mean": float(result.T_mean.max()),

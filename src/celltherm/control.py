@@ -5,8 +5,12 @@ free-stream temperature (the convection coefficients stay fixed per
 scenario, so u_side = h_side * T_inf,side makes the coolant temperature the
 physical handle). The mean temperature is not measurable, so an open-loop
 estimator mirrors the reduced model: it is propagated with the same inputs
-as the plant and its reconstructed volume-mean feeds the error. Passive
-sides hold their baseline coolant temperature for the whole run.
+as the plant, in modal coordinates through the package's one ZOH kernel
+(``simulate.Stepper``), and its volume mean, a precomputed row, feeds the
+error. A reduced-model plant is the same estimator class (the very same
+object when the estimator model is the plant), with its outputs and metrics
+evaluated in one batch after the loop; an FD plant is sampled every step.
+Passive sides hold their baseline coolant temperature for the whole run.
 """
 
 from __future__ import annotations
@@ -18,7 +22,13 @@ import numpy as np
 from .core import CoolingConfig, active_sides, input_sides
 from .galerkin import ReducedModel, assemble, project_initial_state
 from .reference import FdSolver
-from .simulate import DEFAULT_GRID, FieldEvaluator, discretize
+from .simulate import (
+    DEFAULT_GRID,
+    FieldEvaluator,
+    MetricsRecord,
+    _broadcast_inputs,
+    discretize,
+)
 
 DEFAULT_GAINS = (2.0, 0.05)
 DEFAULT_LIMITS = (-20.0, 40.0)   # coolant temperature span, degC
@@ -59,72 +69,57 @@ def pi_step(c: PiController, error: float, dt: float) -> float:
 
 
 class OpenLoopEstimator:
-    """Reduced-model state propagated with the plant's inputs, no feedback
-    correction; exposes the estimated volume-mean temperature."""
+    """Reduced model stepped in modal coordinates with the plant's inputs, no
+    feedback correction. Its volume-mean estimate is one precomputed row; the
+    states it passes through are kept, so the same object also serves as the
+    reduced-model plant, whose outputs and metrics ``trajectory`` evaluates
+    after the run in one batch."""
 
     def __init__(self, model: ReducedModel, dt: float, T_init: float,
                  u0: np.ndarray, grid_shape=DEFAULT_GRID):
         self.model = model
         self._stepper = discretize(model, dt)
         self._evaluator = FieldEvaluator(model, *grid_shape)
-        self.X = project_initial_state(model, T_init, u0)
+        self._mean_row = (model.modes_r.V.T
+                          @ self._evaluator.mean_state_row.reshape(model.M, model.N)
+                          @ model.modes_z.V).ravel()
+        self.y = model.to_modal(project_initial_state(model, T_init, u0))
+        self._states = [self.y]
 
     def mean_temperature(self, u_applied: np.ndarray) -> float:
-        return self._evaluator.metrics(self.X, u_applied).T_mean
-
-    def metrics(self, u_applied: np.ndarray):
-        return self._evaluator.metrics(self.X, u_applied)
+        return float(self._mean_row @ self.y
+                     + self._evaluator.mean_input_row @ u_applied)
 
     def step(self, u: np.ndarray, w: float):
-        self.X = self._stepper.step(self.X, u, w)
+        self.y = self._stepper.step(self.y, np.append(u, w))
+        self._states.append(self.y)
 
-
-def estimate_mean(est: OpenLoopEstimator, u, w: float) -> float:
-    """Propagate the estimator one step with the plant's inputs and return
-    the resulting mean-temperature estimate."""
-    u = np.asarray(u, dtype=float)
-    est.step(u, w)
-    return est.mean_temperature(u)
-
-
-class _RomPlant:
-    def __init__(self, model: ReducedModel, dt: float, T_init: float,
-                 u0: np.ndarray, grid_shape):
-        self.spec = model.spec
-        self.cooling = model.cooling
-        self._model = model
-        self._stepper = discretize(model, dt)
-        self._evaluator = FieldEvaluator(model, *grid_shape)
-        self.X = project_initial_state(model, T_init, u0)
-
-    def outputs(self, u_applied):
-        return self._model.C @ self.X + self._model.Dft @ u_applied
-
-    def metrics(self, u_applied):
-        m = self._evaluator.metrics(self.X, u_applied)
-        return m.T_mean, m.dTr_mean, m.dTz_mean
-
-    def step(self, u, w):
-        self.X = self._stepper.step(self.X, u, w)
+    def trajectory(self, u_applied: np.ndarray):
+        """(outputs, metrics) of the states passed through, with one input
+        row per state."""
+        modal = np.array(self._states)
+        states = self.model.from_modal(modal, out=modal)
+        return (self.model.outputs(states, u_applied),
+                self._evaluator.metrics(states, u_applied))
 
 
 class _FdPlant:
     def __init__(self, solver: FdSolver, T_init: float):
-        self.spec = solver.spec
-        self.cooling = solver.cooling
         self._solver = solver
         self.state = solver.uniform_field(T_init)
+        self._samples = [self._sample()]
 
-    def outputs(self, u_applied):
-        return self._solver.outputs(self.state)
-
-    def metrics(self, u_applied):
-        t_mean, _, _, _, _, _, d_r_mean, d_z_mean = self._solver.metrics(self.state)
-        return t_mean, d_r_mean, d_z_mean
+    def _sample(self):
+        return self._solver.outputs(self.state), self._solver.metrics(self.state)
 
     def step(self, u, w):
         tinf = self._solver.tinf_from_inputs(u)
         self.state = self._solver.step(self.state, tinf, w)
+        self._samples.append(self._sample())
+
+    def trajectory(self, u_applied):
+        outputs, metrics = zip(*self._samples)
+        return np.array(outputs), MetricsRecord.stack(metrics)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,25 +164,26 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         if cooling.side(side).h <= 0.0:
             raise ValueError(f"active side {side!r} has no convection")
 
-    n_steps = int(np.floor(horizon / dt + 1e-9))
-    q_arr = np.asarray(q, dtype=float)
-    if q_arr.ndim == 0:
-        q_arr = np.broadcast_to(q_arr, (n_steps + 1,))
-
     baseline_tinf = np.array([cooling.side(s).T_inf for s in sides])
     h_vec = np.array([cooling.side(s).h for s in sides])
     u_baseline = h_vec * baseline_tinf
 
     if isinstance(plant, ReducedModel):
-        plant_adapter = _RomPlant(plant, dt, T_init, u_baseline, grid_shape)
         est_model = estimator_model if estimator_model is not None else plant
     elif isinstance(plant, FdSolver):
-        plant_adapter = _FdPlant(plant, T_init)
         est_model = estimator_model if estimator_model is not None else \
             assemble(plant.spec, plant.cooling, 3, 3)
     else:
         raise TypeError("plant must be a ReducedModel or FdSolver")
     estimator = OpenLoopEstimator(est_model, dt, T_init, u_baseline, grid_shape)
+    n_steps = int(np.floor(horizon / dt + 1e-9))
+    _, q_arr = _broadcast_inputs(est_model, u_baseline, q, n_steps + 1)
+    if isinstance(plant, FdSolver):
+        plant_adapter = _FdPlant(plant, T_init)
+    elif plant is est_model:
+        plant_adapter = estimator
+    else:
+        plant_adapter = OpenLoopEstimator(plant, dt, T_init, u_baseline, grid_shape)
 
     controllers = {
         side: PiController(gains[0], gains[1],
@@ -199,21 +195,11 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
     shape = (n_steps + 1, len(sides))
     coolant = np.empty(shape)
     u_hist = np.empty(shape)
-    t_mean = np.empty(n_steps + 1)
     t_hat = np.empty(n_steps + 1)
-    outputs = np.empty((n_steps + 1, 4))
-    d_r = np.empty(n_steps + 1)
-    d_z = np.empty(n_steps + 1)
 
     u_applied = u_baseline.copy()
-    for k in range(n_steps + 1):
-        t_mean[k], d_r[k], d_z[k] = plant_adapter.metrics(u_applied)
+    for k in range(n_steps):
         t_hat[k] = estimator.mean_temperature(u_applied)
-        outputs[k] = plant_adapter.outputs(u_applied)
-        if k == n_steps:
-            coolant[k] = coolant[k - 1] if n_steps > 0 else baseline_tinf
-            u_hist[k] = u_applied
-            break
         error = setpoint - t_hat[k]
         tinf_cmd = baseline_tinf.copy()
         for j, side in enumerate(sides):
@@ -223,9 +209,17 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         coolant[k] = tinf_cmd
         u_hist[k] = u_applied
         plant_adapter.step(u_applied, q_arr[k])
-        estimator.step(u_applied, q_arr[k])
+        if estimator is not plant_adapter:
+            estimator.step(u_applied, q_arr[k])
+    t_hat[n_steps] = estimator.mean_temperature(u_applied)
+    coolant[n_steps] = coolant[n_steps - 1] if n_steps > 0 else baseline_tinf
+    u_hist[n_steps] = u_applied
 
+    # the field at step k is reconstructed with the input applied up to k
+    outputs, metrics = plant_adapter.trajectory(
+        np.vstack([u_baseline, u_hist[:-1]]))
     return ControlTrace(
         times=np.arange(n_steps + 1) * dt, setpoint=setpoint, sides=sides,
-        active=active, coolant=coolant, u=u_hist, T_mean=t_mean,
-        T_hat_mean=t_hat, outputs=outputs, dTr_mean=d_r, dTz_mean=d_z)
+        active=active, coolant=coolant, u=u_hist, T_mean=metrics.T_mean,
+        T_hat_mean=t_hat, outputs=outputs, dTr_mean=metrics.dTr_mean,
+        dTz_mean=metrics.dTz_mean)

@@ -1,5 +1,6 @@
 """Domain types shared by all modules: cell geometry and properties, per-side
-cooling configuration, boundary inputs, and heat-generation profiles.
+cooling configuration, boundary inputs, heat-generation profiles, and the
+modal decomposition of a 1D operator.
 
 Conventions
 -----------
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -229,6 +231,9 @@ class HeatProfile:
         v = np.asarray(self.values, dtype=float)
         if t.size == 0:
             raise ValueError("heat profile must contain at least one sample")
+        for name, arr in (("times", t), ("values", v)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"HeatProfile.{name} must be finite")
         if t[0] != 0.0:
             raise ValueError("heat profile must start at t = 0")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
@@ -273,3 +278,11 @@ def resample_profile(profile: HeatProfile, dt: float, horizon: float) -> np.ndar
     idx = np.searchsorted(profile.times, grid + 1e-12 * max(dt, 1.0), side="right") - 1
     idx = np.clip(idx, 0, len(profile.times) - 1)
     return profile.values[idx]
+
+
+class Modes(NamedTuple):
+    """Real eigendecomposition ``L = V diag(lam) V_inv`` of a 1D operator."""
+
+    lam: np.ndarray
+    V: np.ndarray
+    V_inv: np.ndarray

@@ -26,6 +26,8 @@ diagonalization: Lynch, Rice & Thomas, Numer. Math. 6, 1964, here on Shen's
 compact Robin-adapted Chebyshev-Galerkin bases); its modes give the exact
 step map and the dissipativity check, and cond(G) = cond(Gr) cond(Gz), so no
 (MN)^2 matrix is formed. G and A are derived properties, for inspection.
+``to_modal`` and ``from_modal`` map states to and from the modal coordinates
+(V_r (x) V_z)^-1 X in which ``simulate`` steps.
 
 B columns apply the same spatial operator to the per-side particular
 components; Dft adds their direct contribution to the four mid-side outputs.
@@ -39,7 +41,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import CYLINDRICAL, CellSpec, CoolingConfig, input_sides
+from .core import CYLINDRICAL, CellSpec, CoolingConfig, Modes, input_sides
 from .chebyshev import BasisSet, build_basis, basis_matrix, gauss_quadrature
 from .exceptions import AssemblyError
 from .particular import (
@@ -52,10 +54,12 @@ from .particular import (
     robin_pairs,
     solve_side_coefficients,
 )
-from .reference import Modes
 
 # Mid-points of the surface, core, top, and bottom sides in scaled coordinates.
 OUTPUT_LOCATIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+
+# Samples per block when ReducedModel.from_modal maps a trajectory.
+_MODAL_BLOCK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,6 +124,33 @@ class ReducedModel:
     def modes_z(self) -> Modes:
         """Modes of the axial pencil: Gz^-1 Sz = V diag(lam) V_inv."""
         return _pencil_modes(self.stiff_z, self.gram_z)
+
+    def to_modal(self, X) -> np.ndarray:
+        """Modal coordinates (V_r (x) V_z)^-1 X of states X (..., order)."""
+        X = np.asarray(X, dtype=float)
+        x = X.reshape(-1, self.M, self.N)
+        return (self.modes_r.V_inv @ x @ self.modes_z.V_inv.T).reshape(X.shape)
+
+    def from_modal(self, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """States (V_r (x) V_z) Y of modal coordinates Y (..., order).
+
+        The result goes to ``out`` (C-contiguous; it may be Y itself) one
+        block of samples at a time, so that mapping a long trajectory in
+        place needs no temporary of its size.
+        """
+        y = Y.reshape(-1, self.M, self.N)
+        x = np.empty_like(y) if out is None else out.reshape(y.shape)
+        for i in range(0, y.shape[0], _MODAL_BLOCK):
+            x[i:i + _MODAL_BLOCK] = (self.modes_r.V @ y[i:i + _MODAL_BLOCK]
+                                     @ self.modes_z.V.T)
+        return x.reshape(Y.shape)
+
+    def outputs(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Mid-side temperatures Y = C X + Dft u of one sample or a stack."""
+        # einsum's own loops: a threaded BLAS GEMM over a long high-order
+        # trajectory starts the BLAS thread pool, whose buffers add about
+        # 2 MB of resident memory
+        return np.einsum("...o,po->...p", X, self.C) + u @ self.Dft.T
 
 
 def _pencil_modes(stiff: np.ndarray, gram: np.ndarray) -> Modes:

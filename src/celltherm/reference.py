@@ -28,8 +28,10 @@ The TEC model implements
     C_s dT_s/dt = (T_inf - T_s)/R_u + (T_c - T_s)/R_c
 
 with the conduction coupling in the surface equation written so heat leaving
-the core enters the surface (energy-conserving form), discretized by the
-exact zero-order hold.
+the core enters the surface (energy-conserving form). Its 2 x 2 matrix is
+tridiagonal with a positive off-diagonal product, so ``tridiagonal_modes``
+diagonalizes it and ``tec_run`` steps it with the reduced model's exact
+zero-order-hold kernel, ``simulate.Stepper``.
 """
 
 from __future__ import annotations
@@ -37,13 +39,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import eigh_tridiagonal
 
-from .core import SIDES, CellSpec, CoolingConfig, input_sides
+from .core import SIDES, CellSpec, CoolingConfig, Modes, input_sides
 from .exceptions import NumericalError, UnsupportedShapeError
+from .simulate import MetricSeries, MetricsRecord, Stepper, metric_steps
 
 BACKWARD_EULER = "backward_euler"
 CRANK_NICOLSON = "crank_nicolson"
@@ -63,14 +65,6 @@ class FdConfig:
             raise ValueError("FdConfig.dt must be finite and positive")
         if self.scheme not in (BACKWARD_EULER, CRANK_NICOLSON):
             raise ValueError(f"unknown scheme {self.scheme!r}")
-
-
-class Modes(NamedTuple):
-    """Real eigendecomposition ``L = V diag(lam) V_inv`` of a 1D operator."""
-
-    lam: np.ndarray
-    V: np.ndarray
-    V_inv: np.ndarray
 
 
 def tridiagonal_modes(sub: np.ndarray, diag: np.ndarray,
@@ -251,18 +245,18 @@ class FdSolver:
         return np.einsum("ij,kj->ik", np.einsum("ij,jk->ik", self._modes_r.V, x),
                          self._modes_z.V)
 
-    def metrics(self, state: np.ndarray):
-        """(T_mean, T_max, T_min, dT, dTr_max, dTz_max, dTr_mean, dTz_mean)
-        with gradients from second-order finite differences of the field."""
+    def metrics(self, state: np.ndarray) -> MetricsRecord:
+        """Metrics of the field, with gradients from second-order finite
+        differences."""
         field = self.grid(state)
         g_r = np.gradient(field, self.dr, axis=0)
         g_z = np.gradient(field, self.dz, axis=1)
-        return (
-            float(np.sum(self._vol_weights * field)),
-            float(field.max()), float(field.min()),
-            float(field.max() - field.min()),
-            float(np.abs(g_r).max()), float(np.abs(g_z).max()),
-            float(np.abs(g_r).mean()), float(np.abs(g_z).mean()),
+        return MetricsRecord(
+            T_mean=float(np.sum(self._vol_weights * field)),
+            T_max=float(field.max()), T_min=float(field.min()),
+            dT=float(field.max() - field.min()),
+            dTr_max=float(np.abs(g_r).max()), dTz_max=float(np.abs(g_z).max()),
+            dTr_mean=float(np.abs(g_r).mean()), dTz_mean=float(np.abs(g_z).mean()),
         )
 
     def surface_flux(self, state: np.ndarray) -> float:
@@ -276,18 +270,9 @@ class FdSolver:
 
 
 @dataclass(frozen=True, eq=False)
-class FdResult:
+class FdResult(MetricSeries):
     times: np.ndarray
     outputs: np.ndarray         # (K+1, 4) mid-side temperatures
-    metrics_times: np.ndarray
-    T_mean: np.ndarray
-    T_max: np.ndarray
-    T_min: np.ndarray
-    dT: np.ndarray
-    dTr_max: np.ndarray
-    dTz_max: np.ndarray
-    dTr_mean: np.ndarray
-    dTz_mean: np.ndarray
     final_field: np.ndarray
     r_nodes: np.ndarray
     z_nodes: np.ndarray
@@ -322,25 +307,20 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
     state = solver.uniform_field(T_init)
     outputs = np.empty((n_steps + 1, 4))
     outputs[0] = solver.outputs(state)
-    metric_idx = list(range(0, n_steps + 1, max(1, metrics_stride)))
-    if metric_idx[-1] != n_steps:
-        metric_idx.append(n_steps)
+    metric_idx = metric_steps(n_steps, metrics_stride)
     metric_set = set(metric_idx)
-    rows = {0: solver.metrics(state)} if 0 in metric_set else {}
+    rows = [solver.metrics(state)]
 
     for k in range(n_steps):
         tinf = baseline if u is None else solver.tinf_from_inputs(u_arr[k])
         state = solver.step(state, tinf, q_arr[k])
         outputs[k + 1] = solver.outputs(state)
         if (k + 1) in metric_set:
-            rows[k + 1] = solver.metrics(state)
+            rows.append(solver.metrics(state))
 
-    stacked = np.array([rows[k] for k in metric_idx])
     return FdResult(
         times=times, outputs=outputs, metrics_times=times[metric_idx],
-        T_mean=stacked[:, 0], T_max=stacked[:, 1], T_min=stacked[:, 2],
-        dT=stacked[:, 3], dTr_max=stacked[:, 4], dTz_max=stacked[:, 5],
-        dTr_mean=stacked[:, 6], dTz_mean=stacked[:, 7],
+        **vars(MetricsRecord.stack(rows)),
         final_field=solver.grid(state), r_nodes=solver.r_nodes, z_nodes=solver.z_nodes)
 
 
@@ -379,44 +359,20 @@ class TecModel:
         return t_s + q * self.R_c, t_s
 
 
-_TEC_ZOH_CACHE: dict = {}
-
-
-def _tec_zoh(model: TecModel, dt: float):
-    key = (model.C_c, model.C_s, model.R_c, model.R_u, dt)
-    hit = _TEC_ZOH_CACHE.get(key)
-    if hit is None:
-        a, b = model.continuous()
-        aug = np.zeros((4, 4))
-        aug[:2, :2] = a
-        aug[:2, 2:] = b
-        phi = expm(aug * dt)
-        hit = (phi[:2, :2], phi[:2, 2:])
-        _TEC_ZOH_CACHE[key] = hit
-    return hit
-
-
-def tec_step(model: TecModel, T_c: float, T_s: float, q: float, dt: float):
-    """Exact ZOH step of the two-state system with q and T_inf held constant."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    ad, bd = _tec_zoh(model, dt)
-    state = ad @ np.array([T_c, T_s]) + bd @ np.array([q, model.T_inf])
-    return float(state[0]), float(state[1])
-
-
 def tec_run(model: TecModel, q, dt: float, horizon: float, T0: float = 15.0):
-    """Integrate the TEC model; returns (times, T_c, T_s). ``q`` is the total
-    heat rate in W, a scalar or per-step array."""
+    """Integrate the TEC model with q and T_inf held over each step; returns
+    (times, T_c, T_s). ``q`` is the total heat rate in W, a scalar or
+    per-step array."""
+    a, b = model.continuous()
+    modes = tridiagonal_modes(a[1:, 0], np.diag(a), a[:1, 1])
+    stepper = Stepper.zoh(modes.lam, (modes.V_inv @ b).T, dt)
     n_steps = int(np.floor(horizon / dt + 1e-9))
     q_arr = np.asarray(q, dtype=float)
     if q_arr.ndim == 0:
         q_arr = np.broadcast_to(q_arr, (n_steps + 1,))
-    t_c = np.empty(n_steps + 1)
-    t_s = np.empty(n_steps + 1)
-    t_c[0] = t_s[0] = T0
-    for k in range(n_steps):
-        t_c[k + 1], t_s[k + 1] = tec_step(model, t_c[k], t_s[k], q_arr[k], dt)
+    inputs = np.column_stack([q_arr[:n_steps], np.full(n_steps, model.T_inf)])
+    modal = stepper.trajectory(modes.V_inv @ np.array([T0, T0]), inputs)
+    t_c, t_s = modes.V @ modal.T
     return np.arange(n_steps + 1) * dt, t_c, t_s
 
 

@@ -1,11 +1,19 @@
 """Time stepping of the reduced model, field reconstruction, and thermal metrics.
 
-The assembled system is LTI and the inputs are staircase by construction, so
-the discretization is the exact zero-order-hold map. Because G^-1 A is the
-Kronecker sum of two diagonalized 1D pencils (see galerkin), its exponential
-is E_r (x) E_z with E = V diag(exp(dt lam / rho cp)) V_inv per direction, and
-the input map is the modal phi_1 = expm1(dt lam) / lam integral; one step costs
-two small matrix products instead of an (order)^2 matvec. Gradients are
+Every LTI model of the package steps through one kernel, ``Stepper``: the
+exact zero-order-hold map of a diagonal system dy/dt = lam * y + v @ b with
+inputs v held over each step, y' = exp(dt lam) * y + v @ (phi_1(lam) * b),
+phi_1 = expm1(dt lam) / lam. This is Van Loan's augmented-exponential ZOH
+(IEEE TAC, 1978) in diagonal form. The reduced model reaches that form by fast
+diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): G^-1 A is the
+Kronecker sum of the two 1D pencils of ``galerkin``, so its modes are
+V_r (x) V_z with eigenvalues (lam_r[i] + lam_z[j]) / rho cp. The two-state TEC
+of ``reference`` and the closed-loop estimator of ``control`` use the same
+kernel.
+
+``run`` steps in modal coordinates, maps the whole trajectory back to the
+Galerkin state in one batched transform, and reconstructs the metrics of all
+sampled steps from stacked samples, METRICS_BLOCK at a time. Gradients are
 computed by analytic differentiation of the expansions (not finite
 differences of the grid), mapped to physical units by the coordinate scale
 factors.
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BoundaryInput, CellSpec
+from .core import BoundaryInput
 from .chebyshev import basis_matrix
 from .exceptions import NumericalError
 from .galerkin import ReducedModel
@@ -25,22 +33,9 @@ from .particular import axial_scale, radial_scale, radial_weight
 
 DEFAULT_GRID = (41, 41)
 
-
-@dataclass(frozen=True, eq=False)
-class Stepper:
-    """Exact ZOH step map X' = (E_r (x) E_z) X + Bd [u; w] for one fixed dt,
-    applied through the M x M and N x N factors E_r, E_z."""
-
-    model: ReducedModel
-    dt: float
-    E_r: np.ndarray
-    E_z: np.ndarray
-    Bd: np.ndarray
-
-    def step(self, X: np.ndarray, u: np.ndarray, w: float) -> np.ndarray:
-        xm = X.reshape(self.E_r.shape[0], self.E_z.shape[0])
-        return (self.E_r @ xm @ self.E_z.T).ravel() \
-            + self.Bd @ np.concatenate([u, [w]])
+# Samples that FieldEvaluator.metrics reconstructs at once. Stacking amortizes
+# the per-sample overhead; larger blocks cost memory in each CLI pool worker.
+METRICS_BLOCK = 4
 
 
 def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
@@ -49,35 +44,70 @@ def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
     return np.where(zero, dt, np.expm1(dt * lam) / np.where(zero, 1.0, lam))
 
 
-def discretize(model: ReducedModel, dt: float) -> Stepper:
-    """Exact zero-order-hold discretization (inputs held constant over a
-    step) in the modal basis of the two 1D pencils.
+@dataclass(frozen=True, eq=False)
+class Stepper:
+    """Exact ZOH step of a diagonal LTI system for one fixed dt:
+    y' = gain * y + v @ b_hat for the state y (n,) and the input row v (m,)
+    held over the step."""
 
-    With K = G^-1 A = V diag(lam) V^-1, V = V_r (x) V_z and
-    lam = (lam_r[i] + lam_z[j]) / rho cp: Ad = exp(dt K) = E_r (x) E_z and
-    Bd = V diag(phi_1(lam)) V^-1 G^-1 [B F], where V^-1 G^-1 reduces to
-    (Q_r^T (x) Q_z^T) / rho cp because V_inv = Q^T gram per direction.
+    gain: np.ndarray     # (n,)
+    b_hat: np.ndarray    # (m, n)
+
+    @classmethod
+    def zoh(cls, lam: np.ndarray, b: np.ndarray, dt: float) -> "Stepper":
+        """Discretize dy/dt = lam * y + v @ b (lam (n,), b (m, n)) exactly
+        for inputs held constant over dt."""
+        if not dt > 0.0:
+            raise ValueError("dt must be positive")
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepper = cls(np.exp(dt * lam), _phi1(lam, dt) * b)
+        if not (np.all(np.isfinite(stepper.gain))
+                and np.all(np.isfinite(stepper.b_hat))):
+            raise NumericalError("modal exponential overflow: unstable dynamics")
+        return stepper
+
+    def step(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return self.gain * y + v @ self.b_hat
+
+    def trajectory(self, y0: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """States (K+1, n) from y0 under the input rows V (K, m); raises
+        NumericalError naming the first step whose state is not finite."""
+        Y = np.empty((V.shape[0] + 1, self.gain.size))
+        Y[0] = y0
+        np.matmul(V, self.b_hat, out=Y[1:])   # the inputs, precombined once
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(V.shape[0]):
+                Y[k + 1] += self.gain * Y[k]   # y = gain * y + W[k], in place
+        # gain is finite and >= 0, so a non-finite entry never becomes finite
+        # again: the last state shows whether any step failed
+        if not np.all(np.isfinite(Y[-1])):
+            first = np.argmin(np.all(np.isfinite(Y), axis=1))
+            raise NumericalError(f"non-finite state at step {first}")
+        return Y
+
+
+def discretize(model: ReducedModel, dt: float) -> Stepper:
+    """Exact zero-order-hold discretization of the reduced model, inputs
+    [u; w] held constant over a step, acting on modal coordinates
+    (``ReducedModel.to_modal``).
+
+    With G^-1 A = V diag(lam) V^-1, V = V_r (x) V_z and
+    lam = (lam_r[i] + lam_z[j]) / rho cp, the modal input map V^-1 G^-1 [B F]
+    reduces to (Q_r^T (x) Q_z^T) [B F] / rho cp because V_inv = Q^T gram per
+    direction.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     m_r, m_z = model.modes_r, model.modes_z
-    rho_cp = model.rho_cp
-    e_r = (m_r.V * np.exp(dt * m_r.lam / rho_cp)) @ m_r.V_inv
-    e_z = (m_z.V * np.exp(dt * m_z.lam / rho_cp)) @ m_z.V_inv
-    phi1 = _phi1(np.add.outer(m_r.lam, m_z.lam) / rho_cp, dt) / rho_cp
+    lam = np.add.outer(m_r.lam, m_z.lam).ravel() / model.rho_cp
     inputs = np.column_stack([model.B, model.F]).T.reshape(-1, model.M, model.N)
-    modal = phi1 * (m_r.V.T @ inputs @ m_z.V)
-    bd = (m_r.V @ modal @ m_z.V.T).reshape(-1, model.order).T
-    if not (np.all(np.isfinite(e_r)) and np.all(np.isfinite(e_z))
-            and np.all(np.isfinite(bd))):
-        raise NumericalError("modal exponential overflow: unstable dynamics")
-    return Stepper(model, dt, e_r, e_z, bd)
+    b = (m_r.V.T @ inputs @ m_z.V).reshape(-1, model.order) / model.rho_cp
+    return Stepper.zoh(lam, b, dt)
 
 
 @dataclass(frozen=True, eq=False)
 class FieldGrid:
     """Reconstructed temperature field on a tensor grid in scaled coordinates,
-    with analytic gradients already mapped to physical units (K/m)."""
+    with analytic gradients already mapped to physical units (K/m). Stacked
+    samples lead the two grid axes."""
 
     r_nodes: np.ndarray
     z_nodes: np.ndarray
@@ -86,8 +116,11 @@ class FieldGrid:
     dT_dz: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricsRecord:
+    """Thermal metrics of one field sample (floats), or of stacked samples
+    (one array per metric)."""
+
     T_mean: float
     T_max: float
     T_min: float
@@ -97,10 +130,27 @@ class MetricsRecord:
     dTr_mean: float     # grid mean of |dT/dr|, K/m
     dTz_mean: float     # grid mean of |dT/dz|, K/m
 
+    @classmethod
+    def stack(cls, records) -> "MetricsRecord":
+        """One record of arrays from a sequence of single-sample records."""
+        return cls(*np.array([list(vars(r).values()) for r in records]).T)
+
+
+@dataclass(frozen=True, eq=False)
+class MetricSeries(MetricsRecord):
+    """Metric arrays sampled at ``metrics_times``; the part of a run record
+    that the reduced model and the FD oracle share."""
+
+    metrics_times: np.ndarray
+
 
 class FieldEvaluator:
     """Precomputed basis and particular-component grids for fast repeated
-    reconstruction on one fixed tensor grid."""
+    reconstruction on one fixed tensor grid.
+
+    The volume-weighted mean is linear in (X, u); it is precomputed as the
+    rows ``mean_state_row`` (order,) and ``mean_input_row`` (n_inputs,).
+    """
 
     def __init__(self, model: ReducedModel, n_r: int = DEFAULT_GRID[0],
                  n_z: int = DEFAULT_GRID[1], r_nodes=None, z_nodes=None):
@@ -135,10 +185,15 @@ class FieldEvaluator:
         tz = np.ones_like(self.z_nodes)
         tz[0] = tz[-1] = 0.5
         vol = np.outer(tr * radial_weight(model.spec, self.r_nodes), tz)
-        self._vol_weights = vol / vol.sum()
+        self._vol_weights = vol = vol / vol.sum()
+        self.mean_state_row = (self._er.T @ vol @ self._ez).ravel()
+        self.mean_input_row = np.tensordot(self._tp, vol, axes=2)
 
     def field(self, X: np.ndarray, u: np.ndarray) -> FieldGrid:
-        cmat = np.asarray(X, dtype=float).reshape(self.model.M, self.model.N)
+        """Field and gradients of one sample (X (order,), u (n_inputs,)) or
+        of stacked samples (X (S, order), u (S, n_inputs))."""
+        X = np.asarray(X, dtype=float)
+        cmat = X.reshape(*X.shape[:-1], self.model.M, self.model.N)
         u = np.asarray(u, dtype=float)
         values = self._er @ cmat @ self._ez.T + np.tensordot(u, self._tp, axes=1)
         d_r = self._der @ cmat @ self._ez.T + np.tensordot(u, self._tp_dr, axes=1)
@@ -147,50 +202,34 @@ class FieldEvaluator:
                          self.alpha * d_r, self.beta * d_z)
 
     def metrics(self, X: np.ndarray, u: np.ndarray) -> MetricsRecord:
+        """Metrics of one sample as floats, or of stacked samples (one input
+        row per sample, or one for all) as arrays, reconstructed
+        METRICS_BLOCK samples at a time."""
+        X = np.asarray(X, dtype=float)
+        u = np.broadcast_to(np.asarray(u, dtype=float),
+                            (*X.shape[:-1], self.model.n_inputs))
+        if X.ndim == 1:
+            return MetricsRecord(*map(float, self._metrics(X, u)))
+        blocks = [self._metrics(X[i:i + METRICS_BLOCK], u[i:i + METRICS_BLOCK])
+                  for i in range(0, X.shape[0], METRICS_BLOCK)]
+        return MetricsRecord(*np.concatenate(blocks, axis=-1))
+
+    def _metrics(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
         grid = self.field(X, u)
-        return MetricsRecord(
-            T_mean=float(np.sum(self._vol_weights * grid.values)),
-            T_max=float(grid.values.max()),
-            T_min=float(grid.values.min()),
-            dT=float(grid.values.max() - grid.values.min()),
-            dTr_max=float(np.abs(grid.dT_dr).max()),
-            dTz_max=float(np.abs(grid.dT_dz).max()),
-            dTr_mean=float(np.abs(grid.dT_dr).mean()),
-            dTz_mean=float(np.abs(grid.dT_dz).mean()),
-        )
-
-
-def reconstruct_field(model: ReducedModel, X, u, n_r: int = DEFAULT_GRID[0],
-                      n_z: int = DEFAULT_GRID[1]) -> FieldGrid:
-    """Evaluate T_h + sum_side T_p^side u_side on a uniform tensor grid
-    (endpoints included) in scaled coordinates."""
-    u = u.as_vector(model.spec.shape) if isinstance(u, BoundaryInput) else u
-    return FieldEvaluator(model, n_r, n_z).field(np.asarray(X, dtype=float), u)
-
-
-def compute_metrics(grid: FieldGrid, spec: CellSpec) -> MetricsRecord:
-    """Thermal metrics of one reconstructed field: volume-weighted mean
-    (radius weight for cylinders), extrema, and gradient statistics."""
-    tr = np.ones_like(grid.r_nodes)
-    tr[0] = tr[-1] = 0.5
-    tz = np.ones_like(grid.z_nodes)
-    tz[0] = tz[-1] = 0.5
-    vol = np.outer(tr * radial_weight(spec, grid.r_nodes), tz)
-    vol = vol / vol.sum()
-    return MetricsRecord(
-        T_mean=float(np.sum(vol * grid.values)),
-        T_max=float(grid.values.max()),
-        T_min=float(grid.values.min()),
-        dT=float(grid.values.max() - grid.values.min()),
-        dTr_max=float(np.abs(grid.dT_dr).max()),
-        dTz_max=float(np.abs(grid.dT_dz).max()),
-        dTr_mean=float(np.abs(grid.dT_dr).mean()),
-        dTz_mean=float(np.abs(grid.dT_dz).mean()),
-    )
+        axes = (-2, -1)
+        t_max = grid.values.max(axis=axes)
+        t_min = grid.values.min(axis=axes)
+        d_r, d_z = np.abs(grid.dT_dr), np.abs(grid.dT_dz)
+        return np.array([
+            X @ self.mean_state_row + u @ self.mean_input_row,
+            t_max, t_min, t_max - t_min,
+            d_r.max(axis=axes), d_z.max(axis=axes),
+            d_r.mean(axis=axes), d_z.mean(axis=axes),
+        ])
 
 
 @dataclass(frozen=True, eq=False)
-class SimResult:
+class SimResult(MetricSeries):
     """Trajectories of one reduced-model run.
 
     ``outputs`` holds the four mid-side temperatures [surface, core, top,
@@ -201,15 +240,6 @@ class SimResult:
     times: np.ndarray
     states: np.ndarray          # (K+1, order)
     outputs: np.ndarray         # (K+1, 4)
-    metrics_times: np.ndarray
-    T_mean: np.ndarray
-    T_max: np.ndarray
-    T_min: np.ndarray
-    dT: np.ndarray
-    dTr_max: np.ndarray
-    dTz_max: np.ndarray
-    dTr_mean: np.ndarray
-    dTz_mean: np.ndarray
 
 
 def _broadcast_inputs(model: ReducedModel, u, w, n_times: int):
@@ -228,6 +258,14 @@ def _broadcast_inputs(model: ReducedModel, u, w, n_times: int):
     return u, w
 
 
+def metric_steps(n_steps: int, stride: int) -> list:
+    """Sampled step indices: every ``stride``-th step and the last one."""
+    idx = list(range(0, n_steps + 1, max(1, stride)))
+    if idx[-1] != n_steps:
+        idx.append(n_steps)
+    return idx
+
+
 def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
         grid_shape=DEFAULT_GRID, metrics_stride: int = 1) -> SimResult:
     """Step the model over [0, horizon] with staircase inputs.
@@ -236,39 +274,16 @@ def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
     per step (K+1 rows); ``w`` a scalar or per-step array, both already
     resampled to dt.
     """
+    stepper = discretize(model, dt)
     n_steps = int(np.floor(horizon / dt + 1e-9))
     times = np.arange(n_steps + 1) * dt
     u_arr, w_arr = _broadcast_inputs(model, u, w, n_steps + 1)
-
-    stepper = discretize(model, dt)
     evaluator = FieldEvaluator(model, *grid_shape)
-
-    states = np.empty((n_steps + 1, model.order))
-    outputs = np.empty((n_steps + 1, 4))
-    states[0] = np.asarray(X0, dtype=float)
-    outputs[0] = model.C @ states[0] + model.Dft @ u_arr[0]
-
-    metric_idx = list(range(0, n_steps + 1, max(1, metrics_stride)))
-    if metric_idx[-1] != n_steps:
-        metric_idx.append(n_steps)
-    metric_rows = []
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            states[k + 1] = stepper.step(states[k], u_arr[k], w_arr[k])
-            if not np.all(np.isfinite(states[k + 1])):
-                raise NumericalError(f"non-finite state at step {k + 1}")
-            outputs[k + 1] = model.C @ states[k + 1] + model.Dft @ u_arr[k + 1]
-    for k in metric_idx:
-        metric_rows.append(evaluator.metrics(states[k], u_arr[k]))
-
-    def col(name):
-        return np.array([getattr(m, name) for m in metric_rows])
-
-    return SimResult(
-        times=times, states=states, outputs=outputs,
-        metrics_times=times[metric_idx],
-        T_mean=col("T_mean"), T_max=col("T_max"), T_min=col("T_min"),
-        dT=col("dT"), dTr_max=col("dTr_max"), dTz_max=col("dTz_max"),
-        dTr_mean=col("dTr_mean"), dTz_mean=col("dTz_mean"),
-    )
+    modal = stepper.trajectory(model.to_modal(X0),
+                               np.column_stack([u_arr, w_arr])[:-1])
+    states = model.from_modal(modal, out=modal)
+    idx = metric_steps(n_steps, metrics_stride)
+    metrics = evaluator.metrics(states[idx], u_arr[idx])
+    return SimResult(times=times, states=states,
+                     outputs=model.outputs(states, u_arr),
+                     metrics_times=times[idx], **vars(metrics))

@@ -12,7 +12,6 @@ from celltherm.control import (
     OpenLoopEstimator,
     PiController,
     closed_loop_run,
-    estimate_mean,
     pi_step,
 )
 from celltherm.core import (
@@ -21,8 +20,9 @@ from celltherm.core import (
     boundary_input_from_cooling,
     scenario_cooling,
 )
-from celltherm.galerkin import assemble
+from celltherm.galerkin import assemble, project_initial_state
 from celltherm.reference import FdConfig, FdSolver
+from celltherm.simulate import run
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -78,10 +78,10 @@ class TestEstimator:
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
         u = boundary_input_from_cooling(model.cooling).as_vector(CYLINDRICAL)
         est = OpenLoopEstimator(model, dt=5.0, T_init=15.0, u0=u)
-        x_before = est.X.copy()
-        t_mean = estimate_mean(est, u, 5e4)
-        assert not np.allclose(est.X, x_before)
-        assert t_mean > 15.0
+        y_before = est.y.copy()
+        est.step(u, 5e4)
+        assert not np.allclose(est.y, y_before)
+        assert est.mean_temperature(u) > 15.0
 
     def test_zero_heat_equilibrium_estimate_constant(self):
         model = assemble(PAPER, scenario_cooling("SC"), 3, 3)
@@ -89,8 +89,8 @@ class TestEstimator:
         est = OpenLoopEstimator(model, dt=10.0, T_init=15.0, u0=u)
         first = est.mean_temperature(u)
         for _ in range(20):
-            last = estimate_mean(est, u, 0.0)
-        assert last == pytest.approx(first, abs=5e-3)
+            est.step(u, 0.0)
+        assert est.mean_temperature(u) == pytest.approx(first, abs=5e-3)
 
     def test_low_order_estimator_tracks_fd_plant_steady(self):
         """Open-loop O=4 estimate vs the FD field under constant heat:
@@ -105,7 +105,7 @@ class TestEstimator:
         for _ in range(3000):
             field = solver.step(field, tinf, 5e4)
             est.step(u, 5e4)
-        fd_mean = solver.metrics(field)[0]
+        fd_mean = solver.metrics(field).T_mean
         assert abs(est.mean_temperature(u) - fd_mean) <= 0.3
 
 
@@ -168,6 +168,50 @@ class TestClosedLoop:
         tail = slice(int(0.8 * len(trace.times)), None)
         # the estimator is open loop, so tracking holds up to model mismatch
         assert np.abs(trace.T_mean[tail] - 20.0).max() <= 0.8
+
+    def test_short_heat_series_and_bad_dt_rejected(self):
+        model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
+        with pytest.raises(ValueError, match=r"broadcast to \(11,\)"):
+            closed_loop_run(model, "SC", 20.0, np.full(5, 1e4), dt=1.0,
+                            horizon=10.0)
+        for dt in (0.0, -1.0):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                closed_loop_run(model, "SC", 20.0, 1e4, dt=dt, horizon=10.0)
+
+    def test_estimated_mean_is_the_reconstructed_mean(self):
+        """The estimator's precomputed modal row gives the volume mean of the
+        reconstructed field along a driven trajectory."""
+        model = assemble(PAPER, scenario_cooling("btTC"), 3, 3)
+        u = boundary_input_from_cooling(model.cooling).as_vector(CYLINDRICAL)
+        est = OpenLoopEstimator(model, dt=4.0, T_init=15.0, u0=u)
+        means = [est.mean_temperature(u)]
+        for k in range(10):
+            est.step(u * (1.0 + 0.1 * k), 6e4)
+            means.append(est.mean_temperature(u * (1.0 + 0.1 * k)))
+        u_rows = np.vstack([u] + [u * (1.0 + 0.1 * k) for k in range(10)])
+        _, metrics = est.trajectory(u_rows)
+        np.testing.assert_allclose(means, metrics.T_mean, rtol=1e-13)
+
+    @pytest.mark.parametrize("est_count", [None, 2], ids=["nominal", "O4-estimator"])
+    def test_rom_plant_replays_its_commands(self, est_count):
+        """The plant record equals an open-loop ``run`` of the plant model
+        under the recorded commands, whether or not the estimator is the
+        plant itself; each row is reconstructed with the input applied up to
+        that step."""
+        model = assemble(PAPER, scenario_cooling("aTSC"), 3, 3)
+        est = None if est_count is None else \
+            assemble(PAPER, scenario_cooling("aTSC"), est_count, est_count)
+        q = np.linspace(2e4, 8e4, 61)
+        trace = closed_loop_run(model, "aTSC", 20.0, q, dt=2.0, horizon=120.0,
+                                estimator_model=est)
+        u0 = boundary_input_from_cooling(model.cooling).as_vector(CYLINDRICAL)
+        res = run(model, project_initial_state(model, 15.0, u0), trace.u, q,
+                  dt=2.0, horizon=120.0, metrics_stride=10**9)
+        u_rec = np.vstack([u0, trace.u[:-1]])
+        np.testing.assert_allclose(trace.outputs - u_rec @ model.Dft.T,
+                                   res.outputs - trace.u @ model.Dft.T,
+                                   rtol=0, atol=1e-10)
+        assert (np.abs(trace.T_mean - trace.T_hat_mean).max() <= 1e-9) == (est is None)
 
     def test_unknown_active_side_rejected(self):
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)

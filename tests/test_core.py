@@ -189,6 +189,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"SideCooling.{field} must be finite"):
             SideCooling(h, T_inf)
 
+    @pytest.mark.parametrize("times,values,kind,field", [
+        ([0.0, 1.0], [np.nan, 1.0], "volumetric_q", "values"),
+        ([0.0, np.inf], [1.0, 1.0], "volumetric_q", "times"),
+        ([0.0, np.nan], [1.0, 1.0], "volumetric_q", "times"),
+        ([0.0], [[10.0, np.inf, 3.3]], "electrical_ivo", "values")])
+    def test_nonfinite_heat_profile_rejected(self, times, values, kind, field):
+        with pytest.raises(ValueError, match=f"HeatProfile.{field} must be finite"):
+            HeatProfile(np.array(times), np.array(values), kind=kind)
+
     def test_electrical_profile_conversion(self):
         p = HeatProfile(np.array([0.0, 1.0]),
                         np.array([[-90.0, 3.1, 3.3], [0.0, 3.3, 3.3]]),

@@ -9,6 +9,7 @@ energy balance.
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
+from scipy.linalg import expm
 
 from celltherm.core import (
     CYLINDRICAL,
@@ -29,7 +30,6 @@ from celltherm.reference import (
     tridiagonal_modes,
     tec_metrics,
     tec_run,
-    tec_step,
     timing_harness,
 )
 
@@ -247,12 +247,45 @@ class TestFdEquivalence:
                                    rtol=0, atol=1e-12)
 
 
+def expm_tec_run(model, q, dt, n_steps, T0):
+    """TEC trajectory stepped with the ZOH map from the matrix exponential of
+    the augmented system [[A, B], [0, 0]] (Van Loan, IEEE TAC 1978)."""
+    a, b = model.continuous()
+    aug = np.zeros((4, 4))
+    aug[:2, :2] = a
+    aug[:2, 2:] = b
+    phi = expm(aug * dt)
+    x = np.empty((n_steps + 1, 2))
+    x[0] = T0
+    for k in range(n_steps):
+        x[k + 1] = phi[:2, :2] @ x[k] + phi[:2, 2:] @ np.array([q[k], model.T_inf])
+    return x[:, 0], x[:, 1]
+
+
 class TestTec:
     def test_fixed_point(self):
         m = TecModel()
-        t_c, t_s = tec_step(m, 15.0, 15.0, 0.0, 10.0)
-        assert t_c == pytest.approx(15.0, abs=1e-12)
-        assert t_s == pytest.approx(15.0, abs=1e-12)
+        _, t_c, t_s = tec_run(m, 0.0, 10.0, 10.0)
+        assert t_c[-1] == pytest.approx(15.0, abs=1e-12)
+        assert t_s[-1] == pytest.approx(15.0, abs=1e-12)
+
+    def test_modal_zoh_matches_augmented_expm_random_params(self):
+        rng = np.random.default_rng(17)
+        worst = 0.0
+        for _ in range(50):
+            m = TecModel(C_c=float(rng.uniform(100, 5000)),
+                         C_s=float(rng.uniform(5, 500)),
+                         R_c=float(rng.uniform(0.05, 2.0)),
+                         R_u=float(rng.uniform(0.01, 1.0)),
+                         T_inf=float(rng.uniform(0, 40)))
+            dt = float(rng.uniform(0.1, 20.0))
+            q = rng.uniform(0.0, 50.0, 21)
+            t0 = float(rng.uniform(0, 40))
+            _, t_c, t_s = tec_run(m, q, dt, 20 * dt, T0=t0)
+            ref_c, ref_s = expm_tec_run(m, q, dt, 20, t0)
+            worst = max(worst, np.abs(t_c - ref_c).max() / np.abs(ref_c).max(),
+                        np.abs(t_s - ref_s).max() / np.abs(ref_s).max())
+        assert worst <= 1e-12
 
     def test_analytic_steady_state(self):
         m = TecModel()
@@ -280,7 +313,7 @@ class TestTec:
                          T_inf=15.0)
             a, b = m.continuous()
             q = 25.0
-            x = np.array([18.0, 16.0])
+            x = np.array([18.0, 18.0])
             rhs = lambda s: a @ s + b @ np.array([q, m.T_inf])
             h = 0.001
             for _ in range(2000):
@@ -289,11 +322,9 @@ class TestTec:
                 k3 = rhs(x + h / 2 * k2)
                 k4 = rhs(x + h * k3)
                 x = x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            t_c, t_s = 18.0, 16.0
-            for _ in range(2):
-                t_c, t_s = tec_step(m, t_c, t_s, q, 1.0)
-            assert t_c == pytest.approx(x[0], abs=1e-8)
-            assert t_s == pytest.approx(x[1], abs=1e-8)
+            _, t_c, t_s = tec_run(m, q, 1.0, 2.0, T0=18.0)
+            assert t_c[-1] == pytest.approx(x[0], abs=1e-8)
+            assert t_s[-1] == pytest.approx(x[1], abs=1e-8)
 
     def test_metrics_formulas(self):
         t_mean, grad = tec_metrics(20.0, 20.0, PAPER)
@@ -311,8 +342,8 @@ class TestTec:
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
             TecModel(C_c=-1.0)
-        with pytest.raises(ValueError):
-            tec_step(TecModel(), 15.0, 15.0, 0.0, -1.0)
+        with pytest.raises(ValueError, match="dt"):
+            tec_run(TecModel(), 0.0, -1.0, 10.0)
 
 
 class TestTimingHarness:

@@ -2,13 +2,16 @@
 
 Oracles: the matrix exponential of the dense augmented system, a fine-step
 explicit RK4 integrator, closed-form radial steady states of the annulus, the
-adiabatic energy balance q/(rho cp), and exact ZOH semigroup identities.
+adiabatic energy balance q/(rho cp), exact ZOH semigroup identities,
+second-order finite differences and trapezoid sums of the reconstructed field.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from celltherm.core import (
@@ -23,13 +26,7 @@ from celltherm.core import (
 )
 from celltherm.exceptions import NumericalError
 from celltherm.galerkin import assemble, project_initial_state
-from celltherm.simulate import (
-    FieldEvaluator,
-    compute_metrics,
-    discretize,
-    reconstruct_field,
-    run,
-)
+from celltherm.simulate import METRICS_BLOCK, FieldEvaluator, discretize, run
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -64,6 +61,50 @@ def expm_zoh(model, dt):
     return phi[:n, :n], phi[:n, n:]
 
 
+def one_step(model, x, u, w, dt):
+    """State after one ``run`` step of length dt."""
+    return run(model, x, u, w, dt, dt, metrics_stride=10**9).states[1]
+
+
+def run_zoh(model, dt):
+    """(Ad, Bd) read off ``run``, one step from each unit state and each unit
+    input [u; w]."""
+    n, m = model.order, model.n_inputs
+    ad = np.column_stack([one_step(model, e, np.zeros(m), 0.0, dt)
+                          for e in np.eye(n)])
+    bd = np.column_stack([one_step(model, np.zeros(n), e, 0.0, dt)
+                          for e in np.eye(m)]
+                         + [one_step(model, np.zeros(n), np.zeros(m), 1.0, dt)])
+    return ad, bd
+
+
+def assert_close_rel(got, want, rel):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@st.composite
+def cells_and_coolings(draw):
+    """A random physical cell with a random per-side cooling (h = 0 on some
+    sides; a cylinder's core is never cooled)."""
+    unit = st.floats(0.0, 1.0)
+    shape = draw(st.sampled_from([CYLINDRICAL, POUCH]))
+    props = dict(L=0.05 + 0.25 * draw(unit), rho=1500.0 + 1500.0 * draw(unit),
+                 cp=700.0 + 500.0 * draw(unit), k_r=0.3 + 3.0 * draw(unit),
+                 k_z=1.0 + 99.0 * draw(unit))
+    if shape == CYLINDRICAL:
+        r_out = 0.01 + 0.04 * draw(unit)
+        spec = CellSpec(shape=shape, R_out=r_out,
+                        R_in=r_out * (0.05 + 0.45 * draw(unit)), **props)
+    else:
+        spec = CellSpec(shape=shape, D=0.05 + 0.25 * draw(unit), **props)
+    sides = []
+    for side in ("surface", "core", "top", "bottom"):
+        cooled = draw(st.booleans()) and not (side == "core" and shape == CYLINDRICAL)
+        h = 5.0 + 995.0 * draw(unit) if cooled else 0.0
+        sides.append(SideCooling(h, 40.0 * draw(unit)))
+    return spec, CoolingConfig(*sides)
+
+
 class TestDiscretize:
     @pytest.mark.parametrize("spec, cooling, M, N", [
         (PAPER, SC, 5, 5),
@@ -76,33 +117,56 @@ class TestDiscretize:
     def test_modal_step_matches_augmented_expm(self, spec, cooling, M, N):
         model = assemble(spec, cooling, M, N)
         for dt in (0.1, 1.0, 20.0):
-            stepper = discretize(model, dt)
             ad, bd = expm_zoh(model, dt)
-            ad_modal = np.kron(stepper.E_r, stepper.E_z)
-            assert np.abs(ad_modal - ad).max() <= 1e-12 * np.abs(ad).max()
-            assert np.abs(stepper.Bd - bd).max() <= 1e-12 * np.abs(bd).max()
+            ad_run, bd_run = run_zoh(model, dt)
+            assert_close_rel(ad_run, ad, 1e-12)
+            assert_close_rel(bd_run, bd, 1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
+           st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
+    def test_random_cells_match_augmented_expm(self, cell, M, N, dt, seed):
+        """``run`` reproduces the augmented exponential for random physical
+        cells, coolings, orders <= 25 and steps, and superposes: the response
+        to (x0, u, w) is the zero-input plus the zero-state response."""
+        model = assemble(*cell, M, N)
+        ad, bd = expm_zoh(model, dt)
+        ad_run, bd_run = run_zoh(model, dt)
+        assert_close_rel(ad_run, ad, 1e-12)
+        assert_close_rel(bd_run, bd, 1e-12)
+
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal(model.order)
+        u = 1e3 * rng.standard_normal((4, model.n_inputs))
+        w = 1e5 * rng.standard_normal(4)
+        zeros = np.zeros_like(u)
+
+        def states(x, uu, ww):
+            return run(model, x, uu, ww, dt, 3 * dt, metrics_stride=10**9).states
+
+        total = states(x0, u, w)
+        parts = states(x0, zeros, 0.0) + states(np.zeros(model.order), u, w)
+        assert_close_rel(total, parts, 1e-12)
+        assert_close_rel(total[1], ad @ x0 + bd @ np.append(u[0], w[0]), 1e-12)
 
     def test_pure_integrator_limit(self):
         model = assemble(PAPER, SC, 2, 2)
         frozen = replace(model, stiff_r=np.zeros_like(model.stiff_r),
                          stiff_z=np.zeros_like(model.stiff_z))
         dt = 0.5
-        stepper = discretize(frozen, dt)
         x = np.ones(frozen.order)
         u = np.array([10.0, 20.0, 30.0])
         w = 1e4
         expected = x + dt * np.linalg.solve(model.G, model.B @ u + model.F * w)
-        got = stepper.step(x, u, w)
+        got = one_step(frozen, x, u, w, dt)
         assert np.allclose(got, expected, rtol=1e-12)
 
     def test_semigroup_two_half_steps(self):
         model = assemble(PAPER, SC, 2, 2)
-        full = discretize(model, 0.2)
-        half = discretize(model, 0.1)
         x = np.linspace(-1, 1, model.order)
         u = U_SC
-        a = full.step(x, u, 5e4)
-        b = half.step(half.step(x, u, 5e4), u, 5e4)
+        a = one_step(model, x, u, 5e4, 0.2)
+        b = run(model, x, u, 5e4, 0.1, 0.2, metrics_stride=10**9).states[2]
         assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
     def test_zoh_matches_fine_rk4(self):
@@ -131,6 +195,9 @@ class TestDiscretize:
         model = assemble(PAPER, SC, 1, 1)
         with pytest.raises(ValueError):
             discretize(model, 0.0)
+        for dt in (0.0, -1.0):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                run(model, np.zeros(1), U_SC, 0.0, dt=dt, horizon=10.0)
 
 
 class TestRun:
@@ -220,8 +287,7 @@ class TestRun:
 class TestReconstruct:
     def test_zero_state_zero_input(self):
         model = assemble(PAPER, SC, 2, 2)
-        grid = reconstruct_field(model, np.zeros(model.order), np.zeros(3),
-                                 n_r=9, n_z=9)
+        grid = FieldEvaluator(model, 9, 9).field(np.zeros(model.order), np.zeros(3))
         assert np.all(grid.values == 0.0)
         assert np.all(grid.dT_dr == 0.0)
 
@@ -229,7 +295,7 @@ class TestReconstruct:
         model = assemble(PAPER, scenario_cooling("aTSC"), 3, 3)
         x = np.linspace(-0.5, 0.5, model.order)
         u = np.array([6000.0, 6000.0, 6000.0])
-        grid = reconstruct_field(model, x, u, n_r=41, n_z=41)
+        grid = FieldEvaluator(model, 41, 41).field(x, u)
         y = model.C @ x + model.Dft @ u
         mid = 20   # index of 0.0 in linspace(-1, 1, 41)
         assert grid.values[-1, mid] == pytest.approx(y[0], abs=1e-10)
@@ -239,48 +305,81 @@ class TestReconstruct:
 
     def test_default_grid_shape(self):
         model = assemble(PAPER, SC, 1, 1)
-        grid = reconstruct_field(model, np.zeros(1), np.zeros(3))
+        grid = FieldEvaluator(model).field(np.zeros(1), np.zeros(3))
         assert grid.values.shape == (41, 41)
         assert grid.r_nodes[0] == -1.0 and grid.r_nodes[-1] == 1.0
 
 
+def _heated_from_outside():
+    """(model, states, u) of a cell over the 60 s after its surface coolant
+    stepped from 15 to 40 degC: a field that rises towards the outer radius."""
+    cooling = CoolingConfig(SideCooling(400.0, 40.0), SideCooling(0.0, 15.0),
+                            SideCooling(0.0, 15.0), SideCooling(0.0, 15.0))
+    model = assemble(PAPER, cooling, 3, 3)
+    u = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
+    x0 = project_initial_state(model, 15.0, np.zeros(3))
+    res = run(model, x0, u, 0.0, dt=5.0, horizon=60.0, metrics_stride=10**9)
+    return model, res.states, u
+
+
 class TestMetrics:
     def test_uniform_field(self):
-        model = assemble(PAPER, SC, 2, 2)
-        ev = FieldEvaluator(model, 11, 11)
-        grid = ev.field(np.zeros(model.order), np.zeros(3))
-        grid = replace(grid, values=np.full_like(grid.values, 20.0))
-        m = compute_metrics(grid, PAPER)
+        """An insulated cell's first basis function is the constant T_0."""
+        model = assemble(PAPER, INSULATED, 2, 2)
+        x = np.array([20.0, 0.0, 0.0, 0.0])
+        m = FieldEvaluator(model, 11, 11).metrics(x, np.zeros(3))
         assert m.T_mean == pytest.approx(20.0)
         assert m.dT == 0.0
         assert m.dTr_max == 0.0 and m.dTz_max == 0.0
 
     def test_linear_field_gradient_scaling(self):
-        """A field T = r (scaled coordinate) has physical gradient alpha."""
-        model = assemble(PAPER, SC, 2, 2)
-        ev = FieldEvaluator(model, 11, 11)
-        base = ev.field(np.zeros(model.order), np.zeros(3))
-        alpha = 2.0 / 0.028
-        grid = replace(base,
-                       values=np.tile(base.r_nodes[:, None], (1, 11)),
-                       dT_dr=np.full_like(base.values, alpha),
-                       dT_dz=np.zeros_like(base.values))
-        m = compute_metrics(grid, PAPER)
-        assert m.dTr_max == pytest.approx(alpha)
-        assert m.dTr_mean == pytest.approx(alpha)
+        """Analytic gradients are d/dr of the scaled expansion times alpha =
+        2 / (R_out - R_in): they match second-order differences of the field
+        in physical radius, and the metrics take their extrema."""
+        model, states, u = _heated_from_outside()
+        ev = FieldEvaluator(model, 2001, 5)
+        grid = ev.field(states[-1], u)
+        r_phys = PAPER.R_in + (grid.r_nodes + 1.0) * (PAPER.R_out - PAPER.R_in) / 2
+        fd = np.gradient(grid.values, r_phys, axis=0, edge_order=2)
+        assert np.abs(fd - grid.dT_dr).max() <= 1e-4 * np.abs(grid.dT_dr).max()
+        m = ev.metrics(states[-1], u)
+        assert m.dTr_max == pytest.approx(np.abs(grid.dT_dr).max(), rel=1e-12)
+        assert m.dTr_mean == pytest.approx(np.abs(grid.dT_dr).mean(), rel=1e-12)
 
     def test_volume_weighted_mean_favours_outer_radius(self):
-        """With T = r the cylindrical volume weight pulls the mean above the
-        unweighted average of 0."""
-        model = assemble(PAPER, SC, 2, 2)
+        """The mean is the radius-weighted trapezoid sum over the annulus; for
+        a field rising towards the surface it lies above the unweighted one."""
+        model, states, u = _heated_from_outside()
         ev = FieldEvaluator(model, 41, 41)
-        base = ev.field(np.zeros(model.order), np.zeros(3))
-        grid = replace(base, values=np.tile(base.r_nodes[:, None], (1, 41)))
-        m = compute_metrics(grid, PAPER)
-        # trapezoid of r*(r+c0) over r in [-1,1] divided by that of (r+c0):
-        # exact value (2/3)/(2 c0) with c0 = 36/28, up to trapezoid truncation
-        assert m.T_mean == pytest.approx((1.0 / 3.0) / (36.0 / 28.0), rel=3e-3)
-        assert m.T_mean > 0.0
+        values = ev.field(states[-1], u).values
+        tr = np.ones(41)
+        tr[0] = tr[-1] = 0.5
+        r_phys = PAPER.R_in + (ev.r_nodes + 1.0) * (PAPER.R_out - PAPER.R_in) / 2
+        weights = np.outer(tr * r_phys, tr)
+        weighted = np.sum(weights * values) / weights.sum()
+        unweighted = np.sum(np.outer(tr, tr) * values) / np.outer(tr, tr).sum()
+        t_mean = ev.metrics(states[-1], u).T_mean
+        assert t_mean == pytest.approx(weighted, rel=1e-13)
+        assert t_mean > unweighted + 0.1
+
+    def test_stacked_samples_match_single_samples(self):
+        """A stack whose length is not a multiple of METRICS_BLOCK gives the
+        per-sample metrics, and those are the reductions of the field."""
+        model, states, u = _heated_from_outside()
+        assert states.shape[0] % METRICS_BLOCK != 0
+        u_rows = np.tile(u, (states.shape[0], 1))
+        ev = FieldEvaluator(model, 17, 13)
+        stacked = ev.metrics(states, u_rows)
+        broadcast = ev.metrics(states, u)
+        for name, value in vars(stacked).items():
+            assert np.array_equal(getattr(broadcast, name), value)
+        for k, x in enumerate(states):
+            single = ev.metrics(x, u)
+            grid = ev.field(x, u)
+            assert single.T_max == grid.values.max()
+            assert single.dTz_max == np.abs(grid.dT_dz).max()
+            for name, value in vars(single).items():
+                assert getattr(stacked, name)[k] == pytest.approx(value, rel=1e-12, abs=1e-12)
 
     def test_radial_steady_core_surface_difference(self):
         u = boundary_input_from_cooling(RADIAL_ONLY).as_vector(CYLINDRICAL)
