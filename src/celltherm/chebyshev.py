@@ -20,6 +20,7 @@ basis is validated by its boundary-condition residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from numpy.polynomial import chebyshev as ncheb
@@ -66,10 +67,20 @@ class Quadrature:
 
 
 def gauss_quadrature(order: int) -> Quadrature:
-    """Gauss-Legendre rule with `order` nodes; exact through degree 2*order - 1."""
+    """Gauss-Legendre rule with `order` nodes; exact through degree 2*order - 1.
+
+    Rules are computed once per order and shared, so their arrays are
+    read-only.
+    """
     if order < 1:
         raise ValueError("quadrature order must be >= 1")
+    return _legendre_rule(order)
+
+
+@cache
+def _legendre_rule(order: int) -> Quadrature:
     nodes, weights = nleg.leggauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
     return Quadrature(nodes, weights, order)
 
 
@@ -102,9 +113,10 @@ class BasisSet:
 def build_basis(count: int, robin_minus, robin_plus) -> BasisSet:
     """Construct the first `count` basis functions for the given Robin pairs.
 
-    The per-k 2x2 system is solved with rows normalized to unit maximum
-    coefficient, which keeps the residuals at rounding level even when the
-    value and derivative coefficients differ by orders of magnitude.
+    The 2x2 systems, one per k, are solved at once, with rows normalized to
+    unit maximum coefficient, which keeps the residuals at rounding level
+    even when the value and derivative coefficients differ by orders of
+    magnitude.
     """
     if count < 1:
         raise ValueError("basis count must be >= 1")
@@ -113,34 +125,32 @@ def build_basis(count: int, robin_minus, robin_plus) -> BasisSet:
     if (p_m == 0.0 and q_m == 0.0) or (p_p == 0.0 and q_p == 0.0):
         raise BasisConstructionError("Robin pair must have a nonzero coefficient")
 
-    combo = np.empty((count, 2))
+    def plus_term(j):
+        return p_p + q_p * j * j
+
+    def minus_term(j):
+        # (coefficient of P_j in p*phi + q*phi' at x=-1) / (-1)^j
+        return p_m - q_m * j * j
+
+    k = np.arange(count)
+    # one 2x2 system per k, stacked: mat (count, 2, 2), rhs (count, 2)
+    mat = np.stack([
+        np.stack([plus_term(k + 1), plus_term(k + 2)], axis=-1),
+        np.stack([-minus_term(k + 1), minus_term(k + 2)], axis=-1),
+    ], axis=1)
+    rhs = np.stack([-plus_term(k), -minus_term(k)], axis=-1)
+    scale = np.abs(mat).max(axis=2)
+    scale[scale == 0.0] = 1.0
+    mat_n = mat / scale[:, :, None]
+    singular = np.abs(np.linalg.det(mat_n)) < 1e-12
+    if singular.any():
+        raise BasisConstructionError(
+            f"singular combination system for basis index k={np.argmax(singular)}")
+    combo = np.linalg.solve(mat_n, (rhs / scale)[..., None])[..., 0]
     coeffs = np.zeros((count, count + 2))
-    for k in range(count):
-
-        def plus_term(j):
-            return p_p + q_p * j * j
-
-        def minus_term(j):
-            # (coefficient of P_j in p*phi + q*phi' at x=-1) / (-1)^j
-            return p_m - q_m * j * j
-
-        mat = np.array([
-            [plus_term(k + 1), plus_term(k + 2)],
-            [-minus_term(k + 1), minus_term(k + 2)],
-        ])
-        rhs = np.array([-plus_term(k), -minus_term(k)])
-        scale = np.abs(mat).max(axis=1)
-        scale[scale == 0.0] = 1.0
-        mat_n = mat / scale[:, None]
-        if abs(np.linalg.det(mat_n)) < 1e-12:
-            raise BasisConstructionError(
-                f"singular combination system for basis index k={k}")
-        a_k, b_k = np.linalg.solve(mat_n, rhs / scale)
-        combo[k] = (a_k, b_k)
-        coeffs[k, k] = 1.0
-        coeffs[k, k + 1] = a_k
-        if k + 2 < count + 2:
-            coeffs[k, k + 2] = b_k
+    coeffs[k, k] = 1.0
+    coeffs[k, k + 1] = combo[:, 0]
+    coeffs[k, k + 2] = combo[:, 1]
     return BasisSet(count, (p_m, q_m), (p_p, q_p), combo, coeffs)
 
 
@@ -165,8 +175,41 @@ def basis_deriv2(bs: BasisSet, k: int, x):
 def basis_matrix(bs: BasisSet, x, deriv: int = 0) -> np.ndarray:
     """Matrix of phi-k values (or derivatives) at the points x, shape (len(x), count)."""
     x = _check_domain(np.atleast_1d(x))
-    # one Chebyshev series per column: chebval evaluates them all at once
-    return ncheb.chebval(x, ncheb.chebder(bs.coeffs.T, deriv, axis=0)).T
+    degree = bs.max_degree
+    # one Chebyshev series per column, differentiated in coefficient space
+    # and summed by one Vandermonde product
+    series = bs.coeffs.T
+    if deriv:
+        series = np.linalg.matrix_power(_derivative_map(degree), deriv) @ series
+    return ncheb.chebvander(x, degree) @ series
+
+
+def _derivative_map(degree: int) -> np.ndarray:
+    """Map from the coefficients of a Chebyshev series of the given degree
+    to those of its derivative: (sum_j c_j P_j)' = sum_i (D c)_i P_i with
+    D[i, j] = 2j for j > i and j - i odd, halved on row 0."""
+    i, j = np.indices((degree + 1, degree + 1))
+    d = np.where((j > i) & ((j - i) % 2 == 1), 2.0 * j, 0.0)
+    d[0] *= 0.5
+    return d
+
+
+@dataclass(frozen=True, eq=False)
+class BasisTable:
+    """A basis and some of its derivatives at fixed points: ``table[d]`` is
+    the d-th derivative as basis_matrix returns it, (len(nodes), count)."""
+
+    nodes: np.ndarray
+    derivs: dict
+
+    def __getitem__(self, deriv: int) -> np.ndarray:
+        return self.derivs[deriv]
+
+
+def basis_table(bs: BasisSet, x, derivs=(0,)) -> BasisTable:
+    """Evaluate the basis at the points x once per requested derivative."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return BasisTable(x, {d: basis_matrix(bs, x, d) for d in derivs})
 
 
 def robin_residuals(bs: BasisSet) -> np.ndarray:

@@ -165,15 +165,26 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_config(cfg):
     if not isinstance(cfg["orders"], list) or not cfg["orders"]:
         raise ConfigError("orders must be a non-empty list of model orders")
     for o in cfg["orders"]:
-        root = int(round(math.sqrt(o)))
-        if root * root != o or o < 1:
+        if not _is_int(o) or o < 1:
+            raise ConfigError(f"order {o!r} is not a positive integer")
+        if math.isqrt(o) ** 2 != o:
             raise ConfigError(f"order {o} is not a perfect square (O = N^2)")
-    if cfg["dt_s"] <= 0 or cfg["horizon_s"] <= 0:
-        raise ConfigError("dt_s and horizon_s must be positive")
+    for key in ("dt_s", "horizon_s"):
+        value = cfg[key]
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value) or value <= 0):
+            raise ConfigError(f"{key} must be a finite positive number, not {value!r}")
+    if not _is_int(cfg["metrics_stride"]) or cfg["metrics_stride"] < 1:
+        raise ConfigError(
+            f"metrics_stride must be a positive integer, not {cfg['metrics_stride']!r}")
     for name in cfg["scenarios"]:
         if name not in SCENARIOS:
             raise ConfigError(f"unknown scenario {name!r}")

@@ -11,8 +11,16 @@ with X = [c_11, ..., c_1N, c_21, ..., c_MN]^T (row-major over (m, n)),
 u the per-side cooling powers, and w the volumetric heat rate. The inner
 product carries the physical radius as weight for cylindrical cells; the
 first-derivative (gamma) term then has constant integrand alpha*k_r, so all
-assembled integrands are polynomials and the fixed-order Gauss rule is exact
-(verified by an order-doubling check).
+assembled integrands are polynomials, of degree at most 2 max(M, N) + 3, and
+the Gauss rule of order n = max(M, N) + 3 integrates them exactly (Shen,
+SIAM J. Sci. Comput. 15, 1994). ``assemble`` repeats the assembly at 2n and
+rejects the model if any factor moves beyond 1e-8 relative, which catches a
+quadrature order passed in too small.
+
+Each basis is evaluated once per node set, as a 1D table of values and
+derivatives, and every particular component is a sum of two separable
+products (see ``particular``), so all Galerkin moments are outer products of
+1D projections and no 2D quadrature grid is formed.
 
 Both operators are Kronecker products of 1D Galerkin matrices,
 
@@ -42,13 +50,12 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .core import CYLINDRICAL, CellSpec, CoolingConfig, Modes, input_sides
-from .chebyshev import BasisSet, build_basis, basis_matrix, gauss_quadrature
+from .chebyshev import BasisSet, BasisTable, basis_table, build_basis, gauss_quadrature
 from .exceptions import AssemblyError
 from .particular import (
     ParticularComponents,
     axial_scale,
     boundary_scalars,
-    feedthrough_matrix,
     radial_scale,
     radial_weight,
     robin_pairs,
@@ -168,63 +175,58 @@ def _pencil_modes(stiff: np.ndarray, gram: np.ndarray) -> Modes:
 
 
 def default_quad_order(M: int, N: int) -> int:
-    """4 * (max basis degree + 2); generous for the polynomial integrands."""
-    return 4 * (max(M, N) + 3)
+    """The Gauss order that integrates every assembled integrand exactly.
+
+    The basis has degree at most max(M, N) + 1, so the integrands reach
+    degree 2 max(M, N) + 3 (two basis functions times the radius weight); a
+    particular component adds at most the r^2 or z^2 of one factor to a
+    basis function. An n-point rule is exact through degree 2n - 1, so
+    max(M, N) + 2 nodes suffice; the rule keeps one more.
+    """
+    return max(M, N) + 3
 
 
-def _operator_times_weight(spec: CellSpec, components: ParticularComponents,
-                           side: str, xr: np.ndarray, xz: np.ndarray) -> np.ndarray:
-    """w(r) * L[T_p^side] on the tensor grid, where L is the scaled diffusion
-    operator. For cylinders w*gamma = alpha*k_r exactly, so the product is
-    assembled without evaluating the rational gamma."""
-    alpha = radial_scale(spec)
-    beta = axial_scale(spec)
-    w = radial_weight(spec, xr)[:, None]
-    d2r = components.component_grid(side, xr, xz, dr=2)
-    d2z = components.component_grid(side, xr, xz, dz=2)
-    out = alpha**2 * spec.k_r * w * d2r + beta**2 * spec.k_z * w * d2z
-    if spec.is_cylindrical:
-        d1r = components.component_grid(side, xr, xz, dr=1)
-        out = out + alpha * spec.k_r * d1r
-    return out
+def _moments(r: BasisTable, z: BasisTable, w_r: np.ndarray, w_z: np.ndarray,
+             fr: np.ndarray, fz: np.ndarray) -> np.ndarray:
+    """Galerkin moments <phi_m^r phi_n^z, sum_k fr[k] fz[k]>, shape (M, N),
+    of a separable field given by its 1D factors at the quadrature nodes,
+    under the 1D quadrature weights w_r and w_z."""
+    return (r[0].T @ (w_r * fr).T) @ (z[0].T @ (w_z * fz).T).T
 
 
 def _assemble_matrices(spec, cooling, basis_r, basis_z, components, order):
     quad = gauss_quadrature(order)
     x, wq = quad.nodes, quad.weights
-    wvals = radial_weight(spec, x)
+    wr = wq * radial_weight(spec, x)
     alpha, beta = radial_scale(spec), axial_scale(spec)
+    cylindrical = spec.is_cylindrical
+    r = basis_table(basis_r, x, (0, 1, 2) if cylindrical else (0, 2))
+    z = basis_table(basis_z, x, (0, 2))
 
-    pr0 = basis_matrix(basis_r, x)
-    pr1 = basis_matrix(basis_r, x, deriv=1)
-    pr2 = basis_matrix(basis_r, x, deriv=2)
-    pz0 = basis_matrix(basis_z, x)
-    pz2 = basis_matrix(basis_z, x, deriv=2)
-
-    wr = wq * wvals
-    gram_r = pr0.T @ (wr[:, None] * pr0)
-    gram_z = pz0.T @ (wq[:, None] * pz0)
-    diff_rr = pr0.T @ (wr[:, None] * pr2)
-    diff_zz = pz0.T @ (wq[:, None] * pz2)
-    s_h = pr0.T @ wr
-    s_v = pz0.T @ wq
-
-    stiff_r = alpha**2 * spec.k_r * diff_rr
-    if spec.is_cylindrical:
-        diff_r1 = pr0.T @ (wq[:, None] * pr1)  # w * gamma == alpha k_r, unweighted here
-        stiff_r = stiff_r + alpha * spec.k_r * diff_r1
-    stiff_z = beta**2 * spec.k_z * diff_zz
+    gram_r = r[0].T @ (wr[:, None] * r[0])
+    gram_z = z[0].T @ (wq[:, None] * z[0])
+    stiff_r = alpha**2 * spec.k_r * (r[0].T @ (wr[:, None] * r[2]))
+    if cylindrical:
+        # w * gamma == alpha k_r, so this term carries no radius weight
+        stiff_r = stiff_r + alpha * spec.k_r * (r[0].T @ (wq[:, None] * r[1]))
+    stiff_z = beta**2 * spec.k_z * (z[0].T @ (wq[:, None] * z[2]))
     # Symmetric in exact arithmetic: integrating by parts leaves -<w phi', phi'>
     # plus Robin boundary terms that are symmetric in (i, j).
     stiff_r = 0.5 * (stiff_r + stiff_r.T)
     stiff_z = 0.5 * (stiff_z + stiff_z.T)
-    F = np.kron(s_h, s_v)
+    F = np.kron(r[0].T @ wr, z[0].T @ wq)
 
+    # w L[T_p], L the scaled diffusion operator, as (coefficient, radial
+    # quadrature weight, dr, dz) terms of the separable components
+    terms = [(alpha**2 * spec.k_r, wr, 2, 0), (beta**2 * spec.k_z, wr, 0, 2)]
+    if cylindrical:
+        terms.append((alpha * spec.k_r, wq, 1, 0))
     sides = input_sides(spec.shape)
     B = np.empty((F.size, len(sides)))
     for col, side in enumerate(sides):
-        lw = _operator_times_weight(spec, components, side, x, x)
-        B[:, col] = (pr0.T @ ((wq[:, None] * wq[None, :]) * lw) @ pz0).ravel()
+        B[:, col] = sum(coef * _moments(r, z, w_r, wq,
+                                        *components.factors(side, r, z, dr, dz))
+                        for coef, w_r, dr, dz in terms).ravel()
     return gram_r, stiff_r, gram_z, stiff_z, B, F
 
 
@@ -265,14 +267,11 @@ def assemble(spec: CellSpec, cooling: CoolingConfig, M: int, N: int,
     if not np.isfinite(cond) or cond > 1e12:
         raise AssemblyError(f"singular mass matrix (cond={cond:.3g})")
 
-    out_r = np.array([loc[0] for loc in OUTPUT_LOCATIONS])
-    out_z = np.array([loc[1] for loc in OUTPUT_LOCATIONS])
-    pr_out = basis_matrix(basis_r, out_r)
-    pz_out = basis_matrix(basis_z, out_z)
-    C = np.empty((len(OUTPUT_LOCATIONS), M * N))
-    for i in range(len(OUTPUT_LOCATIONS)):
-        C[i] = np.kron(pr_out[i], pz_out[i])
-    Dft = feedthrough_matrix(components, OUTPUT_LOCATIONS)
+    out_r, out_z = np.array(OUTPUT_LOCATIONS).T
+    r_out = basis_table(basis_r, out_r)
+    z_out = basis_table(basis_z, out_z)
+    C = np.einsum("im,in->imn", r_out[0], z_out[0]).reshape(len(out_r), M * N)
+    Dft = components.point_values(r_out, z_out)
 
     model = ReducedModel(spec=spec, cooling=cooling, M=M, N=N, **factors,
                          C=C, Dft=Dft, basis_r=basis_r, basis_z=basis_z,
@@ -301,13 +300,14 @@ def project_initial_state(model: ReducedModel, T_init: float, u0) -> np.ndarray:
         raise ValueError(f"u0 must have shape ({model.n_inputs},)")
     quad = gauss_quadrature(model.quad_order)
     x, wq = quad.nodes, quad.weights
-    pr0 = basis_matrix(model.basis_r, x)
-    pz0 = basis_matrix(model.basis_z, x)
     wr = wq * radial_weight(model.spec, x)
+    r = basis_table(model.basis_r, x)
+    z = basis_table(model.basis_z, x)
 
-    field = np.full((x.size, x.size), float(T_init))
-    field -= model.particular.eval_total(u0, x, x)
-    moments = pr0.T @ ((wr[:, None] * wq[None, :]) * field) @ pz0
+    moments = float(T_init) * np.outer(r[0].T @ wr, z[0].T @ wq)
+    for value, side in zip(u0, model.sides):
+        moments -= value * _moments(r, z, wr, wq,
+                                    *model.particular.factors(side, r, z))
     return np.linalg.solve(model.gram_r,
                            np.linalg.solve(model.gram_z, moments.T).T).ravel()
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIDES, CellSpec, CoolingConfig, input_sides
-from .chebyshev import BasisSet, Quadrature, basis_matrix
+from .core import CellSpec, CoolingConfig, input_sides
+from .chebyshev import BasisSet, BasisTable, Quadrature, basis_matrix, basis_table
 from .exceptions import DegenerateBoundaryError, IllConditionedBasisError
 
 # Relative threshold below which a 2x2 boundary system counts as singular.
@@ -189,21 +189,28 @@ def solve_side_coefficients(basis_r: BasisSet, basis_z: BasisSet,
     )
 
 
-def _power_series(x: np.ndarray, deriv: int) -> tuple:
-    """(d/dx)^deriv of x and x^2."""
+def _power_series(x: np.ndarray, deriv: int) -> np.ndarray:
+    """(d/dx)^deriv of x and x^2, stacked: shape (2, len(x))."""
     if deriv == 0:
-        return x, x * x
+        return np.array([x, x * x])
     if deriv == 1:
-        return np.ones_like(x), 2.0 * x
+        return np.array([np.ones_like(x), 2.0 * x])
     if deriv == 2:
-        return np.zeros_like(x), 2.0 * np.full_like(x, 1.0)
-    return np.zeros_like(x), np.zeros_like(x)
+        return np.array([np.zeros_like(x), np.full_like(x, 2.0)])
+    return np.zeros((2, x.size))
+
+
+_VERTICAL_SIDES = ("surface", "core")
 
 
 @dataclass(frozen=True, eq=False)
 class ParticularComponents:
     """The four per-side boundary-lifting fields, each per unit input.
 
+    Each field is separable, a sum of two products g(r) f(z): r and r^2
+    times a z-basis combination for a vertical side, an r-basis combination
+    times z and z^2 for a horizontal one. ``factors`` gives those 1D factors
+    from basis tables, so grids and Galerkin projections need no 2D work.
     For a cylindrical cell the core component exists but is never excited
     (u_core = 0); pouch cells excite all four.
     """
@@ -213,54 +220,45 @@ class ParticularComponents:
     basis_z: BasisSet
     coeffs: SideCoefficients
 
+    def factors(self, side: str, r: BasisTable, z: BasisTable,
+                dr: int = 0, dz: int = 0) -> tuple:
+        """1D factors (fr (2, len(r.nodes)), fz (2, len(z.nodes))) such that
+        (d/dr)^dr (d/dz)^dz T_p^side at (r_i, z_j) per unit input is
+        sum_k fr[k, i] fz[k, j]. ``r`` and ``z`` are tables of basis_r and
+        basis_z; a vertical side reads z[dz], a horizontal one r[dr]."""
+        cf = self.coeffs
+        pairs = {"surface": (cf.d1_s, cf.d2_s), "core": (cf.d1_c, cf.d2_c),
+                 "top": (cf.d1_t, cf.d2_t), "bottom": (cf.d1_b, cf.d2_b)}
+        if side not in pairs:
+            raise ValueError(f"unknown side {side!r}")
+        d = np.array(pairs[side]).T
+        if side in _VERTICAL_SIDES:
+            return _power_series(r.nodes, dr), (z[dz] @ d).T
+        return (r[dr] @ d).T, _power_series(z.nodes, dz)
+
     def component_grid(self, side: str, r_nodes, z_nodes,
                        dr: int = 0, dz: int = 0) -> np.ndarray:
         """Tensor-grid values of (d/dr)^dr (d/dz)^dz T_p^side per unit input,
         in scaled coordinates. Shape (len(r_nodes), len(z_nodes))."""
-        if side not in SIDES:
-            raise ValueError(f"unknown side {side!r}")
-        r_nodes = np.atleast_1d(np.asarray(r_nodes, dtype=float))
-        z_nodes = np.atleast_1d(np.asarray(z_nodes, dtype=float))
-        if side in ("surface", "core"):
-            d1 = self.coeffs.d1_s if side == "surface" else self.coeffs.d1_c
-            d2 = self.coeffs.d2_s if side == "surface" else self.coeffs.d2_c
-            pz = basis_matrix(self.basis_z, z_nodes, deriv=dz)
-            f1, f2 = pz @ d1, pz @ d2
-            g1, g2 = _power_series(r_nodes, dr)
-            return np.outer(g1, f1) + np.outer(g2, f2)
-        d1 = self.coeffs.d1_t if side == "top" else self.coeffs.d1_b
-        d2 = self.coeffs.d2_t if side == "top" else self.coeffs.d2_b
-        pr = basis_matrix(self.basis_r, r_nodes, deriv=dr)
-        f1, f2 = pr @ d1, pr @ d2
-        g1, g2 = _power_series(z_nodes, dz)
-        return np.outer(f1, g1) + np.outer(f2, g2)
+        vertical = side in _VERTICAL_SIDES
+        r = basis_table(self.basis_r, r_nodes, () if vertical else (dr,))
+        z = basis_table(self.basis_z, z_nodes, (dz,) if vertical else ())
+        fr, fz = self.factors(side, r, z, dr, dz)
+        return fr.T @ fz
 
-    def eval_component(self, side: str, r_scaled: float, z_scaled: float) -> float:
-        """T_p^side per unit input at a single scaled point."""
-        return float(self.component_grid(side, [r_scaled], [z_scaled])[0, 0])
-
-    def eval_total(self, u, r_nodes, z_nodes, dr: int = 0, dz: int = 0) -> np.ndarray:
-        """Sum of the per-side components weighted by the input vector ``u``
-        (model input order)."""
-        sides = input_sides(self.spec.shape)
-        u = np.asarray(u, dtype=float)
-        total = np.zeros((np.size(r_nodes), np.size(z_nodes)))
-        for value, side in zip(u, sides):
-            if value != 0.0:
-                total += value * self.component_grid(side, r_nodes, z_nodes, dr, dz)
-        return total
+    def point_values(self, r: BasisTable, z: BasisTable) -> np.ndarray:
+        """Per-unit-input value of each input side's component at the points
+        (r.nodes[i], z.nodes[i]), shape (points, n_inputs)."""
+        return np.column_stack([np.einsum("ki,ki->i", *self.factors(side, r, z))
+                                for side in input_sides(self.spec.shape)])
 
 
 def feedthrough_matrix(components: ParticularComponents, output_locations) -> np.ndarray:
     """Direct input-to-output map: entry (i, j) is side j's component at
     output location i, so that Y = C X + Dft u."""
-    sides = input_sides(components.spec.shape)
-    locations = list(output_locations)
-    for (r, z) in locations:
-        if abs(r) > 1.0 or abs(z) > 1.0:
-            raise ValueError("output locations must lie in the scaled unit square")
-    out = np.empty((len(locations), len(sides)))
-    for i, (r, z) in enumerate(locations):
-        for j, side in enumerate(sides):
-            out[i, j] = components.eval_component(side, r, z)
-    return out
+    locations = np.asarray(output_locations, dtype=float).reshape(-1, 2)
+    if np.any(np.abs(locations) > 1.0):
+        raise ValueError("output locations must lie in the scaled unit square")
+    r, z = locations.T
+    return components.point_values(basis_table(components.basis_r, r),
+                                   basis_table(components.basis_z, z))

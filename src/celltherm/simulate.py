@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BoundaryInput
-from .chebyshev import basis_matrix
+from .chebyshev import basis_table
 from .exceptions import NumericalError
 from .galerkin import ReducedModel
 from .particular import axial_scale, radial_scale, radial_weight
@@ -148,8 +148,12 @@ class FieldEvaluator:
     """Precomputed basis and particular-component grids for fast repeated
     reconstruction on one fixed tensor grid.
 
-    The volume-weighted mean is linear in (X, u); it is precomputed as the
-    rows ``mean_state_row`` (order,) and ``mean_input_row`` (n_inputs,).
+    The basis is evaluated once per direction, as value and first-derivative
+    tables (``_er``, ``_der`` radially, ``_ez``, ``_dez`` axially). The
+    particular grids (value, d/dr, d/dz per side) are outer products of the
+    components' 1D factors read from the same tables. The volume-weighted
+    mean is linear in (X, u); it is precomputed as the rows
+    ``mean_state_row`` (order,) and ``mean_input_row`` (n_inputs,).
     """
 
     def __init__(self, model: ReducedModel, n_r: int = DEFAULT_GRID[0],
@@ -166,18 +170,16 @@ class FieldEvaluator:
         self.alpha = radial_scale(model.spec)
         self.beta = axial_scale(model.spec)
 
-        self._er = basis_matrix(model.basis_r, self.r_nodes)
-        self._der = basis_matrix(model.basis_r, self.r_nodes, deriv=1)
-        self._ez = basis_matrix(model.basis_z, self.z_nodes)
-        self._dez = basis_matrix(model.basis_z, self.z_nodes, deriv=1)
+        r = basis_table(model.basis_r, self.r_nodes, (0, 1))
+        z = basis_table(model.basis_z, self.z_nodes, (0, 1))
+        self._er, self._der, self._ez, self._dez = r[0], r[1], z[0], z[1]
 
-        comp = model.particular
-        self._tp = np.stack([comp.component_grid(s, self.r_nodes, self.z_nodes)
-                             for s in model.sides])
-        self._tp_dr = np.stack([comp.component_grid(s, self.r_nodes, self.z_nodes, dr=1)
-                                for s in model.sides])
-        self._tp_dz = np.stack([comp.component_grid(s, self.r_nodes, self.z_nodes, dz=1)
-                                for s in model.sides])
+        grids = []
+        for side in model.sides:
+            fr, fz = model.particular.factors(side, r, z)
+            dfr, dfz = model.particular.factors(side, r, z, dr=1, dz=1)
+            grids.append((fr.T @ fz, dfr.T @ fz, fr.T @ dfz))
+        self._tp, self._tp_dr, self._tp_dz = map(np.stack, zip(*grids))
 
         # trapezoid weights for the volume-weighted mean
         tr = np.ones_like(self.r_nodes)

@@ -75,6 +75,27 @@ class TestConfig:
         with pytest.raises(ConfigError, match="square"):
             load_config(path)
 
+    @pytest.mark.parametrize("extra", [
+        {"orders": ["4"]},
+        {"orders": [4.0]},
+        {"orders": [True]},
+        {"orders": [-4]},
+        {"dt_s": "1"},
+        {"dt_s": True},
+        {"dt_s": float("nan")},
+        {"horizon_s": "600"},
+        {"horizon_s": float("inf")},
+        {"metrics_stride": 0},
+        {"metrics_stride": -1},
+        {"metrics_stride": 2.5},
+    ], ids=repr)
+    def test_mistyped_value_exits_as_config_error(self, tmp_path, extra):
+        path = _write_cfg(tmp_path, dict(extra, out_dir=str(tmp_path / "out")))
+        with pytest.raises(ConfigError):
+            load_config(path)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_scenario_rejected(self, tmp_path):
         path = _write_cfg(tmp_path, {"scenario": "ZZZ"})
         with pytest.raises(ConfigError):

@@ -9,9 +9,11 @@ agreement.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from celltherm.chebyshev import basis_eval, build_basis
+from celltherm.chebyshev import basis_eval, build_basis, gauss_quadrature
 from celltherm.core import (
     CYLINDRICAL,
     POUCH,
@@ -32,6 +34,7 @@ from celltherm.galerkin import (
 )
 from celltherm.particular import axial_scale, radial_scale, radius_from_scaled
 from celltherm.simulate import FieldEvaluator, run
+from test_simulate import cells_and_coolings
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -180,7 +183,38 @@ class TestQuadratureGuard:
             assemble(PAPER, scenario_cooling("SC"), 4, 4, quad_order=3)
 
     def test_default_order_formula(self):
-        assert default_quad_order(4, 4) == 28
+        assert default_quad_order(4, 4) == 7
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 30), st.integers(1, 30))
+    def test_default_order_is_exact(self, cell, M, N):
+        """Every assembled integrand is a polynomial that the default rule
+        integrates exactly, so doubling the order moves no factor beyond
+        rounding, on random cells, coolings and M, N <= 30.
+
+        B applies the second derivatives of the particular components, whose
+        terms cancel: at N = 30, k_z = 100 W/m/K and L = 5 cm they are 1e4
+        times larger than B, and B's rounding reaches 5e-12 relative (the
+        same at 4n against 8n with the full-grid assembly this replaced), so
+        B is held to 1e-11 and the other factors to 1e-12."""
+        spec, cooling = cell
+        model = assemble(spec, cooling, M, N)
+        n = model.quad_order
+        args = (spec, cooling, model.basis_r, model.basis_z, model.particular)
+        names = ("gram_r", "stiff_r", "gram_z", "stiff_z", "B", "F")
+        exact = galerkin._assemble_matrices(*args, n)
+        doubled = galerkin._assemble_matrices(*args, 2 * n)
+        for name, a, b in zip(names, exact, doubled):
+            rtol = 1e-11 if name == "B" else 1e-12
+            assert np.abs(a - b).max() <= rtol * np.abs(b).max(), name
+
+    def test_cached_rule_is_read_only(self):
+        quad = gauss_quadrature(7)
+        assert gauss_quadrature(7) is quad
+        with pytest.raises(ValueError, match="read-only"):
+            quad.nodes[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            quad.weights[0] = 0.0
 
 
 class TestInitialState:

@@ -16,6 +16,7 @@ from celltherm.core import (
     CellSpec,
     CoolingConfig,
     SideCooling,
+    input_sides,
     scenario_cooling,
 )
 from celltherm.exceptions import DegenerateBoundaryError, IllConditionedBasisError
@@ -46,6 +47,14 @@ def _build(spec, cooling, M, N, quad_order=40):
     quad = gauss_quadrature(quad_order)
     coeffs = solve_side_coefficients(basis_r, basis_z, scalars, quad, spec)
     return ParticularComponents(spec, basis_r, basis_z, coeffs), scalars, quad
+
+
+def _total(comps, u, r_nodes, z_nodes, dr=0, dz=0):
+    """Sum of the per-side component grids weighted by the input vector u
+    (model input order)."""
+    sides = input_sides(comps.spec.shape)
+    return sum(value * comps.component_grid(side, r_nodes, z_nodes, dr, dz)
+               for value, side in zip(u, sides))
 
 
 class TestGeometryHelpers:
@@ -103,8 +112,8 @@ class TestBoundaryScalars:
 class TestSideCoefficients:
     def test_zero_inputs_give_zero_field(self):
         comps, _, _ = _build(PAPER, scenario_cooling("SC"), 3, 3)
-        grid = comps.eval_total(np.zeros(3), np.linspace(-1, 1, 5),
-                                np.linspace(-1, 1, 5))
+        grid = _total(comps, np.zeros(3), np.linspace(-1, 1, 5),
+                      np.linspace(-1, 1, 5))
         assert np.all(grid == 0.0)
 
     def test_core_component_exists_but_unexcited(self):
@@ -112,7 +121,6 @@ class TestSideCoefficients:
         core = comps.component_grid("core", [0.5], [0.0])
         assert np.isfinite(core).all()
         # the cylindrical input vector carries no core entry
-        from celltherm.core import input_sides
         assert "core" not in input_sides(CYLINDRICAL)
 
     def test_boundary_galerkin_residuals(self):
@@ -198,8 +206,8 @@ class TestComponentEvaluation:
         comps, _, quad = _build(PAPER, cooling, 3, 3)
         u = np.array([1.0, 0.0, 0.0])
         z = quad.nodes
-        vals = comps.eval_total(u, [1.0], z)[0]
-        dvals = comps.eval_total(u, [1.0], z, dr=1)[0]
+        vals = _total(comps, u, [1.0], z)[0]
+        dvals = _total(comps, u, [1.0], z, dr=1)[0]
         residual = cooling.surface.h * vals + A_R * dvals - 1.0
         pz = basis_matrix(comps.basis_z, z)
         proj = pz.T @ (quad.weights * residual)
@@ -217,23 +225,23 @@ class TestComponentEvaluation:
             w_r = quad.weights * radial_weight(PAPER, x)
             scale = max(np.abs(u).max(), 1.0)
 
-            vals = comps.eval_total(u, [1.0], x)[0]
-            dvals = comps.eval_total(u, [1.0], x, dr=1)[0]
+            vals = _total(comps, u, [1.0], x)[0]
+            dvals = _total(comps, u, [1.0], x, dr=1)[0]
             res = cooling.surface.h * vals + A_R * dvals - u[0]
             assert np.abs(pz.T @ (quad.weights * res)).max() <= 1e-9 * scale
 
-            vals = comps.eval_total(u, [-1.0], x)[0]
-            dvals = comps.eval_total(u, [-1.0], x, dr=1)[0]
+            vals = _total(comps, u, [-1.0], x)[0]
+            dvals = _total(comps, u, [-1.0], x, dr=1)[0]
             res = cooling.core.h * vals - A_R * dvals - 0.0
             assert np.abs(pz.T @ (quad.weights * res)).max() <= 1e-9 * scale
 
-            vals = comps.eval_total(u, x, [1.0])[:, 0]
-            dvals = comps.eval_total(u, x, [1.0], dz=1)[:, 0]
+            vals = _total(comps, u, x, [1.0])[:, 0]
+            dvals = _total(comps, u, x, [1.0], dz=1)[:, 0]
             res = cooling.top.h * vals + A_Z * dvals - u[1]
             assert np.abs(pr.T @ (w_r * res)).max() <= 1e-9 * scale
 
-            vals = comps.eval_total(u, x, [-1.0])[:, 0]
-            dvals = comps.eval_total(u, x, [-1.0], dz=1)[:, 0]
+            vals = _total(comps, u, x, [-1.0])[:, 0]
+            dvals = _total(comps, u, x, [-1.0], dz=1)[:, 0]
             res = cooling.bottom.h * vals - A_Z * dvals - u[2]
             assert np.abs(pr.T @ (w_r * res)).max() <= 1e-9 * scale
 
@@ -243,8 +251,8 @@ class TestComponentEvaluation:
         z = np.linspace(-1, 1, 7)
         u1 = np.array([100.0, -40.0, 7.0])
         u2 = np.array([-3.0, 55.0, 20.0])
-        combined = comps.eval_total(u1 + u2, r, z)
-        split = comps.eval_total(u1, r, z) + comps.eval_total(u2, r, z)
+        combined = _total(comps, u1 + u2, r, z)
+        split = _total(comps, u1, r, z) + _total(comps, u2, r, z)
         assert np.allclose(combined, split, rtol=0, atol=1e-12 * np.abs(split).max())
 
     def test_mirror_symmetry_top_bottom(self):
@@ -259,8 +267,8 @@ class TestComponentEvaluation:
         z = np.linspace(-1, 1, 9)
         u_a = np.array([120.0 * 15.0, 300.0 * 18.0, 45.0 * 9.0])
         u_b = np.array([120.0 * 15.0, 45.0 * 9.0, 300.0 * 18.0])
-        field_a = comps_a.eval_total(u_a, r, z)
-        field_b = comps_b.eval_total(u_b, r, z[::-1])
+        field_a = _total(comps_a, u_a, r, z)
+        field_b = _total(comps_b, u_b, r, z[::-1])
         assert np.allclose(field_a, field_b, atol=1e-11 * np.abs(field_a).max())
 
 
@@ -292,8 +300,8 @@ class TestFeedthrough:
     def test_entries_match_component_eval(self):
         comps, _, _ = _build(PAPER, scenario_cooling("aTSC"), 3, 3)
         dft = feedthrough_matrix(comps, self.LOCS)
-        assert dft[0, 0] == pytest.approx(comps.eval_component("surface", 1.0, 0.0))
-        assert dft[3, 2] == pytest.approx(comps.eval_component("bottom", 0.0, -1.0))
+        assert dft[0, 0] == pytest.approx(comps.component_grid("surface", [1.0], [0.0])[0, 0])
+        assert dft[3, 2] == pytest.approx(comps.component_grid("bottom", [0.0], [-1.0])[0, 0])
 
     def test_out_of_domain_location_rejected(self):
         comps, _, _ = _build(PAPER, scenario_cooling("SC"), 2, 2)
