@@ -1,5 +1,6 @@
-"""Chebyshev polynomial kernel: evaluation, endpoint derivatives, construction
-of Robin-compatible composite basis functions, and Gauss-Legendre quadrature.
+"""Chebyshev polynomial kernel: construction of Robin-compatible composite
+basis functions, their evaluation as tables at given points, and
+Gauss-Legendre quadrature.
 
 A basis function is the compact combination
 
@@ -36,27 +37,6 @@ def _check_domain(x):
     return x
 
 
-def cheb_eval(k: int, x):
-    """P_k(x) = cos(k arccos x) by the stable three-term recurrence."""
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    x = _check_domain(x)
-    t_prev = np.ones_like(x)
-    if k == 0:
-        return t_prev
-    t = x.copy()
-    for _ in range(k - 1):
-        t_prev, t = t, 2.0 * x * t - t_prev
-    return t
-
-
-def cheb_deriv_at_endpoints(k: int):
-    """(P'_k(-1), P'_k(+1)) from the endpoint identity P'_k(+-1) = (+-1)^(k+1) k^2."""
-    if k < 0:
-        raise ValueError("degree must be >= 0")
-    return ((-1.0) ** (k + 1) * k * k, float(k * k))
-
-
 @dataclass(frozen=True, eq=False)
 class Quadrature:
     """Gauss-Legendre nodes and weights on [-1, 1]."""
@@ -84,19 +64,13 @@ def _legendre_rule(order: int) -> Quadrature:
     return Quadrature(nodes, weights, order)
 
 
-def inner_product_1d(f, g, weight, quad: Quadrature) -> float:
-    """Approximate integral of weight(x) f(x) g(x) over [-1, 1]."""
-    x = quad.nodes
-    return float(np.sum(quad.weights * weight(x) * f(x) * g(x)))
-
-
 @dataclass(frozen=True, eq=False)
 class BasisSet:
     """Robin-compatible composite Chebyshev basis for one spatial direction.
 
     ``combo[k] = (a_k, b_k)`` and ``coeffs[k]`` is the Chebyshev-series
-    coefficient row of phi_k (length count + 2), used for evaluation and
-    differentiation via the series recurrences.
+    coefficient row of phi_k (length count + 2), which ``basis_matrix``
+    evaluates and differentiates.
     """
 
     count: int
@@ -154,24 +128,6 @@ def build_basis(count: int, robin_minus, robin_plus) -> BasisSet:
     return BasisSet(count, (p_m, q_m), (p_p, q_p), combo, coeffs)
 
 
-def basis_eval(bs: BasisSet, k: int, x):
-    """phi_k(x)."""
-    x = _check_domain(x)
-    return ncheb.chebval(x, bs.coeffs[k])
-
-
-def basis_deriv1(bs: BasisSet, k: int, x):
-    """phi'_k(x) via the Chebyshev series derivative recurrence."""
-    x = _check_domain(x)
-    return ncheb.chebval(x, ncheb.chebder(bs.coeffs[k]))
-
-
-def basis_deriv2(bs: BasisSet, k: int, x):
-    """phi''_k(x)."""
-    x = _check_domain(x)
-    return ncheb.chebval(x, ncheb.chebder(bs.coeffs[k], 2))
-
-
 def basis_matrix(bs: BasisSet, x, deriv: int = 0) -> np.ndarray:
     """Matrix of phi-k values (or derivatives) at the points x, shape (len(x), count)."""
     x = _check_domain(np.atleast_1d(x))
@@ -220,14 +176,10 @@ def robin_residuals(bs: BasisSet) -> np.ndarray:
     order machine epsilon means the condition is satisfied to rounding.
     Shape (count, 2): column 0 at x = -1, column 1 at x = +1.
     """
-    res = np.empty((bs.count, 2))
-    for k in range(bs.count):
-        a_k, b_k = bs.combo[k]
-        size = 1.0 + abs(a_k) + abs(b_k)
-        for col, (x, (p, q)) in enumerate(
-                ((-1.0, bs.robin_minus), (1.0, bs.robin_plus))):
-            val = basis_eval(bs, k, x)
-            der = basis_deriv1(bs, k, x)
-            scale = (abs(p) + abs(q) * (k + 2) ** 2) * size
-            res[k, col] = abs(p * val + q * der) / scale
-    return res
+    ends = np.array([-1.0, 1.0])
+    # value and derivative coefficients, one row per end
+    p, q = (np.array(c)[:, None] for c in zip(bs.robin_minus, bs.robin_plus))
+    size = 1.0 + np.abs(bs.combo).sum(axis=1)
+    scale = (np.abs(p) + np.abs(q) * (np.arange(bs.count) + 2) ** 2) * size
+    res = p * basis_matrix(bs, ends) + q * basis_matrix(bs, ends, 1)
+    return (np.abs(res) / scale).T

@@ -152,6 +152,8 @@ def load_config(path=None, overrides=None) -> dict:
                 continue
             _check_keys(value, section, key)
             cfg[key].update(value)
+        elif isinstance(cfg.get(key), dict):
+            raise ConfigError(f"config section {key!r} must be an object")
         else:
             cfg[key] = value
     if raw.get("cooling") is not None:
@@ -169,14 +171,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _check_order(o, name="order"):
+    if not _is_int(o) or o < 1:
+        raise ConfigError(f"{name} {o!r} is not a positive integer")
+    if math.isqrt(o) ** 2 != o:
+        raise ConfigError(f"{name} {o} is not a perfect square (O = N^2)")
+
+
 def _validate_config(cfg):
     if not isinstance(cfg["orders"], list) or not cfg["orders"]:
         raise ConfigError("orders must be a non-empty list of model orders")
     for o in cfg["orders"]:
-        if not _is_int(o) or o < 1:
-            raise ConfigError(f"order {o!r} is not a positive integer")
-        if math.isqrt(o) ** 2 != o:
-            raise ConfigError(f"order {o} is not a perfect square (O = N^2)")
+        _check_order(o)
+    if cfg["control"]["estimator_order"] is not None:
+        _check_order(cfg["control"]["estimator_order"], "control.estimator_order")
     for key in ("dt_s", "horizon_s"):
         value = cfg[key]
         if (not isinstance(value, (int, float)) or isinstance(value, bool)
@@ -239,9 +247,9 @@ def _profile_from_config(cfg, spec: CellSpec):
     raise ConfigError(f"unknown heat profile kind {kind!r}")
 
 
-def _q_series(cfg, spec: CellSpec) -> np.ndarray:
+def _q_series(cfg, spec: CellSpec, dt: float) -> np.ndarray:
     profile = _profile_from_config(cfg, spec).to_volumetric(cell_volume(spec))
-    return resample_profile(profile, cfg["dt_s"], cfg["horizon_s"])
+    return resample_profile(profile, dt, cfg["horizon_s"])
 
 
 def _fmt(value) -> str:
@@ -314,7 +322,7 @@ def _run_order(spec, cooling, order, cfg, q_series, metrics_stride):
 def cmd_simulate(cfg, out_dir: Path):
     spec = _cell_from_config(cfg)
     cooling = _cooling_from_config(cfg, spec)
-    q_series = _q_series(cfg, spec)
+    q_series = _q_series(cfg, spec, cfg["dt_s"])
     for order in cfg["orders"]:
         result = _run_order(spec, cooling, order, cfg, q_series,
                             cfg["metrics_stride"])()
@@ -335,15 +343,17 @@ def _fd_reference(cfg, spec, cooling, q_series_fd, stride):
                     metrics_stride=stride)
 
 
-def _fd_q_series(cfg, spec):
-    profile = _profile_from_config(cfg, spec).to_volumetric(cell_volume(spec))
-    return resample_profile(profile, cfg["fd"]["dt_s"], cfg["horizon_s"])
-
-
 def _subsample(fd_times, fd_values, times):
     idx = np.searchsorted(fd_times, times)
     idx = np.clip(idx, 0, len(fd_times) - 1)
     return fd_values[idx]
+
+
+def _errors_vs_fd(fd, times, **series):
+    """Max |series - FD| per named metric, the FD metric sampled at times."""
+    return {m: float(np.abs(x - _subsample(fd.metrics_times, getattr(fd, m),
+                                           times)).max())
+            for m, x in series.items()}
 
 
 def cmd_validate(cfg, out_dir: Path):
@@ -352,9 +362,9 @@ def cmd_validate(cfg, out_dir: Path):
     per_scenario = {}
     for name in cfg["scenarios"]:
         cooling = _cooling_from_config(cfg, spec, scenario=name)
-        q_fd = _fd_q_series(cfg, spec)
+        q_fd = _q_series(cfg, spec, cfg["fd"]["dt_s"])
         fd = _fd_reference(cfg, spec, cooling, q_fd, stride=_NO_METRICS)
-        q_series = _q_series(cfg, spec)
+        q_series = _q_series(cfg, spec, cfg["dt_s"])
         errors = {}
         for order in cfg["orders"]:
             result = _run_order(spec, cooling, order, cfg, q_series, _NO_METRICS)()
@@ -379,8 +389,8 @@ def cmd_compare_tec(cfg, out_dir: Path):
     cooling = _cooling_from_config(cfg, spec)
     vol = cell_volume(spec)
     dt, horizon = cfg["dt_s"], cfg["horizon_s"]
-    q_series = _q_series(cfg, spec)
-    q_fd = _fd_q_series(cfg, spec)
+    q_series = _q_series(cfg, spec, dt)
+    q_fd = _q_series(cfg, spec, cfg["fd"]["dt_s"])
 
     tec_cfg = cfg["tec"]
     tec = TecModel(tec_cfg["C_c"], tec_cfg["C_s"], tec_cfg["R_c"],
@@ -424,15 +434,8 @@ def cmd_compare_tec(cfg, out_dir: Path):
               ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"],
               zip(times, tec_mean, t_c, tec_grad))
 
-    errors = {}
-    ref_mean = _subsample(fd.metrics_times, fd.T_mean, times)
-    ref_max = _subsample(fd.metrics_times, fd.T_max, times)
-    ref_grad = _subsample(fd.metrics_times, fd.dTr_max, times)
-    errors["TEC"] = {
-        "T_mean": float(np.abs(tec_mean - ref_mean).max()),
-        "T_max": float(np.abs(t_c - ref_max).max()),
-        "dTr_max": float(np.abs(tec_grad - ref_grad).max()),
-    }
+    errors = {"TEC": _errors_vs_fd(fd, times, T_mean=tec_mean, T_max=t_c,
+                                   dTr_max=tec_grad)}
 
     for order in cfg["orders"]:
         result = _run_order(spec, cooling, order, cfg, q_series,
@@ -441,14 +444,9 @@ def cmd_compare_tec(cfg, out_dir: Path):
                   ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"],
                   zip(result.metrics_times, result.T_mean, result.T_max,
                       result.dTr_max))
-        errors[f"O{order}"] = {
-            "T_mean": float(np.abs(result.T_mean - _subsample(
-                fd.metrics_times, fd.T_mean, result.metrics_times)).max()),
-            "T_max": float(np.abs(result.T_max - _subsample(
-                fd.metrics_times, fd.T_max, result.metrics_times)).max()),
-            "dTr_max": float(np.abs(result.dTr_max - _subsample(
-                fd.metrics_times, fd.dTr_max, result.metrics_times)).max()),
-        }
+        errors[f"O{order}"] = _errors_vs_fd(
+            fd, result.metrics_times, T_mean=result.T_mean, T_max=result.T_max,
+            dTr_max=result.dTr_max)
 
     write_summary(out_dir, cfg, {
         "command": "compare-tec",
@@ -474,7 +472,7 @@ def cmd_scenarios(cfg, out_dir: Path):
     spec = _cell_from_config(cfg)
     if not spec.is_cylindrical:
         raise UnsupportedShapeError("the five-scenario study targets cylindrical cells")
-    q_series = _q_series(cfg, spec)
+    q_series = _q_series(cfg, spec, cfg["dt_s"])
     names = list(SCENARIOS)
     with concurrent.futures.ThreadPoolExecutor(max_workers=len(names)) as pool:
         results = list(pool.map(_scenario_point,
@@ -517,7 +515,7 @@ def _control_point(args):
 
 def cmd_control(cfg, out_dir: Path):
     spec = _cell_from_config(cfg)
-    q_series = _q_series(cfg, spec)
+    q_series = _q_series(cfg, spec, cfg["dt_s"])
     points = [(spec, cfg, name, c, q_series)
               for name in cfg["scenarios"] for c in cfg["control"]["c_rates"]]
     with concurrent.futures.ThreadPoolExecutor(
@@ -604,7 +602,7 @@ def cmd_sweep_geometry(cfg, out_dir: Path):
     spec = _cell_from_config(cfg)
     if not spec.is_cylindrical:
         raise UnsupportedShapeError("the geometry sweep targets cylindrical cells")
-    q_series = _q_series(cfg, spec)
+    q_series = _q_series(cfg, spec, cfg["dt_s"])
     points = [(spec, cfg, float(r), q_series) for r in cfg["sweep"]["ratios"]]
     with concurrent.futures.ThreadPoolExecutor(
             max_workers=min(8, len(points))) as pool:

@@ -43,7 +43,6 @@ class PiController:
     ki: float
     baseline: float = 0.0
     output_limits: tuple = DEFAULT_LIMITS
-    anti_windup: bool = True
     integral: float = 0.0
 
     def __post_init__(self):
@@ -61,8 +60,6 @@ def pi_step(c: PiController, error: float, dt: float) -> float:
     raw = c.baseline + c.kp * error + c.ki * candidate
     lo, hi = c.output_limits
     if raw < lo or raw > hi:
-        if not c.anti_windup:
-            c.integral = candidate
         return min(max(raw, lo), hi)
     c.integral = candidate
     return raw

@@ -20,7 +20,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -123,11 +123,6 @@ class CoolingConfig:
         if name not in SIDES:
             raise ValueError(f"unknown side {name!r}")
         return getattr(self, name)
-
-    def with_side(self, name: str, cooling: SideCooling) -> "CoolingConfig":
-        if name not in SIDES:
-            raise ValueError(f"unknown side {name!r}")
-        return replace(self, **{name: cooling})
 
 
 def scenario_cooling(name: str, shape: str = CYLINDRICAL,

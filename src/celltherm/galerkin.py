@@ -235,8 +235,8 @@ def assemble(spec: CellSpec, cooling: CoolingConfig, M: int, N: int,
     """Build the reduced model of order M*N for one cell and cooling setup.
 
     The basis depends on the convection coefficients (it absorbs the
-    homogeneous Robin conditions), so a new cooling configuration requires a
-    full reassembly; see reassemble_cooling.
+    homogeneous Robin conditions), so a new cooling configuration needs a
+    new call: a model is never updated in place.
     """
     if M < 1 or N < 1:
         raise ValueError("basis counts M, N must be >= 1")
@@ -311,8 +311,3 @@ def project_initial_state(model: ReducedModel, T_init: float, u0) -> np.ndarray:
     return np.linalg.solve(model.gram_r,
                            np.linalg.solve(model.gram_z, moments.T).T).ravel()
 
-
-def reassemble_cooling(model: ReducedModel, cooling: CoolingConfig) -> ReducedModel:
-    """Rebuild basis and matrices for a new cooling configuration; the
-    original model is untouched."""
-    return assemble(model.spec, cooling, model.M, model.N, model.quad_order)

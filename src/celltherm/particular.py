@@ -252,13 +252,3 @@ class ParticularComponents:
         return np.column_stack([np.einsum("ki,ki->i", *self.factors(side, r, z))
                                 for side in input_sides(self.spec.shape)])
 
-
-def feedthrough_matrix(components: ParticularComponents, output_locations) -> np.ndarray:
-    """Direct input-to-output map: entry (i, j) is side j's component at
-    output location i, so that Y = C X + Dft u."""
-    locations = np.asarray(output_locations, dtype=float).reshape(-1, 2)
-    if np.any(np.abs(locations) > 1.0):
-        raise ValueError("output locations must lie in the scaled unit square")
-    r, z = locations.T
-    return components.point_values(basis_table(components.basis_r, r),
-                                   basis_table(components.basis_z, z))

@@ -157,16 +157,12 @@ class FieldEvaluator:
     """
 
     def __init__(self, model: ReducedModel, n_r: int = DEFAULT_GRID[0],
-                 n_z: int = DEFAULT_GRID[1], r_nodes=None, z_nodes=None):
-        if r_nodes is None:
-            r_nodes = np.linspace(-1.0, 1.0, n_r)
-        if z_nodes is None:
-            z_nodes = np.linspace(-1.0, 1.0, n_z)
-        self.model = model
-        self.r_nodes = np.asarray(r_nodes, dtype=float)
-        self.z_nodes = np.asarray(z_nodes, dtype=float)
-        if self.r_nodes.size < 2 or self.z_nodes.size < 2:
+                 n_z: int = DEFAULT_GRID[1]):
+        if n_r < 2 or n_z < 2:
             raise ValueError("reconstruction grid needs at least 2 nodes per direction")
+        self.model = model
+        self.r_nodes = np.linspace(-1.0, 1.0, n_r)
+        self.z_nodes = np.linspace(-1.0, 1.0, n_z)
         self.alpha = radial_scale(model.spec)
         self.beta = axial_scale(model.spec)
 

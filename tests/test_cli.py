@@ -88,6 +88,12 @@ class TestConfig:
         {"metrics_stride": 0},
         {"metrics_stride": -1},
         {"metrics_stride": 2.5},
+        {"control": {"estimator_order": 5}},
+        {"control": {"estimator_order": "9"}},
+        {"control": {"estimator_order": 0}},
+        {"control": {"estimator_order": True}},
+        {"control": {"estimator_order": 2.0}},
+        {"control": 5},
     ], ids=repr)
     def test_mistyped_value_exits_as_config_error(self, tmp_path, extra):
         path = _write_cfg(tmp_path, dict(extra, out_dir=str(tmp_path / "out")))

@@ -53,12 +53,6 @@ class TestPiStep:
         assert out == -1.0
         assert c.integral == 0.0
 
-    def test_windup_without_protection(self):
-        c = PiController(kp=1.0, ki=1.0, output_limits=(-1.0, 1.0),
-                         anti_windup=False)
-        pi_step(c, -10.0, 1.0)
-        assert c.integral == -10.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PiController(1.0, 1.0, output_limits=(2.0, 1.0))

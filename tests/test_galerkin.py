@@ -1,5 +1,5 @@
 """Reduced-model assembly: mass/stiffness structure, inputs, outputs,
-initial-state projection, and reassembly.
+initial-state projection, and assembly under a new cooling.
 
 Oracles: scipy adaptive quadrature for individual matrix entries, dense
 generalized eigenvalues for dissipativity, reconstruction error for the
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from celltherm.chebyshev import basis_eval, build_basis, gauss_quadrature
+from celltherm.chebyshev import basis_matrix, build_basis, gauss_quadrature
 from celltherm.core import (
     CYLINDRICAL,
     POUCH,
@@ -30,7 +30,6 @@ from celltherm.galerkin import (
     assemble,
     default_quad_order,
     project_initial_state,
-    reassemble_cooling,
 )
 from celltherm.particular import axial_scale, radial_scale, radius_from_scaled
 from celltherm.simulate import FieldEvaluator, run
@@ -42,12 +41,17 @@ POUCH_CELL = CellSpec(shape=POUCH, L=0.2, D=0.1, rho=2118.0, cp=795.0,
                       k_r=0.9, k_z=30.0)
 
 
+def scalar_phi(bs, k):
+    """phi_k as a scalar function, for scipy's adaptive quadrature."""
+    return lambda x: float(basis_matrix(bs, x)[0, k])
+
+
 class TestAssembleStructure:
     def test_pouch_mass_entry_vs_adaptive_oracle(self):
         cooling = scenario_cooling("SC", POUCH)
         model = assemble(POUCH_CELL, cooling, 1, 1)
-        fr = lambda x: basis_eval(model.basis_r, 0, x)
-        fz = lambda z: basis_eval(model.basis_z, 0, z)
+        fr = scalar_phi(model.basis_r, 0)
+        fz = scalar_phi(model.basis_z, 0)
         ref_r, _ = quad(lambda x: fr(x) ** 2, -1, 1, epsabs=1e-13)
         ref_z, _ = quad(lambda z: fz(z) ** 2, -1, 1, epsabs=1e-13)
         expected = POUCH_CELL.rho * POUCH_CELL.cp * ref_r * ref_z
@@ -56,8 +60,8 @@ class TestAssembleStructure:
     def test_cylindrical_mass_entry_vs_adaptive_oracle(self):
         cooling = scenario_cooling("SC")
         model = assemble(PAPER, cooling, 2, 2)
-        fr = lambda x: basis_eval(model.basis_r, 1, x)
-        fz = lambda z: basis_eval(model.basis_z, 0, z)
+        fr = scalar_phi(model.basis_r, 1)
+        fz = scalar_phi(model.basis_z, 0)
         ref, _ = dblquad(
             lambda z, x: radius_from_scaled(PAPER, x) * fr(x) ** 2 * fz(z) ** 2,
             -1, 1, -1, 1, epsabs=1e-12)
@@ -67,10 +71,11 @@ class TestAssembleStructure:
     def test_state_ordering_row_major(self):
         model = assemble(PAPER, scenario_cooling("SC"), 2, 3)
         # C row for the surface midpoint: phi_m(1) phi_n(0) at index m*N + n
+        phi_r = basis_matrix(model.basis_r, 1.0)[0]
+        phi_z = basis_matrix(model.basis_z, 0.0)[0]
         for m in range(2):
             for n in range(3):
-                expected = (basis_eval(model.basis_r, m, 1.0)
-                            * basis_eval(model.basis_z, n, 0.0))
+                expected = phi_r[m] * phi_z[n]
                 assert model.C[0, m * 3 + n] == pytest.approx(expected, abs=1e-13)
 
     def test_mass_matrix_symmetric(self):
@@ -80,7 +85,7 @@ class TestAssembleStructure:
 
     def test_output_row_vanishes_for_dirichlet_basis(self):
         bs = build_basis(4, (1.0, 0.0), (1.0, 0.0))
-        vals = np.array([basis_eval(bs, k, 1.0) for k in range(4)])
+        vals = basis_matrix(bs, 1.0)[0]
         assert np.abs(vals).max() < 1e-12   # a C row built from these is zero
 
     def test_dissipativity_generalized_eigenvalues(self):
@@ -155,16 +160,16 @@ class TestBConsistency:
                   + beta**2 * PAPER.k_z * w * d2z)
             for m in range(2):
                 for n in range(2):
-                    eta = np.outer(basis_eval(model.basis_r, m, nodes),
-                                   basis_eval(model.basis_z, n, nodes))
+                    eta = np.outer(basis_matrix(model.basis_r, nodes)[:, m],
+                                   basis_matrix(model.basis_z, nodes)[:, n])
                     val = np.einsum("i,j,ij->", weights, weights, lw * eta)
                     assert model.B[m * 2 + n, col] == pytest.approx(
                         val, rel=1e-10, abs=1e-12)
 
     def test_f_vector_vs_adaptive_oracle(self):
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
-        fr = lambda x: basis_eval(model.basis_r, 0, x)
-        fz = lambda z: basis_eval(model.basis_z, 1, z)
+        fr = scalar_phi(model.basis_r, 0)
+        fz = scalar_phi(model.basis_z, 1)
         ref, _ = dblquad(lambda z, x: radius_from_scaled(PAPER, x) * fr(x) * fz(z),
                          -1, 1, -1, 1, epsabs=1e-12)
         assert model.F[1] == pytest.approx(ref, rel=1e-9, abs=1e-12)
@@ -254,20 +259,25 @@ class TestInitialState:
 
 
 class TestReassemble:
+    """A new cooling configuration is a new ``assemble`` call."""
+
     def test_identity_reassembly_is_bit_identical(self):
         model = assemble(PAPER, scenario_cooling("SC"), 3, 3)
-        again = reassemble_cooling(model, model.cooling)
+        again = assemble(PAPER, scenario_cooling("SC"), 3, 3)
+        assert again.cooling is not model.cooling
         for name in ("G", "A", "B", "F", "C", "Dft"):
             assert np.array_equal(getattr(model, name), getattr(again, name))
 
     def test_scenario_switch_changes_input_structure(self):
         model = assemble(PAPER, scenario_cooling("SC"), 3, 3)
-        switched = reassemble_cooling(model, scenario_cooling("aTSC"))
+        before = model.B.copy()
+        switched = assemble(PAPER, scenario_cooling("aTSC"), 3, 3)
         assert switched.B.shape == model.B.shape
         # top/bottom convection changed 30 -> 400: those columns must move
         assert not np.allclose(switched.B[:, 1], model.B[:, 1])
         assert not np.allclose(switched.B[:, 2], model.B[:, 2])
-        # the original model is untouched
+        # the first model is untouched
+        assert np.array_equal(model.B, before)
         assert model.cooling.top.h == 30.0
 
     def test_outputs_at_spec_locations(self):

@@ -1,5 +1,6 @@
 """Particular-solution decomposition: boundary scalars, side coefficients,
-component evaluation, and the feedthrough map.
+component evaluation, and the feedthrough map Dft that ``assemble`` builds
+from the components.
 
 Oracles: hand-evaluated scalar formulas, residuals of the boundary Galerkin
 systems recomputed without inverting anything, quadrature projection of the
@@ -20,12 +21,12 @@ from celltherm.core import (
     scenario_cooling,
 )
 from celltherm.exceptions import DegenerateBoundaryError, IllConditionedBasisError
+from celltherm.galerkin import assemble
 from celltherm.particular import (
     BoundaryScalars,
     ParticularComponents,
     axial_scale,
     boundary_scalars,
-    feedthrough_matrix,
     radial_scale,
     radial_weight,
     radius_from_scaled,
@@ -273,37 +274,32 @@ class TestComponentEvaluation:
 
 
 class TestFeedthrough:
-    LOCS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
+    """``assemble(...).Dft``: entry (i, j) is side j's component at output
+    location i, so that Y = C X + Dft u."""
 
     def test_cylindrical_shape_drops_core_column(self):
-        comps, _, _ = _build(PAPER, scenario_cooling("SC"), 2, 2)
-        dft = feedthrough_matrix(comps, self.LOCS)
+        dft = assemble(PAPER, scenario_cooling("SC"), 2, 2).Dft
         assert dft.shape == (4, 3)
 
     def test_pouch_keeps_four_columns(self):
         pouch = CellSpec(shape=POUCH, L=0.2, D=0.1, rho=2118.0, cp=795.0,
                          k_r=0.9, k_z=30.0)
-        comps, _, _ = _build(pouch, scenario_cooling("aTSC", POUCH), 2, 2)
-        assert feedthrough_matrix(comps, self.LOCS).shape == (4, 4)
+        assert assemble(pouch, scenario_cooling("aTSC", POUCH), 2, 2).Dft.shape == (4, 4)
 
     def test_zero_inputs_leave_only_cx(self):
-        comps, _, _ = _build(PAPER, scenario_cooling("SC"), 2, 2)
-        dft = feedthrough_matrix(comps, self.LOCS)
-        assert np.all(dft @ np.zeros(3) == 0.0)
+        model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
+        assert np.all(model.Dft @ np.zeros(3) == 0.0)
+        x = np.linspace(-1.0, 2.0, model.order)
+        assert np.array_equal(model.outputs(x, np.zeros(3)),
+                              np.einsum("o,po->p", x, model.C))
 
     def test_top_output_dominated_by_top_input(self):
-        comps, _, _ = _build(PAPER, scenario_cooling("btTC"), 3, 3)
-        dft = feedthrough_matrix(comps, self.LOCS)
+        dft = assemble(PAPER, scenario_cooling("btTC"), 3, 3).Dft
         top_row = np.abs(dft[2])   # output at (0, 1); columns [u_s, u_t, u_b]
         assert np.argmax(top_row) == 1
 
     def test_entries_match_component_eval(self):
-        comps, _, _ = _build(PAPER, scenario_cooling("aTSC"), 3, 3)
-        dft = feedthrough_matrix(comps, self.LOCS)
+        model = assemble(PAPER, scenario_cooling("aTSC"), 3, 3)
+        comps, dft = model.particular, model.Dft
         assert dft[0, 0] == pytest.approx(comps.component_grid("surface", [1.0], [0.0])[0, 0])
         assert dft[3, 2] == pytest.approx(comps.component_grid("bottom", [0.0], [-1.0])[0, 0])
-
-    def test_out_of_domain_location_rejected(self):
-        comps, _, _ = _build(PAPER, scenario_cooling("SC"), 2, 2)
-        with pytest.raises(ValueError):
-            feedthrough_matrix(comps, [(1.5, 0.0)])

@@ -22,6 +22,7 @@ from celltherm.core import (
     CoolingConfig,
     SideCooling,
     boundary_input_from_cooling,
+    cell_volume,
     scenario_cooling,
 )
 from celltherm.exceptions import NumericalError
@@ -242,6 +243,50 @@ class TestRun:
                     dt=5.0, horizon=100.0, metrics_stride=10**9).outputs
         diff = np.abs(sum(parts) - total).max()
         assert diff <= 1e-9 * max(1.0, np.abs(total).max())
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
+           st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
+    def test_random_cells_adiabatic_energy_slope(self, cell, M, N, dt, seed):
+        """With every h = 0 the stored heat rho cp V mean(T) rises at q V,
+        from any initial state and under a staircase q. The volume mean is
+        F.X / F.X1, X1 the projection of a uniform unit field, which the
+        insulated bases hold exactly."""
+        spec, cooling = cell
+        insulated = CoolingConfig(*(SideCooling(0.0, s.T_inf) for s in (
+            cooling.surface, cooling.core, cooling.top, cooling.bottom)))
+        model = assemble(spec, insulated, M, N)
+        zeros = np.zeros(model.n_inputs)
+        unit_mean = model.F @ project_initial_state(model, 1.0, zeros)
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal(model.order)
+        q = 1e5 * rng.standard_normal(9)
+        res = run(model, x0, zeros, q, dt, 8 * dt, metrics_stride=10**9)
+        heat = model.rho_cp * cell_volume(spec) * (res.states @ model.F) / unit_mean
+        generated = cell_volume(spec) * dt * np.concatenate([[0.0], np.cumsum(q[:-1])])
+        scale = np.abs(heat - heat[0]).max() + np.abs(generated).max()
+        assert np.abs(heat - heat[0] - generated).max() <= 1e-12 * scale
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
+           st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
+    def test_random_cells_superpose_per_side(self, cell, M, N, dt, seed):
+        """From rest, the response to u_a + u_b is the response to u_b plus
+        that to each side's share of u_a: states, outputs (feedthrough
+        included) and the volume mean."""
+        model = assemble(*cell, M, N)
+        rng = np.random.default_rng(seed)
+        u_a, u_b = 1e3 * rng.standard_normal((2, 5, model.n_inputs))
+
+        def response(u):
+            res = run(model, np.zeros(model.order), u, 0.0, dt, 4 * dt,
+                      grid_shape=(5, 5), metrics_stride=1)
+            return res.states, res.outputs, res.T_mean
+
+        parts = [response(u_a * e) for e in np.eye(model.n_inputs)] + [response(u_b)]
+        for total, pieces in zip(response(u_a + u_b), zip(*parts)):
+            scale = max(np.abs(p).max() for p in pieces)
+            assert np.abs(total - sum(pieces)).max() <= 1e-12 * scale
 
     def test_zoh_exact_for_staircase_inputs(self):
         model = assemble(PAPER, SC, 2, 2)
