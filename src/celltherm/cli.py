@@ -116,6 +116,8 @@ _ALLOWED = {
 
 
 def _check_keys(obj, allowed, where):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config section {where!r} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown config key(s) {sorted(unknown)} in {where or 'top level'}")
@@ -178,6 +180,18 @@ def _check_order(o, name="order"):
         raise ConfigError(f"{name} {o} is not a perfect square (O = N^2)")
 
 
+def _check_int(value, name, least):
+    if not _is_int(value) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}, not {value!r}")
+
+
+def _check_real(value, name, positive=False):
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not math.isfinite(value) or (positive and value <= 0)):
+        kind = "a finite positive number" if positive else "a finite number"
+        raise ConfigError(f"{name} must be {kind}, not {value!r}")
+
+
 def _validate_config(cfg):
     if not isinstance(cfg["orders"], list) or not cfg["orders"]:
         raise ConfigError("orders must be a non-empty list of model orders")
@@ -186,13 +200,28 @@ def _validate_config(cfg):
     if cfg["control"]["estimator_order"] is not None:
         _check_order(cfg["control"]["estimator_order"], "control.estimator_order")
     for key in ("dt_s", "horizon_s"):
-        value = cfg[key]
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value) or value <= 0):
-            raise ConfigError(f"{key} must be a finite positive number, not {value!r}")
-    if not _is_int(cfg["metrics_stride"]) or cfg["metrics_stride"] < 1:
-        raise ConfigError(
-            f"metrics_stride must be a positive integer, not {cfg['metrics_stride']!r}")
+        _check_real(cfg[key], key, positive=True)
+    _check_real(cfg["t_init_C"], "t_init_C")
+    _check_int(cfg["metrics_stride"], "metrics_stride", 1)
+    # the least grids FieldEvaluator and FdConfig accept
+    for key in ("n_r", "n_z"):
+        _check_int(cfg["grid"][key], f"grid.{key}", 2)
+        _check_int(cfg["fd"][key], f"fd.{key}", 3)
+    _check_real(cfg["fd"]["dt_s"], "fd.dt_s", positive=True)
+    _check_int(cfg["timing"]["repetitions"], "timing.repetitions", 3)
+    if not isinstance(cfg["control"]["c_rates"], list):
+        raise ConfigError("control.c_rates must be a list of numbers")
+    for c_rate in cfg["control"]["c_rates"]:
+        _check_real(c_rate, "control.c_rates entry")
+    if cfg["cooling"]:
+        for side in SIDES:
+            entry = cfg["cooling"].get(side)
+            if entry is None:
+                raise ConfigError(f"cooling config missing side {side!r}")
+            for key in ("h", "T_inf"):
+                if key not in entry:
+                    raise ConfigError(f"cooling.{side} is missing {key!r}")
+                _check_real(entry[key], f"cooling.{side}.{key}")
     for name in cfg["scenarios"]:
         if name not in SCENARIOS:
             raise ConfigError(f"unknown scenario {name!r}")
@@ -217,9 +246,7 @@ def _cooling_from_config(cfg, spec: CellSpec, scenario=None) -> CoolingConfig:
     if cfg.get("cooling"):
         sides = {}
         for side in SIDES:
-            entry = cfg["cooling"].get(side)
-            if entry is None:
-                raise ConfigError(f"cooling config missing side {side!r}")
+            entry = cfg["cooling"][side]
             sides[side] = SideCooling(float(entry["h"]), float(entry["T_inf"]))
         return CoolingConfig(scenario_name="custom", **sides)
     return scenario_cooling(scenario or cfg["scenario"], spec.shape,

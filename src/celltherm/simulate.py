@@ -13,10 +13,12 @@ kernel.
 
 ``run`` steps in modal coordinates, maps the whole trajectory back to the
 Galerkin state in one batched transform, and reconstructs the metrics of all
-sampled steps from stacked samples, METRICS_BLOCK at a time. Gradients are
-computed by analytic differentiation of the expansions (not finite
-differences of the grid), mapped to physical units by the coordinate scale
-factors.
+sampled steps from stacked samples, METRICS_BLOCK at a time. Reconstruction
+is one separable product per sample: the field, particular part included,
+is R C_aug Z^T with 1D tables R, Z and a block-diagonal coefficient matrix
+C_aug (``FieldEvaluator``). Gradients are computed by analytic
+differentiation of the expansions (not finite differences of the grid),
+with the coordinate scale factors folded into the derivative tables.
 """
 
 from __future__ import annotations
@@ -34,8 +36,11 @@ from .particular import axial_scale, radial_scale, radial_weight
 DEFAULT_GRID = (41, 41)
 
 # Samples that FieldEvaluator.metrics reconstructs at once. Stacking amortizes
-# the per-sample overhead; larger blocks cost memory in each CLI pool worker.
-METRICS_BLOCK = 4
+# the per-call overhead, but each metrics call holds a buffer of
+# 3 * METRICS_BLOCK * n_r * n_z floats (about 320 KB on the default grid), and
+# each CLI pool worker runs its own call. On the study benchmark (2-core box),
+# 8 measured as fast as 16 or 32 with 3 to 11 MB less peak memory.
+METRICS_BLOCK = 8
 
 
 def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
@@ -145,15 +150,26 @@ class MetricSeries(MetricsRecord):
 
 
 class FieldEvaluator:
-    """Precomputed basis and particular-component grids for fast repeated
-    reconstruction on one fixed tensor grid.
+    """Reconstruction of the field and its gradients on one fixed tensor grid.
 
-    The basis is evaluated once per direction, as value and first-derivative
-    tables (``_er``, ``_der`` radially, ``_ez``, ``_dez`` axially). The
-    particular grids (value, d/dr, d/dz per side) are outer products of the
-    components' 1D factors read from the same tables. The volume-weighted
-    mean is linear in (X, u); it is precomputed as the rows
-    ``mean_state_row`` (order,) and ``mean_input_row`` (n_inputs,).
+    The whole field, particular part included, is one separable product of
+    1D tables, as in sum factorization (Orszag, J. Comput. Phys. 37, 1980).
+    Each particular component is a sum of two products g(r) f(z)
+    (``ParticularComponents.factors``), so the basis tables are augmented by
+    each input side's two factors:
+
+        R0 = [basis | r-factors of each side],   R1 = alpha [the same, d/dr],
+        Z0 = [basis | z-factors of each side],   Z1 = beta  [the same, d/dz],
+
+    n_r (n_z) rows by M + 2 n_inputs (N + 2 n_inputs) columns, with the
+    coordinate scales alpha and beta giving gradients in K/m. A sample
+    (X, u) is the block-diagonal coefficient matrix
+    C_aug = blockdiag(X as M x N, u_1 I_2, ..., u_m I_2), and
+
+        T = R0 C_aug Z0^T,   dT/dr = R1 C_aug Z0^T,   dT/dz = R0 C_aug Z1^T.
+
+    The volume-weighted mean is linear in (X, u): W = R0^T vol Z0 gives the
+    rows ``mean_state_row`` (order,) and ``mean_input_row`` (n_inputs,).
     """
 
     def __init__(self, model: ReducedModel, n_r: int = DEFAULT_GRID[0],
@@ -163,19 +179,22 @@ class FieldEvaluator:
         self.model = model
         self.r_nodes = np.linspace(-1.0, 1.0, n_r)
         self.z_nodes = np.linspace(-1.0, 1.0, n_z)
-        self.alpha = radial_scale(model.spec)
-        self.beta = axial_scale(model.spec)
 
         r = basis_table(model.basis_r, self.r_nodes, (0, 1))
         z = basis_table(model.basis_z, self.z_nodes, (0, 1))
-        self._er, self._der, self._ez, self._dez = r[0], r[1], z[0], z[1]
-
-        grids = []
-        for side in model.sides:
-            fr, fz = model.particular.factors(side, r, z)
-            dfr, dfz = model.particular.factors(side, r, z, dr=1, dz=1)
-            grids.append((fr.T @ fz, dfr.T @ fz, fr.T @ dfz))
-        self._tp, self._tp_dr, self._tp_dz = map(np.stack, zip(*grids))
+        fr, fz = zip(*(model.particular.factors(side, r, z) for side in model.sides))
+        dfr, dfz = zip(*(model.particular.factors(side, r, z, dr=1, dz=1)
+                         for side in model.sides))
+        r0 = np.hstack([r[0], *(f.T for f in fr)])
+        z0 = np.hstack([z[0], *(f.T for f in fz)])
+        self._r = np.stack([r0, radial_scale(model.spec)
+                            * np.hstack([r[1], *(f.T for f in dfr)])])
+        self._z0t = z0.T
+        self._z1t = axial_scale(model.spec) * np.hstack([z[1], *(f.T for f in dfz)]).T
+        # u_s sits on the diagonal of the s-th 2x2 block of C_aug, below the
+        # M x N state block: rows from M, columns from N
+        k = np.arange(2 * model.n_inputs)
+        self._u_diag = (model.M + k, model.N + k)
 
         # trapezoid weights for the volume-weighted mean
         tr = np.ones_like(self.r_nodes)
@@ -184,46 +203,60 @@ class FieldEvaluator:
         tz[0] = tz[-1] = 0.5
         vol = np.outer(tr * radial_weight(model.spec, self.r_nodes), tz)
         self._vol_weights = vol = vol / vol.sum()
-        self.mean_state_row = (self._er.T @ vol @ self._ez).ravel()
-        self.mean_input_row = np.tensordot(self._tp, vol, axes=2)
+        w = r0.T @ vol @ z0
+        self.mean_state_row = w[:model.M, :model.N].ravel()
+        self.mean_input_row = w[self._u_diag].reshape(-1, 2).sum(axis=1)
+
+    def _stack(self, X, u):
+        """(X (S, order), u (S, n_inputs), whether one unstacked sample)."""
+        X = np.asarray(X, dtype=float)
+        u = np.broadcast_to(np.asarray(u, dtype=float),
+                            (*X.shape[:-1], self.model.n_inputs))
+        return X.reshape(-1, X.shape[-1]), u.reshape(-1, u.shape[-1]), X.ndim == 1
+
+    def _reconstruct(self, X: np.ndarray, u: np.ndarray, out: np.ndarray):
+        """T, dT/dr and dT/dz of the samples X (b, order), u (b, n_inputs)
+        into out (3, b, n_r, n_z)."""
+        model = self.model
+        c_aug = np.zeros((X.shape[0], self._r.shape[-1], self._z0t.shape[0]))
+        c_aug[:, :model.M, :model.N] = X.reshape(-1, model.M, model.N)
+        rows, cols = self._u_diag
+        c_aug[:, rows, cols] = np.repeat(u, 2, axis=1)
+        left = self._r[:, None] @ c_aug           # R0 C_aug and R1 C_aug
+        np.matmul(left, self._z0t, out=out[:2])
+        np.matmul(left[0], self._z1t, out=out[2])
 
     def field(self, X: np.ndarray, u: np.ndarray) -> FieldGrid:
         """Field and gradients of one sample (X (order,), u (n_inputs,)) or
-        of stacked samples (X (S, order), u (S, n_inputs))."""
-        X = np.asarray(X, dtype=float)
-        cmat = X.reshape(*X.shape[:-1], self.model.M, self.model.N)
-        u = np.asarray(u, dtype=float)
-        values = self._er @ cmat @ self._ez.T + np.tensordot(u, self._tp, axes=1)
-        d_r = self._der @ cmat @ self._ez.T + np.tensordot(u, self._tp_dr, axes=1)
-        d_z = self._er @ cmat @ self._dez.T + np.tensordot(u, self._tp_dz, axes=1)
-        return FieldGrid(self.r_nodes, self.z_nodes, values,
-                         self.alpha * d_r, self.beta * d_z)
+        of stacked samples (X (S, order), u (S, n_inputs) or (n_inputs,)),
+        in new arrays."""
+        X, u, single = self._stack(X, u)
+        out = np.empty((3, X.shape[0], self.r_nodes.size, self.z_nodes.size))
+        self._reconstruct(X, u, out)
+        return FieldGrid(self.r_nodes, self.z_nodes, *(out[:, 0] if single else out))
 
     def metrics(self, X: np.ndarray, u: np.ndarray) -> MetricsRecord:
         """Metrics of one sample as floats, or of stacked samples (one input
         row per sample, or one for all) as arrays, reconstructed
-        METRICS_BLOCK samples at a time."""
-        X = np.asarray(X, dtype=float)
-        u = np.broadcast_to(np.asarray(u, dtype=float),
-                            (*X.shape[:-1], self.model.n_inputs))
-        if X.ndim == 1:
-            return MetricsRecord(*map(float, self._metrics(X, u)))
-        blocks = [self._metrics(X[i:i + METRICS_BLOCK], u[i:i + METRICS_BLOCK])
-                  for i in range(0, X.shape[0], METRICS_BLOCK)]
-        return MetricsRecord(*np.concatenate(blocks, axis=-1))
-
-    def _metrics(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        grid = self.field(X, u)
-        axes = (-2, -1)
-        t_max = grid.values.max(axis=axes)
-        t_min = grid.values.min(axis=axes)
-        d_r, d_z = np.abs(grid.dT_dr), np.abs(grid.dT_dz)
-        return np.array([
-            X @ self.mean_state_row + u @ self.mean_input_row,
-            t_max, t_min, t_max - t_min,
-            d_r.max(axis=axes), d_z.max(axis=axes),
-            d_r.mean(axis=axes), d_z.mean(axis=axes),
-        ])
+        METRICS_BLOCK samples at a time into one buffer."""
+        X, u, single = self._stack(X, u)
+        n = X.shape[0]
+        res = np.empty((8, n))   # one row per MetricsRecord field, in order
+        np.add(X @ self.mean_state_row, u @ self.mean_input_row, out=res[0])
+        buf = np.empty((3, min(n, METRICS_BLOCK), self.r_nodes.size, self.z_nodes.size))
+        for i in range(0, n, METRICS_BLOCK):
+            j = min(i + METRICS_BLOCK, n)
+            out = buf[:, :j - i]
+            self._reconstruct(X[i:j], u[i:j], out)
+            np.max(out[0], axis=(1, 2), out=res[1, i:j])
+            np.min(out[0], axis=(1, 2), out=res[2, i:j])
+            grads = np.abs(out[1:], out=out[1:])
+            np.max(grads, axis=(2, 3), out=res[4:6, i:j])
+            np.mean(grads, axis=(2, 3), out=res[6:8, i:j])
+        np.subtract(res[1], res[2], out=res[3])
+        if single:
+            return MetricsRecord(*map(float, res[:, 0]))
+        return MetricsRecord(*res)
 
 
 @dataclass(frozen=True, eq=False)

@@ -94,6 +94,22 @@ class TestConfig:
         {"control": {"estimator_order": True}},
         {"control": {"estimator_order": 2.0}},
         {"control": 5},
+        {"grid": {"n_r": 2.5}},
+        {"grid": {"n_z": "41"}},
+        {"grid": {"n_r": 1}},
+        {"fd": {"n_r": "128"}},
+        {"fd": {"n_z": 2}},
+        {"fd": {"dt_s": 0.0}},
+        {"control": {"c_rates": ["2"]}},
+        {"control": {"c_rates": 2.0}},
+        {"timing": {"repetitions": "3"}},
+        {"timing": {"repetitions": 2}},
+        {"t_init_C": "15"},
+        {"cooling": {side: {"h": 10.0} for side in ("surface", "core", "top", "bottom")}},
+        {"cooling": {side: {"h": 10.0, "T_inf": "15"}
+                     for side in ("surface", "core", "top", "bottom")}},
+        {"cooling": {"surface": {"h": 10.0, "T_inf": 15.0}}},
+        {"cooling": 5},
     ], ids=repr)
     def test_mistyped_value_exits_as_config_error(self, tmp_path, extra):
         path = _write_cfg(tmp_path, dict(extra, out_dir=str(tmp_path / "out")))

@@ -25,8 +25,10 @@ from celltherm.core import (
     cell_volume,
     scenario_cooling,
 )
+from celltherm.chebyshev import basis_matrix
 from celltherm.exceptions import NumericalError
 from celltherm.galerkin import assemble, project_initial_state
+from celltherm.particular import axial_scale, radial_scale
 from celltherm.simulate import METRICS_BLOCK, FieldEvaluator, discretize, run
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
@@ -347,6 +349,60 @@ class TestReconstruct:
         assert grid.values[0, mid] == pytest.approx(y[1], abs=1e-10)
         assert grid.values[mid, -1] == pytest.approx(y[2], abs=1e-10)
         assert grid.values[mid, 0] == pytest.approx(y[3], abs=1e-10)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
+           st.integers(2, 23), st.integers(2, 23),
+           st.integers(1, 2 * METRICS_BLOCK + 3), st.integers(0, 2**32 - 1))
+    def test_matches_independent_reconstruction(self, cell, M, N, n_r, n_z,
+                                                n_samples, seed):
+        """Field and gradients of random cells, orders and grids equal the
+        basis expansion plus each side's particular component grid, scaled by
+        alpha and beta; stacked metrics are the reductions of those fields."""
+        spec, cooling = cell
+        model = assemble(spec, cooling, M, N)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-20.0, 40.0, (n_samples, model.order))
+        u = rng.uniform(0.0, 4e4, (n_samples, model.n_inputs))
+        ev = FieldEvaluator(model, n_r, n_z)
+        r, z = ev.r_nodes, ev.z_nodes
+
+        def expected(dr, dz):
+            grid = (basis_matrix(model.basis_r, r, dr) @ X.reshape(-1, M, N)
+                    @ basis_matrix(model.basis_z, z, dz).T)
+            for col, side in enumerate(model.sides):
+                part = model.particular.component_grid(side, r, z, dr, dz)
+                grid += u[:, col, None, None] * part
+            return radial_scale(spec) ** dr * axial_scale(spec) ** dz * grid
+
+        grid = ev.field(X, u)
+        want = [expected(0, 0), expected(1, 0), expected(0, 1)]
+        for got, ref in zip((grid.values, grid.dT_dr, grid.dT_dz), want):
+            assert got.shape == (n_samples, n_r, n_z)
+            assert_close_rel(got, ref, 1e-12)
+        m = ev.metrics(X, u)
+        scale = [np.abs(w).max() for w in want]
+        assert np.abs(m.T_max - want[0].max(axis=(1, 2))).max() <= 1e-12 * scale[0]
+        assert np.abs(m.T_min - want[0].min(axis=(1, 2))).max() <= 1e-12 * scale[0]
+        for got, ref, sc in ((m.dTr_max, np.abs(want[1]).max(axis=(1, 2)), scale[1]),
+                             (m.dTz_max, np.abs(want[2]).max(axis=(1, 2)), scale[2]),
+                             (m.dTr_mean, np.abs(want[1]).mean(axis=(1, 2)), scale[1]),
+                             (m.dTz_mean, np.abs(want[2]).mean(axis=(1, 2)), scale[2])):
+            assert np.abs(got - ref).max() <= 1e-12 * sc
+
+    def test_metrics_and_fields_do_not_share_arrays(self):
+        """A FieldGrid keeps its values through later metrics and field calls."""
+        model, states, u = _heated_from_outside()
+        ev = FieldEvaluator(model, 9, 7)
+        first = ev.field(states[-1], u)
+        kept = [a.copy() for a in (first.values, first.dT_dr, first.dT_dz)]
+        ev.metrics(states, u)
+        second = ev.field(states[0], u)
+        for a, b in zip((first.values, first.dT_dr, first.dT_dz), kept):
+            assert np.array_equal(a, b)
+        for a in (first.values, first.dT_dr, first.dT_dz):
+            for b in (second.values, second.dT_dr, second.dT_dz):
+                assert not np.shares_memory(a, b)
 
     def test_default_grid_shape(self):
         model = assemble(PAPER, SC, 1, 1)
