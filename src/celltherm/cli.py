@@ -12,7 +12,8 @@ simulate        plain reduced-model runs
 
 Every command takes ``--config <path>`` plus optional ``--out``, ``--seed``,
 ``--orders`` overrides, writes ``<out>/<command>/*.csv`` and a
-``summary.json`` with provenance (config hash, seed, versions), and is
+``summary.json`` with provenance (config hash, seed, and the versions of
+celltherm and of numpy, its one runtime dependency), and is
 byte-deterministic given (config, seed). Wall-clock timing tables are the
 one documented exception and go to ``timing.txt``. Exit codes: 0 success,
 2 config error, 3 numerical failure, 4 unsupported combination.
@@ -29,7 +30,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .core import (
@@ -192,6 +192,45 @@ def _check_real(value, name, positive=False):
         raise ConfigError(f"{name} must be {kind}, not {value!r}")
 
 
+# heat keys that must be positive; every other numeric heat key is any real
+_POSITIVE_HEAT_KEYS = {"period_s", "step_s"}
+
+
+def _check_section_values(cfg):
+    """Types and ranges of the tec, sweep, control, timing and heat values."""
+    for key, value in cfg["tec"].items():
+        _check_real(value, f"tec.{key}", positive=key != "T_inf_C")
+    _check_real(cfg["sweep"]["R_in_m"], "sweep.R_in_m", positive=True)
+    ratios = cfg["sweep"]["ratios"]
+    if not isinstance(ratios, list) or not ratios:
+        raise ConfigError("sweep.ratios must be a non-empty list of numbers")
+    for ratio in ratios:
+        _check_real(ratio, "sweep.ratios entry", positive=True)
+    ctl = cfg["control"]
+    for key in ("setpoint_C", "kp", "ki"):
+        _check_real(ctl[key], f"control.{key}")
+    limits = ctl["limits_C"]
+    if not isinstance(limits, list) or len(limits) != 2:
+        raise ConfigError(f"control.limits_C must be [lo, hi], not {limits!r}")
+    for limit in limits:
+        _check_real(limit, "control.limits_C entry")
+    if limits[0] > limits[1]:
+        raise ConfigError(f"control.limits_C {limits!r} has lo > hi")
+    if not isinstance(cfg["timing"]["enabled"], bool):
+        raise ConfigError(f"timing.enabled must be true or false, "
+                          f"not {cfg['timing']['enabled']!r}")
+    heat = cfg["heat"]
+    for key in {"constant_q": ("q_W_per_m3",), "csv": ("path",)}.get(heat["kind"], ()):
+        if key not in heat:
+            raise ConfigError(f"heat kind {heat['kind']!r} needs {key!r}")
+    for key, value in heat.items():
+        if key == "path":
+            if not isinstance(value, str):
+                raise ConfigError(f"heat.path must be a string, not {value!r}")
+        elif key != "kind":
+            _check_real(value, f"heat.{key}", positive=key in _POSITIVE_HEAT_KEYS)
+
+
 def _validate_config(cfg):
     if not isinstance(cfg["orders"], list) or not cfg["orders"]:
         raise ConfigError("orders must be a non-empty list of model orders")
@@ -213,6 +252,7 @@ def _validate_config(cfg):
         raise ConfigError("control.c_rates must be a list of numbers")
     for c_rate in cfg["control"]["c_rates"]:
         _check_real(c_rate, "control.c_rates entry")
+    _check_section_values(cfg)
     if cfg["cooling"]:
         for side in SIDES:
             entry = cfg["cooling"].get(side)
@@ -300,8 +340,7 @@ def write_summary(out_dir: Path, cfg, payload):
         "provenance": {
             "config_sha256": digest,
             "seed": cfg["seed"],
-            "versions": {"celltherm": __version__, "numpy": np.__version__,
-                         "scipy": scipy.__version__},
+            "versions": {"celltherm": __version__, "numpy": np.__version__},
         },
     }
     summary.update(payload)
@@ -486,13 +525,12 @@ def cmd_compare_tec(cfg, out_dir: Path):
 _SCENARIO_METRICS = ("T_mean", "T_max", "dTr_max", "dTz_max", "dT")
 
 
-def _scenario_point(args):
-    spec, cfg, name, q_series = args
+def _scenario_point(spec, cfg, name, q_series):
     cooling = scenario_cooling(name, spec.shape, T_inf=cfg["t_init_C"])
     result = _run_order(spec, cooling, cfg["orders"][0], cfg, q_series,
                         cfg["metrics_stride"])()
     merits = {m: float(getattr(result, m).max()) for m in _SCENARIO_METRICS}
-    return name, result, merits
+    return result, merits
 
 
 def cmd_scenarios(cfg, out_dir: Path):
@@ -500,13 +538,10 @@ def cmd_scenarios(cfg, out_dir: Path):
     if not spec.is_cylindrical:
         raise UnsupportedShapeError("the five-scenario study targets cylindrical cells")
     q_series = _q_series(cfg, spec, cfg["dt_s"])
-    names = list(SCENARIOS)
-    with concurrent.futures.ThreadPoolExecutor(max_workers=len(names)) as pool:
-        results = list(pool.map(_scenario_point,
-                                [(spec, cfg, n, q_series) for n in names]))
     table = []
     merits_by_name = {}
-    for name, result, merits in results:
+    for name in SCENARIOS:
+        result, merits = _scenario_point(spec, cfg, name, q_series)
         write_csv(out_dir / f"metrics_{name}.csv", _METRIC_HEADER,
                   _metric_rows(result))
         table.append((name, merits["T_mean"], merits["T_max"],
@@ -600,29 +635,29 @@ def solve_constant_volume(volume: float, ratio: float, r_in: float):
     return ratio * r_out, r_out
 
 
-def _sweep_point(args):
-    spec, cfg, ratio, q_series = args
+def _sweep_point(spec, cfg, ratio, q_series):
+    """Merits of the constant-volume cell with L/R_out = ratio, or None if
+    no such cell exists."""
     base_volume = cell_volume(spec)
     r_in = cfg["sweep"]["R_in_m"]
     solved = solve_constant_volume(base_volume, ratio, r_in)
     if solved is None:
-        return ratio, None, None
+        return None
     length, r_out = solved
     try:
         cell = CellSpec(shape=CYLINDRICAL, L=length, R_out=r_out, R_in=r_in,
                         rho=spec.rho, cp=spec.cp, k_r=spec.k_r, k_z=spec.k_z)
     except ValueError:
-        return ratio, None, None
+        return None
     cooling = scenario_cooling(cfg["scenario"], cell.shape, T_inf=cfg["t_init_C"])
     result = _run_order(cell, cooling, cfg["orders"][0], cfg, q_series,
                         cfg["metrics_stride"])()
-    merits = {
+    return {
         "L_m": length, "R_out_m": r_out, "volume_m3": cell_volume(cell),
         "T_mean": float(result.T_mean.max()),
         "dTr_max": float(result.dTr_max.max()),
         "dTz_max": float(result.dTz_max.max()),
     }
-    return ratio, cell, merits
 
 
 def cmd_sweep_geometry(cfg, out_dir: Path):
@@ -630,16 +665,12 @@ def cmd_sweep_geometry(cfg, out_dir: Path):
     if not spec.is_cylindrical:
         raise UnsupportedShapeError("the geometry sweep targets cylindrical cells")
     q_series = _q_series(cfg, spec, cfg["dt_s"])
-    points = [(spec, cfg, float(r), q_series) for r in cfg["sweep"]["ratios"]]
-    with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(8, len(points))) as pool:
-        results = list(pool.map(_sweep_point, points))
-
     rows = []
     skipped = []
     merits_by_ratio = {}
-    for ratio, cell, merits in results:
-        if cell is None:
+    for ratio in map(float, cfg["sweep"]["ratios"]):
+        merits = _sweep_point(spec, cfg, ratio, q_series)
+        if merits is None:
             skipped.append(ratio)
             print(f"warning: ratio {ratio} yields R_out <= R_in; skipped",
                   file=sys.stderr)

@@ -37,9 +37,10 @@ DEFAULT_GRID = (41, 41)
 
 # Samples that FieldEvaluator.metrics reconstructs at once. Stacking amortizes
 # the per-call overhead, but each metrics call holds a buffer of
-# 3 * METRICS_BLOCK * n_r * n_z floats (about 320 KB on the default grid), and
-# each CLI pool worker runs its own call. On the study benchmark (2-core box),
-# 8 measured as fast as 16 or 32 with 3 to 11 MB less peak memory.
+# 3 * METRICS_BLOCK * n_r * n_z floats (about 320 KB on the default grid), one
+# per concurrent call: the CLI's control points run on a thread pool. On the
+# study benchmark (2-core box), when scenarios and sweep-geometry ran on pools
+# too, 8 measured as fast as 16 or 32 with 3 to 11 MB less peak memory.
 METRICS_BLOCK = 8
 
 

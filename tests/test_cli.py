@@ -3,11 +3,15 @@ outputs, exit codes, and byte determinism."""
 
 import concurrent.futures
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import celltherm
 from celltherm.cli import (
     DEFAULTS,
     MARKET_CELL_RATIOS,
@@ -110,6 +114,37 @@ class TestConfig:
                      for side in ("surface", "core", "top", "bottom")}},
         {"cooling": {"surface": {"h": 10.0, "T_inf": 15.0}}},
         {"cooling": 5},
+        {"tec": {"C_c": "1079.6"}},
+        {"tec": {"R_u": 0.0}},
+        {"tec": {"C_s": -48.35}},
+        {"tec": {"T_inf_C": float("nan")}},
+        {"sweep": {"R_in_m": "0.004"}},
+        {"sweep": {"R_in_m": 0.0}},
+        {"sweep": {"ratios": ["3"]}},
+        {"sweep": {"ratios": [3.0, -2.0]}},
+        {"sweep": {"ratios": []}},
+        {"sweep": {"ratios": 3.0}},
+        {"control": {"setpoint_C": "20"}},
+        {"control": {"kp": "2"}},
+        {"control": {"ki": None}},
+        {"control": {"limits_C": ["-20", 40]}},
+        {"control": {"limits_C": [40.0, -20.0]}},
+        {"control": {"limits_C": [-20.0]}},
+        {"timing": {"enabled": "no"}},
+        {"timing": {"enabled": 1}},
+        {"heat": {"kind": "constant_q"}},
+        {"heat": {"kind": "constant_q", "q_W_per_m3": "1e5"}},
+        {"heat": {"kind": "pulse_train", "period_s": "100"}},
+        {"heat": {"kind": "pulse_train", "period_s": 0.0}},
+        {"heat": {"kind": "pulse_train", "amplitude_W_per_m3": True}},
+        {"heat": {"kind": "pulse_train", "duty": "0.5"}},
+        {"heat": {"kind": "pulse_train", "base_W_per_m3": float("inf")}},
+        {"heat": {"kind": "random_drive", "peak_current_A": "90"}},
+        {"heat": {"kind": "random_drive", "internal_resistance_ohm": "2e-3"}},
+        {"heat": {"kind": "random_drive", "scale": [2.0]}},
+        {"heat": {"kind": "random_drive", "step_s": -1.0}},
+        {"heat": {"kind": "csv"}},
+        {"heat": {"kind": "csv", "path": 5}},
     ], ids=repr)
     def test_mistyped_value_exits_as_config_error(self, tmp_path, extra):
         path = _write_cfg(tmp_path, dict(extra, out_dir=str(tmp_path / "out")))
@@ -307,11 +342,11 @@ class TestDeterminism:
             for rel, blob in first.items():
                 assert (tmp_path / rel).read_bytes() == blob, rel
 
-    @pytest.mark.parametrize("command", ["scenarios", "control", "sweep-geometry"])
+    @pytest.mark.parametrize("command", ["control"])
     def test_thread_pool_matches_serial(self, tmp_path, monkeypatch, command):
-        """The pooled points (_scenario_point, _control_point, _sweep_point)
-        share models and arrays across threads; their outputs must equal
-        those of the same points called one after the other."""
+        """The pooled control points share models and arrays across threads;
+        their outputs must equal those of the same points called one after
+        the other."""
 
         class SerialExecutor:
             def __init__(self, max_workers=None):
@@ -352,6 +387,31 @@ class TestDeterminism:
         assert pooled.keys() == serial.keys()
         for rel, blob in serial.items():
             assert pooled[rel] == blob, rel
+
+
+class TestColdStart:
+    def test_cli_imports_no_scipy(self, tmp_path):
+        """A fresh interpreter that imports the CLI and loads a config, then
+        runs compare-tec (Galerkin pencils, FD and TEC eigensolves), has
+        imported no scipy module."""
+        cfg_path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out")})
+        code = (
+            "import sys\n"
+            "import celltherm.cli as cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules\n"
+            "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+            "cli.load_config(sys.argv[1])\n"
+            "print(scipy_modules())\n"
+            "assert cli.main(['compare-tec', '--config', sys.argv[1]]) == 0\n"
+            "print(scipy_modules())\n")
+        src = str(Path(celltherm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code, str(cfg_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestConstantVolume:

@@ -9,7 +9,7 @@ energy balance.
 import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from celltherm.core import (
     CYLINDRICAL,
@@ -26,6 +26,7 @@ from celltherm.reference import (
     FdConfig,
     FdSolver,
     TecModel,
+    _ghost_node_operator,
     fd_solve,
     tridiagonal_modes,
     tec_metrics,
@@ -190,6 +191,32 @@ class TestTridiagonalModes:
     def test_rejects_nonpositive_off_diagonal_product(self):
         with pytest.raises(NumericalError):
             tridiagonal_modes([1.0, -1.0], [-2.0, -2.0, -2.0], [1.0, 1.0])
+
+    @staticmethod
+    def assert_matches_tridiagonal_solver(sub, diag, sup):
+        """V_inv V = I, and the eigenvalues equal those of LAPACK's
+        tridiagonal solver on the symmetrized operator, to 1e-12."""
+        modes = tridiagonal_modes(sub, diag, sup)
+        lam = eigh_tridiagonal(diag, np.sqrt(sub * sup), eigvals_only=True,
+                               lapack_driver="stev")
+        n = len(diag)
+        np.testing.assert_allclose(modes.V_inv @ modes.V, np.eye(n), rtol=0, atol=1e-12)
+        assert np.abs(modes.lam - lam).max() <= 1e-12 * np.abs(lam).max()
+
+    @pytest.mark.parametrize("n", [3, 128, 256])
+    @pytest.mark.parametrize("spec", [PAPER, POUCH_CELL], ids=["cylinder", "pouch"])
+    def test_fd_operators_match_tridiagonal_solver(self, spec, n):
+        cyl = spec.shape == CYLINDRICAL
+        r_lo, r_hi = (spec.R_in, spec.R_out) if cyl else (0.0, spec.D)
+        for nodes, k, h_lo, h_hi, radial in (
+                (np.linspace(r_lo, r_hi, n), spec.k_r, 120.0, 400.0, cyl),
+                (np.linspace(0.0, spec.L, n), spec.k_z, 250.0, 30.0, False)):
+            sub, diag, sup, _, _ = _ghost_node_operator(nodes, k, h_lo, h_hi, radial)
+            self.assert_matches_tridiagonal_solver(sub, diag, sup)
+
+    def test_tec_matrix_matches_tridiagonal_solver(self):
+        a, _ = TecModel().continuous()
+        self.assert_matches_tridiagonal_solver(a[1:, 0], np.diag(a), a[0, 1:])
 
 
 class TestFdEquivalence:
