@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import hashlib
 import json
 import math
@@ -262,11 +263,13 @@ def _validate_config(cfg):
                 if key not in entry:
                     raise ConfigError(f"cooling.{side} is missing {key!r}")
                 _check_real(entry[key], f"cooling.{side}.{key}")
-    for name in cfg["scenarios"]:
-        if name not in SCENARIOS:
+    scenarios = cfg["scenarios"]
+    if not isinstance(scenarios, list) or not scenarios:
+        raise ConfigError("scenarios must be a non-empty list of scenario names")
+    for name in scenarios + [cfg["scenario"]]:
+        if not isinstance(name, str) or name not in SCENARIOS:
             raise ConfigError(f"unknown scenario {name!r}")
-    if cfg["scenario"] not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {cfg['scenario']!r}")
+    _check_int(cfg["seed"], "seed", 0)
     if cfg["fd"]["scheme"] not in ("crank_nicolson", "backward_euler"):
         raise ConfigError(f"unknown FD scheme {cfg['fd']['scheme']!r}")
 
@@ -374,15 +377,17 @@ def _order_model(spec, cooling, order):
     return assemble(spec, cooling, root, root)
 
 
-def _run_order(spec, cooling, order, cfg, q_series, metrics_stride):
+def _run_order(spec, cooling, order, cfg, q_series):
     """Assemble the model of one order and return its run over the
-    configured horizon as a callable, so that timing leaves assembly out."""
+    configured horizon as a callable of the metrics stride, so that timing
+    leaves assembly out and several runs share one model."""
     model = _order_model(spec, cooling, order)
     u = boundary_input_from_cooling(cooling).as_vector(spec.shape)
     x0 = project_initial_state(model, cfg["t_init_C"], u)
     grid = (cfg["grid"]["n_r"], cfg["grid"]["n_z"])
-    return lambda: run(model, x0, u, q_series, cfg["dt_s"], cfg["horizon_s"],
-                       grid_shape=grid, metrics_stride=metrics_stride)
+    return lambda metrics_stride: run(
+        model, x0, u, q_series, cfg["dt_s"], cfg["horizon_s"], grid_shape=grid,
+        metrics_stride=metrics_stride)
 
 
 def cmd_simulate(cfg, out_dir: Path):
@@ -390,8 +395,8 @@ def cmd_simulate(cfg, out_dir: Path):
     cooling = _cooling_from_config(cfg, spec)
     q_series = _q_series(cfg, spec, cfg["dt_s"])
     for order in cfg["orders"]:
-        result = _run_order(spec, cooling, order, cfg, q_series,
-                            cfg["metrics_stride"])()
+        result = _run_order(spec, cooling, order, cfg, q_series)(
+            cfg["metrics_stride"])
         write_csv(out_dir / f"trace_O{order}.csv", _TRACE_HEADER, _trace_rows(result))
         write_csv(out_dir / f"metrics_O{order}.csv", _METRIC_HEADER, _metric_rows(result))
     write_summary(out_dir, cfg, {
@@ -433,7 +438,7 @@ def cmd_validate(cfg, out_dir: Path):
         q_series = _q_series(cfg, spec, cfg["dt_s"])
         errors = {}
         for order in cfg["orders"]:
-            result = _run_order(spec, cooling, order, cfg, q_series, _NO_METRICS)()
+            result = _run_order(spec, cooling, order, cfg, q_series)(_NO_METRICS)
             ref = _subsample(fd.times, fd.outputs, result.times)
             err = float(np.abs(result.outputs - ref).max())
             rows.append((name, order, err))
@@ -461,6 +466,8 @@ def cmd_compare_tec(cfg, out_dir: Path):
     tec_cfg = cfg["tec"]
     tec = TecModel(tec_cfg["C_c"], tec_cfg["C_s"], tec_cfg["R_c"],
                    tec_cfg["R_u"], tec_cfg["T_inf_C"])
+    runs = {order: _run_order(spec, cooling, order, cfg, q_series)
+            for order in cfg["orders"]}
 
     # Timed before the FD reference: the millisecond-scale timed runs are
     # slowed by heavy numerical work just before them (a threaded BLAS call
@@ -469,8 +476,7 @@ def cmd_compare_tec(cfg, out_dir: Path):
     if cfg["timing"]["enabled"]:
         entries = [("TEC", lambda: tec_run(tec, q_series * vol, dt, horizon,
                                            T0=cfg["t_init_C"]))]
-        entries += [(f"O{order}",
-                     _run_order(spec, cooling, order, cfg, q_series, _NO_METRICS))
+        entries += [(f"O{order}", functools.partial(runs[order], _NO_METRICS))
                     for order in cfg["orders"]]
         table = timing_harness(entries, cfg["timing"]["repetitions"])
         by_name = {row["model"]: row["mean_ms"] for row in table}
@@ -504,8 +510,7 @@ def cmd_compare_tec(cfg, out_dir: Path):
                                    dTr_max=tec_grad)}
 
     for order in cfg["orders"]:
-        result = _run_order(spec, cooling, order, cfg, q_series,
-                            cfg["metrics_stride"])()
+        result = runs[order](cfg["metrics_stride"])
         write_csv(out_dir / f"trace_O{order}.csv",
                   ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"],
                   zip(result.metrics_times, result.T_mean, result.T_max,
@@ -527,8 +532,8 @@ _SCENARIO_METRICS = ("T_mean", "T_max", "dTr_max", "dTz_max", "dT")
 
 def _scenario_point(spec, cfg, name, q_series):
     cooling = scenario_cooling(name, spec.shape, T_inf=cfg["t_init_C"])
-    result = _run_order(spec, cooling, cfg["orders"][0], cfg, q_series,
-                        cfg["metrics_stride"])()
+    result = _run_order(spec, cooling, cfg["orders"][0], cfg, q_series)(
+        cfg["metrics_stride"])
     merits = {m: float(getattr(result, m).max()) for m in _SCENARIO_METRICS}
     return result, merits
 
@@ -563,10 +568,8 @@ _CONTROL_HEADER = ["t_s", "T_mean_C", "T_hat_mean_C", "u_s_W_per_m2",
 
 
 def _control_point(args):
-    spec, cfg, name, c_rate, q_series = args
-    cooling = scenario_cooling(name, spec.shape, T_inf=cfg["t_init_C"])
+    model, cfg, name, c_rate, q_series = args
     ctl = cfg["control"]
-    model = _order_model(spec, cooling, ctl["estimator_order"] or cfg["orders"][0])
     trace = closed_loop_run(
         model, name, ctl["setpoint_C"], q_series * c_rate, cfg["dt_s"],
         cfg["horizon_s"], gains=(ctl["kp"], ctl["ki"]),
@@ -578,7 +581,13 @@ def _control_point(args):
 def cmd_control(cfg, out_dir: Path):
     spec = _cell_from_config(cfg)
     q_series = _q_series(cfg, spec, cfg["dt_s"])
-    points = [(spec, cfg, name, c, q_series)
+    order = cfg["control"]["estimator_order"] or cfg["orders"][0]
+    # one model per scenario, shared by all its points as plant and estimator
+    models = {}
+    for name in cfg["scenarios"]:
+        cooling = scenario_cooling(name, spec.shape, T_inf=cfg["t_init_C"])
+        models[name] = _order_model(spec, cooling, order)
+    points = [(models[name], cfg, name, c, q_series)
               for name in cfg["scenarios"] for c in cfg["control"]["c_rates"]]
     with concurrent.futures.ThreadPoolExecutor(
             max_workers=min(8, len(points))) as pool:
@@ -650,8 +659,8 @@ def _sweep_point(spec, cfg, ratio, q_series):
     except ValueError:
         return None
     cooling = scenario_cooling(cfg["scenario"], cell.shape, T_inf=cfg["t_init_C"])
-    result = _run_order(cell, cooling, cfg["orders"][0], cfg, q_series,
-                        cfg["metrics_stride"])()
+    result = _run_order(cell, cooling, cfg["orders"][0], cfg, q_series)(
+        cfg["metrics_stride"])
     return {
         "L_m": length, "R_out_m": r_out, "volume_m3": cell_volume(cell),
         "T_mean": float(result.T_mean.max()),

@@ -18,9 +18,16 @@ The 5-point operator on the node grid is the Kronecker sum
 L_r (x) I + I (x) L_z of two tridiagonal 1D ghost-node operators. Each is
 diagonalized once (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
 1964), so the same theta-method step becomes elementwise in modal
-coordinates, O(n_r n_z) per step instead of a sparse solve. The four mid-side outputs are modal row
-products; the field itself is transformed back to the grid only at metric
-samples and at the end of a run.
+coordinates, O(n_r n_z) per step instead of a sparse solve. Every input
+column and every mid-side output is an outer product of a radial and an
+axial vector, so the solver keeps only those 1D factors. With X the
+(n_r, n_z) matrix of modal coefficients and v = [T_inf, q], a step is
+
+    X <- g * X + s * (in_r diag(v) in_z)        (* elementwise)
+
+and output k is a_k^T X b_k (see ``FdSolver``); no (n_r n_z)-long input or
+output row is formed. The field itself is transformed back to the grid
+only at metric samples and at the end of a run.
 
 The TEC model implements
 
@@ -37,6 +44,7 @@ zero-order-hold kernel, ``simulate.Stepper``.
 from __future__ import annotations
 
 import math
+import struct
 import time
 from dataclasses import dataclass
 
@@ -138,14 +146,26 @@ class FdSolver:
 
     The grid operator is the Kronecker sum L_r (x) I + I (x) L_z of two 1D
     ghost-node operators, each diagonalized once by ``tridiagonal_modes``.
-    The solver state is the (n_r * n_z,) array X of modal coefficients of the
+    The solver state is the (n_r, n_z) matrix X of modal coefficients of the
     field T = V_r X V_z^T; it is opaque to callers, who create it with
     ``uniform_field`` and pass it back to ``step``, ``outputs``, ``metrics``,
-    ``surface_flux`` and ``grid``. A step is elementwise:
-    X <- g X + [T_inf, q] B_hat with g = (1 + (1-theta) dt lam) / (1 - theta dt lam).
-    The convection coefficients are baked into the modes; coolant
+    ``surface_flux`` and ``grid``. A step is elementwise plus one rank-5
+    product:
+
+        X <- g * X + s * (in_r diag(v) in_z),   v = [T_inf, q],
+
+    g = (1 + (1-theta) dt lam) / (1 - theta dt lam),
+    s = dt / (rho cp (1 - theta dt lam)), and column i of in_r and row i of
+    in_z the modal images V_r^-1 a_i and V_z^-1 b_i of input i's two 1D
+    factors (its boundary column along one direction, ones along the other;
+    ones along both for q). Output k is a_k^T X b_k, with a_k = V_r^T w_r and
+    b_k = V_z^T w_z the modal images of the bilinear weights of mid-side
+    point k. The convection coefficients are baked into the modes; coolant
     temperatures and the heat rate enter as affine per-step inputs, so
     closed-loop runs with varying coolant commands reuse the decomposition.
+    The input term of the last v is remembered and reused while v repeats
+    bit for bit (a held input, as a staircase heat profile gives), so a
+    repeated step returns exactly what a fresh solver would.
     """
 
     def __init__(self, spec: CellSpec, cooling: CoolingConfig, cfg: FdConfig):
@@ -172,22 +192,24 @@ class FdSolver:
         self._modes_z = m_z = tridiagonal_modes(
             sub / rho_cp, diag / rho_cp, sup / rho_cp)
         # eigenvalues of the Kronecker sum, in the state's (r, z) order
-        lam = (m_r.lam[:, None] + m_z.lam[None, :]).reshape(-1)
+        lam = m_r.lam[:, None] + m_z.lam[None, :]
 
-        ones_r, ones_z = np.ones(n_r), np.ones(n_z)
+        one_r, one_z = m_r.V_inv @ np.ones(n_r), m_z.V_inv @ np.ones(n_z)
         # input columns: [T_inf_surface, T_inf_core, T_inf_top, T_inf_bottom, q]
-        pairs = ((b_surface, ones_z), (b_core, ones_z), (ones_r, b_top),
-                 (ones_r, b_bottom), (ones_r, ones_z))
-        modal = np.stack([np.outer(m_r.V_inv @ a, m_z.V_inv @ b).reshape(-1)
-                          for a, b in pairs])
-        self._unit = modal[-1]   # modal coefficients of T = 1
+        self._in_r = np.column_stack([m_r.V_inv @ b_surface, m_r.V_inv @ b_core,
+                                      one_r, one_r, one_r])
+        self._in_z = np.stack([one_z, one_z, m_z.V_inv @ b_top,
+                               m_z.V_inv @ b_bottom, one_z])
+        self._unit = np.outer(one_r, one_z)   # modal coefficients of T = 1
 
         theta = 1.0 if cfg.scheme == BACKWARD_EULER else 0.5
         denom = 1.0 - theta * cfg.dt * lam
         self._gain = (1.0 + (1.0 - theta) * cfg.dt * lam) / denom
-        self._b_hat = modal * (cfg.dt / (rho_cp * denom))
+        self._in_scale = cfg.dt / (rho_cp * denom)
+        # (bit pattern of the last input row, its input term)
+        self._memo = (None, None)
 
-        # bilinear interpolation at the four mid-side points, as modal rows
+        # bilinear interpolation at the four mid-side points, as modal factors
         r_mid = 0.5 * (self.r_nodes[0] + self.r_nodes[-1])
         z_mid = 0.5 * (self.z_nodes[0] + self.z_nodes[-1])
         out_pts = (
@@ -196,10 +218,10 @@ class FdSolver:
             (r_mid, self.z_nodes[-1]),   # top
             (r_mid, self.z_nodes[0]),    # bottom
         )
-        self._out_rows = np.stack([
-            np.outer(m_r.V.T @ _lerp_weights(self.r_nodes, r),
-                     m_z.V.T @ _lerp_weights(self.z_nodes, z)).reshape(-1)
-            for r, z in out_pts])
+        self._out_r = np.stack([_lerp_weights(self.r_nodes, r)
+                                for r, _ in out_pts]) @ m_r.V
+        self._out_z = np.stack([_lerp_weights(self.z_nodes, z)
+                                for _, z in out_pts]) @ m_z.V
 
         tr = np.ones(n_r)
         tr[0] = tr[-1] = 0.5
@@ -228,22 +250,29 @@ class FdSolver:
 
     def step(self, state: np.ndarray, tinf: np.ndarray, q: float) -> np.ndarray:
         """One implicit step with inputs held constant over the interval."""
-        out = self._gain * state + np.append(tinf, q) @ self._b_hat
-        if not np.all(np.isfinite(out)):
+        key = struct.pack("5d", *tinf, q)
+        memo = self._memo   # one read: a thread swapping in its own is harmless
+        if memo[0] != key:
+            term = (self._in_r * np.frombuffer(key)) @ self._in_z
+            term *= self._in_scale
+            memo = self._memo = (key, term)
+        out = self._gain * state
+        out += memo[1]
+        # any NaN or inf entry makes the sum non-finite
+        if not math.isfinite(out.sum()):
             raise NumericalError("FD step produced non-finite values")
         return out
 
     def outputs(self, state: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of the four mid-side temperatures."""
-        return self._out_rows @ state
+        return np.einsum("ij,ij->i", self._out_r @ state, self._out_z)
 
     def grid(self, state: np.ndarray) -> np.ndarray:
         """Temperature field on the (n_r, n_z) node grid."""
-        x = state.reshape(self.cfg.n_r, self.cfg.n_z)
         # einsum's own loops rather than a threaded BLAS GEMM: a GEMM wakes
         # the BLAS thread pool, whose spinning helpers slow the
         # millisecond-scale timed runs of compare-tec for ~0.15 s afterwards.
-        return np.einsum("ij,kj->ik", np.einsum("ij,jk->ik", self._modes_r.V, x),
+        return np.einsum("ij,kj->ik", np.einsum("ij,jk->ik", self._modes_r.V, state),
                          self._modes_z.V)
 
     def metrics(self, state: np.ndarray) -> MetricsRecord:

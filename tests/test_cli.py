@@ -145,6 +145,16 @@ class TestConfig:
         {"heat": {"kind": "random_drive", "step_s": -1.0}},
         {"heat": {"kind": "csv"}},
         {"heat": {"kind": "csv", "path": 5}},
+        {"scenarios": 5},
+        {"scenarios": []},
+        {"scenarios": "SC"},
+        {"scenarios": ["SC", ["aTSC"]]},
+        {"scenario": ["SC"]},
+        {"scenario": 5},
+        {"seed": "1", "heat": {"kind": "random_drive"}},
+        {"seed": True},
+        {"seed": 1.0},
+        {"seed": -1},
     ], ids=repr)
     def test_mistyped_value_exits_as_config_error(self, tmp_path, extra):
         path = _write_cfg(tmp_path, dict(extra, out_dir=str(tmp_path / "out")))

@@ -6,8 +6,13 @@ balance, Richardson self-convergence, the analytic steady state of the
 energy balance.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import eigh_tridiagonal, expm
 
@@ -46,10 +51,10 @@ ALL_SIDES = CoolingConfig(SideCooling(400.0, 15.0), SideCooling(120.0, 15.0),
                           SideCooling(30.0, 15.0), SideCooling(250.0, 15.0))
 
 
-def _dense_fd_reference(spec, cooling, cfg, tinf, q, T_init):
-    """Fields of the theta-method FD scheme, built node by node from the
-    5-point ghost-node stencil as a dense matrix and stepped with a dense
-    solve. ``tinf`` is (K, 4) [surface, core, top, bottom], ``q`` (K,)."""
+def _dense_fd_operator(spec, cooling, cfg):
+    """The FD scheme built node by node from the 5-point ghost-node stencil:
+    returns (r, z, rate, binp) with d(vec T)/dt = rate vec T + binp T_inf
+    + q / (rho cp), T_inf ordered [surface, core, top, bottom]."""
     r = (np.linspace(spec.R_in, spec.R_out, cfg.n_r) if spec.is_cylindrical
          else np.linspace(0.0, spec.D, cfg.n_r))
     z = np.linspace(0.0, spec.L, cfg.n_z)
@@ -79,18 +84,27 @@ def _dense_fd_reference(spec, cooling, cfg, tinf, q, T_init):
                     rate[row, row] -= g
                     binp[row, col] += g
     rho_cp = spec.rho * spec.cp
-    rate /= rho_cp
-    binp /= rho_cp
+    return r, z, rate / rho_cp, binp / rho_cp
+
+
+def _dense_theta_step(spec, cfg, rate, binp, field, tinf, q):
+    """One theta-method step of the dense scheme, by a dense solve."""
     theta = 1.0 if cfg.scheme == BACKWARD_EULER else 0.5
-    ident = np.eye(n_r * n_z)
-    implicit = ident - theta * cfg.dt * rate
-    explicit = ident + (1.0 - theta) * cfg.dt * rate
-    x = np.full(n_r * n_z, float(T_init))
-    fields = [x.reshape(n_r, n_z)]
+    ident = np.eye(rate.shape[0])
+    rhs = ((ident + (1.0 - theta) * cfg.dt * rate) @ field.reshape(-1)
+           + cfg.dt * (binp @ tinf + q / (spec.rho * spec.cp)))
+    return np.linalg.solve(ident - theta * cfg.dt * rate, rhs).reshape(field.shape)
+
+
+def _dense_fd_reference(spec, cooling, cfg, tinf, q, T_init):
+    """Fields of the theta-method FD scheme, built node by node from the
+    5-point ghost-node stencil as a dense matrix and stepped with a dense
+    solve. ``tinf`` is (K, 4) [surface, core, top, bottom], ``q`` (K,)."""
+    r, z, rate, binp = _dense_fd_operator(spec, cooling, cfg)
+    fields = [np.full((cfg.n_r, cfg.n_z), float(T_init))]
     for k in range(len(q)):
-        rhs = explicit @ x + cfg.dt * (binp @ tinf[k] + q[k] / rho_cp)
-        x = np.linalg.solve(implicit, rhs)
-        fields.append(x.reshape(n_r, n_z))
+        fields.append(_dense_theta_step(spec, cfg, rate, binp, fields[-1],
+                                        tinf[k], q[k]))
     return r, z, fields
 
 
@@ -272,6 +286,123 @@ class TestFdEquivalence:
                                        rtol=0, atol=1e-12)
         np.testing.assert_allclose(solver.grid(state), fd.final_field,
                                    rtol=0, atol=1e-12)
+
+
+@st.composite
+def fd_cases(draw):
+    """A random physical cell and cooling (any side cooled or insulated, a
+    cylinder's core too), a small grid, a scheme and a step, and the seed of
+    a per-step input sequence."""
+    unit = st.floats(0.0, 1.0)
+    shape = draw(st.sampled_from([CYLINDRICAL, POUCH]))
+    props = dict(L=0.05 + 0.25 * draw(unit), rho=1500.0 + 1500.0 * draw(unit),
+                 cp=700.0 + 500.0 * draw(unit), k_r=0.3 + 3.0 * draw(unit),
+                 k_z=1.0 + 99.0 * draw(unit))
+    if shape == CYLINDRICAL:
+        # R_in > R_out / 5 keeps dr < 2 R_in on 3 radial nodes, so the
+        # stencil's inner radial coefficient k/dr^2 - k/(2 r dr) stays positive
+        r_out = 0.01 + 0.04 * draw(unit)
+        spec = CellSpec(shape=shape, R_out=r_out,
+                        R_in=r_out * (0.25 + 0.5 * draw(unit)), **props)
+    else:
+        spec = CellSpec(shape=shape, D=0.005 + 0.1 * draw(unit), **props)
+    sides = [SideCooling(5.0 + 995.0 * draw(unit) if draw(st.booleans()) else 0.0,
+                         40.0 * draw(unit)) for _ in range(4)]
+    cfg = FdConfig(draw(st.integers(3, 12)), draw(st.integers(3, 12)),
+                   0.05 + 10.0 * draw(unit),
+                   draw(st.sampled_from([CRANK_NICOLSON, BACKWARD_EULER])))
+    return spec, CoolingConfig(*sides), cfg, draw(st.integers(0, 2**32 - 1))
+
+
+def _held_inputs(seed, n_runs=6):
+    """Per-step (tinf, q) rows in runs of 1 to 4 repeated rows, as a
+    staircase input resampled to a finer step gives."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for length in rng.integers(1, 5, n_runs):
+        tinf, q = rng.uniform(0.0, 40.0, 4), float(rng.uniform(0.0, 3e5))
+        rows += [(tinf.copy(), q) for _ in range(length)]
+    return rows
+
+
+class TestFactoredStep:
+    """The factored step and outputs against the dense stencil, over random
+    cells, coolings, grids and held inputs."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(fd_cases())
+    def test_step_and_outputs_match_dense_stencil(self, case):
+        spec, cooling, cfg, seed = case
+        solver = FdSolver(spec, cooling, cfg)
+        r, z, rate, binp = _dense_fd_operator(spec, cooling, cfg)
+        pts = [(r[-1], z.mean()), (r[0], z.mean()), (r.mean(), z[-1]),
+               (r.mean(), z[0])]
+        state = solver.uniform_field(20.0)
+        for tinf, q in _held_inputs(seed):
+            field = solver.grid(state)
+            interp = RegularGridInterpolator((r, z), field)(pts)
+            assert np.abs(solver.outputs(state) - interp).max() <= (
+                1e-12 * np.abs(field).max())
+            state = solver.step(state, tinf, q)
+            want = _dense_theta_step(spec, cfg, rate, binp, field, tinf, q)
+            assert np.abs(solver.grid(state) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(fd_cases())
+    def test_remembered_term_is_bit_identical_to_a_fresh_one(self, case):
+        spec, cooling, cfg, seed = case
+        solver = FdSolver(spec, cooling, cfg)
+        state = solver.uniform_field(20.0)
+        for tinf, q in _held_inputs(seed):
+            fresh = FdSolver(spec, cooling, cfg).step(state, tinf, q)
+            state = solver.step(state, tinf, q)
+            assert state.tobytes() == fresh.tobytes()
+
+    def test_threads_sharing_a_solver_get_the_terms_of_their_own_inputs(self):
+        """Threads stepping one solver, each with its own held inputs, end
+        in the states a solver of their own gives."""
+        cfg = FdConfig(64, 64, 2.0)   # steps long enough for threads to interleave
+        shared = FdSolver(PAPER, ALL_SIDES, cfg)
+        seeds = range(6)   # more threads than cores
+
+        def trajectory(solver, seed):
+            state = solver.uniform_field(20.0)
+            for tinf, q in _held_inputs(seed, n_runs=200):
+                state = solver.step(state, tinf, q)
+            return state
+
+        want = {s: trajectory(FdSolver(PAPER, ALL_SIDES, cfg), s) for s in seeds}
+        got = {}
+        threads = [threading.Thread(
+            target=lambda s=s: got.__setitem__(s, trajectory(shared, s)))
+            for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the threads often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(got[s].tobytes() == want[s].tobytes() for s in seeds)
+
+    @pytest.mark.parametrize("tinf, q", [
+        ([15.0] * 4, float("nan")),
+        ([15.0] * 4, float("inf")),
+        ([15.0] * 4, -float("inf")),
+        ([15.0, 15.0, float("nan"), 15.0], 1e5),
+        ([float("inf"), 15.0, 15.0, 15.0], 1e5),
+    ], ids=["q-nan", "q-inf", "q-minus-inf", "tinf-nan", "tinf-inf"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_input_raises(self, tinf, q):
+        solver = FdSolver(PAPER, ALL_SIDES, FdConfig(8, 5, 2.0))
+        state = solver.uniform_field(15.0)
+        state = solver.step(state, [15.0] * 4, 1e5)
+        for _ in range(2):   # a fresh input term, then a remembered one
+            with pytest.raises(NumericalError):
+                solver.step(state, tinf, q)
 
 
 def expm_tec_run(model, q, dt, n_steps, T0):
