@@ -17,18 +17,24 @@ celltherm and of numpy, its one runtime dependency), and is
 byte-deterministic given (config, seed). Wall-clock timing tables are the
 one documented exception and go to ``timing.txt``. Exit codes: 0 success,
 2 config error, 3 numerical failure, 4 unsupported combination.
+
+The ``SCHEMA`` table is the config schema's one home: ``DEFAULTS`` and every
+key, type and range check derive from it. Grid sizes and step counts have no
+upper bound; a run too large for numpy or for memory fails there.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import copy
 import functools
 import hashlib
 import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -67,65 +73,163 @@ SCHEMA_VERSION = 1
 # a metrics stride beyond any horizon: metrics only at the first and last step
 _NO_METRICS = 10**9
 
-_PAPER_CELL = {"shape": CYLINDRICAL, "L": 0.198, "R_out": 0.032, "R_in": 0.004,
-               "rho": 2118.0, "cp": 795.0, "k_r": 0.67, "k_z": 66.6}
+_REQUIRED = object()   # no default: the key must be given
+_OPTIONAL = object()   # no default: the key may be left out
 
-DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
-    "cell": _PAPER_CELL,
-    "scenario": "SC",
-    "cooling": None,
-    "scenarios": ["SC"],
-    "orders": [16],
-    "dt_s": 1.0,
-    "horizon_s": 600.0,
-    "t_init_C": 15.0,
-    "seed": 0,
-    "out_dir": "out",
-    "metrics_stride": 1,
-    "grid": {"n_r": 41, "n_z": 41},
-    "heat": {"kind": "constant_q", "q_W_per_m3": 1e5},
-    "fd": {"n_r": 128, "n_z": 128, "dt_s": 0.05, "scheme": "crank_nicolson"},
-    "tec": {"C_c": 1079.6, "C_s": 48.35, "R_c": 0.65, "R_u": 0.08, "T_inf_C": 15.0},
-    "control": {"setpoint_C": 20.0, "kp": 2.0, "ki": 0.05,
-                "limits_C": [-20.0, 40.0], "c_rates": [1.0, 2.0, 3.0, 4.0],
-                "estimator_order": None},
-    "sweep": {"ratios": [2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], "R_in_m": 0.004},
-    "timing": {"enabled": True, "repetitions": 5},
-}
-
-_HEAT_KEYS = {
-    "constant_q": {"kind", "q_W_per_m3"},
-    "pulse_train": {"kind", "amplitude_W_per_m3", "period_s", "duty", "base_W_per_m3"},
-    "random_drive": {"kind", "peak_current_A", "internal_resistance_ohm",
-                     "scale", "step_s"},
-    "csv": {"kind", "path"},
-}
-
-_ALLOWED = {
-    "": set(DEFAULTS),
-    "cell": {"shape", "L", "R_out", "R_in", "D", "rho", "cp", "k_r", "k_z"},
-    "cooling": set(SIDES),
-    "cooling.*": {"h", "T_inf"},
-    "grid": {"n_r", "n_z"},
-    "fd": {"n_r", "n_z", "dt_s", "scheme"},
-    "tec": {"C_c", "C_s", "R_c", "R_u", "T_inf_C"},
-    "control": set(DEFAULTS["control"]),
-    "sweep": set(DEFAULTS["sweep"]),
-    "timing": set(DEFAULTS["timing"]),
+_TYPES = {
+    "number": lambda v: (isinstance(v, (int, float)) and not isinstance(v, bool)
+                         and math.isfinite(v)),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "array": lambda v: isinstance(v, list),
 }
 
 
-def _check_keys(obj, allowed, where):
-    if not isinstance(obj, dict):
+class _Leaf(NamedTuple):
+    """One config value: its default, its JSON type, the test a value of
+    that type must pass, and a phrase saying what the value must be."""
+
+    default: object
+    type: str
+    must: str
+    test: Callable = lambda value: True
+
+    def accepts(self, value) -> bool:
+        return _TYPES[self.type](value) and self.test(value)
+
+
+class _Nullable(NamedTuple):
+    """null, the default, or a value of the wrapped node."""
+
+    node: object
+    default: object = None
+
+
+class _ByKind(NamedTuple):
+    """An object whose ``kind`` names its leaves. Leaves left out stay out of
+    the loaded config; ``_profile_from_config`` reads their defaults from
+    the table."""
+
+    default: dict
+    kinds: dict
+
+
+def _real(default=_REQUIRED):
+    return _Leaf(default, "number", "a finite number")
+
+
+def _positive(default=_REQUIRED):
+    return _Leaf(default, "number", "a finite positive number", lambda v: v > 0)
+
+
+def _count(default, least):
+    return _Leaf(default, "integer", f"an integer >= {least}", lambda v: v >= least)
+
+
+def _one_of(default, names):
+    return _Leaf(default, "string", f"one of {', '.join(names)}", lambda v: v in names)
+
+
+def _list_of(default, item: _Leaf):
+    return _Leaf(default, "array", f"a non-empty list, each {item.must}",
+                 lambda v: len(v) > 0 and all(map(item.accepts, v)))
+
+
+_ORDER = _Leaf(_REQUIRED, "integer", "a positive perfect-square integer (O = N^2)",
+               lambda o: o >= 1 and math.isqrt(o) ** 2 == o)
+
+SCHEMA = {
+    "schema_version": _Leaf(SCHEMA_VERSION, "integer", f"{SCHEMA_VERSION}",
+                            lambda v: v == SCHEMA_VERSION),
+    "cell": {
+        "shape": _one_of(CYLINDRICAL, (CYLINDRICAL, POUCH)),
+        "L": _positive(0.198), "R_out": _real(0.032), "R_in": _real(0.004),
+        "D": _real(_OPTIONAL), "rho": _positive(2118.0), "cp": _positive(795.0),
+        "k_r": _positive(0.67), "k_z": _positive(66.6),
+    },
+    "scenario": _one_of("SC", tuple(SCENARIOS)),
+    "cooling": _Nullable({side: {
+        "h": _Leaf(_REQUIRED, "number", "a finite number >= 0", lambda v: v >= 0),
+        "T_inf": _real(),
+    } for side in SIDES}),
+    "scenarios": _list_of(["SC"], _one_of(_REQUIRED, tuple(SCENARIOS))),
+    "orders": _list_of([16], _ORDER),
+    "dt_s": _positive(1.0),
+    "horizon_s": _positive(600.0),
+    "t_init_C": _real(15.0),
+    "seed": _count(0, 0),
+    "out_dir": _Leaf("out", "string", "a directory path"),
+    "metrics_stride": _count(1, 1),
+    # the least grids FieldEvaluator and FdConfig accept
+    "grid": {"n_r": _count(41, 2), "n_z": _count(41, 2)},
+    "heat": _ByKind({"kind": "constant_q", "q_W_per_m3": 1e5}, {
+        "constant_q": {"q_W_per_m3": _real()},
+        "pulse_train": {
+            "amplitude_W_per_m3": _real(1.5e5), "period_s": _positive(100.0),
+            "duty": _Leaf(0.5, "number", "a number in (0, 1)", lambda v: 0 < v < 1),
+            "base_W_per_m3": _real(0.0)},
+        "random_drive": {
+            "peak_current_A": _real(90.0), "internal_resistance_ohm": _real(2e-3),
+            "scale": _real(2.0), "step_s": _positive(1.0)},
+        "csv": {"path": _Leaf(_REQUIRED, "string", "the path of an existing CSV file",
+                              lambda v: Path(v).is_file())},
+    }),
+    "fd": {"n_r": _count(128, 3), "n_z": _count(128, 3), "dt_s": _positive(0.05),
+           "scheme": _one_of("crank_nicolson", ("crank_nicolson", "backward_euler"))},
+    "tec": {"C_c": _positive(1079.6), "C_s": _positive(48.35), "R_c": _positive(0.65),
+            "R_u": _positive(0.08), "T_inf_C": _real(15.0)},
+    "control": {
+        "setpoint_C": _real(20.0), "kp": _real(2.0), "ki": _real(0.05),
+        "limits_C": _Leaf([-20.0, 40.0], "array", "[lo, hi] of finite numbers, lo <= hi",
+                          lambda v: (len(v) == 2 and all(map(_TYPES["number"], v))
+                                     and v[0] <= v[1])),
+        "c_rates": _list_of([1.0, 2.0, 3.0, 4.0], _real()),
+        "estimator_order": _Nullable(_ORDER),
+    },
+    "sweep": {"ratios": _list_of([2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], _positive()),
+              "R_in_m": _positive(0.004)},
+    "timing": {"enabled": _Leaf(True, "boolean", "true or false"),
+               "repetitions": _count(5, 3)},
+}
+
+
+def _walk(node, value, where):
+    """Check ``value`` against a schema node; return it with the defaults of
+    the keys it leaves out filled in."""
+    if isinstance(node, _Leaf):
+        if not node.accepts(value):
+            raise ConfigError(f"{where} must be {node.must}, not {value!r}")
+        return value
+    if isinstance(node, _Nullable):
+        return None if value is None else _walk(node.node, value, where)
+    if not isinstance(value, dict):
         raise ConfigError(f"config section {where!r} must be an object")
-    unknown = set(obj) - allowed
+    if isinstance(node, _ByKind):
+        kind = _walk(_one_of(None, tuple(node.kinds)), value.get("kind"), f"{where}.kind")
+        _walk(node.kinds[kind], {k: v for k, v in value.items() if k != "kind"}, where)
+        return dict(value)
+    unknown = set(value) - set(node)
     if unknown:
         raise ConfigError(f"unknown config key(s) {sorted(unknown)} in {where or 'top level'}")
+    out = {}
+    for key, child in node.items():
+        path = f"{where}.{key}" if where else key
+        if key in value or isinstance(child, dict):
+            out[key] = _walk(child, value.get(key, {}), path)
+        elif child.default is _REQUIRED:
+            raise ConfigError(f"{path} is missing")
+        elif child.default is not _OPTIONAL:
+            out[key] = copy.deepcopy(child.default)
+    return out
+
+
+DEFAULTS = _walk(SCHEMA, {}, "")
 
 
 def load_config(path=None, overrides=None) -> dict:
-    """Load, schema-check, and default-fill a JSON run configuration."""
+    """Load a JSON run configuration, check it against ``SCHEMA`` and fill
+    in its defaults. ``overrides`` replace top-level keys unless None."""
     raw = {}
     if path is not None:
         try:
@@ -137,188 +241,47 @@ def load_config(path=None, overrides=None) -> dict:
             raise ConfigError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _ALLOWED[""], "")
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version}")
-
-    cfg = json.loads(json.dumps(DEFAULTS))  # deep copy
-    for key, value in raw.items():
-        if isinstance(value, dict) and isinstance(cfg.get(key), dict):
-            section = _ALLOWED.get(key, set(value))
-            if key == "heat":
-                kind = value.get("kind")
-                if kind not in _HEAT_KEYS:
-                    raise ConfigError(f"unknown heat profile kind {kind!r}")
-                _check_keys(value, _HEAT_KEYS[kind], "heat")
-                cfg["heat"] = dict(value)
-                continue
-            _check_keys(value, section, key)
-            cfg[key].update(value)
-        elif isinstance(cfg.get(key), dict):
-            raise ConfigError(f"config section {key!r} must be an object")
-        else:
-            cfg[key] = value
-    if raw.get("cooling") is not None:
-        _check_keys(raw["cooling"], _ALLOWED["cooling"], "cooling")
-        for side, entry in raw["cooling"].items():
-            _check_keys(entry, _ALLOWED["cooling.*"], f"cooling.{side}")
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
-    _validate_config(cfg)
-    return cfg
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_order(o, name="order"):
-    if not _is_int(o) or o < 1:
-        raise ConfigError(f"{name} {o!r} is not a positive integer")
-    if math.isqrt(o) ** 2 != o:
-        raise ConfigError(f"{name} {o} is not a perfect square (O = N^2)")
-
-
-def _check_int(value, name, least):
-    if not _is_int(value) or value < least:
-        raise ConfigError(f"{name} must be an integer >= {least}, not {value!r}")
-
-
-def _check_real(value, name, positive=False):
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not math.isfinite(value) or (positive and value <= 0)):
-        kind = "a finite positive number" if positive else "a finite number"
-        raise ConfigError(f"{name} must be {kind}, not {value!r}")
-
-
-# heat keys that must be positive; every other numeric heat key is any real
-_POSITIVE_HEAT_KEYS = {"period_s", "step_s"}
-
-
-def _check_section_values(cfg):
-    """Types and ranges of the tec, sweep, control, timing and heat values."""
-    for key, value in cfg["tec"].items():
-        _check_real(value, f"tec.{key}", positive=key != "T_inf_C")
-    _check_real(cfg["sweep"]["R_in_m"], "sweep.R_in_m", positive=True)
-    ratios = cfg["sweep"]["ratios"]
-    if not isinstance(ratios, list) or not ratios:
-        raise ConfigError("sweep.ratios must be a non-empty list of numbers")
-    for ratio in ratios:
-        _check_real(ratio, "sweep.ratios entry", positive=True)
-    ctl = cfg["control"]
-    for key in ("setpoint_C", "kp", "ki"):
-        _check_real(ctl[key], f"control.{key}")
-    limits = ctl["limits_C"]
-    if not isinstance(limits, list) or len(limits) != 2:
-        raise ConfigError(f"control.limits_C must be [lo, hi], not {limits!r}")
-    for limit in limits:
-        _check_real(limit, "control.limits_C entry")
-    if limits[0] > limits[1]:
-        raise ConfigError(f"control.limits_C {limits!r} has lo > hi")
-    if not isinstance(cfg["timing"]["enabled"], bool):
-        raise ConfigError(f"timing.enabled must be true or false, "
-                          f"not {cfg['timing']['enabled']!r}")
-    heat = cfg["heat"]
-    for key in {"constant_q": ("q_W_per_m3",), "csv": ("path",)}.get(heat["kind"], ()):
-        if key not in heat:
-            raise ConfigError(f"heat kind {heat['kind']!r} needs {key!r}")
-    for key, value in heat.items():
-        if key == "path":
-            if not isinstance(value, str):
-                raise ConfigError(f"heat.path must be a string, not {value!r}")
-        elif key != "kind":
-            _check_real(value, f"heat.{key}", positive=key in _POSITIVE_HEAT_KEYS)
-
-
-def _validate_config(cfg):
-    if not isinstance(cfg["orders"], list) or not cfg["orders"]:
-        raise ConfigError("orders must be a non-empty list of model orders")
-    for o in cfg["orders"]:
-        _check_order(o)
-    if cfg["control"]["estimator_order"] is not None:
-        _check_order(cfg["control"]["estimator_order"], "control.estimator_order")
-    for key in ("dt_s", "horizon_s"):
-        _check_real(cfg[key], key, positive=True)
-    _check_real(cfg["t_init_C"], "t_init_C")
-    _check_int(cfg["metrics_stride"], "metrics_stride", 1)
-    # the least grids FieldEvaluator and FdConfig accept
-    for key in ("n_r", "n_z"):
-        _check_int(cfg["grid"][key], f"grid.{key}", 2)
-        _check_int(cfg["fd"][key], f"fd.{key}", 3)
-    _check_real(cfg["fd"]["dt_s"], "fd.dt_s", positive=True)
-    _check_int(cfg["timing"]["repetitions"], "timing.repetitions", 3)
-    if not isinstance(cfg["control"]["c_rates"], list):
-        raise ConfigError("control.c_rates must be a list of numbers")
-    for c_rate in cfg["control"]["c_rates"]:
-        _check_real(c_rate, "control.c_rates entry")
-    _check_section_values(cfg)
-    if cfg["cooling"]:
-        for side in SIDES:
-            entry = cfg["cooling"].get(side)
-            if entry is None:
-                raise ConfigError(f"cooling config missing side {side!r}")
-            for key in ("h", "T_inf"):
-                if key not in entry:
-                    raise ConfigError(f"cooling.{side} is missing {key!r}")
-                _check_real(entry[key], f"cooling.{side}.{key}")
-    scenarios = cfg["scenarios"]
-    if not isinstance(scenarios, list) or not scenarios:
-        raise ConfigError("scenarios must be a non-empty list of scenario names")
-    for name in scenarios + [cfg["scenario"]]:
-        if not isinstance(name, str) or name not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {name!r}")
-    _check_int(cfg["seed"], "seed", 0)
-    if cfg["fd"]["scheme"] not in ("crank_nicolson", "backward_euler"):
-        raise ConfigError(f"unknown FD scheme {cfg['fd']['scheme']!r}")
+    raw.update((k, v) for k, v in (overrides or {}).items() if v is not None)
+    return _walk(SCHEMA, raw, "")
 
 
 def _cell_from_config(cfg) -> CellSpec:
-    cell = dict(cfg["cell"])
-    shape = cell.pop("shape", CYLINDRICAL)
-    if shape not in (CYLINDRICAL, POUCH):
-        raise ConfigError(f"unknown cell shape {shape!r}")
     try:
-        return CellSpec(shape=shape, **cell)
-    except (TypeError, ValueError) as exc:
+        return CellSpec(**cfg["cell"])
+    except ValueError as exc:
         raise ConfigError(f"invalid cell spec: {exc}") from exc
 
 
 def _cooling_from_config(cfg, spec: CellSpec, scenario=None) -> CoolingConfig:
-    if cfg.get("cooling"):
-        sides = {}
-        for side in SIDES:
-            entry = cfg["cooling"][side]
-            sides[side] = SideCooling(float(entry["h"]), float(entry["T_inf"]))
-        return CoolingConfig(scenario_name="custom", **sides)
+    if cfg["cooling"] is not None:
+        return CoolingConfig(scenario_name="custom", **{
+            side: SideCooling(float(entry["h"]), float(entry["T_inf"]))
+            for side, entry in cfg["cooling"].items()})
     return scenario_cooling(scenario or cfg["scenario"], spec.shape,
                             T_inf=cfg["t_init_C"])
 
 
-def _profile_from_config(cfg, spec: CellSpec):
-    heat = cfg["heat"]
-    kind = heat["kind"]
+def _profile_from_config(cfg):
+    kind = cfg["heat"]["kind"]
+    heat = {key: cfg["heat"].get(key, leaf.default)
+            for key, leaf in SCHEMA["heat"].kinds[kind].items()}
     if kind == "constant_q":
         return constant_profile(heat["q_W_per_m3"])
     if kind == "pulse_train":
-        return pulse_train(heat.get("amplitude_W_per_m3", 1.5e5),
-                           heat.get("period_s", 100.0),
-                           heat.get("duty", 0.5),
-                           cfg["horizon_s"],
-                           heat.get("base_W_per_m3", 0.0))
+        return pulse_train(heat["amplitude_W_per_m3"], heat["period_s"], heat["duty"],
+                           cfg["horizon_s"], heat["base_W_per_m3"])
     if kind == "random_drive":
-        return random_drive(heat.get("peak_current_A", 90.0), cfg["horizon_s"],
-                            cfg["seed"], heat.get("step_s", 1.0),
-                            heat.get("internal_resistance_ohm", 2e-3),
-                            heat.get("scale", 2.0))
-    if kind == "csv":
+        return random_drive(heat["peak_current_A"], cfg["horizon_s"], cfg["seed"],
+                            heat["step_s"], heat["internal_resistance_ohm"],
+                            heat["scale"])
+    try:
         return ingest_drive_cycle(heat["path"])
-    raise ConfigError(f"unknown heat profile kind {kind!r}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read heat.path {heat['path']!r}: {exc}") from exc
 
 
 def _q_series(cfg, spec: CellSpec, dt: float) -> np.ndarray:
-    profile = _profile_from_config(cfg, spec).to_volumetric(cell_volume(spec))
+    profile = _profile_from_config(cfg).to_volumetric(cell_volume(spec))
     return resample_profile(profile, dt, cfg["horizon_s"])
 
 

@@ -49,6 +49,14 @@ SCENARIOS = {
 }
 
 
+def _check_number(obj, name):
+    value = getattr(obj, name)
+    if isinstance(value, bool):
+        raise ValueError(f"{type(obj).__name__}.{name} must be a number, not a bool")
+    if not math.isfinite(value):
+        raise ValueError(f"{type(obj).__name__}.{name} must be finite")
+
+
 @dataclass(frozen=True)
 class CellSpec:
     """Geometry and volume-averaged thermo-physical properties of one cell.
@@ -73,8 +81,7 @@ class CellSpec:
         if self.shape not in (CYLINDRICAL, POUCH):
             raise ValueError(f"unknown cell shape {self.shape!r}")
         for name in ("L", "rho", "cp", "k_r", "k_z", "R_out", "R_in", "D"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"CellSpec.{name} must be finite")
+            _check_number(self, name)
         for name in ("L", "rho", "cp", "k_r", "k_z"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"CellSpec.{name} must be positive")
@@ -99,8 +106,7 @@ class SideCooling:
 
     def __post_init__(self):
         for name in ("h", "T_inf"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"SideCooling.{name} must be finite")
+            _check_number(self, name)
         if self.h < 0.0:
             raise ValueError("convection coefficient h must be >= 0")
 

@@ -275,10 +275,11 @@ class FdSolver:
         return np.einsum("ij,kj->ik", np.einsum("ij,jk->ik", self._modes_r.V, state),
                          self._modes_z.V)
 
-    def metrics(self, state: np.ndarray) -> MetricsRecord:
+    def metrics(self, state: np.ndarray, field=None) -> MetricsRecord:
         """Metrics of the field, with gradients from second-order finite
-        differences."""
-        field = self.grid(state)
+        differences; ``field`` is ``grid(state)`` if the caller has it."""
+        if field is None:
+            field = self.grid(state)
         g_r = np.gradient(field, self.dr, axis=0)
         g_z = np.gradient(field, self.dz, axis=1)
         return MetricsRecord(
@@ -339,19 +340,22 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
     outputs[0] = solver.outputs(state)
     metric_idx = metric_steps(n_steps, metrics_stride)
     metric_set = set(metric_idx)
-    rows = [solver.metrics(state)]
+    rows = []
 
     for k in range(n_steps):
+        if k in metric_set:
+            rows.append(solver.metrics(state))
         tinf = baseline if u is None else solver.tinf_from_inputs(u_arr[k])
         state = solver.step(state, tinf, q_arr[k])
         outputs[k + 1] = solver.outputs(state)
-        if (k + 1) in metric_set:
-            rows.append(solver.metrics(state))
+    # the last step is always sampled: its field is the final field
+    field = solver.grid(state)
+    rows.append(solver.metrics(state, field))
 
     return FdResult(
         times=times, outputs=outputs, metrics_times=times[metric_idx],
         **vars(MetricsRecord.stack(rows)),
-        final_field=solver.grid(state), r_nodes=solver.r_nodes, z_nodes=solver.z_nodes)
+        final_field=field, r_nodes=solver.r_nodes, z_nodes=solver.z_nodes)
 
 
 @dataclass(frozen=True)

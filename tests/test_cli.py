@@ -4,14 +4,19 @@ outputs, exit codes, and byte determinism."""
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import celltherm
+import celltherm.cli as cli
 from celltherm.cli import (
     DEFAULTS,
     MARKET_CELL_RATIOS,
@@ -44,12 +49,66 @@ FAST_CFG = {
 }
 
 
+# custom cooling a cylinder can run with: its core is never cooled
+VALID_COOLING = {side: {"h": 0.0 if side == "core" else 10.0, "T_inf": 15.0}
+                 for side in ("surface", "core", "top", "bottom")}
+
+
 def _write_cfg(tmp_path, extra=None, name="cfg.json"):
     cfg = json.loads(json.dumps(FAST_CFG))
     cfg.update(extra or {})
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
+
+
+def _schema_leaves(node, path=()):
+    """(key path, leaf, whether null is valid) of every leaf under a schema
+    node; a heat leaf's path holds its kind before its key."""
+    if isinstance(node, cli._Nullable):
+        for leaf_path, leaf, _ in _schema_leaves(node.node, path):
+            yield leaf_path, leaf, leaf_path == path
+    elif isinstance(node, cli._Leaf):
+        yield path, node, False
+    else:
+        children = node.kinds if isinstance(node, cli._ByKind) else node
+        for key, child in children.items():
+            yield from _schema_leaves(child, path + (key,))
+
+
+SCHEMA_LEAVES = list(_schema_leaves(cli.SCHEMA))
+
+# one value of each JSON type, keyed by the type
+_JSON_VALUES = {"null": None, "boolean": True, "integer": 3, "number": 2.5,
+                "string": "x", "array": [1.0], "object": {}}
+
+
+def _wrong_values(leaf_type, null_ok):
+    """A value of each JSON type the leaf does not take, and NaN and inf
+    for a number leaf."""
+    valid = {leaf_type}
+    if leaf_type == "number":
+        valid.add("integer")
+    if null_ok:
+        valid.add("null")
+    wrong = [v for t, v in _JSON_VALUES.items() if t not in valid]
+    if leaf_type == "number":
+        wrong += [float("nan"), float("inf"), -float("inf")]
+    return wrong
+
+
+def _config_with(path, value, out_dir):
+    """FAST_CFG with custom cooling and ``out_dir``, and the leaf at ``path``
+    set to ``value``; returns the config and the key path an error must name."""
+    cfg = json.loads(json.dumps(dict(FAST_CFG, cooling=VALID_COOLING, out_dir=out_dir)))
+    if path[0] == "heat":
+        cfg["heat"] = {"kind": path[1], path[2]: value}
+        return cfg, f"heat.{path[2]}"
+    section = cfg
+    for key in path[:-1]:
+        section = section.setdefault(key, {})
+    section[path[-1]] = value
+    return cfg, ".".join(path)
 
 
 class TestConfig:
@@ -155,13 +214,44 @@ class TestConfig:
         {"seed": True},
         {"seed": 1.0},
         {"seed": -1},
+        {"out_dir": 5},
+        {"cell": {"L": True}},
+        {"schema_version": True},
+        {"heat": {"kind": ["x"]}},
+        {"heat": {"kind": "csv", "path": "nope.csv"}},
+        {"control": {"c_rates": []}},
+        {"cooling": {}},
+        {"heat": {"kind": "pulse_train", "duty": 1.0}},
     ], ids=repr)
     def test_mistyped_value_exits_as_config_error(self, tmp_path, extra):
-        path = _write_cfg(tmp_path, dict(extra, out_dir=str(tmp_path / "out")))
-        with pytest.raises(ConfigError):
+        path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out"), **extra})
+        with pytest.raises(ConfigError, match=re.escape(next(iter(extra)))):
             load_config(path)
         assert main(["simulate", "--config", str(path)]) == 2
         assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_wrong_type_at_any_schema_leaf_exits_as_config_error(self, data):
+        path, leaf, null_ok = data.draw(st.sampled_from(SCHEMA_LEAVES), label="leaf")
+        value = data.draw(st.sampled_from(_wrong_values(leaf.type, null_ok)),
+                          label="value")
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, where = _config_with(path, value, out_dir=str(Path(tmp) / "out"))
+            cfg_path = Path(tmp) / "cfg.json"
+            cfg_path.write_text(json.dumps(cfg))
+            with pytest.raises(ConfigError, match=re.escape(where)):
+                load_config(cfg_path)
+            assert main(["simulate", "--config", str(cfg_path)]) == 2
+            assert not (Path(tmp) / "out").exists()
+
+    def test_unreadable_heat_csv_is_config_error(self, tmp_path):
+        csv = tmp_path / "q.csv"
+        csv.write_text("t_s,q_Wm3\n0.0,5.0\n10.0,5.0\n")
+        cfg = load_config(_write_cfg(tmp_path, {"heat": {"kind": "csv", "path": str(csv)}}))
+        csv.unlink()   # gone between loading the config and reading the file
+        with pytest.raises(ConfigError, match="heat.path"):
+            cli.cmd_simulate(cfg, tmp_path / "out")
 
     def test_unknown_scenario_rejected(self, tmp_path):
         path = _write_cfg(tmp_path, {"scenario": "ZZZ"})

@@ -189,6 +189,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"SideCooling.{field} must be finite"):
             SideCooling(h, T_inf)
 
+    @pytest.mark.parametrize("field", ["L", "rho", "cp", "k_r", "k_z", "R_out", "R_in", "D"])
+    def test_bool_cell_value_rejected(self, field):
+        # True == 1: a bool would pass every range check as 1 m, 1 kg m^-3, ...
+        with pytest.raises(ValueError, match=f"CellSpec.{field} must be a number"):
+            replace(PAPER, **{field: True})
+
+    @pytest.mark.parametrize("h,T_inf,field", [
+        (True, 15.0, "h"), (400.0, False, "T_inf")])
+    def test_bool_cooling_value_rejected(self, h, T_inf, field):
+        with pytest.raises(ValueError, match=f"SideCooling.{field} must be a number"):
+            SideCooling(h, T_inf)
+
     @pytest.mark.parametrize("times,values,kind,field", [
         ([0.0, 1.0], [np.nan, 1.0], "volumetric_q", "values"),
         ([0.0, np.inf], [1.0, 1.0], "volumetric_q", "times"),

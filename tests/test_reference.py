@@ -125,6 +125,24 @@ class TestFdBasics:
         assert np.abs(fd.outputs - 15.0).max() <= 1e-9
         assert np.abs(fd.final_field - 15.0).max() <= 1e-9
 
+    @pytest.mark.parametrize("horizon,stride", [(0.0, 1), (4.0, 1), (5.0, 3), (5.0, 10**9)])
+    def test_one_field_reconstruction_per_metric_sample(self, monkeypatch, horizon,
+                                                        stride):
+        """The last step is always a metric sample, so the final field is
+        that sample's field, not a second reconstruction of the same state."""
+        calls = []
+        grid = FdSolver.grid
+        monkeypatch.setattr(FdSolver, "grid",
+                            lambda self, state: calls.append(1) or grid(self, state))
+        fd = fd_solve(PAPER, ALL_SIDES, None, 1e5, FdConfig(12, 10, 0.5),
+                      T_init=15.0, horizon=horizon, metrics_stride=stride)
+        assert len(calls) == len(fd.metrics_times)
+        solver = FdSolver(PAPER, ALL_SIDES, FdConfig(12, 10, 0.5))
+        state = solver.uniform_field(15.0)
+        for _ in range(len(fd.times) - 1):
+            state = solver.step(state, np.full(4, 15.0), 1e5)
+        np.testing.assert_array_equal(fd.final_field, grid(solver, state))
+
     def test_insulated_energy_balance(self):
         fd = fd_solve(PAPER, INSULATED, None, 5e4, FdConfig(64, 64, 0.1),
                       T_init=15.0, horizon=50.0, metrics_stride=50)
