@@ -252,13 +252,20 @@ def _cell_from_config(cfg) -> CellSpec:
         raise ConfigError(f"invalid cell spec: {exc}") from exc
 
 
-def _cooling_from_config(cfg, spec: CellSpec, scenario=None) -> CoolingConfig:
+def _cooling_from_config(cfg, spec: CellSpec) -> CoolingConfig:
     if cfg["cooling"] is not None:
         return CoolingConfig(scenario_name="custom", **{
             side: SideCooling(float(entry["h"]), float(entry["T_inf"]))
             for side, entry in cfg["cooling"].items()})
-    return scenario_cooling(scenario or cfg["scenario"], spec.shape,
-                            T_inf=cfg["t_init_C"])
+    return scenario_cooling(cfg["scenario"], spec.shape, T_inf=cfg["t_init_C"])
+
+
+def _presets_only(cfg, command: str):
+    """Reject a custom ``cooling`` block in a command that runs preset
+    scenarios, which would drop it or run it under a preset's name."""
+    if cfg["cooling"] is not None:
+        raise ConfigError(f"{command} runs preset cooling scenarios and takes no custom "
+                          "'cooling' (only simulate and compare-tec do)")
 
 
 def _profile_from_config(cfg):
@@ -369,16 +376,20 @@ def cmd_simulate(cfg, out_dir: Path):
     return 0
 
 
-def _fd_reference(cfg, spec, cooling, q_series_fd, stride):
+def _fd_reference(cfg, spec, cooling, q_series_fd, metrics_stride, output_stride):
     fd_cfg = FdConfig(cfg["fd"]["n_r"], cfg["fd"]["n_z"], cfg["fd"]["dt_s"],
                       cfg["fd"]["scheme"])
     return fd_solve(spec, cooling, None, q_series_fd, fd_cfg,
                     T_init=cfg["t_init_C"], horizon=cfg["horizon_s"],
-                    metrics_stride=stride)
+                    metrics_stride=metrics_stride, output_stride=output_stride)
 
 
 def _subsample(fd_times, fd_values, times):
-    idx = np.searchsorted(fd_times, times)
+    """FD values at the first FD time not before each of ``times``; an FD
+    time short of one of ``times`` by round-off only (k dt_fd s against
+    k s dt_fd) counts as that time."""
+    slack = 1e-9 * (fd_times[1] - fd_times[0]) if len(fd_times) > 1 else 0.0
+    idx = np.searchsorted(fd_times, np.asarray(times) - slack)
     idx = np.clip(idx, 0, len(fd_times) - 1)
     return fd_values[idx]
 
@@ -391,13 +402,17 @@ def _errors_vs_fd(fd, times, **series):
 
 
 def cmd_validate(cfg, out_dir: Path):
+    _presets_only(cfg, "validate")
     spec = _cell_from_config(cfg)
+    # FD outputs only at the model's steps, when those fall on FD steps
+    ratio = cfg["dt_s"] / cfg["fd"]["dt_s"]
+    stride = round(ratio) if abs(ratio - round(ratio)) <= 1e-9 * ratio else 1
     rows = []
     per_scenario = {}
     for name in cfg["scenarios"]:
-        cooling = _cooling_from_config(cfg, spec, scenario=name)
+        cooling = scenario_cooling(name, spec.shape, T_inf=cfg["t_init_C"])
         q_fd = _q_series(cfg, spec, cfg["fd"]["dt_s"])
-        fd = _fd_reference(cfg, spec, cooling, q_fd, stride=_NO_METRICS)
+        fd = _fd_reference(cfg, spec, cooling, q_fd, _NO_METRICS, stride)
         q_series = _q_series(cfg, spec, cfg["dt_s"])
         errors = {}
         for order in cfg["orders"]:
@@ -454,8 +469,8 @@ def cmd_compare_tec(cfg, out_dir: Path):
         (out_dir / "timing.txt").write_text("\n".join(lines) + "\n")
         timing_summary = "timing.txt"
 
-    fd = _fd_reference(cfg, spec, cooling, q_fd, stride=max(
-        1, int(round(dt / cfg["fd"]["dt_s"]))))
+    stride = max(1, int(round(dt / cfg["fd"]["dt_s"])))
+    fd = _fd_reference(cfg, spec, cooling, q_fd, stride, stride)
     fd_t = fd.metrics_times
     write_csv(out_dir / "trace_FD.csv",
               ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"],
@@ -502,6 +517,7 @@ def _scenario_point(spec, cfg, name, q_series):
 
 
 def cmd_scenarios(cfg, out_dir: Path):
+    _presets_only(cfg, "scenarios")
     spec = _cell_from_config(cfg)
     if not spec.is_cylindrical:
         raise UnsupportedShapeError("the five-scenario study targets cylindrical cells")
@@ -542,6 +558,7 @@ def _control_point(args):
 
 
 def cmd_control(cfg, out_dir: Path):
+    _presets_only(cfg, "control")
     spec = _cell_from_config(cfg)
     q_series = _q_series(cfg, spec, cfg["dt_s"])
     order = cfg["control"]["estimator_order"] or cfg["orders"][0]
@@ -633,6 +650,7 @@ def _sweep_point(spec, cfg, ratio, q_series):
 
 
 def cmd_sweep_geometry(cfg, out_dir: Path):
+    _presets_only(cfg, "sweep-geometry")
     spec = _cell_from_config(cfg)
     if not spec.is_cylindrical:
         raise UnsupportedShapeError("the geometry sweep targets cylindrical cells")

@@ -26,8 +26,12 @@ axial vector, so the solver keeps only those 1D factors. With X the
     X <- g * X + s * (in_r diag(v) in_z)        (* elementwise)
 
 and output k is a_k^T X b_k (see ``FdSolver``); no (n_r n_z)-long input or
-output row is formed. The field itself is transformed back to the grid
-only at metric samples and at the end of a run.
+output row is formed. While v is held, n steps collapse into one,
+X <- g^n * X + S_n * (s * in_r diag(v) in_z) with S_n = sum_{i<n} g^i, so
+``fd_solve`` steps once per span between output samples, metric samples and
+input changes. The field itself is transformed back to the grid only at
+metric samples and at the end of a run, by GEMMs over row blocks small
+enough that OpenBLAS runs each on the calling thread.
 
 The TEC model implements
 
@@ -56,6 +60,10 @@ from .simulate import MetricSeries, MetricsRecord, Stepper, metric_steps
 
 BACKWARD_EULER = "backward_euler"
 CRANK_NICOLSON = "crank_nicolson"
+
+# OpenBLAS runs a GEMM on the calling thread when m n k <= 65536 *
+# GEMM_MULTITHREAD_THRESHOLD (4 by default; interface/gemm.c).
+_SINGLE_THREAD_GEMM_MNK = 262_144
 
 
 @dataclass(frozen=True)
@@ -165,7 +173,15 @@ class FdSolver:
     closed-loop runs with varying coolant commands reuse the decomposition.
     The input term of the last v is remembered and reused while v repeats
     bit for bit (a held input, as a staircase heat profile gives), so a
-    repeated step returns exactly what a fresh solver would.
+    repeated step returns exactly what a fresh solver would. ``step(..., n)``
+    takes n steps of one held v at once, with (g^n, S_n) kept for the last n.
+
+    ``grid`` forms V_r X V_z^T by row blocks of V_r whose two GEMMs each
+    stay within OpenBLAS's single-thread size (m n k <= 262 144; 16 rows at
+    128^2) on grids up to about 295^2 nodes. A larger GEMM wakes the BLAS thread pool, whose spinning helpers
+    slow the millisecond-scale timed runs of compare-tec for ~0.15 s
+    afterwards; blocked GEMMs keep the pool asleep (blocking: Goto &
+    van de Geijn, ACM TOMS 34(3), 2008).
     """
 
     def __init__(self, spec: CellSpec, cooling: CoolingConfig, cfg: FdConfig):
@@ -208,6 +224,17 @@ class FdSolver:
         self._in_scale = cfg.dt / (rho_cp * denom)
         # (bit pattern of the last input row, its input term)
         self._memo = (None, None)
+        # (last span length n, its (g^n, S_n)): held spans repeat in a run
+        self._held = (None, None)
+        rows = max(1, _SINGLE_THREAD_GEMM_MNK // (n_z * max(n_r, n_z)))
+        # balanced blocks of at least two rows: numpy hands a single row to
+        # GEMV, whose threading threshold is lower. Up to n_z max(n_r, n_z)
+        # = 87 381 (rows >= 3, about 295^2 nodes) each block also stays
+        # within `rows`; on larger grids blocks may exceed it and BLAS may
+        # run threaded.
+        n_blocks = min(-(-n_r // rows), max(1, n_r // 2))
+        edges = [i * n_r // n_blocks for i in range(n_blocks + 1)]
+        self._row_blocks = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
         # bilinear interpolation at the four mid-side points, as modal factors
         r_mid = 0.5 * (self.r_nodes[0] + self.r_nodes[-1])
@@ -248,32 +275,57 @@ class FdSolver:
                 tinf[col] = by_side.get(side, 0.0) / h
         return tinf
 
-    def step(self, state: np.ndarray, tinf: np.ndarray, q: float) -> np.ndarray:
-        """One implicit step with inputs held constant over the interval."""
+    def step(self, state: np.ndarray, tinf: np.ndarray, q: float,
+             n: int = 1) -> np.ndarray:
+        """``n`` implicit steps with inputs held constant over them."""
         key = struct.pack("5d", *tinf, q)
         memo = self._memo   # one read: a thread swapping in its own is harmless
         if memo[0] != key:
             term = (self._in_r * np.frombuffer(key)) @ self._in_z
             term *= self._in_scale
             memo = self._memo = (key, term)
-        out = self._gain * state
-        out += memo[1]
+        gain, total = self._held_gains(n)
+        out = gain * state
+        out += total * memo[1]
         # any NaN or inf entry makes the sum non-finite
         if not math.isfinite(out.sum()):
             raise NumericalError("FD step produced non-finite values")
         return out
+
+    def _held_gains(self, n: int):
+        """(g^n, S_n = sum_{i<n} g^i) by binary powering, from
+        (g^2m, S_2m) = (g^m g^m, S_m + g^m S_m) and
+        (g^(m+1), S_(m+1)) = (g g^m, 1 + g S_m). No (1 - g^n) / (1 - g):
+        g is 1 for an insulated cell's zero mode, and the quotient loses
+        digits for every slow mode. n = 1 gives (g, 1), so one step is
+        bit for bit g * X + term."""
+        held = self._held   # one read, as for the input memo
+        if held[0] != n:
+            if not n >= 1:
+                raise ValueError(f"step count must be positive, not {n!r}")
+            g = self._gain
+            power, total = g, np.ones_like(g)
+            for bit in bin(n)[3:]:
+                total = total + power * total
+                power = power * power
+                if bit == "1":
+                    total = 1.0 + g * total
+                    power = g * power
+            held = self._held = (n, (power, total))
+        return held[1]
 
     def outputs(self, state: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of the four mid-side temperatures."""
         return np.einsum("ij,ij->i", self._out_r @ state, self._out_z)
 
     def grid(self, state: np.ndarray) -> np.ndarray:
-        """Temperature field on the (n_r, n_z) node grid."""
-        # einsum's own loops rather than a threaded BLAS GEMM: a GEMM wakes
-        # the BLAS thread pool, whose spinning helpers slow the
-        # millisecond-scale timed runs of compare-tec for ~0.15 s afterwards.
-        return np.einsum("ij,kj->ik", np.einsum("ij,jk->ik", self._modes_r.V, state),
-                         self._modes_z.V)
+        """Temperature field on the (n_r, n_z) node grid, by row blocks
+        that keep each GEMM on the calling thread (see the class docstring)."""
+        v_r, v_z = self._modes_r.V, self._modes_z.V
+        field = np.empty((self.cfg.n_r, self.cfg.n_z))
+        for rows in self._row_blocks:
+            np.matmul(v_r[rows] @ state, v_z.T, out=field[rows])
+        return field
 
     def metrics(self, state: np.ndarray, field=None) -> MetricsRecord:
         """Metrics of the field, with gradients from second-order finite
@@ -302,8 +354,8 @@ class FdSolver:
 
 @dataclass(frozen=True, eq=False)
 class FdResult(MetricSeries):
-    times: np.ndarray
-    outputs: np.ndarray         # (K+1, 4) mid-side temperatures
+    times: np.ndarray           # of the output samples
+    outputs: np.ndarray         # (len(times), 4) mid-side temperatures
     final_field: np.ndarray
     r_nodes: np.ndarray
     z_nodes: np.ndarray
@@ -311,17 +363,18 @@ class FdResult(MetricSeries):
 
 def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
              T_init: float = 15.0, horizon: float = 600.0,
-             metrics_stride: int = 1) -> FdResult:
+             metrics_stride: int = 1, output_stride: int = 1) -> FdResult:
     """Integrate the original PDE over [0, horizon].
 
     ``u`` is None (baseline coolant temperatures from the cooling config), a
     constant model-input vector, or a per-step array (K+1 rows); ``q`` a
-    scalar or per-step array of the volumetric heat rate.
+    scalar or per-step array of the volumetric heat rate. Outputs are
+    sampled at ``metric_steps(K, output_stride)`` and metrics at
+    ``metric_steps(K, metrics_stride)``. Between two samples or input
+    changes the input is held, and the solver takes those steps as one.
     """
     solver = FdSolver(spec, cooling, cfg)
-    dt = cfg.dt
-    n_steps = int(np.floor(horizon / dt + 1e-9))
-    times = np.arange(n_steps + 1) * dt
+    n_steps = int(np.floor(horizon / cfg.dt + 1e-9))
 
     if u is None:
         # Straight from the config: a cylinder's input vector has no core
@@ -334,26 +387,36 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
     q_arr = np.asarray(q, dtype=float)
     if q_arr.ndim == 0:
         q_arr = np.broadcast_to(q_arr, (n_steps + 1,))
+    # the input columns over the steps; a held span ends where one changes
+    columns = [q_arr[:n_steps]] + ([] if u is None else list(u_arr[:n_steps].T))
+    if min(map(len, columns)) < n_steps:
+        raise ValueError(f"fd_solve needs an input row for each of its {n_steps} steps")
+    changed = np.any([c[1:] != c[:-1] for c in columns], axis=0)
+
+    output_idx = metric_steps(n_steps, output_stride)
+    metric_idx = metric_steps(n_steps, metrics_stride)
+    # each span [start, end) holds one input row and ends at the next event
+    ends = sorted(set(output_idx) | set(metric_idx)
+                  | set((np.flatnonzero(changed) + 1).tolist()))
+    output_set, metric_set = set(output_idx), set(metric_idx)
 
     state = solver.uniform_field(T_init)
-    outputs = np.empty((n_steps + 1, 4))
-    outputs[0] = solver.outputs(state)
-    metric_idx = metric_steps(n_steps, metrics_stride)
-    metric_set = set(metric_idx)
+    outputs = [solver.outputs(state)]
     rows = []
-
-    for k in range(n_steps):
-        if k in metric_set:
+    for start, end in zip(ends, ends[1:]):
+        if start in metric_set:
             rows.append(solver.metrics(state))
-        tinf = baseline if u is None else solver.tinf_from_inputs(u_arr[k])
-        state = solver.step(state, tinf, q_arr[k])
-        outputs[k + 1] = solver.outputs(state)
+        tinf = baseline if u is None else solver.tinf_from_inputs(u_arr[start])
+        state = solver.step(state, tinf, q_arr[start], end - start)
+        if end in output_set:
+            outputs.append(solver.outputs(state))
     # the last step is always sampled: its field is the final field
     field = solver.grid(state)
     rows.append(solver.metrics(state, field))
 
     return FdResult(
-        times=times, outputs=outputs, metrics_times=times[metric_idx],
+        times=np.array(output_idx) * cfg.dt, outputs=np.array(outputs),
+        metrics_times=np.array(metric_idx) * cfg.dt,
         **vars(MetricsRecord.stack(rows)),
         final_field=field, r_nodes=solver.r_nodes, z_nodes=solver.z_nodes)
 

@@ -415,6 +415,37 @@ class TestCommands:
                           "u_t_W_per_m2,u_b_W_per_m2,dTr_mean_K_per_m,"
                           "dTz_mean_K_per_m")
 
+    @pytest.mark.parametrize("command", ["validate", "scenarios", "control",
+                                         "sweep-geometry"])
+    def test_preset_command_rejects_custom_cooling(self, tmp_path, command, capsys):
+        """These commands run the preset scenarios, so custom cooling would be
+        dropped or run under a preset's name."""
+        path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out"),
+                                     "cooling": VALID_COOLING})
+        assert main([command, "--config", str(path)]) == 2
+        assert re.search(f"config error: {command} .*'cooling'", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare-tec"])
+    def test_custom_cooling_honoured(self, tmp_path, command):
+        """The custom sides, not the preset, set the result."""
+        outs = []
+        for name, cooling in (("preset", None), ("custom", VALID_COOLING)):
+            path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / name),
+                                         "cooling": cooling}, name=f"{name}.json")
+            assert main([command, "--config", str(path)]) == 0
+            outs.append((tmp_path / name / command / "trace_O1.csv").read_text())
+        assert outs[0] != outs[1]
+
+    def test_fd_sample_at_model_time_despite_round_off(self):
+        """At model dt 0.1 s and FD dt 0.01 s, 3 * 0.1 exceeds 30 * 0.01 by
+        round-off; the FD row read at 0.3 s is row 30, not 31."""
+        fd_times = np.arange(101) * 0.01
+        times = np.arange(11) * 0.1
+        assert fd_times[30] < times[3]   # the round-off this guards against
+        np.testing.assert_array_equal(
+            cli._subsample(fd_times, np.arange(101), times), np.arange(0, 101, 10))
+
     def test_scenarios_merits_table(self, tmp_path):
         path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out"),
                                      "orders": [4]})

@@ -19,9 +19,11 @@ from scipy.linalg import eigh_tridiagonal, expm
 from celltherm.core import (
     CYLINDRICAL,
     POUCH,
+    SIDES,
     CellSpec,
     CoolingConfig,
     SideCooling,
+    input_sides,
     scenario_cooling,
 )
 from celltherm.exceptions import NumericalError, UnsupportedShapeError
@@ -406,6 +408,12 @@ class TestFactoredStep:
         assert not any(t.is_alive() for t in threads)
         assert all(got[s].tobytes() == want[s].tobytes() for s in seeds)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_step_count_rejected(self, n):
+        solver = FdSolver(PAPER, ALL_SIDES, FdConfig(8, 5, 2.0))
+        with pytest.raises(ValueError, match="step count"):
+            solver.step(solver.uniform_field(15.0), [15.0] * 4, 1e5, n)
+
     @pytest.mark.parametrize("tinf, q", [
         ([15.0] * 4, float("nan")),
         ([15.0] * 4, float("inf")),
@@ -421,6 +429,87 @@ class TestFactoredStep:
         for _ in range(2):   # a fresh input term, then a remembered one
             with pytest.raises(NumericalError):
                 solver.step(state, tinf, q)
+
+
+class TestHeldSteps:
+    """n steps of one held input taken at once against n single steps, and
+    strided outputs against every-step outputs, over random cells, coolings
+    (an insulated cell's zero mode has g = 1 exactly), grids and schemes."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(fd_cases(), st.integers(1, 200), st.booleans())
+    def test_n_steps_at_once_match_n_single_steps(self, case, n, insulated):
+        spec, cooling, cfg, seed = case
+        if insulated:
+            cooling = CoolingConfig(*(SideCooling(0.0, cooling.side(s).T_inf)
+                                      for s in SIDES))
+        solver = FdSolver(spec, cooling, cfg)
+        state = solver.uniform_field(20.0)
+        for tinf, q in _held_inputs(seed, n_runs=3):
+            want = state
+            for _ in range(n):
+                want = solver.step(want, tinf, q)
+            state = solver.step(state, tinf, q, n)
+            assert np.abs(state - want).max() <= 1e-12 * np.abs(want).max()
+            state = want
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(fd_cases(), st.integers(2, 7), st.integers(1, 9), st.booleans())
+    def test_strided_outputs_match_every_step_outputs(self, case, stride,
+                                                      metrics_stride, hold_q):
+        spec, cooling, cfg, seed = case
+        rows = _held_inputs(seed, n_runs=12)   # runs of 1-4 steps: off the stride
+        tinf = np.array([t for t, _ in rows])
+        # with q held, only the coolant temperatures change
+        q = np.array([rows[0][1] if hold_q else q for _, q in rows])
+        h = {side: cooling.side(side).h for side in SIDES}
+        u = np.column_stack([h[side] * tinf[:, SIDES.index(side)]
+                             for side in input_sides(spec.shape)])
+        horizon = (len(rows) - 1) * cfg.dt
+        every = fd_solve(spec, cooling, u, q, cfg, 20.0, horizon, metrics_stride)
+        strided = fd_solve(spec, cooling, u, q, cfg, 20.0, horizon, metrics_stride,
+                           output_stride=stride)
+        idx = list(range(0, len(every.times), stride))
+        idx += [] if idx[-1] == len(every.times) - 1 else [len(every.times) - 1]
+        np.testing.assert_array_equal(strided.times, every.times[idx])
+        scale = np.abs(every.outputs).max()
+        assert np.abs(strided.outputs - every.outputs[idx]).max() <= 1e-12 * scale
+        np.testing.assert_array_equal(strided.metrics_times, every.metrics_times)
+        for m in ("T_mean", "T_max", "T_min"):
+            assert np.abs(getattr(strided, m) - getattr(every, m)).max() <= 1e-12 * scale
+        assert np.abs(strided.final_field - every.final_field).max() <= 1e-12 * scale
+
+    def test_held_input_takes_one_step_per_output_sample(self, monkeypatch):
+        """A constant input over 40 FD steps with outputs every 8th step is
+        stepped in 5 calls."""
+        calls = []
+        step = FdSolver.step
+        monkeypatch.setattr(FdSolver, "step",
+                            lambda self, *a: calls.append(a[3]) or step(self, *a))
+        fd_solve(PAPER, ALL_SIDES, None, 1e5, FdConfig(12, 10, 0.5), 15.0, 20.0,
+                 metrics_stride=10**9, output_stride=8)
+        assert calls == [8] * 5
+
+
+class TestBlockedGrid:
+    @pytest.mark.parametrize("n_r, n_z", [
+        *((n_r, n_z) for n_r in (3, 33, 130, 256) for n_z in (3, 33, 130, 256)),
+        (301, 301), (400, 400), (401, 3)])
+    def test_grid_matches_dense_product(self, n_r, n_z):
+        """Row blocks cover the grid in order, each of at least two rows and,
+        up to about 295^2 nodes, each GEMM within OpenBLAS's single-thread
+        size; the blocked product equals V_r X V_z^T."""
+        solver = FdSolver(PAPER, ALL_SIDES, FdConfig(n_r, n_z, 0.5))
+        blocks = solver._row_blocks
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n_r
+        for b in blocks:
+            assert b.stop - b.start >= min(2, n_r)
+            if n_z * max(n_r, n_z) <= 87_381:
+                assert (b.stop - b.start) * n_z * max(n_r, n_z) <= 262_144
+        state = np.random.default_rng(n_r * n_z).standard_normal((n_r, n_z))
+        dense = solver._modes_r.V @ state @ solver._modes_z.V.T
+        assert np.abs(solver.grid(state) - dense).max() <= 1e-13 * np.abs(dense).max()
 
 
 def expm_tec_run(model, q, dt, n_steps, T0):
