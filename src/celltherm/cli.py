@@ -62,6 +62,7 @@ from .reference import (
     FdConfig,
     TecModel,
     fd_solve,
+    step_ratio,
     tec_metrics,
     tec_run,
     timing_harness,
@@ -405,8 +406,7 @@ def cmd_validate(cfg, out_dir: Path):
     _presets_only(cfg, "validate")
     spec = _cell_from_config(cfg)
     # FD outputs only at the model's steps, when those fall on FD steps
-    ratio = cfg["dt_s"] / cfg["fd"]["dt_s"]
-    stride = round(ratio) if abs(ratio - round(ratio)) <= 1e-9 * ratio else 1
+    stride = step_ratio(cfg["dt_s"], cfg["fd"]["dt_s"]) or 1
     rows = []
     per_scenario = {}
     for name in cfg["scenarios"]:
@@ -469,13 +469,12 @@ def cmd_compare_tec(cfg, out_dir: Path):
         (out_dir / "timing.txt").write_text("\n".join(lines) + "\n")
         timing_summary = "timing.txt"
 
-    stride = max(1, int(round(dt / cfg["fd"]["dt_s"])))
+    # FD metrics only at the model's steps, when those fall on FD steps
+    stride = step_ratio(dt, cfg["fd"]["dt_s"]) or 1
     fd = _fd_reference(cfg, spec, cooling, q_fd, stride, stride)
-    fd_t = fd.metrics_times
     write_csv(out_dir / "trace_FD.csv",
               ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"],
-              zip(fd_t, _subsample(fd.metrics_times, fd.T_mean, fd_t),
-                  fd.T_max, fd.dTr_max))
+              zip(fd.metrics_times, fd.T_mean, fd.T_max, fd.dTr_max))
 
     times, t_c, t_s = tec_run(tec, q_series * vol, dt, horizon,
                               T0=cfg["t_init_C"])

@@ -4,12 +4,14 @@ One PI controller per actively cooled side manipulates that side's coolant
 free-stream temperature (the convection coefficients stay fixed per
 scenario, so u_side = h_side * T_inf,side makes the coolant temperature the
 physical handle). The mean temperature is not measurable, so an open-loop
-estimator mirrors the reduced model: it is propagated with the same inputs
-as the plant, in modal coordinates through the package's one ZOH kernel
+estimator mirrors the reduced model: it is propagated with the commanded
+inputs, in modal coordinates through the package's one ZOH kernel
 (``simulate.Stepper``), and its volume mean, a precomputed row, feeds the
-error. A reduced-model plant is the same estimator class (the very same
-object when the estimator model is the plant), with its outputs and metrics
-evaluated in one batch after the loop; an FD plant is sampled every step.
+error. The estimator never reads the plant, so a run first issues the whole
+command sequence from the estimator alone, then runs the plant once, open
+loop, under the recorded commands: a reduced-model plant through one
+``Stepper.trajectory`` and one batched metrics call, an FD plant through
+``fd_solve`` with each command held over the FD steps of its control step.
 Passive sides hold their baseline coolant temperature for the whole run.
 """
 
@@ -21,14 +23,8 @@ import numpy as np
 
 from .core import CoolingConfig, active_sides, input_sides
 from .galerkin import ReducedModel, assemble, project_initial_state
-from .reference import FdSolver
-from .simulate import (
-    DEFAULT_GRID,
-    FieldEvaluator,
-    MetricsRecord,
-    _broadcast_inputs,
-    discretize,
-)
+from .reference import FdSolver, fd_solve, step_ratio
+from .simulate import DEFAULT_GRID, FieldEvaluator, _broadcast_inputs, discretize
 
 DEFAULT_GAINS = (2.0, 0.05)
 DEFAULT_LIMITS = (-20.0, 40.0)   # coolant temperature span, degC
@@ -66,57 +62,26 @@ def pi_step(c: PiController, error: float, dt: float) -> float:
 
 
 class OpenLoopEstimator:
-    """Reduced model stepped in modal coordinates with the plant's inputs, no
-    feedback correction. Its volume-mean estimate is one precomputed row; the
-    states it passes through are kept, so the same object also serves as the
-    reduced-model plant, whose outputs and metrics ``trajectory`` evaluates
-    after the run in one batch."""
+    """Reduced model stepped in modal coordinates with the commanded inputs,
+    no feedback correction. Its volume-mean estimate is one precomputed row.
+    It never reads the plant, so a closed-loop run issues every command
+    before the plant runs."""
 
     def __init__(self, model: ReducedModel, dt: float, T_init: float,
                  u0: np.ndarray, grid_shape=DEFAULT_GRID):
-        self.model = model
         self._stepper = discretize(model, dt)
-        self._evaluator = FieldEvaluator(model, *grid_shape)
+        evaluator = FieldEvaluator(model, *grid_shape)
         self._mean_row = (model.modes_r.V.T
-                          @ self._evaluator.mean_state_row.reshape(model.M, model.N)
+                          @ evaluator.mean_state_row.reshape(model.M, model.N)
                           @ model.modes_z.V).ravel()
+        self._mean_input_row = evaluator.mean_input_row
         self.y = model.to_modal(project_initial_state(model, T_init, u0))
-        self._states = [self.y]
 
     def mean_temperature(self, u_applied: np.ndarray) -> float:
-        return float(self._mean_row @ self.y
-                     + self._evaluator.mean_input_row @ u_applied)
+        return float(self._mean_row @ self.y + self._mean_input_row @ u_applied)
 
     def step(self, u: np.ndarray, w: float):
         self.y = self._stepper.step(self.y, np.append(u, w))
-        self._states.append(self.y)
-
-    def trajectory(self, u_applied: np.ndarray):
-        """(outputs, metrics) of the states passed through, with one input
-        row per state."""
-        modal = np.array(self._states)
-        states = self.model.from_modal(modal, out=modal)
-        return (self.model.outputs(states, u_applied),
-                self._evaluator.metrics(states, u_applied))
-
-
-class _FdPlant:
-    def __init__(self, solver: FdSolver, T_init: float):
-        self._solver = solver
-        self.state = solver.uniform_field(T_init)
-        self._samples = [self._sample()]
-
-    def _sample(self):
-        return self._solver.outputs(self.state), self._solver.metrics(self.state)
-
-    def step(self, u, w):
-        tinf = self._solver.tinf_from_inputs(u)
-        self.state = self._solver.step(self.state, tinf, w)
-        self._samples.append(self._sample())
-
-    def trajectory(self, u_applied):
-        outputs, metrics = zip(*self._samples)
-        return np.array(outputs), MetricsRecord.stack(metrics)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +112,10 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
     ``plant`` is a ReducedModel or an FdSolver; ``scenario`` is a preset name
     or an explicit tuple of actively controlled side names; ``q`` is the
     volumetric heat rate (scalar or per-step array). Cooling power is assumed
-    uniformly distributed over each active side.
+    uniformly distributed over each active side. The estimator issues every
+    command first; the plant then runs once under them. An FD plant holds
+    each command over dt / ``plant.cfg.dt`` FD steps, which must be an
+    integer.
     """
     if isinstance(scenario, str):
         active = active_sides(scenario)
@@ -170,17 +138,15 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
     elif isinstance(plant, FdSolver):
         est_model = estimator_model if estimator_model is not None else \
             assemble(plant.spec, plant.cooling, 3, 3)
+        fd_steps = step_ratio(dt, plant.cfg.dt)
+        if fd_steps is None:
+            raise ValueError(f"control step {dt} s is not a whole number of "
+                             f"FD steps of {plant.cfg.dt} s")
     else:
         raise TypeError("plant must be a ReducedModel or FdSolver")
     estimator = OpenLoopEstimator(est_model, dt, T_init, u_baseline, grid_shape)
     n_steps = int(np.floor(horizon / dt + 1e-9))
     _, q_arr = _broadcast_inputs(est_model, u_baseline, q, n_steps + 1)
-    if isinstance(plant, FdSolver):
-        plant_adapter = _FdPlant(plant, T_init)
-    elif plant is est_model:
-        plant_adapter = estimator
-    else:
-        plant_adapter = OpenLoopEstimator(plant, dt, T_init, u_baseline, grid_shape)
 
     controllers = {
         side: PiController(gains[0], gains[1],
@@ -205,16 +171,28 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         u_applied = h_vec * tinf_cmd
         coolant[k] = tinf_cmd
         u_hist[k] = u_applied
-        plant_adapter.step(u_applied, q_arr[k])
-        if estimator is not plant_adapter:
-            estimator.step(u_applied, q_arr[k])
+        estimator.step(u_applied, q_arr[k])
     t_hat[n_steps] = estimator.mean_temperature(u_applied)
     coolant[n_steps] = coolant[n_steps - 1] if n_steps > 0 else baseline_tinf
     u_hist[n_steps] = u_applied
 
-    # the field at step k is reconstructed with the input applied up to k
-    outputs, metrics = plant_adapter.trajectory(
-        np.vstack([u_baseline, u_hist[:-1]]))
+    if isinstance(plant, FdSolver):
+        # sampled once per control step, at the end of its FD steps
+        metrics = fd_solve(
+            plant.spec, cooling, np.repeat(u_hist, fd_steps, axis=0),
+            np.repeat(q_arr, fd_steps), plant.cfg, T_init=T_init,
+            horizon=n_steps * fd_steps * plant.cfg.dt,
+            metrics_stride=fd_steps, output_stride=fd_steps)
+        outputs = metrics.outputs
+    else:
+        # the field at step k is reconstructed with the input applied up to k
+        u_rec = np.vstack([u_baseline, u_hist[:-1]])
+        modal = discretize(plant, dt).trajectory(
+            plant.to_modal(project_initial_state(plant, T_init, u_baseline)),
+            np.column_stack([u_hist[:-1], q_arr[:-1]]))
+        states = plant.from_modal(modal, out=modal)
+        outputs = plant.outputs(states, u_rec)
+        metrics = FieldEvaluator(plant, *grid_shape).metrics(states, u_rec)
     return ControlTrace(
         times=np.arange(n_steps + 1) * dt, setpoint=setpoint, sides=sides,
         active=active, coolant=coolant, u=u_hist, T_mean=metrics.T_mean,

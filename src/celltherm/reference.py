@@ -352,6 +352,13 @@ class FdSolver:
         return side.h * (t_surf - side.T_inf)
 
 
+def step_ratio(dt: float, dt_fd: float) -> int | None:
+    """The number of FD steps of ``dt_fd`` in one step of ``dt``, when that
+    is an integer to a relative 1e-9, else None."""
+    ratio = dt / dt_fd
+    return round(ratio) if abs(ratio - round(ratio)) <= 1e-9 * ratio else None
+
+
 @dataclass(frozen=True, eq=False)
 class FdResult(MetricSeries):
     times: np.ndarray           # of the output samples

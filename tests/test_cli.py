@@ -446,6 +446,21 @@ class TestCommands:
         np.testing.assert_array_equal(
             cli._subsample(fd_times, np.arange(101), times), np.arange(0, 101, 10))
 
+    def test_compare_tec_fd_metric_within_one_fd_step(self, tmp_path):
+        """At model dt 1 s and FD dt 0.3 s, which is no whole fraction of it,
+        every model time still has an FD metric sample within one FD step
+        after it."""
+        path = _write_cfg(tmp_path, {
+            "out_dir": str(tmp_path / "out"), "orders": [1], "dt_s": 1.0,
+            "horizon_s": 6.0, "fd": {"n_r": 10, "n_z": 10, "dt_s": 0.3}})
+        assert main(["compare-tec", "--config", str(path)]) == 0
+        out = tmp_path / "out/compare-tec"
+        fd_t = np.loadtxt(out / "trace_FD.csv", delimiter=",", skiprows=1, usecols=0)
+        times = np.loadtxt(out / "trace_TEC.csv", delimiter=",", skiprows=1, usecols=0)
+        slack = 1e-9
+        for t in times:
+            assert np.any((fd_t >= t - slack) & (fd_t <= t + 0.3 + slack)), t
+
     def test_scenarios_merits_table(self, tmp_path):
         path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out"),
                                      "orders": [4]})

@@ -21,8 +21,8 @@ from celltherm.core import (
     scenario_cooling,
 )
 from celltherm.galerkin import assemble, project_initial_state
-from celltherm.reference import FdConfig, FdSolver
-from celltherm.simulate import run
+from celltherm.reference import FdConfig, FdSolver, fd_solve
+from celltherm.simulate import FieldEvaluator, discretize, run
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -163,6 +163,29 @@ class TestClosedLoop:
         # the estimator is open loop, so tracking holds up to model mismatch
         assert np.abs(trace.T_mean[tail] - 20.0).max() <= 0.8
 
+    def test_fd_plant_holds_each_command_over_its_fd_steps(self):
+        """At an FD step of a quarter control step, the plant record equals
+        ``fd_solve`` under the recorded commands, each held for four FD
+        steps and sampled at the control steps."""
+        cooling = scenario_cooling("aTSC")
+        cfg = FdConfig(16, 16, 0.5)
+        q = np.linspace(2e4, 8e4, 31)
+        trace = closed_loop_run(FdSolver(PAPER, cooling, cfg), "aTSC", 20.0, q,
+                                dt=2.0, horizon=60.0,
+                                estimator_model=assemble(PAPER, cooling, 2, 2))
+        fd = fd_solve(PAPER, cooling, np.repeat(trace.u, 4, axis=0),
+                      np.repeat(q, 4), cfg, horizon=60.0)
+        np.testing.assert_allclose(trace.T_mean, fd.T_mean[::4], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.dTr_mean, fd.dTr_mean[::4], rtol=1e-12)
+        np.testing.assert_allclose(trace.outputs, fd.outputs[::4], rtol=0, atol=1e-12)
+
+    def test_fd_plant_rejects_a_fractional_fd_step_count(self):
+        cooling = scenario_cooling("SC")
+        solver = FdSolver(PAPER, cooling, FdConfig(16, 16, 0.3))
+        with pytest.raises(ValueError, match=r"1\.0 s .* 0\.3 s"):
+            closed_loop_run(solver, "SC", 20.0, 1e4, dt=1.0, horizon=10.0,
+                            estimator_model=assemble(PAPER, cooling, 2, 2))
+
     def test_short_heat_series_and_bad_dt_rejected(self):
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
         with pytest.raises(ValueError, match=r"broadcast to \(11,\)"):
@@ -183,7 +206,11 @@ class TestClosedLoop:
             est.step(u * (1.0 + 0.1 * k), 6e4)
             means.append(est.mean_temperature(u * (1.0 + 0.1 * k)))
         u_rows = np.vstack([u] + [u * (1.0 + 0.1 * k) for k in range(10)])
-        _, metrics = est.trajectory(u_rows)
+        modal = discretize(model, 4.0).trajectory(
+            model.to_modal(project_initial_state(model, 15.0, u)),
+            np.column_stack([u_rows[1:], np.full(10, 6e4)]))
+        states = model.from_modal(modal, out=modal)
+        metrics = FieldEvaluator(model).metrics(states, u_rows)
         np.testing.assert_allclose(means, metrics.T_mean, rtol=1e-13)
 
     @pytest.mark.parametrize("est_count", [None, 2], ids=["nominal", "O4-estimator"])
