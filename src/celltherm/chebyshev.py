@@ -69,8 +69,8 @@ class BasisSet:
     """Robin-compatible composite Chebyshev basis for one spatial direction.
 
     ``combo[k] = (a_k, b_k)`` and ``coeffs[k]`` is the Chebyshev-series
-    coefficient row of phi_k (length count + 2), which ``basis_matrix``
-    evaluates and differentiates.
+    coefficient row of phi_k (length count + 2), which ``basis_matrix`` and
+    ``basis_table`` evaluate and differentiate.
     """
 
     count: int
@@ -131,13 +131,17 @@ def build_basis(count: int, robin_minus, robin_plus) -> BasisSet:
 def basis_matrix(bs: BasisSet, x, deriv: int = 0) -> np.ndarray:
     """Matrix of phi-k values (or derivatives) at the points x, shape (len(x), count)."""
     x = _check_domain(np.atleast_1d(x))
-    degree = bs.max_degree
-    # one Chebyshev series per column, differentiated in coefficient space
-    # and summed by one Vandermonde product
+    return ncheb.chebvander(x, bs.max_degree) @ _series(bs, deriv)
+
+
+def _series(bs: BasisSet, deriv: int) -> np.ndarray:
+    """Chebyshev-series coefficients of the deriv-th derivative of every basis
+    function, one column each, differentiated in coefficient space; a
+    Vandermonde product sums them at given points."""
     series = bs.coeffs.T
     if deriv:
-        series = np.linalg.matrix_power(_derivative_map(degree), deriv) @ series
-    return ncheb.chebvander(x, degree) @ series
+        series = np.linalg.matrix_power(_derivative_map(bs.max_degree), deriv) @ series
+    return series
 
 
 def _derivative_map(degree: int) -> np.ndarray:
@@ -163,9 +167,11 @@ class BasisTable:
 
 
 def basis_table(bs: BasisSet, x, derivs=(0,)) -> BasisTable:
-    """Evaluate the basis at the points x once per requested derivative."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return BasisTable(x, {d: basis_matrix(bs, x, d) for d in derivs})
+    """Evaluate the basis at the points x for every requested derivative,
+    all from one Chebyshev-Vandermonde matrix of the points."""
+    x = _check_domain(np.atleast_1d(x))
+    vander = ncheb.chebvander(x, bs.max_degree)
+    return BasisTable(x, {d: vander @ _series(bs, d) for d in derivs})
 
 
 def robin_residuals(bs: BasisSet) -> np.ndarray:

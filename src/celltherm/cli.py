@@ -33,6 +33,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -67,7 +68,7 @@ from .reference import (
     tec_run,
     timing_harness,
 )
-from .simulate import run
+from .simulate import MetricsRecord, run
 
 SCHEMA_VERSION = 1
 
@@ -293,18 +294,24 @@ def _q_series(cfg, spec: CellSpec, dt: float) -> np.ndarray:
     return resample_profile(profile, dt, cfg["horizon_s"])
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def write_csv(path: Path, header, columns):
+    """Write a table given as equal-length columns (arrays, lists or tuples),
+    row by row: a float, numpy's included, as repr(float(v)), any other value
+    as str(v). Each array is converted to Python values once (``tolist``), so
+    a float64 column needs no per-value test."""
+    def texts(column):
+        if isinstance(column, np.ndarray):
+            if column.dtype == float:
+                return map(repr, column.tolist())
+            column = column.tolist()
+        return (repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+                for v in column)
 
-
-def write_csv(path: Path, header, rows):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        rows = zip(*map(texts, columns), strict=True)
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def write_summary(out_dir: Path, cfg, payload):
@@ -324,23 +331,15 @@ def write_summary(out_dir: Path, cfg, payload):
         fh.write("\n")
 
 
-def _trace_rows(result):
-    for i, t in enumerate(result.times):
-        yield (t, result.outputs[i, 0], result.outputs[i, 1],
-               result.outputs[i, 2], result.outputs[i, 3])
-
-
 _TRACE_HEADER = ["t_s", "T_surface_C", "T_core_C", "T_top_C", "T_bottom_C"]
 _METRIC_HEADER = ["t_s", "T_mean_C", "T_max_C", "T_min_C", "dT_C",
                   "dTr_max_K_per_m", "dTz_max_K_per_m", "dTr_mean_K_per_m",
                   "dTz_mean_K_per_m"]
 
 
-def _metric_rows(result):
-    for i, t in enumerate(result.metrics_times):
-        yield (t, result.T_mean[i], result.T_max[i], result.T_min[i],
-               result.dT[i], result.dTr_max[i], result.dTz_max[i],
-               result.dTr_mean[i], result.dTz_mean[i])
+def _metric_columns(result):
+    return [result.metrics_times,
+            *(getattr(result, f.name) for f in fields(MetricsRecord))]
 
 
 def _order_model(spec, cooling, order):
@@ -368,8 +367,10 @@ def cmd_simulate(cfg, out_dir: Path):
     for order in cfg["orders"]:
         result = _run_order(spec, cooling, order, cfg, q_series)(
             cfg["metrics_stride"])
-        write_csv(out_dir / f"trace_O{order}.csv", _TRACE_HEADER, _trace_rows(result))
-        write_csv(out_dir / f"metrics_O{order}.csv", _METRIC_HEADER, _metric_rows(result))
+        write_csv(out_dir / f"trace_O{order}.csv", _TRACE_HEADER,
+                  [result.times, *result.outputs.T])
+        write_csv(out_dir / f"metrics_O{order}.csv", _METRIC_HEADER,
+                  _metric_columns(result))
     write_summary(out_dir, cfg, {
         "command": "simulate", "orders": cfg["orders"],
         "scenario": cooling.scenario_name,
@@ -423,12 +424,15 @@ def cmd_validate(cfg, out_dir: Path):
             errors[str(order)] = err
         per_scenario[name] = errors
     write_csv(out_dir / "errors.csv",
-              ["scenario", "order", "max_abs_output_error_C"], rows)
+              ["scenario", "order", "max_abs_output_error_C"], zip(*rows))
     write_summary(out_dir, cfg, {
         "command": "validate", "max_abs_output_error_C": per_scenario,
         "fd": cfg["fd"],
     })
     return 0
+
+
+_COMPARE_HEADER = ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"]
 
 
 def cmd_compare_tec(cfg, out_dir: Path):
@@ -472,26 +476,22 @@ def cmd_compare_tec(cfg, out_dir: Path):
     # FD metrics only at the model's steps, when those fall on FD steps
     stride = step_ratio(dt, cfg["fd"]["dt_s"]) or 1
     fd = _fd_reference(cfg, spec, cooling, q_fd, stride, stride)
-    write_csv(out_dir / "trace_FD.csv",
-              ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"],
-              zip(fd.metrics_times, fd.T_mean, fd.T_max, fd.dTr_max))
+    write_csv(out_dir / "trace_FD.csv", _COMPARE_HEADER,
+              [fd.metrics_times, fd.T_mean, fd.T_max, fd.dTr_max])
 
     times, t_c, t_s = tec_run(tec, q_series * vol, dt, horizon,
                               T0=cfg["t_init_C"])
     tec_mean, tec_grad = tec_metrics(t_c, t_s, spec)
-    write_csv(out_dir / "trace_TEC.csv",
-              ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"],
-              zip(times, tec_mean, t_c, tec_grad))
+    write_csv(out_dir / "trace_TEC.csv", _COMPARE_HEADER,
+              [times, tec_mean, t_c, tec_grad])
 
     errors = {"TEC": _errors_vs_fd(fd, times, T_mean=tec_mean, T_max=t_c,
                                    dTr_max=tec_grad)}
 
     for order in cfg["orders"]:
         result = runs[order](cfg["metrics_stride"])
-        write_csv(out_dir / f"trace_O{order}.csv",
-                  ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"],
-                  zip(result.metrics_times, result.T_mean, result.T_max,
-                      result.dTr_max))
+        write_csv(out_dir / f"trace_O{order}.csv", _COMPARE_HEADER,
+                  [result.metrics_times, result.T_mean, result.T_max, result.dTr_max])
         errors[f"O{order}"] = _errors_vs_fd(
             fd, result.metrics_times, T_mean=result.T_mean, T_max=result.T_max,
             dTr_max=result.dTr_max)
@@ -526,13 +526,13 @@ def cmd_scenarios(cfg, out_dir: Path):
     for name in SCENARIOS:
         result, merits = _scenario_point(spec, cfg, name, q_series)
         write_csv(out_dir / f"metrics_{name}.csv", _METRIC_HEADER,
-                  _metric_rows(result))
+                  _metric_columns(result))
         table.append((name, merits["T_mean"], merits["T_max"],
                       merits["dTr_max"], merits["dTz_max"], merits["dT"]))
         merits_by_name[name] = merits
     write_csv(out_dir / "merits.csv",
               ["scenario", "T_mean_C", "T_max_C", "dTr_max_K_per_m",
-               "dTz_max_K_per_m", "dT_C"], table)
+               "dTz_max_K_per_m", "dT_C"], zip(*table))
     write_summary(out_dir, cfg, {
         "command": "scenarios", "order": cfg["orders"][0],
         "merits": merits_by_name,
@@ -576,16 +576,10 @@ def cmd_control(cfg, out_dir: Path):
     gradient_summary = {}
     for name, c_rate, trace in results:
         label = f"{name}_{c_rate:g}C"
-        side_idx = {s: i for i, s in enumerate(trace.sides)}
-        rows = []
-        for i, t in enumerate(trace.times):
-            rows.append((
-                t, trace.T_mean[i], trace.T_hat_mean[i],
-                trace.u[i, side_idx["surface"]],
-                trace.u[i, side_idx["top"]],
-                trace.u[i, side_idx["bottom"]],
-                trace.dTr_mean[i], trace.dTz_mean[i]))
-        write_csv(out_dir / f"trace_{label}.csv", _CONTROL_HEADER, rows)
+        u = trace.u[:, [trace.sides.index(s) for s in ("surface", "top", "bottom")]]
+        write_csv(out_dir / f"trace_{label}.csv", _CONTROL_HEADER,
+                  [trace.times, trace.T_mean, trace.T_hat_mean, *u.T, trace.dTr_mean,
+                   trace.dTz_mean])
         tail = slice(int(0.8 * len(trace.times)), None)
         row = {
             "dTr_mean_tail_K_per_m": float(trace.dTr_mean[tail].mean()),
@@ -599,7 +593,7 @@ def cmd_control(cfg, out_dir: Path):
                              row["tracking_error_tail_C"]))
     write_csv(out_dir / "gradients.csv",
               ["scenario", "c_rate", "dTr_mean_tail_K_per_m",
-               "dTz_mean_tail_K_per_m", "tracking_error_tail_C"], summary_rows)
+               "dTz_mean_tail_K_per_m", "tracking_error_tail_C"], zip(*summary_rows))
     write_summary(out_dir, cfg, {
         "command": "control", "setpoint_C": cfg["control"]["setpoint_C"],
         "tails": gradient_summary,
@@ -670,7 +664,7 @@ def cmd_sweep_geometry(cfg, out_dir: Path):
         merits_by_ratio[f"{ratio:g}"] = merits
     write_csv(out_dir / "sweep.csv",
               ["L_over_R_out", "L_m", "R_out_m", "volume_m3", "T_mean_C",
-               "dTr_max_K_per_m", "dTz_max_K_per_m"], rows)
+               "dTr_max_K_per_m", "dTz_max_K_per_m"], zip(*rows))
     write_summary(out_dir, cfg, {
         "command": "sweep-geometry", "scenario": cfg["scenario"],
         "market_cell_ratios": MARKET_CELL_RATIOS,

@@ -10,8 +10,10 @@ inputs, in modal coordinates through the package's one ZOH kernel
 error. The estimator never reads the plant, so a run first issues the whole
 command sequence from the estimator alone, then runs the plant once, open
 loop, under the recorded commands: a reduced-model plant through one
-``Stepper.trajectory`` and one batched metrics call, an FD plant through
-``fd_solve`` with each command held over the FD steps of its control step.
+``Stepper.trajectory`` and one batched metrics call, an FD plant stepped as
+``fd_solve`` steps, on the plant's own solver, with each command held over
+the FD steps of its control step. The estimator and a reduced-model plant
+share the model's cached ``FieldEvaluator``.
 Passive sides hold their baseline coolant temperature for the whole run.
 """
 
@@ -23,7 +25,7 @@ import numpy as np
 
 from .core import CoolingConfig, active_sides, input_sides
 from .galerkin import ReducedModel, assemble, project_initial_state
-from .reference import FdSolver, fd_solve, step_ratio
+from .reference import FdSolver, _fd_solve_on, step_ratio
 from .simulate import DEFAULT_GRID, FieldEvaluator, _broadcast_inputs, discretize
 
 DEFAULT_GAINS = (2.0, 0.05)
@@ -70,7 +72,7 @@ class OpenLoopEstimator:
     def __init__(self, model: ReducedModel, dt: float, T_init: float,
                  u0: np.ndarray, grid_shape=DEFAULT_GRID):
         self._stepper = discretize(model, dt)
-        evaluator = FieldEvaluator(model, *grid_shape)
+        evaluator = FieldEvaluator.of(model, *grid_shape)
         self._mean_row = (model.modes_r.V.T
                           @ evaluator.mean_state_row.reshape(model.M, model.N)
                           @ model.modes_z.V).ravel()
@@ -178,11 +180,9 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
 
     if isinstance(plant, FdSolver):
         # sampled once per control step, at the end of its FD steps
-        metrics = fd_solve(
-            plant.spec, cooling, np.repeat(u_hist, fd_steps, axis=0),
-            np.repeat(q_arr, fd_steps), plant.cfg, T_init=T_init,
-            horizon=n_steps * fd_steps * plant.cfg.dt,
-            metrics_stride=fd_steps, output_stride=fd_steps)
+        metrics = _fd_solve_on(
+            plant, np.repeat(u_hist, fd_steps, axis=0), np.repeat(q_arr, fd_steps),
+            T_init, n_steps * fd_steps * plant.cfg.dt, fd_steps, fd_steps)
         outputs = metrics.outputs
     else:
         # the field at step k is reconstructed with the input applied up to k
@@ -192,7 +192,7 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
             np.column_stack([u_hist[:-1], q_arr[:-1]]))
         states = plant.from_modal(modal, out=modal)
         outputs = plant.outputs(states, u_rec)
-        metrics = FieldEvaluator(plant, *grid_shape).metrics(states, u_rec)
+        metrics = FieldEvaluator.of(plant, *grid_shape).metrics(states, u_rec)
     return ControlTrace(
         times=np.arange(n_steps + 1) * dt, setpoint=setpoint, sides=sides,
         active=active, coolant=coolant, u=u_hist, T_mean=metrics.T_mean,

@@ -131,6 +131,12 @@ class ReducedModel:
         """Modes of the axial pencil: Gz^-1 Sz = V diag(lam) V_inv."""
         return _pencil_modes(self.stiff_z, self.gram_z)
 
+    @cached_property
+    def evaluators(self) -> dict:
+        """Field evaluators of this model by grid (n_r, n_z); filled by
+        ``simulate.FieldEvaluator.of``."""
+        return {}
+
     def to_modal(self, X) -> np.ndarray:
         """Modal coordinates (V_r (x) V_z)^-1 X of states X (..., order)."""
         X = np.asarray(X, dtype=float)

@@ -380,13 +380,20 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
     ``metric_steps(K, metrics_stride)``. Between two samples or input
     changes the input is held, and the solver takes those steps as one.
     """
-    solver = FdSolver(spec, cooling, cfg)
-    n_steps = int(np.floor(horizon / cfg.dt + 1e-9))
+    return _fd_solve_on(FdSolver(spec, cooling, cfg), u, q, T_init, horizon,
+                        metrics_stride, output_stride)
+
+
+def _fd_solve_on(solver: FdSolver, u, q, T_init: float, horizon: float,
+                 metrics_stride: int, output_stride: int) -> FdResult:
+    """``fd_solve`` on a given solver, which may have stepped before."""
+    dt = solver.cfg.dt
+    n_steps = int(np.floor(horizon / dt + 1e-9))
 
     if u is None:
         # Straight from the config: a cylinder's input vector has no core
         # entry, so a cooled core would lose its coolant temperature.
-        baseline = np.array([cooling.side(s).T_inf for s in SIDES])
+        baseline = np.array([solver.cooling.side(s).T_inf for s in SIDES])
     else:
         u_arr = np.asarray(u, dtype=float)
         if u_arr.ndim == 1:
@@ -422,8 +429,8 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
     rows.append(solver.metrics(state, field))
 
     return FdResult(
-        times=np.array(output_idx) * cfg.dt, outputs=np.array(outputs),
-        metrics_times=np.array(metric_idx) * cfg.dt,
+        times=np.array(output_idx) * dt, outputs=np.array(outputs),
+        metrics_times=np.array(metric_idx) * dt,
         **vars(MetricsRecord.stack(rows)),
         final_field=field, r_nodes=solver.r_nodes, z_nodes=solver.z_nodes)
 

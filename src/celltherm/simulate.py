@@ -23,6 +23,7 @@ with the coordinate scale factors folded into the derivative tables.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ DEFAULT_GRID = (41, 41)
 # study benchmark (2-core box), when scenarios and sweep-geometry ran on pools
 # too, 8 measured as fast as 16 or 32 with 3 to 11 MB less peak memory.
 METRICS_BLOCK = 8
+
+# Serializes FieldEvaluator.of, whose cache the CLI's control pool shares.
+_BUILD_LOCK = threading.Lock()
 
 
 def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
@@ -171,13 +175,18 @@ class FieldEvaluator:
 
     The volume-weighted mean is linear in (X, u): W = R0^T vol Z0 gives the
     rows ``mean_state_row`` (order,) and ``mean_input_row`` (n_inputs,).
+
+    ``FieldEvaluator.of`` builds one evaluator per model and grid and keeps
+    it on the model. An evaluator keeps only the model's sizes, not the
+    model, so the two form no reference cycle and a model is freed as soon
+    as its last reference goes.
     """
 
     def __init__(self, model: ReducedModel, n_r: int = DEFAULT_GRID[0],
                  n_z: int = DEFAULT_GRID[1]):
         if n_r < 2 or n_z < 2:
             raise ValueError("reconstruction grid needs at least 2 nodes per direction")
-        self.model = model
+        self._sizes = (model.M, model.N, model.n_inputs)
         self.r_nodes = np.linspace(-1.0, 1.0, n_r)
         self.z_nodes = np.linspace(-1.0, 1.0, n_z)
 
@@ -208,19 +217,31 @@ class FieldEvaluator:
         self.mean_state_row = w[:model.M, :model.N].ravel()
         self.mean_input_row = w[self._u_diag].reshape(-1, 2).sum(axis=1)
 
+    @classmethod
+    def of(cls, model: ReducedModel, n_r: int = DEFAULT_GRID[0],
+           n_z: int = DEFAULT_GRID[1]) -> "FieldEvaluator":
+        """The evaluator of ``model`` on the (n_r, n_z) grid, built on first
+        use and cached on the model (``ReducedModel.evaluators``). Builds
+        are serialized, so threads that share a model build it once."""
+        with _BUILD_LOCK:
+            cache = model.evaluators
+            if (n_r, n_z) not in cache:
+                cache[n_r, n_z] = cls(model, n_r, n_z)
+            return cache[n_r, n_z]
+
     def _stack(self, X, u):
         """(X (S, order), u (S, n_inputs), whether one unstacked sample)."""
         X = np.asarray(X, dtype=float)
         u = np.broadcast_to(np.asarray(u, dtype=float),
-                            (*X.shape[:-1], self.model.n_inputs))
+                            (*X.shape[:-1], self._sizes[2]))
         return X.reshape(-1, X.shape[-1]), u.reshape(-1, u.shape[-1]), X.ndim == 1
 
     def _reconstruct(self, X: np.ndarray, u: np.ndarray, out: np.ndarray):
         """T, dT/dr and dT/dz of the samples X (b, order), u (b, n_inputs)
         into out (3, b, n_r, n_z)."""
-        model = self.model
+        M, N, _ = self._sizes
         c_aug = np.zeros((X.shape[0], self._r.shape[-1], self._z0t.shape[0]))
-        c_aug[:, :model.M, :model.N] = X.reshape(-1, model.M, model.N)
+        c_aug[:, :M, :N] = X.reshape(-1, M, N)
         rows, cols = self._u_diag
         c_aug[:, rows, cols] = np.repeat(u, 2, axis=1)
         left = self._r[:, None] @ c_aug           # R0 C_aug and R1 C_aug
@@ -249,11 +270,13 @@ class FieldEvaluator:
             j = min(i + METRICS_BLOCK, n)
             out = buf[:, :j - i]
             self._reconstruct(X[i:j], u[i:j], out)
-            np.max(out[0], axis=(1, 2), out=res[1, i:j])
-            np.min(out[0], axis=(1, 2), out=res[2, i:j])
-            grads = np.abs(out[1:], out=out[1:])
-            np.max(grads, axis=(2, 3), out=res[4:6, i:j])
-            np.mean(grads, axis=(2, 3), out=res[6:8, i:j])
+            flat = out.reshape(3, j - i, -1)   # a view: each sample's grid is contiguous
+            np.max(flat[0], axis=1, out=res[1, i:j])
+            np.min(flat[0], axis=1, out=res[2, i:j])
+            grads = np.abs(flat[1:], out=flat[1:])
+            np.max(grads, axis=2, out=res[4:6, i:j])
+            np.sum(grads, axis=2, out=res[6:8, i:j])
+        res[6:8] /= self.r_nodes.size * self.z_nodes.size
         np.subtract(res[1], res[2], out=res[3])
         if single:
             return MetricsRecord(*map(float, res[:, 0]))
@@ -310,7 +333,7 @@ def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
     n_steps = int(np.floor(horizon / dt + 1e-9))
     times = np.arange(n_steps + 1) * dt
     u_arr, w_arr = _broadcast_inputs(model, u, w, n_steps + 1)
-    evaluator = FieldEvaluator(model, *grid_shape)
+    evaluator = FieldEvaluator.of(model, *grid_shape)
     modal = stepper.trajectory(model.to_modal(X0),
                                np.column_stack([u_arr, w_arr])[:-1])
     states = model.from_modal(modal, out=modal)

@@ -1,6 +1,7 @@
 """Chebyshev kernel: Robin basis construction, evaluation, quadrature.
 
-Every check goes through the public evaluation, ``basis_matrix``. Oracles:
+Every check goes through the public evaluation, ``basis_matrix``, and
+``basis_table`` must equal it bit for bit. Oracles:
 the trigonometric identity P_k(x) = cos(k arccos x) with
 phi_k = P_k + a_k P_{k+1} + b_k P_{k+2}, the endpoint identity
 P'_k(+-1) = (+-1)^(k+1) k^2, central finite differences for derivatives,
@@ -18,6 +19,7 @@ from scipy.integrate import quad
 
 from celltherm.chebyshev import (
     basis_matrix,
+    basis_table,
     build_basis,
     gauss_quadrature,
     robin_residuals,
@@ -158,6 +160,20 @@ class TestBuildBasis:
             res = robin_residuals(build_basis(count, *pair))
             assert res.shape == (count, 2)
             assert res.max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 30), st.integers(1, 200),
+           st.integers(0, 2**32 - 1))
+    def test_table_equals_basis_matrix(self, cell, count, n_nodes, seed):
+        """Each derivative of a table, built from one Vandermonde matrix of
+        its nodes, equals basis_matrix of that derivative bit for bit."""
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, n_nodes)
+        for pair in robin_pairs(*cell):
+            bs = build_basis(count, *pair)
+            table = basis_table(bs, x, (0, 1, 2))
+            assert np.array_equal(table.nodes, x)
+            for d in (0, 1, 2):
+                assert np.array_equal(table[d], basis_matrix(bs, x, d))
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(BasisConstructionError):

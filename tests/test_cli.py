@@ -23,6 +23,7 @@ from celltherm.cli import (
     load_config,
     main,
     solve_constant_volume,
+    write_csv,
 )
 from celltherm.core import HeatProfile, cell_volume, CellSpec
 from celltherm.exceptions import ConfigError
@@ -468,6 +469,90 @@ class TestCommands:
         rows = (tmp_path / "out/scenarios/merits.csv").read_text().splitlines()
         assert len(rows) == 6
         assert rows[0].startswith("scenario,T_mean_C")
+
+
+def _row_wise_csv(header, columns) -> bytes:
+    """A table written row by row, each value by itself: a float, numpy's
+    included, as repr(float(v)), anything else as str(v)."""
+    def text(v):
+        return repr(float(v)) if isinstance(v, (float, np.floating)) else str(v)
+
+    lines = [",".join(header)] + [",".join(map(text, row)) for row in zip(*columns)]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+# signed zero, a float whose repr switches to an exponent, a small normal
+# and two subnormal values, and a few ordinary ones
+_EDGE_FLOATS = st.sampled_from([
+    -0.0, 0.0, 1e16, 1e-5, 5e-324, 2.2250738585072014e-308 / 3, 1.0 / 3.0, 1e22,
+    -123456.789, float("inf")])
+_FLOATS = _EDGE_FLOATS | st.floats()
+
+
+def _column(kind, values):
+    """One CSV column of the given kind, from the drawn values."""
+    return {
+        "float64 array": lambda: np.array([float(v) for v in values]),
+        "float32 array": lambda: np.array([float(v) for v in values], dtype=np.float32),
+        "np.float64 list": lambda: [np.float64(v) for v in values],
+        "float list": lambda: [float(v) for v in values],
+        "int list": lambda: [int(v) for v in values],
+        "int64 array": lambda: np.array([int(v) for v in values], dtype=np.int64),
+        "bool list": lambda: [v > 0 for v in values],
+        "bool array": lambda: np.array([v > 0 for v in values]),
+        "str list": lambda: [f"s{int(v)}" for v in values],
+    }[kind]()
+
+
+class TestWriteCsv:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_bytes_equal_the_row_wise_rule(self, data):
+        """The column writer writes the bytes of the value-by-value rule over
+        columns that mix float arrays, lists of np.float64 scalars (whose
+        repr in numpy 2 is np.float64(...)), ints, bools and strings."""
+        n_rows = data.draw(st.integers(0, 12), label="rows")
+        kinds = data.draw(st.lists(st.sampled_from([
+            "float64 array", "float32 array", "np.float64 list", "float list",
+            "int list", "int64 array", "bool list", "bool array", "str list"]),
+            min_size=1, max_size=6), label="kinds")
+        columns = []
+        for kind in kinds:
+            if kind.startswith(("int", "bool", "str")):
+                values = st.integers(-10**6, 10**6)
+            else:
+                values = st.floats(width=32) if kind == "float32 array" else _FLOATS
+            columns.append(_column(kind, data.draw(
+                st.lists(values, min_size=n_rows, max_size=n_rows))))
+        header = [f"c{i}" for i in range(len(columns))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "sub" / "table.csv"
+            write_csv(path, header, columns)
+            assert path.read_bytes() == _row_wise_csv(header, columns)
+
+    def test_edge_floats_written_by_repr(self, tmp_path):
+        values = [-0.0, 1e16, 1e-5, 5e-324]
+        write_csv(tmp_path / "t.csv", ["a", "b"],
+                  [np.array(values), [np.float64(v) for v in values]])
+        assert (tmp_path / "t.csv").read_text().splitlines()[1:] == [
+            "-0.0,-0.0", "1e+16,1e+16", "1e-05,1e-05", "5e-324,5e-324"]
+
+    def test_columns_of_unequal_length_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0, 2.0], [1.0]])
+
+    def test_sweep_with_every_ratio_skipped_writes_the_header(self, tmp_path, capsys):
+        """No constant-volume cell has L / R_out = 1e20 or 1e30 with
+        R_out > R_in in double precision, so both ratios are skipped."""
+        path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out"),
+                                     "sweep": {"ratios": [1e20, 1e30]}})
+        assert main(["sweep-geometry", "--config", str(path)]) == 0
+        assert (tmp_path / "out/sweep-geometry/sweep.csv").read_text() == (
+            "L_over_R_out,L_m,R_out_m,volume_m3,T_mean_C,dTr_max_K_per_m,"
+            "dTz_max_K_per_m\n")
+        summary = json.loads((tmp_path / "out/sweep-geometry/summary.json").read_text())
+        assert summary["skipped_ratios"] == [1e20, 1e30]
+        assert capsys.readouterr().err.count("skipped") == 2
 
 
 class TestDeterminism:

@@ -179,6 +179,23 @@ class TestClosedLoop:
         np.testing.assert_allclose(trace.dTr_mean, fd.dTr_mean[::4], rtol=1e-12)
         np.testing.assert_allclose(trace.outputs, fd.outputs[::4], rtol=0, atol=1e-12)
 
+    def test_fd_plant_builds_one_fd_solver(self, monkeypatch):
+        """The plant's own solver steps the plant run; no second solver is
+        built from its spec, cooling and grid."""
+        built = []
+        init = FdSolver.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FdSolver, "__init__", counting_init)
+        cooling = scenario_cooling("aTSC")
+        plant = FdSolver(PAPER, cooling, FdConfig(16, 16, 0.5))
+        closed_loop_run(plant, "aTSC", 20.0, 4e4, dt=2.0, horizon=20.0,
+                        estimator_model=assemble(PAPER, cooling, 2, 2))
+        assert built == [plant]
+
     def test_fd_plant_rejects_a_fractional_fd_step_count(self):
         cooling = scenario_cooling("SC")
         solver = FdSolver(PAPER, cooling, FdConfig(16, 16, 0.3))

@@ -6,6 +6,10 @@ adiabatic energy balance q/(rho cp), exact ZOH semigroup identities,
 second-order finite differences and trapezoid sums of the reconstructed field.
 """
 
+import gc
+import sys
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -409,6 +413,63 @@ class TestReconstruct:
         grid = FieldEvaluator(model).field(np.zeros(1), np.zeros(3))
         assert grid.values.shape == (41, 41)
         assert grid.r_nodes[0] == -1.0 and grid.r_nodes[-1] == 1.0
+
+
+class TestEvaluatorCache:
+    def test_one_evaluator_per_model_and_grid(self):
+        model, other = assemble(PAPER, SC, 2, 2), assemble(PAPER, SC, 2, 2)
+        ev = FieldEvaluator.of(model, 9, 7)
+        assert FieldEvaluator.of(model, 9, 7) is ev
+        assert FieldEvaluator.of(model, 7, 9) is not ev
+        assert FieldEvaluator.of(other, 9, 7) is not ev
+        x0 = project_initial_state(model, 15.0, U_SC)
+        run(model, x0, U_SC, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 7))
+        assert model.evaluators == {(9, 7): ev, (7, 9): FieldEvaluator.of(model, 7, 9)}
+
+    def test_threads_sharing_a_model_build_one_evaluator(self, monkeypatch):
+        built = []
+        init = FieldEvaluator.__init__
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(FieldEvaluator, "__init__", counting_init)
+        model = assemble(PAPER, SC, 3, 3)
+        start = threading.Barrier(4)
+        got = []
+
+        def first_use():
+            start.wait()
+            got.append(FieldEvaluator.of(model, 15, 15))
+
+        threads = [threading.Thread(target=first_use) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)   # interleave the threads often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 1 and got == built * 4
+
+    def test_model_with_cached_evaluator_freed_without_cyclic_gc(self):
+        """The cached evaluator holds no reference back to its model, so
+        dropping the model frees it by reference counting alone."""
+        model = assemble(PAPER, SC, 2, 2)
+        x0 = project_initial_state(model, 15.0, U_SC)
+        run(model, x0, U_SC, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 9))
+        assert model.evaluators
+        alive = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 def _heated_from_outside():
