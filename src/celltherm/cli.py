@@ -687,17 +687,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="celltherm",
         description="Reduced-order battery-cell thermal modelling toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", type=str, default=None,
-                         help="JSON run configuration")
-        cmd.add_argument("--out", type=str, default=None,
-                         help="output directory (default from config)")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="seed for synthetic profiles")
-        cmd.add_argument("--orders", type=str, default=None,
-                         help="comma-separated model orders, e.g. 1,4,9")
+    parser.add_argument("command", choices=list(COMMANDS))
+    parser.add_argument("--config", type=str, default=None,
+                        help="JSON run configuration")
+    parser.add_argument("--out", type=str, default=None,
+                        help="output directory (default from config)")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed for synthetic profiles")
+    parser.add_argument("--orders", type=str, default=None,
+                        help="comma-separated model orders, e.g. 1,4,9")
     return parser
 
 

@@ -200,8 +200,9 @@ def cell_volume(spec: CellSpec) -> float:
     return spec.D * spec.L * 1.0
 
 
-def bernardi_q(I: float, V: float, V_ocv: float, cell_volume: float) -> float:
-    """Volumetric heat generation q = I (V - V_ocv) / V_b in W m^-3.
+def bernardi_q(I, V, V_ocv, cell_volume: float):
+    """Volumetric heat generation q = I (V - V_ocv) / V_b in W m^-3, of one
+    sample (floats) or elementwise over arrays of samples.
 
     Negative values (endothermic charging) are passed through unchanged.
     """
@@ -254,7 +255,7 @@ class HeatProfile:
         """Convert an electrical profile to volumetric heat via the Bernardi formula."""
         if self.kind == VOLUMETRIC_Q:
             return self
-        q = np.array([bernardi_q(I, V, Vocv, cell_vol) for I, V, Vocv in self.values])
+        q = bernardi_q(*self.values.T, cell_vol)
         return HeatProfile(self.times, q, VOLUMETRIC_Q)
 
 

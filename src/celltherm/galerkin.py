@@ -35,7 +35,9 @@ compact Robin-adapted Chebyshev-Galerkin bases); its modes give the exact
 step map and the dissipativity check, and cond(G) = cond(Gr) cond(Gz), so no
 (MN)^2 matrix is formed. G and A are derived properties, for inspection.
 ``to_modal`` and ``from_modal`` map states to and from the modal coordinates
-(V_r (x) V_z)^-1 X in which ``simulate`` steps.
+(V_r (x) V_z)^-1 X in which ``simulate`` steps, and ``modal_rows`` carries a
+linear functional of the state over to them, so that the outputs of a modal
+trajectory need no state (``modal_outputs``).
 
 B columns apply the same spatial operator to the per-side particular
 components; Dft adds their direct contribution to the four mid-side outputs.
@@ -64,8 +66,34 @@ from .particular import (
 # Mid-points of the surface, core, top, and bottom sides in scaled coordinates.
 OUTPUT_LOCATIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 
-# Samples per block when ReducedModel.from_modal maps a trajectory.
+# Samples per block when map_modes maps a trajectory.
 _MODAL_BLOCK = 16
+
+
+def map_modes(Y: np.ndarray, V_r: np.ndarray, V_z: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """States (V_r (x) V_z) Y of modal coordinates Y (..., M N).
+
+    The result goes to ``out`` (C-contiguous; it may be Y itself), or to a
+    new array, one block of samples at a time, so that mapping a long
+    trajectory in place needs no temporary of its size.
+    """
+    M, N = V_r.shape[0], V_z.shape[0]
+    y = Y.reshape(-1, M, N)
+    x = np.empty_like(y) if out is None else out.reshape(y.shape)
+    for i in range(0, y.shape[0], _MODAL_BLOCK):
+        x[i:i + _MODAL_BLOCK] = V_r @ y[i:i + _MODAL_BLOCK] @ V_z.T
+    return x.reshape(Y.shape)
+
+
+def _outputs(X: np.ndarray, C: np.ndarray, Dft: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """C X + Dft u of one sample or a stack.
+
+    einsum's own loops: a threaded BLAS GEMM over a long high-order
+    trajectory starts the BLAS thread pool, whose buffers add about 2 MB of
+    resident memory.
+    """
+    return np.einsum("...o,po->...p", X, C) + u @ Dft.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,25 +172,30 @@ class ReducedModel:
         return (self.modes_r.V_inv @ x @ self.modes_z.V_inv.T).reshape(X.shape)
 
     def from_modal(self, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """States (V_r (x) V_z) Y of modal coordinates Y (..., order).
+        """States (V_r (x) V_z) Y of modal coordinates Y (..., order), into
+        ``out`` if given (see ``map_modes``)."""
+        return map_modes(Y, self.modes_r.V, self.modes_z.V, out)
 
-        The result goes to ``out`` (C-contiguous; it may be Y itself) one
-        block of samples at a time, so that mapping a long trajectory in
-        place needs no temporary of its size.
-        """
-        y = Y.reshape(-1, self.M, self.N)
-        x = np.empty_like(y) if out is None else out.reshape(y.shape)
-        for i in range(0, y.shape[0], _MODAL_BLOCK):
-            x[i:i + _MODAL_BLOCK] = (self.modes_r.V @ y[i:i + _MODAL_BLOCK]
-                                     @ self.modes_z.V.T)
-        return x.reshape(Y.shape)
+    def modal_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Rows R (V_r (x) V_z) of linear functionals R (..., order) of the
+        state, acting on modal coordinates: R X = (R (V_r (x) V_z)) Y."""
+        r = rows.reshape(-1, self.M, self.N)
+        return (self.modes_r.V.T @ r @ self.modes_z.V).reshape(rows.shape)
+
+    @cached_property
+    def modal_C(self) -> np.ndarray:
+        """The output map C (V_r (x) V_z), (4, order), on modal coordinates."""
+        return self.modal_rows(self.C)
 
     def outputs(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Mid-side temperatures Y = C X + Dft u of one sample or a stack."""
-        # einsum's own loops: a threaded BLAS GEMM over a long high-order
-        # trajectory starts the BLAS thread pool, whose buffers add about
-        # 2 MB of resident memory
-        return np.einsum("...o,po->...p", X, self.C) + u @ self.Dft.T
+        """Mid-side temperatures Y = C X + Dft u of Galerkin states X, one
+        sample or a stack; the dense reference of ``modal_outputs``."""
+        return _outputs(X, self.C, self.Dft, u)
+
+    def modal_outputs(self, Y: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Mid-side temperatures C (V_r (x) V_z) Y + Dft u of modal
+        coordinates Y, one sample or a stack."""
+        return _outputs(Y, self.modal_C, self.Dft, u)
 
 
 def _pencil_modes(stiff: np.ndarray, gram: np.ndarray) -> Modes:

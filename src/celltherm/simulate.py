@@ -11,9 +11,12 @@ V_r (x) V_z with eigenvalues (lam_r[i] + lam_z[j]) / rho cp. The two-state TEC
 of ``reference`` and the closed-loop estimator of ``control`` use the same
 kernel.
 
-``run`` steps in modal coordinates, maps the whole trajectory back to the
-Galerkin state in one batched transform, and reconstructs the metrics of all
-sampled steps from stacked samples, METRICS_BLOCK at a time. Reconstruction
+``run`` steps in modal coordinates and keeps the trajectory there: the
+outputs come from the output map carried over to modal coordinates once per
+model (``ReducedModel.modal_C``), only the sampled steps are mapped back to
+Galerkin states, and their metrics are reconstructed from stacked samples,
+METRICS_BLOCK at a time. ``SimResult.states`` maps the whole trajectory on
+first read. Reconstruction
 is one separable product per sample: the field, particular part included,
 is R C_aug Z^T with 1D tables R, Z and a block-diagonal coefficient matrix
 C_aug (``FieldEvaluator``). Gradients are computed by analytic
@@ -25,13 +28,14 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import BoundaryInput
 from .chebyshev import basis_table
 from .exceptions import NumericalError
-from .galerkin import ReducedModel
+from .galerkin import ReducedModel, map_modes
 from .particular import axial_scale, radial_scale, radial_weight
 
 DEFAULT_GRID = (41, 41)
@@ -84,10 +88,13 @@ class Stepper:
         NumericalError naming the first step whose state is not finite."""
         Y = np.empty((V.shape[0] + 1, self.gain.size))
         Y[0] = y0
-        np.matmul(V, self.b_hat, out=Y[1:])   # the inputs, precombined once
+        gain, scratch = self.gain, np.empty_like(self.gain)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(V.shape[0]):
-                Y[k + 1] += self.gain * Y[k]   # y = gain * y + W[k], in place
+            np.matmul(V, self.b_hat, out=Y[1:])   # the inputs, precombined once
+            # iterating Y makes each row view as the loop reaches it; a list
+            # of all of them would hold about 120 bytes per step
+            for prev, row in zip(Y, Y[1:]):
+                row += np.multiply(gain, prev, out=scratch)   # y = gain * y + W[k]
         # gain is finite and >= 0, so a non-finite entry never becomes finite
         # again: the last state shows whether any step failed
         if not np.all(np.isfinite(Y[-1])):
@@ -289,12 +296,20 @@ class SimResult(MetricSeries):
 
     ``outputs`` holds the four mid-side temperatures [surface, core, top,
     bottom]; the metric arrays are sampled every ``metrics_stride`` steps on
-    the reconstruction grid.
+    the reconstruction grid. The trajectory is kept in modal coordinates,
+    with the two 1D mode matrices (V_r, V_z) that map it to Galerkin states,
+    not the model: a result keeps no model alive.
     """
 
     times: np.ndarray
-    states: np.ndarray          # (K+1, order)
+    modal: np.ndarray           # (K+1, order) modal coordinates
+    modes: tuple                # (V_r, V_z)
     outputs: np.ndarray         # (K+1, 4)
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """Galerkin states (K+1, order), mapped on first read."""
+        return map_modes(self.modal, *self.modes)
 
 
 def _broadcast_inputs(model: ReducedModel, u, w, n_times: int):
@@ -336,9 +351,9 @@ def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
     evaluator = FieldEvaluator.of(model, *grid_shape)
     modal = stepper.trajectory(model.to_modal(X0),
                                np.column_stack([u_arr, w_arr])[:-1])
-    states = model.from_modal(modal, out=modal)
     idx = metric_steps(n_steps, metrics_stride)
-    metrics = evaluator.metrics(states[idx], u_arr[idx])
-    return SimResult(times=times, states=states,
-                     outputs=model.outputs(states, u_arr),
+    metrics = evaluator.metrics(model.from_modal(modal[idx]), u_arr[idx])
+    return SimResult(times=times, modal=modal,
+                     modes=(model.modes_r.V, model.modes_z.V),
+                     outputs=model.modal_outputs(modal, u_arr),
                      metrics_times=times[idx], **vars(metrics))

@@ -356,6 +356,24 @@ class TestSyntheticProfiles:
         assert np.allclose(q2.values, 2.0 * q1.values, rtol=1e-12)
 
 
+class TestParser:
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_every_command_parses(self, command):
+        args = cli.build_parser().parse_args(
+            [command, "--config", "c.json", "--out", "o", "--seed", "3",
+             "--orders", "1,4"])
+        assert (args.command, args.config, args.out, args.seed, args.orders) == \
+            (command, "c.json", "o", 3, "1,4")
+
+    @pytest.mark.parametrize("argv", [[], ["--seed", "1"], ["simulat"], ["run"]],
+                             ids=["none", "options-only", "typo", "unknown"])
+    def test_unknown_or_missing_command_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "command" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_simulate_outputs(self, tmp_path):
         path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out")})

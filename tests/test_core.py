@@ -54,6 +54,27 @@ class TestBernardi:
     def test_negative_heat_passes_through(self):
         assert bernardi_q(50.0, 3.2, 3.3, 1e-3) < 0.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_profile_conversion_matches_per_sample_calls(self, seed):
+        """An electrical profile converts in one elementwise call, bit for bit
+        the per-sample scalar conversions."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 400))
+        values = np.column_stack([200.0 * rng.standard_normal(n),
+                                  3.3 + 0.3 * rng.standard_normal(n),
+                                  3.3 + 0.1 * rng.standard_normal(n)])
+        profile = HeatProfile(np.arange(n, dtype=float), values, "electrical_ivo")
+        vol = 1e-4 + 1e-3 * rng.random()
+        q = profile.to_volumetric(vol)
+        assert q.kind == "volumetric_q"
+        assert np.array_equal(q.values, [bernardi_q(i, v, vo, vol) for i, v, vo in values])
+
+    @pytest.mark.parametrize("vol", [0.0, -1e-3])
+    def test_profile_conversion_rejects_non_positive_volume(self, vol):
+        profile = HeatProfile(np.arange(3.0), np.full((3, 3), 3.3), "electrical_ivo")
+        with pytest.raises(ValueError, match="cell_volume must be positive"):
+            profile.to_volumetric(vol)
+
 
 class TestCellVolume:
     def test_paper_cell(self):

@@ -31,9 +31,16 @@ from celltherm.core import (
 )
 from celltherm.chebyshev import basis_matrix
 from celltherm.exceptions import NumericalError
-from celltherm.galerkin import assemble, project_initial_state
+from celltherm.galerkin import ReducedModel, assemble, project_initial_state
 from celltherm.particular import axial_scale, radial_scale
-from celltherm.simulate import METRICS_BLOCK, FieldEvaluator, discretize, run
+from celltherm.simulate import (
+    METRICS_BLOCK,
+    FieldEvaluator,
+    Stepper,
+    discretize,
+    metric_steps,
+    run,
+)
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -333,6 +340,88 @@ class TestRun:
         u = BoundaryInput(surface=6000.0, top=450.0, bottom=450.0)
         res = run(model, np.zeros(1), u, 0.0, dt=1.0, horizon=5.0)
         assert res.outputs.shape == (6, 4)
+
+
+class TestTrajectory:
+    @pytest.mark.parametrize("n, m, K", [(1, 2, 0), (1, 5, 7), (9, 4, 30),
+                                         (100, 5, 60)])
+    def test_states_match_the_step_recursion_bit_for_bit(self, n, m, K):
+        """The loop over row views gives y[k+1] = gain * y[k] + v[k] @ b_hat
+        exactly as the indexed in-place recursion does."""
+        rng = np.random.default_rng(n + m + K)
+        stepper = Stepper(rng.random(n), rng.standard_normal((m, n)))
+        y0, V = rng.standard_normal(n), rng.standard_normal((K, m))
+        want = np.empty((K + 1, n))
+        want[0] = y0
+        want[1:] = V @ stepper.b_hat
+        for k in range(K):
+            want[k + 1] += stepper.gain * want[k]
+        assert np.array_equal(stepper.trajectory(y0, V), want)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("row", [0, 3, 9])
+    def test_first_non_finite_step_named(self, bad, row):
+        """An input row that is not finite makes the state after it the first
+        bad one, and the error names that step, however the run goes on."""
+        stepper = Stepper(np.array([0.5, 1.0]), np.eye(2))
+        V = np.ones((10, 2))
+        V[row, 1] = bad
+        V[min(row + 2, 9), 0] = np.nan
+        with pytest.raises(NumericalError, match=rf"non-finite state at step {row + 1}$"):
+            stepper.trajectory(np.zeros(2), V)
+
+
+class TestModalFirst:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 6), st.integers(1, 6),
+           st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
+    def test_random_cells_outputs_and_states_from_the_modal_trajectory(
+            self, cell, M, N, dt, seed):
+        """``run`` keeps the trajectory modal: its outputs equal C X + Dft u
+        of the Galerkin states, and the states it maps on first read are
+        ``from_modal`` of that trajectory, bit for bit."""
+        model = assemble(*cell, M, N)
+        rng = np.random.default_rng(seed)
+        u = 1e3 * rng.standard_normal((7, model.n_inputs))
+        w = 1e5 * rng.standard_normal(7)
+        res = run(model, rng.standard_normal(model.order), u, w, dt, 6 * dt,
+                  grid_shape=(5, 5), metrics_stride=4)
+        assert np.array_equal(res.states, model.from_modal(res.modal))
+        assert res.states is res.states
+        assert_close_rel(res.outputs, model.outputs(res.states, u), 1e-12)
+
+    @pytest.mark.parametrize("K, stride", [(30, 7), (30, 1), (30, 10**9), (0, 1)])
+    def test_run_maps_only_the_metric_steps(self, monkeypatch, K, stride):
+        model = assemble(PAPER, SC, 3, 3)
+        mapped = []
+        from_modal = ReducedModel.from_modal
+
+        def spy(self, Y, out=None):
+            mapped.append(Y.shape[0])
+            return from_modal(self, Y, out)
+
+        monkeypatch.setattr(ReducedModel, "from_modal", spy)
+        x0 = project_initial_state(model, 15.0, U_SC)
+        res = run(model, x0, U_SC, 1e5, dt=2.0, horizon=2.0 * K,
+                  grid_shape=(5, 5), metrics_stride=stride)
+        assert mapped == [len(metric_steps(K, stride))]
+        assert res.states.shape == (K + 1, model.order)
+
+    def test_result_keeps_no_model_alive(self):
+        """A result holds the two 1D mode matrices, not the model, so the
+        model is freed by reference counting while the result lives on."""
+        model = assemble(PAPER, SC, 2, 2)
+        x0 = project_initial_state(model, 15.0, U_SC)
+        res = run(model, x0, U_SC, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 9))
+        states = model.from_modal(res.modal)
+        alive = weakref.ref(model)
+        gc.disable()
+        try:
+            del model
+            assert alive() is None
+        finally:
+            gc.enable()
+        assert np.array_equal(res.states, states)
 
 
 class TestReconstruct:
