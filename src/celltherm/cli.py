@@ -408,13 +408,13 @@ def cmd_validate(cfg, out_dir: Path):
     spec = _cell_from_config(cfg)
     # FD outputs only at the model's steps, when those fall on FD steps
     stride = step_ratio(cfg["dt_s"], cfg["fd"]["dt_s"]) or 1
+    q_series = _q_series(cfg, spec, cfg["dt_s"])
+    q_fd = _q_series(cfg, spec, cfg["fd"]["dt_s"])
     rows = []
     per_scenario = {}
     for name in cfg["scenarios"]:
         cooling = scenario_cooling(name, spec.shape, T_inf=cfg["t_init_C"])
-        q_fd = _q_series(cfg, spec, cfg["fd"]["dt_s"])
         fd = _fd_reference(cfg, spec, cooling, q_fd, _NO_METRICS, stride)
-        q_series = _q_series(cfg, spec, cfg["dt_s"])
         errors = {}
         for order in cfg["orders"]:
             result = _run_order(spec, cooling, order, cfg, q_series)(_NO_METRICS)

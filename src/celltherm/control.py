@@ -10,8 +10,8 @@ inputs, in modal coordinates through the package's one ZOH kernel
 error. The estimator never reads the plant, so a run first issues the whole
 command sequence from the estimator alone, then runs the plant once, open
 loop, under the recorded commands: a reduced-model plant through one
-``Stepper.trajectory``, its outputs from the modal output map as in
-``simulate.run`` and one batched metrics call, an FD plant stepped as
+``Stepper.trajectory``, its outputs and one batched metrics call taken from
+the modal trajectory as in ``simulate.run``, an FD plant stepped as
 ``fd_solve`` steps, on the plant's own solver, with each command held over
 the FD steps of its control step. The estimator and a reduced-model plant
 share the model's cached ``FieldEvaluator``.
@@ -74,7 +74,7 @@ class OpenLoopEstimator:
                  u0: np.ndarray, grid_shape=DEFAULT_GRID):
         self._stepper = discretize(model, dt)
         evaluator = FieldEvaluator.of(model, *grid_shape)
-        self._mean_row = model.modal_rows(evaluator.mean_state_row)
+        self._mean_row = evaluator.mean_state_row
         self._mean_input_row = evaluator.mean_input_row
         self.y = model.to_modal(project_initial_state(model, T_init, u0))
 
@@ -190,8 +190,7 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
             plant.to_modal(project_initial_state(plant, T_init, u_baseline)),
             np.column_stack([u_hist[:-1], q_arr[:-1]]))
         outputs = plant.modal_outputs(modal, u_rec)
-        metrics = FieldEvaluator.of(plant, *grid_shape).metrics(
-            plant.from_modal(modal, out=modal), u_rec)
+        metrics = FieldEvaluator.of(plant, *grid_shape).metrics(modal, u_rec)
     return ControlTrace(
         times=np.arange(n_steps + 1) * dt, setpoint=setpoint, sides=sides,
         active=active, coolant=coolant, u=u_hist, T_mean=metrics.T_mean,

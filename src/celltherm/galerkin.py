@@ -35,9 +35,10 @@ compact Robin-adapted Chebyshev-Galerkin bases); its modes give the exact
 step map and the dissipativity check, and cond(G) = cond(Gr) cond(Gz), so no
 (MN)^2 matrix is formed. G and A are derived properties, for inspection.
 ``to_modal`` and ``from_modal`` map states to and from the modal coordinates
-(V_r (x) V_z)^-1 X in which ``simulate`` steps, and ``modal_rows`` carries a
-linear functional of the state over to them, so that the outputs of a modal
-trajectory need no state (``modal_outputs``).
+(V_r (x) V_z)^-1 X in which ``simulate`` steps, and ``modal_C`` carries the
+output map over to them, so that the outputs of a modal trajectory need no
+state (``modal_outputs``); ``simulate.FieldEvaluator`` reads modal
+coordinates too.
 
 B columns apply the same spatial operator to the per-side particular
 components; Dft adds their direct contribution to the four mid-side outputs.
@@ -66,24 +67,12 @@ from .particular import (
 # Mid-points of the surface, core, top, and bottom sides in scaled coordinates.
 OUTPUT_LOCATIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
 
-# Samples per block when map_modes maps a trajectory.
-_MODAL_BLOCK = 16
 
-
-def map_modes(Y: np.ndarray, V_r: np.ndarray, V_z: np.ndarray,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """States (V_r (x) V_z) Y of modal coordinates Y (..., M N).
-
-    The result goes to ``out`` (C-contiguous; it may be Y itself), or to a
-    new array, one block of samples at a time, so that mapping a long
-    trajectory in place needs no temporary of its size.
-    """
-    M, N = V_r.shape[0], V_z.shape[0]
-    y = Y.reshape(-1, M, N)
-    x = np.empty_like(y) if out is None else out.reshape(y.shape)
-    for i in range(0, y.shape[0], _MODAL_BLOCK):
-        x[i:i + _MODAL_BLOCK] = V_r @ y[i:i + _MODAL_BLOCK] @ V_z.T
-    return x.reshape(Y.shape)
+def map_modes(Y: np.ndarray, V_r: np.ndarray, V_z: np.ndarray) -> np.ndarray:
+    """States (V_r (x) V_z) Y of modal coordinates Y (..., M N), as
+    V_r y V_z^T per M x N sample."""
+    y = Y.reshape(-1, V_r.shape[0], V_z.shape[0])
+    return (V_r @ y @ V_z.T).reshape(Y.shape)
 
 
 def _outputs(X: np.ndarray, C: np.ndarray, Dft: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -171,21 +160,16 @@ class ReducedModel:
         x = X.reshape(-1, self.M, self.N)
         return (self.modes_r.V_inv @ x @ self.modes_z.V_inv.T).reshape(X.shape)
 
-    def from_modal(self, Y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """States (V_r (x) V_z) Y of modal coordinates Y (..., order), into
-        ``out`` if given (see ``map_modes``)."""
-        return map_modes(Y, self.modes_r.V, self.modes_z.V, out)
-
-    def modal_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Rows R (V_r (x) V_z) of linear functionals R (..., order) of the
-        state, acting on modal coordinates: R X = (R (V_r (x) V_z)) Y."""
-        r = rows.reshape(-1, self.M, self.N)
-        return (self.modes_r.V.T @ r @ self.modes_z.V).reshape(rows.shape)
+    def from_modal(self, Y: np.ndarray) -> np.ndarray:
+        """States (V_r (x) V_z) Y of modal coordinates Y (..., order)."""
+        return map_modes(Y, self.modes_r.V, self.modes_z.V)
 
     @cached_property
     def modal_C(self) -> np.ndarray:
-        """The output map C (V_r (x) V_z), (4, order), on modal coordinates."""
-        return self.modal_rows(self.C)
+        """The output map C (V_r (x) V_z), (4, order), on modal coordinates:
+        C X = (C (V_r (x) V_z)) Y."""
+        c = self.C.reshape(-1, self.M, self.N)
+        return (self.modes_r.V.T @ c @ self.modes_z.V).reshape(self.C.shape)
 
     def outputs(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Mid-side temperatures Y = C X + Dft u of Galerkin states X, one

@@ -56,7 +56,8 @@ import numpy as np
 
 from .core import SIDES, CellSpec, CoolingConfig, Modes, input_sides
 from .exceptions import NumericalError, UnsupportedShapeError
-from .simulate import MetricSeries, MetricsRecord, Stepper, metric_steps
+from .simulate import (MetricSeries, MetricsRecord, Stepper, _reduce_fields,
+                       _trapezoid, metric_steps)
 
 BACKWARD_EULER = "backward_euler"
 CRANK_NICOLSON = "crank_nicolson"
@@ -250,12 +251,8 @@ class FdSolver:
         self._out_z = np.stack([_lerp_weights(self.z_nodes, z)
                                 for _, z in out_pts]) @ m_z.V
 
-        tr = np.ones(n_r)
-        tr[0] = tr[-1] = 0.5
-        tz = np.ones(n_z)
-        tz[0] = tz[-1] = 0.5
-        wr = tr * (self.r_nodes if spec.is_cylindrical else np.ones(n_r))
-        vol = np.outer(wr, tz)
+        wr = _trapezoid(n_r) * self.r_nodes if spec.is_cylindrical else _trapezoid(n_r)
+        vol = np.outer(wr, _trapezoid(n_z))
         self._vol_weights = vol / vol.sum()
 
     def uniform_field(self, T: float) -> np.ndarray:
@@ -332,21 +329,13 @@ class FdSolver:
         differences; ``field`` is ``grid(state)`` if the caller has it."""
         if field is None:
             field = self.grid(state)
-        g_r = np.gradient(field, self.dr, axis=0)
-        g_z = np.gradient(field, self.dz, axis=1)
-        return MetricsRecord(
-            T_mean=float(np.sum(self._vol_weights * field)),
-            T_max=float(field.max()), T_min=float(field.min()),
-            dT=float(field.max() - field.min()),
-            dTr_max=float(np.abs(g_r).max()), dTz_max=float(np.abs(g_z).max()),
-            dTr_mean=float(np.abs(g_r).mean()), dTz_mean=float(np.abs(g_z).mean()),
-        )
+        block = np.stack([field, *np.gradient(field, self.dr, self.dz)])[:, None]
+        return _reduce_fields(np.sum(self._vol_weights * field), [block], single=True)
 
     def surface_flux(self, state: np.ndarray) -> float:
         """Mean convective flux h_s (T_surface - T_inf) out of the outer face,
         W m^-2 (z-averaged with trapezoid weights)."""
-        tz = np.ones(self.cfg.n_z)
-        tz[0] = tz[-1] = 0.5
+        tz = _trapezoid(self.cfg.n_z)
         t_surf = np.sum(self.grid(state)[-1] * tz) / tz.sum()
         side = self.cooling.surface
         return side.h * (t_surf - side.T_inf)

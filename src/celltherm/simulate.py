@@ -11,17 +11,19 @@ V_r (x) V_z with eigenvalues (lam_r[i] + lam_z[j]) / rho cp. The two-state TEC
 of ``reference`` and the closed-loop estimator of ``control`` use the same
 kernel.
 
-``run`` steps in modal coordinates and keeps the trajectory there: the
-outputs come from the output map carried over to modal coordinates once per
-model (``ReducedModel.modal_C``), only the sampled steps are mapped back to
-Galerkin states, and their metrics are reconstructed from stacked samples,
-METRICS_BLOCK at a time. ``SimResult.states`` maps the whole trajectory on
-first read. Reconstruction
-is one separable product per sample: the field, particular part included,
-is R C_aug Z^T with 1D tables R, Z and a block-diagonal coefficient matrix
-C_aug (``FieldEvaluator``). Gradients are computed by analytic
-differentiation of the expansions (not finite differences of the grid),
-with the coordinate scale factors folded into the derivative tables.
+``run`` steps in modal coordinates and stays there: the outputs come from
+the output map carried over to modal coordinates once per model
+(``ReducedModel.modal_C``), and the metrics are reconstructed straight from
+the modal samples, METRICS_BLOCK at a time. ``SimResult.states`` maps the
+whole trajectory to Galerkin states on first read. Reconstruction is one
+separable product per sample: the field, particular part included, is
+R C_aug Z^T with 1D tables R, Z, whose basis blocks carry the mode matrices
+V_r and V_z, and a block-diagonal coefficient matrix C_aug
+(``FieldEvaluator``). Gradients are computed by analytic differentiation of
+the expansions (not finite differences of the grid), with the coordinate
+scale factors folded into the derivative tables. The reduced model and the
+FD oracle of ``reference`` reduce their fields to ``MetricsRecord``s through
+one routine, ``_reduce_fields``.
 """
 
 from __future__ import annotations
@@ -153,6 +155,37 @@ class MetricsRecord:
         return cls(*np.array([list(vars(r).values()) for r in records]).T)
 
 
+def _trapezoid(n: int) -> np.ndarray:
+    """Trapezoid weights of n >= 2 uniform nodes, unscaled: the two ends
+    count half."""
+    return np.r_[0.5, np.ones(n - 2), 0.5]
+
+
+def _reduce_fields(T_mean: np.ndarray, blocks, single: bool) -> MetricsRecord:
+    """Metrics of S samples from their means ``T_mean`` (S,) and their
+    fields, given in sample order as blocks (3, b, n_r, n_z) of
+    [T, dT/dr, dT/dz]; the gradients are overwritten with their magnitudes.
+    Floats if ``single``, else one array per metric."""
+    res = np.empty((8, T_mean.size))   # one row per MetricsRecord field, in order
+    res[0] = T_mean
+    i = 0
+    for block in blocks:
+        j = i + block.shape[1]
+        flat = block.reshape(3, j - i, -1)   # a view: each sample's grid is contiguous
+        np.max(flat[0], axis=1, out=res[1, i:j])
+        np.min(flat[0], axis=1, out=res[2, i:j])
+        grads = np.abs(flat[1:], out=flat[1:])
+        np.max(grads, axis=2, out=res[4:6, i:j])
+        np.sum(grads, axis=2, out=res[6:8, i:j])
+        i = j
+    if i:   # the grid means from the sums, once for all blocks
+        res[6:8] /= flat.shape[2]
+    np.subtract(res[1], res[2], out=res[3])
+    if single:
+        return MetricsRecord(*map(float, res[:, 0]))
+    return MetricsRecord(*res)
+
+
 @dataclass(frozen=True, eq=False)
 class MetricSeries(MetricsRecord):
     """Metric arrays sampled at ``metrics_times``; the part of a run record
@@ -166,22 +199,26 @@ class FieldEvaluator:
 
     The whole field, particular part included, is one separable product of
     1D tables, as in sum factorization (Orszag, J. Comput. Phys. 37, 1980).
-    Each particular component is a sum of two products g(r) f(z)
-    (``ParticularComponents.factors``), so the basis tables are augmented by
-    each input side's two factors:
+    A sample is its modal coordinates Y (``ReducedModel.to_modal``) and
+    inputs u. The state part Phi_r X Phi_z^T of the field, X = V_r Y V_z^T,
+    is (Phi_r V_r) Y (Phi_z V_z)^T, so the 1D basis tables Phi carry the mode
+    matrices. Each particular component is a sum of two products g(r) f(z)
+    (``ParticularComponents.factors``), so the tables are augmented by each
+    input side's two factors:
 
-        R0 = [basis | r-factors of each side],   R1 = alpha [the same, d/dr],
-        Z0 = [basis | z-factors of each side],   Z1 = beta  [the same, d/dz],
+        R0 = [basis V_r | r-factors of each side],   R1 = alpha [the same, d/dr],
+        Z0 = [basis V_z | z-factors of each side],   Z1 = beta  [the same, d/dz],
 
     n_r (n_z) rows by M + 2 n_inputs (N + 2 n_inputs) columns, with the
     coordinate scales alpha and beta giving gradients in K/m. A sample
-    (X, u) is the block-diagonal coefficient matrix
-    C_aug = blockdiag(X as M x N, u_1 I_2, ..., u_m I_2), and
+    (Y, u) is the block-diagonal coefficient matrix
+    C_aug = blockdiag(Y as M x N, u_1 I_2, ..., u_m I_2), and
 
         T = R0 C_aug Z0^T,   dT/dr = R1 C_aug Z0^T,   dT/dz = R0 C_aug Z1^T.
 
-    The volume-weighted mean is linear in (X, u): W = R0^T vol Z0 gives the
-    rows ``mean_state_row`` (order,) and ``mean_input_row`` (n_inputs,).
+    The volume-weighted mean is linear in (Y, u): W = R0^T vol Z0 gives the
+    rows ``mean_state_row`` (order,), on modal coordinates, and
+    ``mean_input_row`` (n_inputs,).
 
     ``FieldEvaluator.of`` builds one evaluator per model and grid and keeps
     it on the model. An evaluator keeps only the model's sizes, not the
@@ -199,26 +236,24 @@ class FieldEvaluator:
 
         r = basis_table(model.basis_r, self.r_nodes, (0, 1))
         z = basis_table(model.basis_z, self.z_nodes, (0, 1))
+        v_r, v_z = model.modes_r.V, model.modes_z.V
         fr, fz = zip(*(model.particular.factors(side, r, z) for side in model.sides))
         dfr, dfz = zip(*(model.particular.factors(side, r, z, dr=1, dz=1)
                          for side in model.sides))
-        r0 = np.hstack([r[0], *(f.T for f in fr)])
-        z0 = np.hstack([z[0], *(f.T for f in fz)])
+        r0 = np.hstack([r[0] @ v_r, *(f.T for f in fr)])
+        z0 = np.hstack([z[0] @ v_z, *(f.T for f in fz)])
         self._r = np.stack([r0, radial_scale(model.spec)
-                            * np.hstack([r[1], *(f.T for f in dfr)])])
+                            * np.hstack([r[1] @ v_r, *(f.T for f in dfr)])])
         self._z0t = z0.T
-        self._z1t = axial_scale(model.spec) * np.hstack([z[1], *(f.T for f in dfz)]).T
+        self._z1t = axial_scale(model.spec) * np.hstack([z[1] @ v_z,
+                                                         *(f.T for f in dfz)]).T
         # u_s sits on the diagonal of the s-th 2x2 block of C_aug, below the
         # M x N state block: rows from M, columns from N
         k = np.arange(2 * model.n_inputs)
         self._u_diag = (model.M + k, model.N + k)
 
-        # trapezoid weights for the volume-weighted mean
-        tr = np.ones_like(self.r_nodes)
-        tr[0] = tr[-1] = 0.5
-        tz = np.ones_like(self.z_nodes)
-        tz[0] = tz[-1] = 0.5
-        vol = np.outer(tr * radial_weight(model.spec, self.r_nodes), tz)
+        vol = np.outer(_trapezoid(n_r) * radial_weight(model.spec, self.r_nodes),
+                       _trapezoid(n_z))
         self._vol_weights = vol = vol / vol.sum()
         w = r0.T @ vol @ z0
         self.mean_state_row = w[:model.M, :model.N].ravel()
@@ -236,58 +271,47 @@ class FieldEvaluator:
                 cache[n_r, n_z] = cls(model, n_r, n_z)
             return cache[n_r, n_z]
 
-    def _stack(self, X, u):
-        """(X (S, order), u (S, n_inputs), whether one unstacked sample)."""
-        X = np.asarray(X, dtype=float)
+    def _stack(self, Y, u):
+        """(Y (S, order), u (S, n_inputs), whether one unstacked sample)."""
+        Y = np.asarray(Y, dtype=float)
         u = np.broadcast_to(np.asarray(u, dtype=float),
-                            (*X.shape[:-1], self._sizes[2]))
-        return X.reshape(-1, X.shape[-1]), u.reshape(-1, u.shape[-1]), X.ndim == 1
+                            (*Y.shape[:-1], self._sizes[2]))
+        return Y.reshape(-1, Y.shape[-1]), u.reshape(-1, u.shape[-1]), Y.ndim == 1
 
-    def _reconstruct(self, X: np.ndarray, u: np.ndarray, out: np.ndarray):
-        """T, dT/dr and dT/dz of the samples X (b, order), u (b, n_inputs)
-        into out (3, b, n_r, n_z)."""
+    def _reconstruct(self, Y: np.ndarray, u: np.ndarray, out: np.ndarray):
+        """T, dT/dr and dT/dz of the samples Y (b, order), u (b, n_inputs)
+        into out (3, b, n_r, n_z), which it returns."""
         M, N, _ = self._sizes
-        c_aug = np.zeros((X.shape[0], self._r.shape[-1], self._z0t.shape[0]))
-        c_aug[:, :M, :N] = X.reshape(-1, M, N)
+        c_aug = np.zeros((Y.shape[0], self._r.shape[-1], self._z0t.shape[0]))
+        c_aug[:, :M, :N] = Y.reshape(-1, M, N)
         rows, cols = self._u_diag
         c_aug[:, rows, cols] = np.repeat(u, 2, axis=1)
         left = self._r[:, None] @ c_aug           # R0 C_aug and R1 C_aug
         np.matmul(left, self._z0t, out=out[:2])
         np.matmul(left[0], self._z1t, out=out[2])
+        return out
 
-    def field(self, X: np.ndarray, u: np.ndarray) -> FieldGrid:
-        """Field and gradients of one sample (X (order,), u (n_inputs,)) or
-        of stacked samples (X (S, order), u (S, n_inputs) or (n_inputs,)),
+    def field(self, Y: np.ndarray, u: np.ndarray) -> FieldGrid:
+        """Field and gradients of one sample (modal Y (order,), u (n_inputs,))
+        or of stacked samples (Y (S, order), u (S, n_inputs) or (n_inputs,)),
         in new arrays."""
-        X, u, single = self._stack(X, u)
-        out = np.empty((3, X.shape[0], self.r_nodes.size, self.z_nodes.size))
-        self._reconstruct(X, u, out)
+        Y, u, single = self._stack(Y, u)
+        out = np.empty((3, Y.shape[0], self.r_nodes.size, self.z_nodes.size))
+        self._reconstruct(Y, u, out)
         return FieldGrid(self.r_nodes, self.z_nodes, *(out[:, 0] if single else out))
 
-    def metrics(self, X: np.ndarray, u: np.ndarray) -> MetricsRecord:
-        """Metrics of one sample as floats, or of stacked samples (one input
-        row per sample, or one for all) as arrays, reconstructed
+    def metrics(self, Y: np.ndarray, u: np.ndarray) -> MetricsRecord:
+        """Metrics of one sample (modal Y) as floats, or of stacked samples
+        (one input row per sample, or one for all) as arrays, reconstructed
         METRICS_BLOCK samples at a time into one buffer."""
-        X, u, single = self._stack(X, u)
-        n = X.shape[0]
-        res = np.empty((8, n))   # one row per MetricsRecord field, in order
-        np.add(X @ self.mean_state_row, u @ self.mean_input_row, out=res[0])
+        Y, u, single = self._stack(Y, u)
+        n = Y.shape[0]
         buf = np.empty((3, min(n, METRICS_BLOCK), self.r_nodes.size, self.z_nodes.size))
-        for i in range(0, n, METRICS_BLOCK):
-            j = min(i + METRICS_BLOCK, n)
-            out = buf[:, :j - i]
-            self._reconstruct(X[i:j], u[i:j], out)
-            flat = out.reshape(3, j - i, -1)   # a view: each sample's grid is contiguous
-            np.max(flat[0], axis=1, out=res[1, i:j])
-            np.min(flat[0], axis=1, out=res[2, i:j])
-            grads = np.abs(flat[1:], out=flat[1:])
-            np.max(grads, axis=2, out=res[4:6, i:j])
-            np.sum(grads, axis=2, out=res[6:8, i:j])
-        res[6:8] /= self.r_nodes.size * self.z_nodes.size
-        np.subtract(res[1], res[2], out=res[3])
-        if single:
-            return MetricsRecord(*map(float, res[:, 0]))
-        return MetricsRecord(*res)
+        blocks = (self._reconstruct(Y[i:i + METRICS_BLOCK], u[i:i + METRICS_BLOCK],
+                                    buf[:, :min(METRICS_BLOCK, n - i)])
+                  for i in range(0, n, METRICS_BLOCK))
+        return _reduce_fields(Y @ self.mean_state_row + u @ self.mean_input_row,
+                              blocks, single)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,7 +376,7 @@ def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
     modal = stepper.trajectory(model.to_modal(X0),
                                np.column_stack([u_arr, w_arr])[:-1])
     idx = metric_steps(n_steps, metrics_stride)
-    metrics = evaluator.metrics(model.from_modal(modal[idx]), u_arr[idx])
+    metrics = evaluator.metrics(modal[idx], u_arr[idx])
     return SimResult(times=times, modal=modal,
                      modes=(model.modes_r.V, model.modes_z.V),
                      outputs=model.modal_outputs(modal, u_arr),

@@ -226,8 +226,7 @@ class TestClosedLoop:
         modal = discretize(model, 4.0).trajectory(
             model.to_modal(project_initial_state(model, 15.0, u)),
             np.column_stack([u_rows[1:], np.full(10, 6e4)]))
-        states = model.from_modal(modal, out=modal)
-        metrics = FieldEvaluator(model).metrics(states, u_rows)
+        metrics = FieldEvaluator(model).metrics(modal, u_rows)
         np.testing.assert_allclose(means, metrics.T_mean, rtol=1e-13)
 
     @pytest.mark.parametrize("est_count", [None, 2], ids=["nominal", "O4-estimator"])

@@ -279,7 +279,7 @@ class TestInitialState:
             model = assemble(PAPER, scenario_cooling("SC"), count, count)
             x0 = project_initial_state(model, 15.0, np.zeros(3))
             ev = FieldEvaluator(model, 21, 21)
-            grid = ev.field(x0, np.zeros(3))
+            grid = ev.field(model.to_modal(x0), np.zeros(3))
             errors.append(float(np.sum(ev._vol_weights * np.abs(grid.values - 15.0))))
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 1.0
@@ -291,7 +291,7 @@ class TestInitialState:
             model = assemble(PAPER, cooling, count, count)
             x0 = project_initial_state(model, 15.0, u0)
             ev = FieldEvaluator(model, 3, 3)
-            grid = ev.field(x0, u0)
+            grid = ev.field(model.to_modal(x0), u0)
             assert np.abs(grid.values - 15.0).max() <= 0.1
 
     def test_wrong_input_size_rejected(self):

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from celltherm import galerkin, simulate
 from celltherm.core import (
     CYLINDRICAL,
     POUCH,
@@ -31,7 +32,7 @@ from celltherm.core import (
 )
 from celltherm.chebyshev import basis_matrix
 from celltherm.exceptions import NumericalError
-from celltherm.galerkin import ReducedModel, assemble, project_initial_state
+from celltherm.galerkin import assemble, map_modes, project_initial_state
 from celltherm.particular import axial_scale, radial_scale
 from celltherm.simulate import (
     METRICS_BLOCK,
@@ -94,6 +95,19 @@ def run_zoh(model, dt):
 
 def assert_close_rel(got, want, rel):
     assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+def expansion(model, X, u, r, z, dr, dz):
+    """(d/dr)^dr (d/dz)^dz of the Galerkin expansion of the states X
+    (S, order) plus each side's particular component grid under the inputs
+    u (S, n_inputs), on the scaled nodes r x z, in physical units."""
+    M, N = model.M, model.N
+    grid = (basis_matrix(model.basis_r, r, dr) @ X.reshape(-1, M, N)
+            @ basis_matrix(model.basis_z, z, dz).T)
+    for col, side in enumerate(model.sides):
+        part = model.particular.component_grid(side, r, z, dr, dz)
+        grid += u[:, col, None, None] * part
+    return radial_scale(model.spec) ** dr * axial_scale(model.spec) ** dz * grid
 
 
 @st.composite
@@ -391,21 +405,26 @@ class TestModalFirst:
         assert_close_rel(res.outputs, model.outputs(res.states, u), 1e-12)
 
     @pytest.mark.parametrize("K, stride", [(30, 7), (30, 1), (30, 10**9), (0, 1)])
-    def test_run_maps_only_the_metric_steps(self, monkeypatch, K, stride):
+    def test_run_maps_states_only_when_read(self, monkeypatch, K, stride):
+        """``run`` takes its metrics from the modal samples and maps no state
+        back; the first read of ``states`` maps the trajectory once."""
         model = assemble(PAPER, SC, 3, 3)
         mapped = []
-        from_modal = ReducedModel.from_modal
 
-        def spy(self, Y, out=None):
-            mapped.append(Y.shape[0])
-            return from_modal(self, Y, out)
+        def spy(Y, V_r, V_z):
+            mapped.append(Y.shape)
+            return map_modes(Y, V_r, V_z)
 
-        monkeypatch.setattr(ReducedModel, "from_modal", spy)
+        for module in (galerkin, simulate):
+            monkeypatch.setattr(module, "map_modes", spy)
         x0 = project_initial_state(model, 15.0, U_SC)
         res = run(model, x0, U_SC, 1e5, dt=2.0, horizon=2.0 * K,
                   grid_shape=(5, 5), metrics_stride=stride)
-        assert mapped == [len(metric_steps(K, stride))]
+        assert mapped == []
+        assert res.metrics_times.size == len(metric_steps(K, stride))
         assert res.states.shape == (K + 1, model.order)
+        assert res.states is res.states
+        assert mapped == [(K + 1, model.order)]
 
     def test_result_keeps_no_model_alive(self):
         """A result holds the two 1D mode matrices, not the model, so the
@@ -435,7 +454,7 @@ class TestReconstruct:
         model = assemble(PAPER, scenario_cooling("aTSC"), 3, 3)
         x = np.linspace(-0.5, 0.5, model.order)
         u = np.array([6000.0, 6000.0, 6000.0])
-        grid = FieldEvaluator(model, 41, 41).field(x, u)
+        grid = FieldEvaluator(model, 41, 41).field(model.to_modal(x), u)
         y = model.C @ x + model.Dft @ u
         mid = 20   # index of 0.0 in linspace(-1, 1, 41)
         assert grid.values[-1, mid] == pytest.approx(y[0], abs=1e-10)
@@ -449,31 +468,26 @@ class TestReconstruct:
            st.integers(1, 2 * METRICS_BLOCK + 3), st.integers(0, 2**32 - 1))
     def test_matches_independent_reconstruction(self, cell, M, N, n_r, n_z,
                                                 n_samples, seed):
-        """Field and gradients of random cells, orders and grids equal the
-        basis expansion plus each side's particular component grid, scaled by
-        alpha and beta; stacked metrics are the reductions of those fields."""
+        """Field and gradients of the modal images of random Galerkin states,
+        for random cells, orders and grids, equal the Galerkin basis
+        expansion plus each side's particular component grid, scaled by alpha
+        and beta: the mode matrices folded into the evaluator's tables lose
+        nothing. Stacked metrics are the reductions of those fields."""
         spec, cooling = cell
         model = assemble(spec, cooling, M, N)
         rng = np.random.default_rng(seed)
         X = rng.uniform(-20.0, 40.0, (n_samples, model.order))
         u = rng.uniform(0.0, 4e4, (n_samples, model.n_inputs))
         ev = FieldEvaluator(model, n_r, n_z)
-        r, z = ev.r_nodes, ev.z_nodes
+        Y = model.to_modal(X)
 
-        def expected(dr, dz):
-            grid = (basis_matrix(model.basis_r, r, dr) @ X.reshape(-1, M, N)
-                    @ basis_matrix(model.basis_z, z, dz).T)
-            for col, side in enumerate(model.sides):
-                part = model.particular.component_grid(side, r, z, dr, dz)
-                grid += u[:, col, None, None] * part
-            return radial_scale(spec) ** dr * axial_scale(spec) ** dz * grid
-
-        grid = ev.field(X, u)
-        want = [expected(0, 0), expected(1, 0), expected(0, 1)]
+        grid = ev.field(Y, u)
+        want = [expansion(model, X, u, ev.r_nodes, ev.z_nodes, dr, dz)
+                for dr, dz in ((0, 0), (1, 0), (0, 1))]
         for got, ref in zip((grid.values, grid.dT_dr, grid.dT_dz), want):
             assert got.shape == (n_samples, n_r, n_z)
             assert_close_rel(got, ref, 1e-12)
-        m = ev.metrics(X, u)
+        m = ev.metrics(Y, u)
         scale = [np.abs(w).max() for w in want]
         assert np.abs(m.T_max - want[0].max(axis=(1, 2))).max() <= 1e-12 * scale[0]
         assert np.abs(m.T_min - want[0].min(axis=(1, 2))).max() <= 1e-12 * scale[0]
@@ -485,12 +499,12 @@ class TestReconstruct:
 
     def test_metrics_and_fields_do_not_share_arrays(self):
         """A FieldGrid keeps its values through later metrics and field calls."""
-        model, states, u = _heated_from_outside()
+        model, modal, u = _heated_from_outside()
         ev = FieldEvaluator(model, 9, 7)
-        first = ev.field(states[-1], u)
+        first = ev.field(modal[-1], u)
         kept = [a.copy() for a in (first.values, first.dT_dr, first.dT_dz)]
-        ev.metrics(states, u)
-        second = ev.field(states[0], u)
+        ev.metrics(modal, u)
+        second = ev.field(modal[0], u)
         for a, b in zip((first.values, first.dT_dr, first.dT_dz), kept):
             assert np.array_equal(a, b)
         for a in (first.values, first.dT_dr, first.dT_dz):
@@ -562,23 +576,28 @@ class TestEvaluatorCache:
 
 
 def _heated_from_outside():
-    """(model, states, u) of a cell over the 60 s after its surface coolant
-    stepped from 15 to 40 degC: a field that rises towards the outer radius."""
+    """(model, modal trajectory, u) of a cell over the 60 s after its surface
+    coolant stepped from 15 to 40 degC: a field that rises towards the outer
+    radius."""
     cooling = CoolingConfig(SideCooling(400.0, 40.0), SideCooling(0.0, 15.0),
                             SideCooling(0.0, 15.0), SideCooling(0.0, 15.0))
     model = assemble(PAPER, cooling, 3, 3)
     u = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
     x0 = project_initial_state(model, 15.0, np.zeros(3))
     res = run(model, x0, u, 0.0, dt=5.0, horizon=60.0, metrics_stride=10**9)
-    return model, res.states, u
+    return model, res.modal, u
 
 
 class TestMetrics:
     def test_uniform_field(self):
-        """An insulated cell's first basis function is the constant T_0."""
-        model = assemble(PAPER, INSULATED, 2, 2)
-        x = np.array([20.0, 0.0, 0.0, 0.0])
-        m = FieldEvaluator(model, 11, 11).metrics(x, np.zeros(3))
+        """An insulated cell's first basis function is the constant T_0. At
+        O = 1 it is also the only mode, so the modal tables hold one exactly
+        constant column per direction and the field is exactly uniform; at
+        higher order the other modes carry round-off of the 1D
+        eigenvectors, which the expansion test bounds."""
+        model = assemble(PAPER, INSULATED, 1, 1)
+        x = np.array([20.0])
+        m = FieldEvaluator(model, 11, 11).metrics(model.to_modal(x), np.zeros(3))
         assert m.T_mean == pytest.approx(20.0)
         assert m.dT == 0.0
         assert m.dTr_max == 0.0 and m.dTz_max == 0.0
@@ -587,50 +606,94 @@ class TestMetrics:
         """Analytic gradients are d/dr of the scaled expansion times alpha =
         2 / (R_out - R_in): they match second-order differences of the field
         in physical radius, and the metrics take their extrema."""
-        model, states, u = _heated_from_outside()
+        model, modal, u = _heated_from_outside()
         ev = FieldEvaluator(model, 2001, 5)
-        grid = ev.field(states[-1], u)
+        grid = ev.field(modal[-1], u)
         r_phys = PAPER.R_in + (grid.r_nodes + 1.0) * (PAPER.R_out - PAPER.R_in) / 2
         fd = np.gradient(grid.values, r_phys, axis=0, edge_order=2)
         assert np.abs(fd - grid.dT_dr).max() <= 1e-4 * np.abs(grid.dT_dr).max()
-        m = ev.metrics(states[-1], u)
+        m = ev.metrics(modal[-1], u)
         assert m.dTr_max == pytest.approx(np.abs(grid.dT_dr).max(), rel=1e-12)
         assert m.dTr_mean == pytest.approx(np.abs(grid.dT_dr).mean(), rel=1e-12)
 
     def test_volume_weighted_mean_favours_outer_radius(self):
         """The mean is the radius-weighted trapezoid sum over the annulus; for
         a field rising towards the surface it lies above the unweighted one."""
-        model, states, u = _heated_from_outside()
+        model, modal, u = _heated_from_outside()
         ev = FieldEvaluator(model, 41, 41)
-        values = ev.field(states[-1], u).values
+        values = ev.field(modal[-1], u).values
         tr = np.ones(41)
         tr[0] = tr[-1] = 0.5
         r_phys = PAPER.R_in + (ev.r_nodes + 1.0) * (PAPER.R_out - PAPER.R_in) / 2
         weights = np.outer(tr * r_phys, tr)
         weighted = np.sum(weights * values) / weights.sum()
         unweighted = np.sum(np.outer(tr, tr) * values) / np.outer(tr, tr).sum()
-        t_mean = ev.metrics(states[-1], u).T_mean
+        t_mean = ev.metrics(modal[-1], u).T_mean
         assert t_mean == pytest.approx(weighted, rel=1e-13)
         assert t_mean > unweighted + 0.1
 
     def test_stacked_samples_match_single_samples(self):
         """A stack whose length is not a multiple of METRICS_BLOCK gives the
         per-sample metrics, and those are the reductions of the field."""
-        model, states, u = _heated_from_outside()
-        assert states.shape[0] % METRICS_BLOCK != 0
-        u_rows = np.tile(u, (states.shape[0], 1))
+        model, modal, u = _heated_from_outside()
+        assert modal.shape[0] % METRICS_BLOCK != 0
+        u_rows = np.tile(u, (modal.shape[0], 1))
         ev = FieldEvaluator(model, 17, 13)
-        stacked = ev.metrics(states, u_rows)
-        broadcast = ev.metrics(states, u)
+        stacked = ev.metrics(modal, u_rows)
+        broadcast = ev.metrics(modal, u)
         for name, value in vars(stacked).items():
             assert np.array_equal(getattr(broadcast, name), value)
-        for k, x in enumerate(states):
-            single = ev.metrics(x, u)
-            grid = ev.field(x, u)
+        for k, y in enumerate(modal):
+            single = ev.metrics(y, u)
+            grid = ev.field(y, u)
             assert single.T_max == grid.values.max()
             assert single.dTz_max == np.abs(grid.dT_dz).max()
             for name, value in vars(single).items():
                 assert getattr(stacked, name)[k] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
+           st.integers(2, 17), st.integers(2, 17),
+           st.integers(1, METRICS_BLOCK + 3), st.integers(0, 2**32 - 1))
+    def test_metrics_of_modal_samples_reduce_the_galerkin_expansion(
+            self, cell, M, N, n_r, n_z, n_samples, seed):
+        """All eight metrics of the modal images of random Galerkin states,
+        stacked and one sample at a time, are the reductions of the Galerkin
+        expansion of those states: the trapezoid volume mean (radius-weighted
+        on a cylinder), the extrema, and the largest and grid-mean gradient
+        magnitudes."""
+        model = assemble(*cell, M, N)
+        spec = model.spec
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-20.0, 40.0, (n_samples, model.order))
+        u = rng.uniform(0.0, 4e4, (n_samples, model.n_inputs))
+        ev = FieldEvaluator(model, n_r, n_z)
+        r, z = ev.r_nodes, ev.z_nodes
+        T, T_r, T_z = (expansion(model, X, u, r, z, dr, dz)
+                       for dr, dz in ((0, 0), (1, 0), (0, 1)))
+        radius = (spec.R_in + (r + 1.0) * (spec.R_out - spec.R_in) / 2
+                  if spec.is_cylindrical else np.ones(n_r))
+        vol = np.outer(np.r_[0.5, np.ones(n_r - 2), 0.5] * radius,
+                       np.r_[0.5, np.ones(n_z - 2), 0.5])
+        grid = (1, 2)
+        want = {
+            "T_mean": (np.sum(vol * T, axis=grid) / vol.sum(), T),
+            "T_max": (T.max(axis=grid), T),
+            "T_min": (T.min(axis=grid), T),
+            "dT": (np.ptp(T, axis=grid), T),
+            "dTr_max": (np.abs(T_r).max(axis=grid), T_r),
+            "dTz_max": (np.abs(T_z).max(axis=grid), T_z),
+            "dTr_mean": (np.abs(T_r).mean(axis=grid), T_r),
+            "dTz_mean": (np.abs(T_z).mean(axis=grid), T_z),
+        }
+        Y = model.to_modal(X)
+        stacked = ev.metrics(Y, u)
+        single = ev.metrics(Y[0], u[0])
+        for name, (ref, field) in want.items():
+            tol = 1e-12 * np.abs(field).max()
+            assert np.abs(getattr(stacked, name) - ref).max() <= tol, name
+            assert type(getattr(single, name)) is float
+            assert abs(getattr(single, name) - ref[0]) <= tol, name
 
     def test_radial_steady_core_surface_difference(self):
         u = boundary_input_from_cooling(RADIAL_ONLY).as_vector(CYLINDRICAL)
