@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoolingConfig, active_sides, input_sides
+from .core import CoolingConfig, active_sides, input_sides, per_step, step_count
 from .galerkin import ReducedModel, assemble, project_initial_state
 from .reference import FdSolver, _fd_solve_on, step_ratio
-from .simulate import DEFAULT_GRID, FieldEvaluator, _broadcast_inputs, discretize
+from .simulate import DEFAULT_GRID, FieldEvaluator, discretize
 
 DEFAULT_GAINS = (2.0, 0.05)
 DEFAULT_LIMITS = (-20.0, 40.0)   # coolant temperature span, degC
@@ -146,8 +146,8 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
     else:
         raise TypeError("plant must be a ReducedModel or FdSolver")
     estimator = OpenLoopEstimator(est_model, dt, T_init, u_baseline, grid_shape)
-    n_steps = int(np.floor(horizon / dt + 1e-9))
-    _, q_arr = _broadcast_inputs(est_model, u_baseline, q, n_steps + 1)
+    n_steps = step_count(horizon, dt)
+    q_arr = per_step(q, n_steps + 1, "q")
 
     controllers = {
         side: PiController(gains[0], gains[1],

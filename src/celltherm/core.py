@@ -264,6 +264,21 @@ def constant_profile(q: float) -> HeatProfile:
     return HeatProfile(np.array([0.0]), np.array([float(q)]), VOLUMETRIC_Q)
 
 
+def step_count(horizon: float, dt: float) -> int:
+    """Whole steps of dt in [0, horizon]; a multiple of dt rounded low counts."""
+    return int(np.floor(horizon / dt + 1e-9))
+
+
+def per_step(values, n_times: int, name: str) -> np.ndarray:
+    """A scalar held over n_times samples, or an array of exactly n_times."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        arr = np.broadcast_to(arr, (n_times,))
+    if arr.shape != (n_times,):
+        raise ValueError(f"{name} must broadcast to ({n_times},)")
+    return arr
+
+
 def resample_profile(profile: HeatProfile, dt: float, horizon: float) -> np.ndarray:
     """Zero-order-hold resampling onto the uniform grid t = 0, dt, ..., <= horizon.
 
@@ -275,8 +290,7 @@ def resample_profile(profile: HeatProfile, dt: float, horizon: float) -> np.ndar
         raise ValueError("dt must be positive")
     if horizon < 0.0:
         raise ValueError("horizon must be >= 0")
-    n_steps = int(np.floor(horizon / dt + 1e-9))
-    grid = np.arange(n_steps + 1) * dt
+    grid = np.arange(step_count(horizon, dt) + 1) * dt
     idx = np.searchsorted(profile.times, grid + 1e-12 * max(dt, 1.0), side="right") - 1
     idx = np.clip(idx, 0, len(profile.times) - 1)
     return profile.values[idx]

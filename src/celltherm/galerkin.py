@@ -18,9 +18,9 @@ rejects the model if any factor moves beyond 1e-8 relative, which catches a
 quadrature order passed in too small.
 
 Each basis is evaluated once per node set, as a 1D table of values and
-derivatives, and every particular component is a sum of two separable
-products (see ``particular``), so all Galerkin moments are outer products of
-1D projections and no 2D quadrature grid is formed.
+derivatives, and every particular component is one separable product (see
+``particular``), so all Galerkin moments are outer products of 1D
+projections and no 2D quadrature grid is formed.
 
 Both operators are Kronecker products of 1D Galerkin matrices,
 

@@ -6,14 +6,17 @@ The boundary-lifting field is sought in the polynomial space
 
 (scaled coordinates everywhere). Imposing the four Robin conditions in the
 Galerkin sense decouples into two 2x2-coupled linear systems because the
-basis functions themselves satisfy the homogeneous conditions, and the
-resulting coefficient vectors are linear in the per-side inputs:
+basis functions themselves satisfy the homogeneous conditions. All four
+rows share one right-hand side, the Galerkin projection of 1 onto a basis
+(e_z = Gz^-1 s_z, e_r = Gr^-1 s_r), so per unit input each side's component
+is one separable product,
 
-    D1 = d1_s u_s + d1_c u_c,   D2 = d2_s u_s + d2_c u_c,
-    D3 = d1_t u_t + d1_b u_b,   D4 = d2_t u_t + d2_b u_b.
+    (a r + b r^2) (phi^z . e_z)  for surface and core,
+    (phi^r . e_r) (a z + b z^2)  for top and bottom,
 
-That linearity is what separates the field into four per-side components,
-one per cooling channel, each evaluable per unit input.
+with (a, b) the side's column of the inverted 2x2 system. The field is
+linear in the inputs, which is what separates it into four per-side
+components, one per cooling channel.
 
 Sign convention: the scaled Robin conditions are
 
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CellSpec, CoolingConfig, input_sides
+from .core import SIDES, CellSpec, CoolingConfig, input_sides
 from .chebyshev import BasisSet, BasisTable, Quadrature, basis_matrix, basis_table
 from .exceptions import DegenerateBoundaryError, IllConditionedBasisError
 
@@ -81,8 +84,9 @@ def robin_pairs(spec: CellSpec, cooling: CoolingConfig):
 class BoundaryScalars:
     """Per-side coefficients of the boundary Galerkin systems.
 
-    The surface/core rows read s1 D1 + s2 D2 = u_s E and c1 D1 + c2 D2 = u_c E
-    with E = Phi_v^-1 S_v, and analogously (t, b) for D3, D4.
+    The surface/core rows read s1 a + s2 b = u_s and c1 a + c2 b = u_c for
+    the coefficients (a, b) of r and r^2 in front of the z-basis combination
+    e_z; the top/bottom rows (t, b) read likewise for z and z^2 before e_r.
     """
 
     s1: float
@@ -103,47 +107,43 @@ class BoundaryScalars:
         return np.array([[self.t1, self.t2], [self.b1, self.b2]])
 
 
-def _check_not_degenerate(mat: np.ndarray, label: str):
+def _invert_boundary_system(mat: np.ndarray, label: str) -> np.ndarray:
     scale = np.abs(mat).max()
     if scale == 0.0 or abs(np.linalg.det(mat)) < _DEGENERATE_RTOL * scale**2:
         raise DegenerateBoundaryError(f"degenerate {label} boundary system")
+    return np.linalg.solve(mat, np.eye(2))
 
 
 def boundary_scalars(spec: CellSpec, cooling: CoolingConfig) -> BoundaryScalars:
-    """Coefficients obtained by substituting (D1 r + D2 r^2) and (D3 z + D4 z^2)
+    """Coefficients obtained by substituting (a r + b r^2) and (a z + b z^2)
     into the four scaled Robin conditions."""
     a_r = radial_scale(spec) * spec.k_r
     a_z = axial_scale(spec) * spec.k_z
     h_s, h_c = cooling.surface.h, cooling.core.h
     h_t, h_b = cooling.top.h, cooling.bottom.h
-    sc = BoundaryScalars(
+    return BoundaryScalars(
         s1=h_s + a_r, s2=h_s + 2.0 * a_r,
         c1=-(h_c + a_r), c2=h_c + 2.0 * a_r,
         t1=h_t + a_z, t2=h_t + 2.0 * a_z,
         b1=-(h_b + a_z), b2=h_b + 2.0 * a_z,
     )
-    _check_not_degenerate(sc.vertical, "surface/core")
-    _check_not_degenerate(sc.horizontal, "top/bottom")
-    return sc
 
 
 @dataclass(frozen=True, eq=False)
 class SideCoefficients:
-    """Per-unit-input coefficient vectors of the four field components.
+    """Per-unit-input coefficients of the four field components.
 
-    d1_* / d2_* multiply r and r^2 for the vertical sides (length N, paired
-    with the z-basis); d1_t ... d2_b multiply z and z^2 for the horizontal
-    sides (length M, paired with the r-basis).
+    e_r (M,) and e_z (N,) are the Galerkin projections of 1 onto the r- and
+    z-bases; each side's pair (2,) multiplies (r, r^2) for a vertical side
+    and (z, z^2) for a horizontal one.
     """
 
-    d1_s: np.ndarray
-    d2_s: np.ndarray
-    d1_c: np.ndarray
-    d2_c: np.ndarray
-    d1_t: np.ndarray
-    d2_t: np.ndarray
-    d1_b: np.ndarray
-    d2_b: np.ndarray
+    e_r: np.ndarray
+    e_z: np.ndarray
+    surface: np.ndarray
+    core: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
 
 
 def _gram_and_source(basis: BasisSet, quad: Quadrature, weight: np.ndarray):
@@ -164,29 +164,17 @@ def solve_side_coefficients(basis_r: BasisSet, basis_z: BasisSet,
     """Solve the four boundary Galerkin systems for unit inputs.
 
     Phi_v is the unweighted Gram matrix of the z-basis; Phi_h carries the
-    radius weight for cylindrical cells. The two 2x2 systems are solved
-    directly (not via transcribed closed forms).
+    radius weight for cylindrical cells. The two 2x2 systems are inverted
+    directly (not via transcribed closed forms); a unit input on one side
+    selects a column of the inverse.
     """
-    ones = np.ones_like(quad.nodes)
-    phi_v, s_v = _gram_and_source(basis_z, quad, ones)
+    phi_v, s_v = _gram_and_source(basis_z, quad, np.ones_like(quad.nodes))
     phi_h, s_h = _gram_and_source(basis_r, quad, radial_weight(spec, quad.nodes))
-    e_v = np.linalg.solve(phi_v, s_v)
-    e_h = np.linalg.solve(phi_h, s_h)
-
-    mv = scalars.vertical
-    mh = scalars.horizontal
-    _check_not_degenerate(mv, "surface/core")
-    _check_not_degenerate(mh, "top/bottom")
-    unit_s = np.linalg.solve(mv, [1.0, 0.0])
-    unit_c = np.linalg.solve(mv, [0.0, 1.0])
-    unit_t = np.linalg.solve(mh, [1.0, 0.0])
-    unit_b = np.linalg.solve(mh, [0.0, 1.0])
-    return SideCoefficients(
-        d1_s=unit_s[0] * e_v, d2_s=unit_s[1] * e_v,
-        d1_c=unit_c[0] * e_v, d2_c=unit_c[1] * e_v,
-        d1_t=unit_t[0] * e_h, d2_t=unit_t[1] * e_h,
-        d1_b=unit_b[0] * e_h, d2_b=unit_b[1] * e_h,
-    )
+    surface, core = _invert_boundary_system(scalars.vertical, "surface/core").T
+    top, bottom = _invert_boundary_system(scalars.horizontal, "top/bottom").T
+    return SideCoefficients(e_r=np.linalg.solve(phi_h, s_h),
+                            e_z=np.linalg.solve(phi_v, s_v),
+                            surface=surface, core=core, top=top, bottom=bottom)
 
 
 def _power_series(x: np.ndarray, deriv: int) -> np.ndarray:
@@ -207,9 +195,9 @@ _VERTICAL_SIDES = ("surface", "core")
 class ParticularComponents:
     """The four per-side boundary-lifting fields, each per unit input.
 
-    Each field is separable, a sum of two products g(r) f(z): r and r^2
-    times a z-basis combination for a vertical side, an r-basis combination
-    times z and z^2 for a horizontal one. ``factors`` gives those 1D factors
+    Each field is one separable product g(r) f(z): a polynomial in r times
+    a z-basis combination for a vertical side, an r-basis combination times a
+    polynomial in z for a horizontal one. ``factors`` gives those 1D factors
     from basis tables, so grids and Galerkin projections need no 2D work.
     For a cylindrical cell the core component exists but is never excited
     (u_core = 0); pouch cells excite all four.
@@ -222,19 +210,17 @@ class ParticularComponents:
 
     def factors(self, side: str, r: BasisTable, z: BasisTable,
                 dr: int = 0, dz: int = 0) -> tuple:
-        """1D factors (fr (2, len(r.nodes)), fz (2, len(z.nodes))) such that
+        """1D factors (fr (1, len(r.nodes)), fz (1, len(z.nodes))) such that
         (d/dr)^dr (d/dz)^dz T_p^side at (r_i, z_j) per unit input is
-        sum_k fr[k, i] fz[k, j]. ``r`` and ``z`` are tables of basis_r and
+        fr[0, i] fz[0, j]. ``r`` and ``z`` are tables of basis_r and
         basis_z; a vertical side reads z[dz], a horizontal one r[dr]."""
-        cf = self.coeffs
-        pairs = {"surface": (cf.d1_s, cf.d2_s), "core": (cf.d1_c, cf.d2_c),
-                 "top": (cf.d1_t, cf.d2_t), "bottom": (cf.d1_b, cf.d2_b)}
-        if side not in pairs:
+        if side not in SIDES:
             raise ValueError(f"unknown side {side!r}")
-        d = np.array(pairs[side]).T
+        cf = self.coeffs
+        pair = getattr(cf, side)
         if side in _VERTICAL_SIDES:
-            return _power_series(r.nodes, dr), (z[dz] @ d).T
-        return (r[dr] @ d).T, _power_series(z.nodes, dz)
+            return (pair @ _power_series(r.nodes, dr))[None], (z[dz] @ cf.e_z)[None]
+        return (r[dr] @ cf.e_r)[None], (pair @ _power_series(z.nodes, dz))[None]
 
     def component_grid(self, side: str, r_nodes, z_nodes,
                        dr: int = 0, dz: int = 0) -> np.ndarray:

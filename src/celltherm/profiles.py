@@ -19,7 +19,7 @@ import csv
 
 import numpy as np
 
-from .core import ELECTRICAL_IVO, VOLUMETRIC_Q, HeatProfile, constant_profile
+from .core import ELECTRICAL_IVO, VOLUMETRIC_Q, HeatProfile, constant_profile, step_count
 from .exceptions import ConfigError
 
 Q_HEADER = ["t_s", "q_Wm3"]
@@ -63,7 +63,7 @@ def random_drive(peak_current: float, horizon: float, seed: int,
     if step <= 0.0 or horizon <= 0.0:
         raise ValueError("random drive needs positive step and horizon")
     rng = np.random.default_rng(seed)
-    n = int(np.floor(horizon / step + 1e-9)) + 1
+    n = step_count(horizon, step) + 1
     raw = rng.standard_normal(n + smooth_window)
     kernel = np.ones(smooth_window) / smooth_window
     smooth = np.convolve(raw, kernel, mode="valid")[:n]

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIDES, CellSpec, CoolingConfig, Modes, input_sides
+from .core import SIDES, CellSpec, CoolingConfig, Modes, input_sides, per_step, step_count
 from .exceptions import NumericalError, UnsupportedShapeError
 from .simulate import (MetricSeries, MetricsRecord, Stepper, _reduce_fields,
                        _trapezoid, metric_steps)
@@ -377,7 +377,7 @@ def _fd_solve_on(solver: FdSolver, u, q, T_init: float, horizon: float,
                  metrics_stride: int, output_stride: int) -> FdResult:
     """``fd_solve`` on a given solver, which may have stepped before."""
     dt = solver.cfg.dt
-    n_steps = int(np.floor(horizon / dt + 1e-9))
+    n_steps = step_count(horizon, dt)
 
     if u is None:
         # Straight from the config: a cylinder's input vector has no core
@@ -466,10 +466,8 @@ def tec_run(model: TecModel, q, dt: float, horizon: float, T0: float = 15.0):
     a, b = model.continuous()
     modes = tridiagonal_modes(a[1:, 0], np.diag(a), a[:1, 1])
     stepper = Stepper.zoh(modes.lam, (modes.V_inv @ b).T, dt)
-    n_steps = int(np.floor(horizon / dt + 1e-9))
-    q_arr = np.asarray(q, dtype=float)
-    if q_arr.ndim == 0:
-        q_arr = np.broadcast_to(q_arr, (n_steps + 1,))
+    n_steps = step_count(horizon, dt)
+    q_arr = per_step(q, n_steps + 1, "q")
     inputs = np.column_stack([q_arr[:n_steps], np.full(n_steps, model.T_inf)])
     modal = stepper.trajectory(modes.V_inv @ np.array([T0, T0]), inputs)
     t_c, t_s = modes.V @ modal.T

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BoundaryInput
+from .core import BoundaryInput, per_step, step_count
 from .chebyshev import basis_table
 from .exceptions import NumericalError
 from .galerkin import ReducedModel, map_modes
@@ -202,17 +202,17 @@ class FieldEvaluator:
     A sample is its modal coordinates Y (``ReducedModel.to_modal``) and
     inputs u. The state part Phi_r X Phi_z^T of the field, X = V_r Y V_z^T,
     is (Phi_r V_r) Y (Phi_z V_z)^T, so the 1D basis tables Phi carry the mode
-    matrices. Each particular component is a sum of two products g(r) f(z)
-    (``ParticularComponents.factors``), so the tables are augmented by each
-    input side's two factors:
+    matrices. Each particular component is one product g(r) f(z)
+    (``ParticularComponents.factors``), so the tables are augmented by one
+    column per input side:
 
-        R0 = [basis V_r | r-factors of each side],   R1 = alpha [the same, d/dr],
-        Z0 = [basis V_z | z-factors of each side],   Z1 = beta  [the same, d/dz],
+        R0 = [basis V_r | r-factor of each side],   R1 = alpha [the same, d/dr],
+        Z0 = [basis V_z | z-factor of each side],   Z1 = beta  [the same, d/dz],
 
-    n_r (n_z) rows by M + 2 n_inputs (N + 2 n_inputs) columns, with the
+    n_r (n_z) rows by M + n_inputs (N + n_inputs) columns, with the
     coordinate scales alpha and beta giving gradients in K/m. A sample
     (Y, u) is the block-diagonal coefficient matrix
-    C_aug = blockdiag(Y as M x N, u_1 I_2, ..., u_m I_2), and
+    C_aug = blockdiag(Y as M x N, diag(u)), and
 
         T = R0 C_aug Z0^T,   dT/dr = R1 C_aug Z0^T,   dT/dz = R0 C_aug Z1^T.
 
@@ -247,9 +247,9 @@ class FieldEvaluator:
         self._z0t = z0.T
         self._z1t = axial_scale(model.spec) * np.hstack([z[1] @ v_z,
                                                          *(f.T for f in dfz)]).T
-        # u_s sits on the diagonal of the s-th 2x2 block of C_aug, below the
-        # M x N state block: rows from M, columns from N
-        k = np.arange(2 * model.n_inputs)
+        # u sits on the diagonal below the M x N state block of C_aug: rows
+        # from M, columns from N
+        k = np.arange(model.n_inputs)
         self._u_diag = (model.M + k, model.N + k)
 
         vol = np.outer(_trapezoid(n_r) * radial_weight(model.spec, self.r_nodes),
@@ -257,7 +257,7 @@ class FieldEvaluator:
         self._vol_weights = vol = vol / vol.sum()
         w = r0.T @ vol @ z0
         self.mean_state_row = w[:model.M, :model.N].ravel()
-        self.mean_input_row = w[self._u_diag].reshape(-1, 2).sum(axis=1)
+        self.mean_input_row = w[self._u_diag]
 
     @classmethod
     def of(cls, model: ReducedModel, n_r: int = DEFAULT_GRID[0],
@@ -285,7 +285,7 @@ class FieldEvaluator:
         c_aug = np.zeros((Y.shape[0], self._r.shape[-1], self._z0t.shape[0]))
         c_aug[:, :M, :N] = Y.reshape(-1, M, N)
         rows, cols = self._u_diag
-        c_aug[:, rows, cols] = np.repeat(u, 2, axis=1)
+        c_aug[:, rows, cols] = u
         left = self._r[:, None] @ c_aug           # R0 C_aug and R1 C_aug
         np.matmul(left, self._z0t, out=out[:2])
         np.matmul(left[0], self._z1t, out=out[2])
@@ -344,12 +344,7 @@ def _broadcast_inputs(model: ReducedModel, u, w, n_times: int):
         u = np.broadcast_to(u, (n_times, u.size))
     if u.shape != (n_times, model.n_inputs):
         raise ValueError(f"u must broadcast to ({n_times}, {model.n_inputs})")
-    w = np.asarray(w, dtype=float)
-    if w.ndim == 0:
-        w = np.broadcast_to(w, (n_times,))
-    if w.shape != (n_times,):
-        raise ValueError(f"w must broadcast to ({n_times},)")
-    return u, w
+    return u, per_step(w, n_times, "w")
 
 
 def metric_steps(n_steps: int, stride: int) -> list:
@@ -369,7 +364,7 @@ def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
     resampled to dt.
     """
     stepper = discretize(model, dt)
-    n_steps = int(np.floor(horizon / dt + 1e-9))
+    n_steps = step_count(horizon, dt)
     times = np.arange(n_steps + 1) * dt
     u_arr, w_arr = _broadcast_inputs(model, u, w, n_steps + 1)
     evaluator = FieldEvaluator.of(model, *grid_shape)

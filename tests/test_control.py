@@ -205,9 +205,10 @@ class TestClosedLoop:
 
     def test_short_heat_series_and_bad_dt_rejected(self):
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
-        with pytest.raises(ValueError, match=r"broadcast to \(11,\)"):
-            closed_loop_run(model, "SC", 20.0, np.full(5, 1e4), dt=1.0,
-                            horizon=10.0)
+        for n in (5, 50):
+            with pytest.raises(ValueError, match=r"q must broadcast to \(11,\)"):
+                closed_loop_run(model, "SC", 20.0, np.full(n, 1e4), dt=1.0,
+                                horizon=10.0)
         for dt in (0.0, -1.0):
             with pytest.raises(ValueError, match="dt must be positive"):
                 closed_loop_run(model, "SC", 20.0, 1e4, dt=dt, horizon=10.0)

@@ -18,8 +18,10 @@ from celltherm.core import (
     boundary_input_from_cooling,
     cell_volume,
     constant_profile,
+    per_step,
     resample_profile,
     scenario_cooling,
+    step_count,
 )
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
@@ -133,6 +135,23 @@ class TestResample:
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError):
             resample_profile(constant_profile(1.0), dt=0.0, horizon=1.0)
+
+
+class TestStepGrid:
+    def test_step_count_forgives_rounding_of_a_multiple(self):
+        assert 0.3 / 0.1 < 3.0   # rounds below the multiple
+        assert step_count(0.3, 0.1) == 3
+        assert step_count(0.29, 0.1) == 2
+        assert step_count(10.0, 1.0) == 10
+        assert step_count(0.0, 1.0) == 0
+
+    def test_per_step_holds_a_scalar_and_checks_an_array(self):
+        assert np.array_equal(per_step(2.5, 4, "q"), np.full(4, 2.5))
+        values = np.arange(4.0)
+        assert np.array_equal(per_step(values, 4, "q"), values)
+        for bad in (np.ones(3), np.ones(5), np.ones((4, 1))):
+            with pytest.raises(ValueError, match=r"q must broadcast to \(4,\)"):
+                per_step(bad, 4, "q")
 
 
 class TestScenarios:

@@ -4,16 +4,26 @@ from the components.
 
 Oracles: hand-evaluated scalar formulas, residuals of the boundary Galerkin
 systems recomputed without inverting anything, quadrature projection of the
-boundary conditions, and Cramer's-rule closed forms.
+boundary conditions, Cramer's-rule closed forms, and the feedthrough of the
+assembled model at the mid-side nodes of the reconstruction grid.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from celltherm.chebyshev import BasisSet, basis_matrix, build_basis, gauss_quadrature
+from celltherm.chebyshev import (
+    BasisSet,
+    basis_matrix,
+    basis_table,
+    build_basis,
+    gauss_quadrature,
+)
 from celltherm.core import (
     CYLINDRICAL,
     POUCH,
+    SIDES,
     CellSpec,
     CoolingConfig,
     SideCooling,
@@ -33,11 +43,25 @@ from celltherm.particular import (
     robin_pairs,
     solve_side_coefficients,
 )
+from celltherm.simulate import FieldEvaluator
+from test_simulate import cells_and_coolings
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
-A_R = radial_scale(PAPER) * PAPER.k_r   # alpha k_r
-A_Z = axial_scale(PAPER) * PAPER.k_z    # beta k_z
+
+
+def _a_r(spec):
+    """alpha k_r"""
+    return radial_scale(spec) * spec.k_r
+
+
+def _a_z(spec):
+    """beta k_z"""
+    return axial_scale(spec) * spec.k_z
+
+
+A_R = _a_r(PAPER)
+A_Z = _a_z(PAPER)
 
 
 def _build(spec, cooling, M, N, quad_order=40):
@@ -48,6 +72,18 @@ def _build(spec, cooling, M, N, quad_order=40):
     quad = gauss_quadrature(quad_order)
     coeffs = solve_side_coefficients(basis_r, basis_z, scalars, quad, spec)
     return ParticularComponents(spec, basis_r, basis_z, coeffs), scalars, quad
+
+
+def _d_vectors(cf):
+    """The per-unit-input coefficient vectors of r, r^2 (vertical sides) and
+    z, z^2 (horizontal sides): each is a coefficient of the side's pair times
+    the Galerkin projection of 1, e_z or e_r."""
+    d = {}
+    for side in SIDES:
+        e = cf.e_z if side in ("surface", "core") else cf.e_r
+        pair = getattr(cf, side)
+        d["d1_" + side[0]], d["d2_" + side[0]] = pair[0] * e, pair[1] * e
+    return d
 
 
 def _total(comps, u, r_nodes, z_nodes, dr=0, dz=0):
@@ -92,11 +128,25 @@ class TestBoundaryScalars:
             assert sc.t1 == pytest.approx(-sc.b1, rel=1e-14)
             assert sc.t2 == pytest.approx(sc.b2, rel=1e-14)
 
-    def test_determinants_positive_for_valid_cooling(self):
-        for name in ("SC", "bTC", "bTSC", "btTC", "aTSC"):
-            sc = boundary_scalars(PAPER, scenario_cooling(name))
-            assert np.linalg.det(sc.vertical) > 0
-            assert np.linalg.det(sc.horizontal) > 0
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings())
+    @example((PAPER, scenario_cooling("SC")))
+    @example((PAPER, scenario_cooling("bTC")))
+    @example((PAPER, scenario_cooling("bTSC")))
+    @example((PAPER, scenario_cooling("btTC")))
+    @example((PAPER, scenario_cooling("aTSC")))
+    def test_determinants_positive_for_valid_cooling(self, cell):
+        """det = (h_s + a)(h_c + 2a) + (h_s + 2a)(h_c + a) > 0 for a > 0 and
+        h >= 0, so no physical cell reaches the degeneracy check."""
+        spec, cooling = cell
+        sc = boundary_scalars(spec, cooling)
+        for mat, (h_plus, h_minus), a in (
+                (sc.vertical, (cooling.surface.h, cooling.core.h), _a_r(spec)),
+                (sc.horizontal, (cooling.top.h, cooling.bottom.h), _a_z(spec))):
+            det = np.linalg.det(mat)
+            assert det > 0
+            closed = (h_plus + a) * (h_minus + 2 * a) + (h_plus + 2 * a) * (h_minus + a)
+            assert det == pytest.approx(closed, rel=1e-12)
 
     def test_degenerate_system_rejected(self):
         bad = BoundaryScalars(s1=1.0, s2=2.0, c1=2.0, c2=4.0,
@@ -129,12 +179,12 @@ class TestSideCoefficients:
         checked by multiplying back without inverting."""
         cooling = scenario_cooling("SC")
         comps, scalars, quad = _build(PAPER, cooling, 2, 2)
-        cf = comps.coeffs
+        cf = _d_vectors(comps.coeffs)
         u = {"surface": 6000.0, "core": 0.0, "top": 450.0, "bottom": 450.0}
-        d1 = cf.d1_s * u["surface"] + cf.d1_c * u["core"]
-        d2 = cf.d2_s * u["surface"] + cf.d2_c * u["core"]
-        d3 = cf.d1_t * u["top"] + cf.d1_b * u["bottom"]
-        d4 = cf.d2_t * u["top"] + cf.d2_b * u["bottom"]
+        d1 = cf["d1_s"] * u["surface"] + cf["d1_c"] * u["core"]
+        d2 = cf["d2_s"] * u["surface"] + cf["d2_c"] * u["core"]
+        d3 = cf["d1_t"] * u["top"] + cf["d1_b"] * u["bottom"]
+        d4 = cf["d2_t"] * u["top"] + cf["d2_b"] * u["bottom"]
 
         pz = basis_matrix(comps.basis_z, quad.nodes)
         pr = basis_matrix(comps.basis_r, quad.nodes)
@@ -165,14 +215,15 @@ class TestSideCoefficients:
         e_h = np.linalg.solve(pr.T @ (w_r[:, None] * pr), pr.T @ w_r)
         det_v = sc.s1 * sc.c2 - sc.s2 * sc.c1
         det_h = sc.t1 * sc.b2 - sc.t2 * sc.b1
-        assert np.allclose(comps.coeffs.d1_s, sc.c2 / det_v * e_v, rtol=1e-12)
-        assert np.allclose(comps.coeffs.d2_s, -sc.c1 / det_v * e_v, rtol=1e-12)
-        assert np.allclose(comps.coeffs.d1_c, -sc.s2 / det_v * e_v, rtol=1e-12)
-        assert np.allclose(comps.coeffs.d2_c, sc.s1 / det_v * e_v, rtol=1e-12)
-        assert np.allclose(comps.coeffs.d1_t, sc.b2 / det_h * e_h, rtol=1e-12)
-        assert np.allclose(comps.coeffs.d2_t, -sc.b1 / det_h * e_h, rtol=1e-12)
-        assert np.allclose(comps.coeffs.d1_b, -sc.t2 / det_h * e_h, rtol=1e-12)
-        assert np.allclose(comps.coeffs.d2_b, sc.t1 / det_h * e_h, rtol=1e-12)
+        cf = _d_vectors(comps.coeffs)
+        assert np.allclose(cf["d1_s"], sc.c2 / det_v * e_v, rtol=1e-12)
+        assert np.allclose(cf["d2_s"], -sc.c1 / det_v * e_v, rtol=1e-12)
+        assert np.allclose(cf["d1_c"], -sc.s2 / det_v * e_v, rtol=1e-12)
+        assert np.allclose(cf["d2_c"], sc.s1 / det_v * e_v, rtol=1e-12)
+        assert np.allclose(cf["d1_t"], sc.b2 / det_h * e_h, rtol=1e-12)
+        assert np.allclose(cf["d2_t"], -sc.b1 / det_h * e_h, rtol=1e-12)
+        assert np.allclose(cf["d1_b"], -sc.t2 / det_h * e_h, rtol=1e-12)
+        assert np.allclose(cf["d2_b"], sc.t1 / det_h * e_h, rtol=1e-12)
 
     def test_singular_gram_rejected(self):
         cooling = scenario_cooling("SC")
@@ -271,6 +322,69 @@ class TestComponentEvaluation:
         field_a = _total(comps_a, u_a, r, z)
         field_b = _total(comps_b, u_b, r, z[::-1])
         assert np.allclose(field_a, field_b, atol=1e-11 * np.abs(field_a).max())
+
+
+class TestRandomCells:
+    """The rank-one lifting of random physical cylinder and pouch cells."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 6), st.integers(1, 6),
+           st.integers(2, 40), st.integers(2, 40))
+    def test_every_side_is_one_product(self, cell, M, N, n_r, n_z):
+        comps, _, _ = _build(*cell, M, N)
+        r = basis_table(comps.basis_r, np.linspace(-1.0, 1.0, n_r), (0, 1, 2))
+        z = basis_table(comps.basis_z, np.linspace(-1.0, 1.0, n_z), (0, 1, 2))
+        for side in SIDES:
+            for dr in (0, 1, 2):
+                for dz in (0, 1, 2):
+                    fr, fz = comps.factors(side, r, z, dr, dz)
+                    assert fr.shape == (1, n_r) and fz.shape == (1, n_z)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 6), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_four_conditions_projected_any_inputs(self, cell, M, N, seed):
+        """Under random inputs the lifting meets each side's Robin condition
+        in the Galerkin sense, projected onto the other direction's basis."""
+        spec, cooling = cell
+        comps, _, quad = _build(spec, cooling, M, N)
+        sides = input_sides(spec.shape)
+        u = np.random.default_rng(seed).uniform(-2000.0, 8000.0, len(sides))
+        given_u = dict(zip(sides, u))
+        x = quad.nodes
+        pr = basis_matrix(comps.basis_r, x)
+        pz = basis_matrix(comps.basis_z, x)
+        w_z = quad.weights
+        w_r = quad.weights * radial_weight(spec, x)
+        a_r, a_z = _a_r(spec), _a_z(spec)
+        scale = max(np.abs(u).max(), 1.0)
+        for side, sign, at in (("surface", 1, 1.0), ("core", -1, -1.0)):
+            vals = _total(comps, u, [at], x)[0]
+            dvals = _total(comps, u, [at], x, dr=1)[0]
+            res = cooling.side(side).h * vals + sign * a_r * dvals - given_u.get(side, 0.0)
+            assert np.abs(pz.T @ (w_z * res)).max() <= 1e-9 * scale
+        for side, sign, at in (("top", 1, 1.0), ("bottom", -1, -1.0)):
+            vals = _total(comps, u, x, [at])[:, 0]
+            dvals = _total(comps, u, x, [at], dz=1)[:, 0]
+            res = cooling.side(side).h * vals + sign * a_z * dvals - given_u[side]
+            assert np.abs(pr.T @ (w_r * res)).max() <= 1e-9 * scale
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
+           st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    def test_zero_state_field_is_feedthrough_at_mid_sides(self, cell, M, N,
+                                                          half_r, half_z, seed):
+        """On an odd grid the reconstructed field of a zero state, read at
+        the four mid-side nodes, is Dft u."""
+        spec, cooling = cell
+        model = assemble(spec, cooling, M, N)
+        n_r, n_z = 2 * half_r + 1, 2 * half_z + 1
+        u = np.random.default_rng(seed).uniform(-2000.0, 8000.0, model.n_inputs)
+        values = FieldEvaluator(model, n_r, n_z).field(np.zeros(model.order), u).values
+        mid_sides = values[[-1, 0, half_r, half_r], [half_z, half_z, -1, 0]]
+        expected = model.Dft @ u
+        scale = np.abs(model.Dft).max() * np.abs(u).max()
+        assert np.abs(mid_sides - expected).max() <= 1e-12 * scale
 
 
 class TestFeedthrough:

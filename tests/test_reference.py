@@ -610,6 +610,17 @@ class TestTec:
         with pytest.raises(ValueError, match="dt"):
             tec_run(TecModel(), 0.0, -1.0, 10.0)
 
+    def test_heat_series_needs_one_sample_per_time(self):
+        """A 10 s horizon at dt 1 s has 11 sample times: a short series and a
+        long one are rejected, not failed on or truncated."""
+        for n in (3, 50):
+            with pytest.raises(ValueError, match=r"q must broadcast to \(11,\)"):
+                tec_run(TecModel(), np.full(n, 10.0), 1.0, 10.0)
+        times, t_c, t_s = tec_run(TecModel(), np.full(11, 10.0), 1.0, 10.0)
+        _, ref_c, ref_s = tec_run(TecModel(), 10.0, 1.0, 10.0)
+        assert times.shape == (11,)
+        assert np.array_equal(t_c, ref_c) and np.array_equal(t_s, ref_s)
+
 
 class TestTimingHarness:
     def test_table_format(self):

@@ -229,6 +229,16 @@ class TestDiscretize:
 
 
 class TestRun:
+    def test_heat_series_needs_one_sample_per_time(self):
+        model = assemble(PAPER, SC, 1, 1)
+        x0 = project_initial_state(model, 15.0, U_SC)
+        for n in (3, 50):
+            with pytest.raises(ValueError, match=r"w must broadcast to \(11,\)"):
+                run(model, x0, U_SC, np.full(n, 1e4), dt=1.0, horizon=10.0)
+        res = run(model, x0, U_SC, np.full(11, 1e4), dt=1.0, horizon=10.0)
+        ref = run(model, x0, U_SC, 1e4, dt=1.0, horizon=10.0)
+        assert np.array_equal(res.outputs, ref.outputs)
+
     def test_equilibrium_holds(self):
         """Uniform coolant at the initial temperature: outputs stay at 15 up
         to the spectral projection defect of the lifting expansion (the
