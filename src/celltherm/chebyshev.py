@@ -187,5 +187,6 @@ def robin_residuals(bs: BasisSet) -> np.ndarray:
     p, q = (np.array(c)[:, None] for c in zip(bs.robin_minus, bs.robin_plus))
     size = 1.0 + np.abs(bs.combo).sum(axis=1)
     scale = (np.abs(p) + np.abs(q) * (np.arange(bs.count) + 2) ** 2) * size
-    res = p * basis_matrix(bs, ends) + q * basis_matrix(bs, ends, 1)
+    table = basis_table(bs, ends, (0, 1))
+    res = p * table[0] + q * table[1]
     return (np.abs(res) / scale).T

@@ -527,8 +527,7 @@ def cmd_scenarios(cfg, out_dir: Path):
         result, merits = _scenario_point(spec, cfg, name, q_series)
         write_csv(out_dir / f"metrics_{name}.csv", _METRIC_HEADER,
                   _metric_columns(result))
-        table.append((name, merits["T_mean"], merits["T_max"],
-                      merits["dTr_max"], merits["dTz_max"], merits["dT"]))
+        table.append((name, *merits.values()))
         merits_by_name[name] = merits
     write_csv(out_dir / "merits.csv",
               ["scenario", "T_mean_C", "T_max_C", "dTr_max_K_per_m",
@@ -588,9 +587,7 @@ def cmd_control(cfg, out_dir: Path):
                 np.abs(trace.T_mean[tail] - trace.setpoint).max()),
         }
         gradient_summary[label] = row
-        summary_rows.append((name, c_rate, row["dTr_mean_tail_K_per_m"],
-                             row["dTz_mean_tail_K_per_m"],
-                             row["tracking_error_tail_C"]))
+        summary_rows.append((name, c_rate, *row.values()))
     write_csv(out_dir / "gradients.csv",
               ["scenario", "c_rate", "dTr_mean_tail_K_per_m",
                "dTz_mean_tail_K_per_m", "tracking_error_tail_C"], zip(*summary_rows))
@@ -658,9 +655,7 @@ def cmd_sweep_geometry(cfg, out_dir: Path):
             print(f"warning: ratio {ratio} yields R_out <= R_in; skipped",
                   file=sys.stderr)
             continue
-        rows.append((ratio, merits["L_m"], merits["R_out_m"],
-                     merits["volume_m3"], merits["T_mean"], merits["dTr_max"],
-                     merits["dTz_max"]))
+        rows.append((ratio, *merits.values()))
         merits_by_ratio[f"{ratio:g}"] = merits
     write_csv(out_dir / "sweep.csv",
               ["L_over_R_out", "L_m", "R_out_m", "volume_m3", "T_mean_C",

@@ -178,10 +178,12 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
     u_hist[n_steps] = u_applied
 
     if isinstance(plant, FdSolver):
-        # sampled once per control step, at the end of its FD steps
+        # each command held over its FD steps, sampled once per control step
+        n_fd = n_steps * fd_steps
         metrics = _fd_solve_on(
-            plant, np.repeat(u_hist, fd_steps, axis=0), np.repeat(q_arr, fd_steps),
-            T_init, n_steps * fd_steps * plant.cfg.dt, fd_steps, fd_steps)
+            plant, np.repeat(u_hist, fd_steps, axis=0)[:n_fd + 1],
+            np.repeat(q_arr, fd_steps)[:n_fd + 1], T_init, n_fd * plant.cfg.dt,
+            fd_steps, fd_steps)
         outputs = metrics.outputs
     else:
         # the field at step k is reconstructed with the input applied up to k

@@ -279,6 +279,21 @@ def per_step(values, n_times: int, name: str) -> np.ndarray:
     return arr
 
 
+def per_step_inputs(u, shape: str, n_times: int) -> np.ndarray:
+    """Model input rows (n_times, n_inputs) of a cell shape: a constant input
+    vector or BoundaryInput held over n_times samples, or exactly n_times
+    rows."""
+    if isinstance(u, BoundaryInput):
+        u = u.as_vector(shape)
+    u = np.asarray(u, dtype=float)
+    n_inputs = len(input_sides(shape))
+    if u.ndim == 1:
+        u = np.broadcast_to(u, (n_times, u.size))
+    if u.shape != (n_times, n_inputs):
+        raise ValueError(f"u must broadcast to ({n_times}, {n_inputs})")
+    return u
+
+
 def resample_profile(profile: HeatProfile, dt: float, horizon: float) -> np.ndarray:
     """Zero-order-hold resampling onto the uniform grid t = 0, dt, ..., <= horizon.
 

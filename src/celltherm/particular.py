@@ -14,9 +14,10 @@ is one separable product,
     (a r + b r^2) (phi^z . e_z)  for surface and core,
     (phi^r . e_r) (a z + b z^2)  for top and bottom,
 
-with (a, b) the side's column of the inverted 2x2 system. The field is
-linear in the inputs, which is what separates it into four per-side
-components, one per cooling channel.
+with (a, b) the side's column of the inverted 2x2 system: the Robin pairs
+of ``robin_pairs``, which the basis satisfies, applied to x and x^2
+(``robin_rows``). The field is linear in the inputs, which is what
+separates it into four per-side components, one per cooling channel.
 
 Sign convention: the scaled Robin conditions are
 
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SIDES, CellSpec, CoolingConfig, input_sides
-from .chebyshev import BasisSet, BasisTable, Quadrature, basis_matrix, basis_table
+from .chebyshev import BasisSet, BasisTable, Quadrature, basis_table
 from .exceptions import DegenerateBoundaryError, IllConditionedBasisError
 
 # Relative threshold below which a 2x2 boundary system counts as singular.
@@ -80,103 +81,6 @@ def robin_pairs(spec: CellSpec, cooling: CoolingConfig):
     return r_pair, z_pair
 
 
-@dataclass(frozen=True)
-class BoundaryScalars:
-    """Per-side coefficients of the boundary Galerkin systems.
-
-    The surface/core rows read s1 a + s2 b = u_s and c1 a + c2 b = u_c for
-    the coefficients (a, b) of r and r^2 in front of the z-basis combination
-    e_z; the top/bottom rows (t, b) read likewise for z and z^2 before e_r.
-    """
-
-    s1: float
-    s2: float
-    c1: float
-    c2: float
-    t1: float
-    t2: float
-    b1: float
-    b2: float
-
-    @property
-    def vertical(self) -> np.ndarray:
-        return np.array([[self.s1, self.s2], [self.c1, self.c2]])
-
-    @property
-    def horizontal(self) -> np.ndarray:
-        return np.array([[self.t1, self.t2], [self.b1, self.b2]])
-
-
-def _invert_boundary_system(mat: np.ndarray, label: str) -> np.ndarray:
-    scale = np.abs(mat).max()
-    if scale == 0.0 or abs(np.linalg.det(mat)) < _DEGENERATE_RTOL * scale**2:
-        raise DegenerateBoundaryError(f"degenerate {label} boundary system")
-    return np.linalg.solve(mat, np.eye(2))
-
-
-def boundary_scalars(spec: CellSpec, cooling: CoolingConfig) -> BoundaryScalars:
-    """Coefficients obtained by substituting (a r + b r^2) and (a z + b z^2)
-    into the four scaled Robin conditions."""
-    a_r = radial_scale(spec) * spec.k_r
-    a_z = axial_scale(spec) * spec.k_z
-    h_s, h_c = cooling.surface.h, cooling.core.h
-    h_t, h_b = cooling.top.h, cooling.bottom.h
-    return BoundaryScalars(
-        s1=h_s + a_r, s2=h_s + 2.0 * a_r,
-        c1=-(h_c + a_r), c2=h_c + 2.0 * a_r,
-        t1=h_t + a_z, t2=h_t + 2.0 * a_z,
-        b1=-(h_b + a_z), b2=h_b + 2.0 * a_z,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class SideCoefficients:
-    """Per-unit-input coefficients of the four field components.
-
-    e_r (M,) and e_z (N,) are the Galerkin projections of 1 onto the r- and
-    z-bases; each side's pair (2,) multiplies (r, r^2) for a vertical side
-    and (z, z^2) for a horizontal one.
-    """
-
-    e_r: np.ndarray
-    e_z: np.ndarray
-    surface: np.ndarray
-    core: np.ndarray
-    top: np.ndarray
-    bottom: np.ndarray
-
-
-def _gram_and_source(basis: BasisSet, quad: Quadrature, weight: np.ndarray):
-    P = basis_matrix(basis, quad.nodes)
-    wq = quad.weights * weight
-    gram = P.T @ (wq[:, None] * P)
-    source = P.T @ wq
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise IllConditionedBasisError(
-            f"basis Gram matrix is numerically singular (cond={cond:.3g})")
-    return gram, source
-
-
-def solve_side_coefficients(basis_r: BasisSet, basis_z: BasisSet,
-                            scalars: BoundaryScalars, quad: Quadrature,
-                            spec: CellSpec) -> SideCoefficients:
-    """Solve the four boundary Galerkin systems for unit inputs.
-
-    Phi_v is the unweighted Gram matrix of the z-basis; Phi_h carries the
-    radius weight for cylindrical cells. The two 2x2 systems are inverted
-    directly (not via transcribed closed forms); a unit input on one side
-    selects a column of the inverse.
-    """
-    phi_v, s_v = _gram_and_source(basis_z, quad, np.ones_like(quad.nodes))
-    phi_h, s_h = _gram_and_source(basis_r, quad, radial_weight(spec, quad.nodes))
-    surface, core = _invert_boundary_system(scalars.vertical, "surface/core").T
-    top, bottom = _invert_boundary_system(scalars.horizontal, "top/bottom").T
-    return SideCoefficients(e_r=np.linalg.solve(phi_h, s_h),
-                            e_z=np.linalg.solve(phi_v, s_v),
-                            surface=surface, core=core, top=top, bottom=bottom)
-
-
 def _power_series(x: np.ndarray, deriv: int) -> np.ndarray:
     """(d/dx)^deriv of x and x^2, stacked: shape (2, len(x))."""
     if deriv == 0:
@@ -188,6 +92,25 @@ def _power_series(x: np.ndarray, deriv: int) -> np.ndarray:
     return np.zeros((2, x.size))
 
 
+def robin_rows(robin_minus, robin_plus) -> np.ndarray:
+    """The Robin conditions p T(s) + q T'(s) of the end s = +1 (row 0) and
+    s = -1 (row 1), applied to T = x and T = x^2 (columns)."""
+    (p_m, q_m), (p_p, q_p) = robin_minus, robin_plus
+    ends = np.array([1.0, -1.0])
+    return (np.array([[p_p], [p_m]]) * _power_series(ends, 0).T
+            + np.array([[q_p], [q_m]]) * _power_series(ends, 1).T)
+
+
+def _lifting_pairs(basis: BasisSet, label: str) -> np.ndarray:
+    """The (x, x^2) pairs per unit input at s = +1 (row 0) and s = -1 (row
+    1): the columns of the inverted Robin rows of the basis."""
+    mat = robin_rows(basis.robin_minus, basis.robin_plus)
+    scale = np.abs(mat).max()
+    if scale == 0.0 or abs(np.linalg.det(mat)) < _DEGENERATE_RTOL * scale**2:
+        raise DegenerateBoundaryError(f"degenerate {label} boundary system")
+    return np.linalg.solve(mat, np.eye(2)).T
+
+
 _VERTICAL_SIDES = ("surface", "core")
 
 
@@ -197,16 +120,50 @@ class ParticularComponents:
 
     Each field is one separable product g(r) f(z): a polynomial in r times
     a z-basis combination for a vertical side, an r-basis combination times a
-    polynomial in z for a horizontal one. ``factors`` gives those 1D factors
-    from basis tables, so grids and Galerkin projections need no 2D work.
-    For a cylindrical cell the core component exists but is never excited
-    (u_core = 0); pouch cells excite all four.
+    polynomial in z for a horizontal one. e_r (M,) and e_z (N,) are the
+    Galerkin projections of 1 onto the r- and z-bases; each side's pair (2,)
+    multiplies (r, r^2) for a vertical side and (z, z^2) for a horizontal
+    one. ``factors`` gives the 1D factors from basis tables, so grids and
+    Galerkin projections need no 2D work. For a cylindrical cell the core
+    component exists but is never excited (u_core = 0); pouch cells excite
+    all four.
     """
 
     spec: CellSpec
     basis_r: BasisSet
     basis_z: BasisSet
-    coeffs: SideCoefficients
+    e_r: np.ndarray
+    e_z: np.ndarray
+    surface: np.ndarray
+    core: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+
+    @classmethod
+    def solve(cls, spec: CellSpec, basis_r: BasisSet, basis_z: BasisSet,
+              quad: Quadrature) -> "ParticularComponents":
+        """Solve the four boundary Galerkin systems for unit inputs.
+
+        Its Gram matrices are bitwise the Gr and Gz ``assemble`` builds at
+        the same order, so this is the package's one conditioning check:
+        cond(G) = cond(Gr) cond(Gz) must not exceed 1e12.
+        """
+        x, wz = quad.nodes, quad.weights
+        wr = wz * radial_weight(spec, x)
+        r = basis_table(basis_r, x)[0]
+        z = basis_table(basis_z, x)[0]
+        gram_r = r.T @ (wr[:, None] * r)
+        gram_z = z.T @ (wz[:, None] * z)
+        cond = np.linalg.cond(gram_r) * np.linalg.cond(gram_z)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise IllConditionedBasisError(
+                f"basis Gram matrices are numerically singular (cond={cond:.3g})")
+        surface, core = _lifting_pairs(basis_r, "surface/core")
+        top, bottom = _lifting_pairs(basis_z, "top/bottom")
+        return cls(spec, basis_r, basis_z,
+                   e_r=np.linalg.solve(gram_r, r.T @ wr),
+                   e_z=np.linalg.solve(gram_z, z.T @ wz),
+                   surface=surface, core=core, top=top, bottom=bottom)
 
     def factors(self, side: str, r: BasisTable, z: BasisTable,
                 dr: int = 0, dz: int = 0) -> tuple:
@@ -216,11 +173,10 @@ class ParticularComponents:
         basis_z; a vertical side reads z[dz], a horizontal one r[dr]."""
         if side not in SIDES:
             raise ValueError(f"unknown side {side!r}")
-        cf = self.coeffs
-        pair = getattr(cf, side)
+        pair = getattr(self, side)
         if side in _VERTICAL_SIDES:
-            return (pair @ _power_series(r.nodes, dr))[None], (z[dz] @ cf.e_z)[None]
-        return (r[dr] @ cf.e_r)[None], (pair @ _power_series(z.nodes, dz))[None]
+            return (pair @ _power_series(r.nodes, dr))[None], (z[dz] @ self.e_z)[None]
+        return (r[dr] @ self.e_r)[None], (pair @ _power_series(z.nodes, dz))[None]
 
     def component_grid(self, side: str, r_nodes, z_nodes,
                        dr: int = 0, dz: int = 0) -> np.ndarray:

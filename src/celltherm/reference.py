@@ -54,7 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIDES, CellSpec, CoolingConfig, Modes, input_sides, per_step, step_count
+from .core import (SIDES, CellSpec, CoolingConfig, Modes, input_sides, per_step,
+                   per_step_inputs, step_count)
 from .exceptions import NumericalError, UnsupportedShapeError
 from .simulate import (MetricSeries, MetricsRecord, Stepper, _reduce_fields,
                        _trapezoid, metric_steps)
@@ -363,9 +364,9 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
     """Integrate the original PDE over [0, horizon].
 
     ``u`` is None (baseline coolant temperatures from the cooling config), a
-    constant model-input vector, or a per-step array (K+1 rows); ``q`` a
-    scalar or per-step array of the volumetric heat rate. Outputs are
-    sampled at ``metric_steps(K, output_stride)`` and metrics at
+    constant model-input vector, or a per-step array of exactly K+1 rows;
+    ``q`` a scalar or exactly K+1 samples of the volumetric heat rate.
+    Outputs are sampled at ``metric_steps(K, output_stride)`` and metrics at
     ``metric_steps(K, metrics_stride)``. Between two samples or input
     changes the input is held, and the solver takes those steps as one.
     """
@@ -384,16 +385,10 @@ def _fd_solve_on(solver: FdSolver, u, q, T_init: float, horizon: float,
         # entry, so a cooled core would lose its coolant temperature.
         baseline = np.array([solver.cooling.side(s).T_inf for s in SIDES])
     else:
-        u_arr = np.asarray(u, dtype=float)
-        if u_arr.ndim == 1:
-            u_arr = np.broadcast_to(u_arr, (n_steps + 1, u_arr.size))
-    q_arr = np.asarray(q, dtype=float)
-    if q_arr.ndim == 0:
-        q_arr = np.broadcast_to(q_arr, (n_steps + 1,))
+        u_arr = per_step_inputs(u, solver.spec.shape, n_steps + 1)
+    q_arr = per_step(q, n_steps + 1, "q")
     # the input columns over the steps; a held span ends where one changes
     columns = [q_arr[:n_steps]] + ([] if u is None else list(u_arr[:n_steps].T))
-    if min(map(len, columns)) < n_steps:
-        raise ValueError(f"fd_solve needs an input row for each of its {n_steps} steps")
     changed = np.any([c[1:] != c[:-1] for c in columns], axis=0)
 
     output_idx = metric_steps(n_steps, output_stride)

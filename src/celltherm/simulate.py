@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import BoundaryInput, per_step, step_count
+from .core import per_step, per_step_inputs, step_count
 from .chebyshev import basis_table
 from .exceptions import NumericalError
 from .galerkin import ReducedModel, map_modes
@@ -336,17 +336,6 @@ class SimResult(MetricSeries):
         return map_modes(self.modal, *self.modes)
 
 
-def _broadcast_inputs(model: ReducedModel, u, w, n_times: int):
-    if isinstance(u, BoundaryInput):
-        u = u.as_vector(model.spec.shape)
-    u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        u = np.broadcast_to(u, (n_times, u.size))
-    if u.shape != (n_times, model.n_inputs):
-        raise ValueError(f"u must broadcast to ({n_times}, {model.n_inputs})")
-    return u, per_step(w, n_times, "w")
-
-
 def metric_steps(n_steps: int, stride: int) -> list:
     """Sampled step indices: every ``stride``-th step and the last one."""
     idx = list(range(0, n_steps + 1, max(1, stride)))
@@ -366,7 +355,8 @@ def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
     stepper = discretize(model, dt)
     n_steps = step_count(horizon, dt)
     times = np.arange(n_steps + 1) * dt
-    u_arr, w_arr = _broadcast_inputs(model, u, w, n_steps + 1)
+    u_arr = per_step_inputs(u, model.spec.shape, n_steps + 1)
+    w_arr = per_step(w, n_steps + 1, "w")
     evaluator = FieldEvaluator.of(model, *grid_shape)
     modal = stepper.trajectory(model.to_modal(X0),
                                np.column_stack([u_arr, w_arr])[:-1])

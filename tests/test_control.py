@@ -173,8 +173,8 @@ class TestClosedLoop:
         trace = closed_loop_run(FdSolver(PAPER, cooling, cfg), "aTSC", 20.0, q,
                                 dt=2.0, horizon=60.0,
                                 estimator_model=assemble(PAPER, cooling, 2, 2))
-        fd = fd_solve(PAPER, cooling, np.repeat(trace.u, 4, axis=0),
-                      np.repeat(q, 4), cfg, horizon=60.0)
+        fd = fd_solve(PAPER, cooling, np.repeat(trace.u, 4, axis=0)[:121],
+                      np.repeat(q, 4)[:121], cfg, horizon=60.0)
         np.testing.assert_allclose(trace.T_mean, fd.T_mean[::4], rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.dTr_mean, fd.dTr_mean[::4], rtol=1e-12)
         np.testing.assert_allclose(trace.outputs, fd.outputs[::4], rtol=0, atol=1e-12)

@@ -1,12 +1,15 @@
-"""Particular-solution decomposition: boundary scalars, side coefficients,
+"""Particular-solution decomposition: the Robin rows, the lifting solve,
 component evaluation, and the feedthrough map Dft that ``assemble`` builds
 from the components.
 
-Oracles: hand-evaluated scalar formulas, residuals of the boundary Galerkin
-systems recomputed without inverting anything, quadrature projection of the
-boundary conditions, Cramer's-rule closed forms, and the feedthrough of the
+Oracles: hand-evaluated Robin-row formulas, residuals of the boundary
+Galerkin systems recomputed without inverting anything, quadrature
+projection of the boundary conditions, Cramer's-rule closed forms, the
+Gram matrices and sources of the assembled model, and the feedthrough of the
 assembled model at the mid-side nodes of the reconstruction grid.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,15 +36,13 @@ from celltherm.core import (
 from celltherm.exceptions import DegenerateBoundaryError, IllConditionedBasisError
 from celltherm.galerkin import assemble
 from celltherm.particular import (
-    BoundaryScalars,
     ParticularComponents,
     axial_scale,
-    boundary_scalars,
     radial_scale,
     radial_weight,
     radius_from_scaled,
     robin_pairs,
-    solve_side_coefficients,
+    robin_rows,
 )
 from celltherm.simulate import FieldEvaluator
 from test_simulate import cells_and_coolings
@@ -64,24 +65,32 @@ A_R = _a_r(PAPER)
 A_Z = _a_z(PAPER)
 
 
+def _scalars(spec, cooling):
+    """The entries of the two Robin systems by name: s, c are the surface
+    and core rows on (r, r^2), t, b the top and bottom rows on (z, z^2)."""
+    r_pair, z_pair = robin_pairs(spec, cooling)
+    (s1, s2), (c1, c2) = robin_rows(*r_pair)
+    (t1, t2), (b1, b2) = robin_rows(*z_pair)
+    return SimpleNamespace(s1=s1, s2=s2, c1=c1, c2=c2, t1=t1, t2=t2, b1=b1, b2=b2)
+
+
 def _build(spec, cooling, M, N, quad_order=40):
     r_pair, z_pair = robin_pairs(spec, cooling)
     basis_r = build_basis(M, *r_pair)
     basis_z = build_basis(N, *z_pair)
-    scalars = boundary_scalars(spec, cooling)
     quad = gauss_quadrature(quad_order)
-    coeffs = solve_side_coefficients(basis_r, basis_z, scalars, quad, spec)
-    return ParticularComponents(spec, basis_r, basis_z, coeffs), scalars, quad
+    comps = ParticularComponents.solve(spec, basis_r, basis_z, quad)
+    return comps, _scalars(spec, cooling), quad
 
 
-def _d_vectors(cf):
+def _d_vectors(comps):
     """The per-unit-input coefficient vectors of r, r^2 (vertical sides) and
     z, z^2 (horizontal sides): each is a coefficient of the side's pair times
     the Galerkin projection of 1, e_z or e_r."""
     d = {}
     for side in SIDES:
-        e = cf.e_z if side in ("surface", "core") else cf.e_r
-        pair = getattr(cf, side)
+        e = comps.e_z if side in ("surface", "core") else comps.e_r
+        pair = getattr(comps, side)
         d["d1_" + side[0]], d["d2_" + side[0]] = pair[0] * e, pair[1] * e
     return d
 
@@ -109,13 +118,15 @@ class TestGeometryHelpers:
 
 
 class TestBoundaryScalars:
+    """The entries of the two boundary systems, the Robin rows."""
+
     def test_core_side_with_zero_h(self):
-        sc = boundary_scalars(PAPER, scenario_cooling("SC"))
+        sc = _scalars(PAPER, scenario_cooling("SC"))
         assert sc.c1 == pytest.approx(-A_R)
         assert sc.c2 == pytest.approx(2 * A_R)
 
     def test_surface_side_hand_evaluation(self):
-        sc = boundary_scalars(PAPER, scenario_cooling("SC"))
+        sc = _scalars(PAPER, scenario_cooling("SC"))
         # h_s + alpha k_r and h_s + 2 alpha k_r with alpha = 2/0.028
         assert sc.s1 == pytest.approx(400.0 + 2.0 / 0.028 * 0.67, rel=1e-14)
         assert sc.s2 == pytest.approx(400.0 + 2.0 * 2.0 / 0.028 * 0.67, rel=1e-14)
@@ -124,9 +135,20 @@ class TestBoundaryScalars:
         for h in (12.5, 77.0, 400.0):
             cooling = CoolingConfig(SideCooling(100.0, 15.0), SideCooling(0.0, 15.0),
                                     SideCooling(h, 15.0), SideCooling(h, 15.0))
-            sc = boundary_scalars(PAPER, cooling)
+            sc = _scalars(PAPER, cooling)
             assert sc.t1 == pytest.approx(-sc.b1, rel=1e-14)
             assert sc.t2 == pytest.approx(sc.b2, rel=1e-14)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+    def test_rows_are_the_robin_conditions_on_x_and_x2(self, pq):
+        """Row 0 is p T(1) + q T'(1) of the plus pair, row 1 p T(-1) + q T'(-1)
+        of the minus pair, for T = x (column 0) and T = x^2 (column 1)."""
+        p_m, q_m, p_p, q_p = pq
+        rows = robin_rows((p_m, q_m), (p_p, q_p))
+        expected = [[p_p * 1.0 + q_p * 1.0, p_p * 1.0 + q_p * 2.0],
+                     [p_m * -1.0 + q_m * 1.0, p_m * 1.0 + q_m * -2.0]]
+        assert np.array_equal(rows, expected)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(cells_and_coolings())
@@ -137,27 +159,30 @@ class TestBoundaryScalars:
     @example((PAPER, scenario_cooling("aTSC")))
     def test_determinants_positive_for_valid_cooling(self, cell):
         """det = (h_s + a)(h_c + 2a) + (h_s + 2a)(h_c + a) > 0 for a > 0 and
-        h >= 0, so no physical cell reaches the degeneracy check."""
+        h >= 0, so no physical cell reaches the degeneracy check; the side
+        pairs of the solve are the columns of the inverse."""
         spec, cooling = cell
-        sc = boundary_scalars(spec, cooling)
-        for mat, (h_plus, h_minus), a in (
-                (sc.vertical, (cooling.surface.h, cooling.core.h), _a_r(spec)),
-                (sc.horizontal, (cooling.top.h, cooling.bottom.h), _a_z(spec))):
+        r_pair, z_pair = robin_pairs(spec, cooling)
+        comps, _, _ = _build(spec, cooling, 1, 1)
+        for mat, inv, (h_plus, h_minus), a in (
+                (robin_rows(*r_pair), np.column_stack([comps.surface, comps.core]),
+                 (cooling.surface.h, cooling.core.h), _a_r(spec)),
+                (robin_rows(*z_pair), np.column_stack([comps.top, comps.bottom]),
+                 (cooling.top.h, cooling.bottom.h), _a_z(spec))):
             det = np.linalg.det(mat)
             assert det > 0
             closed = (h_plus + a) * (h_minus + 2 * a) + (h_plus + 2 * a) * (h_minus + a)
             assert det == pytest.approx(closed, rel=1e-12)
+            assert np.linalg.det(inv) == pytest.approx(1.0 / closed, rel=1e-12)
 
     def test_degenerate_system_rejected(self):
-        bad = BoundaryScalars(s1=1.0, s2=2.0, c1=2.0, c2=4.0,
-                              t1=1.0, t2=1.0, b1=-1.0, b2=1.0)
-        cooling = scenario_cooling("SC")
-        r_pair, z_pair = robin_pairs(PAPER, cooling)
-        basis_r = build_basis(2, *r_pair)
-        basis_z = build_basis(2, *z_pair)
+        """Robin pairs (3, 2) at -1 and (1, 0) at +1 give the rows (1, 1)
+        and (-1, -1): the basis exists, its lifting system is singular."""
+        robin = ((3.0, 2.0), (1.0, 0.0))
+        assert np.linalg.det(robin_rows(*robin)) == 0.0
+        basis = build_basis(2, *robin)
         with pytest.raises(DegenerateBoundaryError):
-            solve_side_coefficients(basis_r, basis_z, bad,
-                                    gauss_quadrature(16), PAPER)
+            ParticularComponents.solve(PAPER, basis, basis, gauss_quadrature(16))
 
 
 class TestSideCoefficients:
@@ -179,7 +204,7 @@ class TestSideCoefficients:
         checked by multiplying back without inverting."""
         cooling = scenario_cooling("SC")
         comps, scalars, quad = _build(PAPER, cooling, 2, 2)
-        cf = _d_vectors(comps.coeffs)
+        cf = _d_vectors(comps)
         u = {"surface": 6000.0, "core": 0.0, "top": 450.0, "bottom": 450.0}
         d1 = cf["d1_s"] * u["surface"] + cf["d1_c"] * u["core"]
         d2 = cf["d2_s"] * u["surface"] + cf["d2_c"] * u["core"]
@@ -215,7 +240,7 @@ class TestSideCoefficients:
         e_h = np.linalg.solve(pr.T @ (w_r[:, None] * pr), pr.T @ w_r)
         det_v = sc.s1 * sc.c2 - sc.s2 * sc.c1
         det_h = sc.t1 * sc.b2 - sc.t2 * sc.b1
-        cf = _d_vectors(comps.coeffs)
+        cf = _d_vectors(comps)
         assert np.allclose(cf["d1_s"], sc.c2 / det_v * e_v, rtol=1e-12)
         assert np.allclose(cf["d2_s"], -sc.c1 / det_v * e_v, rtol=1e-12)
         assert np.allclose(cf["d1_c"], -sc.s2 / det_v * e_v, rtol=1e-12)
@@ -232,10 +257,29 @@ class TestSideCoefficients:
         dup = BasisSet(3, good.robin_minus, good.robin_plus,
                        np.vstack([good.combo[0], good.combo[0], good.combo[2]]),
                        np.vstack([good.coeffs[0], good.coeffs[0], good.coeffs[2]]))
-        scalars = boundary_scalars(PAPER, cooling)
         with pytest.raises(IllConditionedBasisError):
-            solve_side_coefficients(build_basis(3, *r_pair), dup, scalars,
-                                    gauss_quadrature(16), PAPER)
+            ParticularComponents.solve(PAPER, build_basis(3, *r_pair), dup,
+                                       gauss_quadrature(16))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 30), st.integers(1, 30))
+    @example((PAPER, scenario_cooling("SC")), 1, 1)
+    @example((PAPER, scenario_cooling("aTSC")), 10, 10)
+    @example((PAPER, scenario_cooling("btTC")), 30, 30)
+    def test_projections_of_one_solve_the_assembled_gram_systems(self, cell, M, N):
+        """e_r and e_z are bit for bit the solves with the model's own Gram
+        factors against the 1D sources of F = s_r (x) s_z, so the lifting's
+        conditioning check is the check of those Gram factors."""
+        spec, cooling = cell
+        model = assemble(spec, cooling, M, N)
+        quad = gauss_quadrature(model.quad_order)
+        r = basis_table(model.basis_r, quad.nodes)[0]
+        z = basis_table(model.basis_z, quad.nodes)[0]
+        s_r = r.T @ (quad.weights * radial_weight(spec, quad.nodes))
+        s_z = z.T @ quad.weights
+        assert np.array_equal(model.F, np.kron(s_r, s_z))
+        assert np.array_equal(model.particular.e_r, np.linalg.solve(model.gram_r, s_r))
+        assert np.array_equal(model.particular.e_z, np.linalg.solve(model.gram_z, s_z))
 
 
 class TestComponentEvaluation:

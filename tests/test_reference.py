@@ -208,6 +208,20 @@ class TestFdBasics:
         with pytest.raises(ValueError, match="FdConfig.dt"):
             FdConfig(16, 16, dt)
 
+    def test_input_series_need_one_row_per_time(self):
+        """A 10 s horizon at dt 1 s has 11 sample times: a heat series of 50
+        or 10 samples and an input vector of the wrong width are rejected,
+        not truncated or read short."""
+        cooling, cfg = scenario_cooling("SC"), FdConfig(8, 8, 1.0)
+        for n in (50, 10):
+            with pytest.raises(ValueError, match=r"q must broadcast to \(11,\)"):
+                fd_solve(PAPER, cooling, None, np.full(n, 1e4), cfg, horizon=10.0)
+        with pytest.raises(ValueError, match=r"u must broadcast to \(11, 3\)"):
+            fd_solve(PAPER, cooling, np.full(5, 6000.0), 1e4, cfg, horizon=10.0)
+        held = fd_solve(PAPER, cooling, None, 1e4, cfg, horizon=10.0)
+        series = fd_solve(PAPER, cooling, None, np.full(11, 1e4), cfg, horizon=10.0)
+        assert np.array_equal(series.outputs, held.outputs)
+
 
 class TestTridiagonalModes:
     def test_reconstructs_nonsymmetric_operator(self):
