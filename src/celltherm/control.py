@@ -20,6 +20,7 @@ Passive sides hold their baseline coolant temperature for the whole run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,8 @@ class PiController:
 def pi_step(c: PiController, error: float, dt: float) -> float:
     """Advance the controller one step and return the coolant temperature
     command baseline + kp*e + ki*integral(e), clamped to the output limits."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
     candidate = c.integral + error * dt
     raw = c.baseline + c.kp * error + c.ki * candidate
     lo, hi = c.output_limits

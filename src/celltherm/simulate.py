@@ -28,6 +28,7 @@ one routine, ``_reduce_fields``.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -73,8 +74,8 @@ class Stepper:
     def zoh(cls, lam: np.ndarray, b: np.ndarray, dt: float) -> "Stepper":
         """Discretize dy/dt = lam * y + v @ b (lam (n,), b (m, n)) exactly
         for inputs held constant over dt."""
-        if not dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError("dt must be positive and finite")
         with np.errstate(over="ignore", invalid="ignore"):
             stepper = cls(np.exp(dt * lam), _phi1(lam, dt) * b)
         if not (np.all(np.isfinite(stepper.gain))

@@ -1,0 +1,28 @@
+"""Hypothesis strategies shared by the test modules."""
+
+from hypothesis import strategies as st
+
+from celltherm.core import CYLINDRICAL, POUCH, CellSpec, CoolingConfig, SideCooling
+
+
+@st.composite
+def cells_and_coolings(draw):
+    """A random physical cell with a random per-side cooling (h = 0 on some
+    sides; a cylinder's core is never cooled)."""
+    unit = st.floats(0.0, 1.0)
+    shape = draw(st.sampled_from([CYLINDRICAL, POUCH]))
+    props = dict(L=0.05 + 0.25 * draw(unit), rho=1500.0 + 1500.0 * draw(unit),
+                 cp=700.0 + 500.0 * draw(unit), k_r=0.3 + 3.0 * draw(unit),
+                 k_z=1.0 + 99.0 * draw(unit))
+    if shape == CYLINDRICAL:
+        r_out = 0.01 + 0.04 * draw(unit)
+        spec = CellSpec(shape=shape, R_out=r_out,
+                        R_in=r_out * (0.05 + 0.45 * draw(unit)), **props)
+    else:
+        spec = CellSpec(shape=shape, D=0.05 + 0.25 * draw(unit), **props)
+    sides = []
+    for side in ("surface", "core", "top", "bottom"):
+        cooled = draw(st.booleans()) and not (side == "core" and shape == CYLINDRICAL)
+        h = 5.0 + 995.0 * draw(unit) if cooled else 0.0
+        sides.append(SideCooling(h, 40.0 * draw(unit)))
+    return spec, CoolingConfig(*sides)

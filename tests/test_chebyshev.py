@@ -26,7 +26,7 @@ from celltherm.chebyshev import (
 )
 from celltherm.exceptions import BasisConstructionError
 from celltherm.particular import robin_pairs
-from test_simulate import cells_and_coolings
+from strategies import cells_and_coolings
 
 # paper-cell radial Robin pair under surface cooling (physical convention):
 # alpha k_r = (2 / 0.028) * 0.67

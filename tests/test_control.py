@@ -53,6 +53,13 @@ class TestPiStep:
         assert out == -1.0
         assert c.integral == 0.0
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        c = PiController(kp=2.0, ki=0.1)
+        with pytest.raises(ValueError, match="finite"):
+            pi_step(c, 1.0, dt)
+        assert c.integral == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PiController(1.0, 1.0, output_limits=(2.0, 1.0))

@@ -10,7 +10,7 @@ agreement.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.linalg import eigh
@@ -26,16 +26,23 @@ from celltherm.core import (
     scenario_cooling,
 )
 from celltherm import galerkin
-from celltherm.exceptions import AssemblyError
+from celltherm.exceptions import AssemblyError, IllConditionedBasisError
 from celltherm.galerkin import (
     OUTPUT_LOCATIONS,
     assemble,
     default_quad_order,
     project_initial_state,
 )
-from celltherm.particular import axial_scale, radial_scale, radius_from_scaled
-from celltherm.simulate import FieldEvaluator, run
-from test_simulate import cells_and_coolings
+from celltherm.particular import (
+    ParticularComponents,
+    axial_scale,
+    radial_scale,
+    radial_weight,
+    radius_from_scaled,
+    robin_pairs,
+)
+from celltherm.simulate import FieldEvaluator, discretize, run
+from strategies import cells_and_coolings
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -118,6 +125,20 @@ class TestAssembleStructure:
                          metrics_stride=10**9).states
             energy = np.einsum("ki,ij,kj->k", states, model.G, states)
             assert np.all(energy[1:] <= energy[:-1] * (1 + 1e-12))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 12), st.integers(1, 12),
+           st.floats(0.05, 50.0))
+    @example((PAPER, CoolingConfig(*[SideCooling(0.0, 15.0)] * 4)), 1, 1, 1.0)
+    def test_random_cells_dissipative(self, cell, M, N, dt):
+        """Every eigenvalue of the Kronecker sum is <= 0 to 1e-9 of the
+        largest magnitude (an insulated O=1 cell's spectrum is all zero), so
+        every modal gain of the exact step lies in [0, 1]."""
+        model = assemble(*cell, M, N)
+        lam = np.add.outer(model.modes_r.lam, model.modes_z.lam)
+        assert lam.max() <= 1e-9 * np.abs(lam).max()
+        gain = discretize(model, dt).gain
+        assert np.all((gain >= 0.0) & (gain <= 1.0))
 
     def test_deterministic_assembly(self):
         a = assemble(PAPER, scenario_cooling("bTSC"), 3, 3)
@@ -218,16 +239,12 @@ class TestPencilModes:
 
 
 class TestQuadratureGuard:
-    def test_undersized_quadrature_rejected(self):
-        # order 5 keeps the Gram full-rank for a 4-function basis but is
-        # inexact for the degree-11 mass integrands; doubling exposes it
-        with pytest.raises(AssemblyError):
-            assemble(PAPER, scenario_cooling("SC"), 4, 4, quad_order=5)
-
     def test_rank_deficient_quadrature_rejected(self):
-        from celltherm.exceptions import IllConditionedBasisError
+        # three nodes cannot tell four basis functions apart
+        r_pair, z_pair = robin_pairs(PAPER, scenario_cooling("SC"))
         with pytest.raises(IllConditionedBasisError):
-            assemble(PAPER, scenario_cooling("SC"), 4, 4, quad_order=3)
+            ParticularComponents.solve(PAPER, build_basis(4, *r_pair),
+                                       build_basis(4, *z_pair), gauss_quadrature(3))
 
     def test_default_order_formula(self):
         assert default_quad_order(4, 4) == 7
@@ -237,7 +254,8 @@ class TestQuadratureGuard:
     def test_default_order_is_exact(self, cell, M, N):
         """Every assembled integrand is a polynomial that the default rule
         integrates exactly, so doubling the order moves no factor beyond
-        rounding, on random cells, coolings and M, N <= 30.
+        rounding, on random cells, coolings and M, N <= 30. This is the
+        proof that ``assemble``'s one pass at the default order is exact.
 
         B applies the second derivatives of the particular components, whose
         terms cancel: at N = 30, k_z = 100 W/m/K and L = 5 cm they are 1e4
@@ -246,9 +264,9 @@ class TestQuadratureGuard:
         B is held to 1e-11 and the other factors to 1e-12."""
         spec, cooling = cell
         model = assemble(spec, cooling, M, N)
-        n = model.quad_order
+        n = default_quad_order(M, N)
         args = (spec, cooling, model.basis_r, model.basis_z, model.particular)
-        names = ("gram_r", "stiff_r", "gram_z", "stiff_z", "B", "F")
+        names = ("gram_r", "stiff_r", "gram_z", "stiff_z", "B", "F", "P")
         exact = galerkin._assemble_matrices(*args, n)
         doubled = galerkin._assemble_matrices(*args, 2 * n)
         for name, a, b in zip(names, exact, doubled):
@@ -298,6 +316,34 @@ class TestInitialState:
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
         with pytest.raises(ValueError):
             project_initial_state(model, 15.0, np.zeros(4))
+
+    @pytest.mark.parametrize("T_init, u0", [
+        (np.nan, [0.0, 0.0, 0.0]),
+        (np.inf, [0.0, 0.0, 0.0]),
+        (15.0, [6000.0, np.nan, 0.0]),
+        (15.0, [-np.inf, 0.0, 0.0]),
+    ], ids=["nan-T", "inf-T", "nan-u0", "inf-u0"])
+    def test_non_finite_initial_data_rejected(self, T_init, u0):
+        model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
+        with pytest.raises(ValueError, match="finite"):
+            project_initial_state(model, T_init, u0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 12), st.integers(1, 12))
+    def test_component_moments_match_their_grids(self, cell, M, N):
+        """Column i of P, from which the initial projection reads its
+        moments, is the Galerkin moment of side i's component grid at the
+        default rule's nodes."""
+        model = assemble(*cell, M, N)
+        quad = gauss_quadrature(default_quad_order(M, N))
+        x, wq = quad.nodes, quad.weights
+        wr = wq * radial_weight(model.spec, x)
+        r = basis_matrix(model.basis_r, x)
+        z = basis_matrix(model.basis_z, x)
+        for col, side in enumerate(model.sides):
+            grid = model.particular.component_grid(side, x, x)
+            want = (r.T @ (wr[:, None] * grid * wq) @ z).ravel()
+            assert np.abs(model.P[:, col] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestReassemble:

@@ -34,7 +34,7 @@ from celltherm.core import (
     scenario_cooling,
 )
 from celltherm.exceptions import DegenerateBoundaryError, IllConditionedBasisError
-from celltherm.galerkin import assemble
+from celltherm.galerkin import assemble, default_quad_order
 from celltherm.particular import (
     ParticularComponents,
     axial_scale,
@@ -45,7 +45,7 @@ from celltherm.particular import (
     robin_rows,
 )
 from celltherm.simulate import FieldEvaluator
-from test_simulate import cells_and_coolings
+from strategies import cells_and_coolings
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -272,7 +272,7 @@ class TestSideCoefficients:
         conditioning check is the check of those Gram factors."""
         spec, cooling = cell
         model = assemble(spec, cooling, M, N)
-        quad = gauss_quadrature(model.quad_order)
+        quad = gauss_quadrature(default_quad_order(M, N))
         r = basis_table(model.basis_r, quad.nodes)[0]
         z = basis_table(model.basis_z, quad.nodes)[0]
         s_r = r.T @ (quad.weights * radial_weight(spec, quad.nodes))

@@ -566,6 +566,11 @@ class TestTec:
                         np.abs(t_s - ref_s).max() / np.abs(ref_s).max())
         assert worst <= 1e-12
 
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="finite"):
+            tec_run(TecModel(), 10.0, dt, 10.0)
+
     def test_analytic_steady_state(self):
         m = TecModel()
         assert m.steady_state(10.0) == pytest.approx((22.3, 15.8))

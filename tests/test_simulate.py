@@ -42,6 +42,7 @@ from celltherm.simulate import (
     metric_steps,
     run,
 )
+from strategies import cells_and_coolings
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -110,29 +111,6 @@ def expansion(model, X, u, r, z, dr, dz):
     return radial_scale(model.spec) ** dr * axial_scale(model.spec) ** dz * grid
 
 
-@st.composite
-def cells_and_coolings(draw):
-    """A random physical cell with a random per-side cooling (h = 0 on some
-    sides; a cylinder's core is never cooled)."""
-    unit = st.floats(0.0, 1.0)
-    shape = draw(st.sampled_from([CYLINDRICAL, POUCH]))
-    props = dict(L=0.05 + 0.25 * draw(unit), rho=1500.0 + 1500.0 * draw(unit),
-                 cp=700.0 + 500.0 * draw(unit), k_r=0.3 + 3.0 * draw(unit),
-                 k_z=1.0 + 99.0 * draw(unit))
-    if shape == CYLINDRICAL:
-        r_out = 0.01 + 0.04 * draw(unit)
-        spec = CellSpec(shape=shape, R_out=r_out,
-                        R_in=r_out * (0.05 + 0.45 * draw(unit)), **props)
-    else:
-        spec = CellSpec(shape=shape, D=0.05 + 0.25 * draw(unit), **props)
-    sides = []
-    for side in ("surface", "core", "top", "bottom"):
-        cooled = draw(st.booleans()) and not (side == "core" and shape == CYLINDRICAL)
-        h = 5.0 + 995.0 * draw(unit) if cooled else 0.0
-        sides.append(SideCooling(h, 40.0 * draw(unit)))
-    return spec, CoolingConfig(*sides)
-
-
 class TestDiscretize:
     @pytest.mark.parametrize("spec, cooling, M, N", [
         (PAPER, SC, 5, 5),
@@ -197,6 +175,20 @@ class TestDiscretize:
         b = run(model, x, u, 5e4, 0.1, 0.2, metrics_stride=10**9).states[2]
         assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 12), st.integers(1, 12),
+           st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
+    def test_random_cells_semigroup(self, cell, M, N, dt, seed):
+        """One exact step of 2 dt is two steps of dt under held inputs, on
+        random cells, coolings and M, N <= 12."""
+        model = assemble(*cell, M, N)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(model.order)
+        u = 1e3 * rng.standard_normal(model.n_inputs)
+        a = one_step(model, x, u, 5e4, 2 * dt)
+        b = run(model, x, u, 5e4, dt, 2 * dt, metrics_stride=10**9).states[2]
+        assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
+
     def test_zoh_matches_fine_rk4(self):
         model = assemble(PAPER, SC, 2, 2)
         a_c = np.linalg.solve(model.G, model.A)
@@ -221,8 +213,9 @@ class TestDiscretize:
 
     def test_bad_dt(self):
         model = assemble(PAPER, SC, 1, 1)
-        with pytest.raises(ValueError):
-            discretize(model, 0.0)
+        for dt in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                discretize(model, dt)
         for dt in (0.0, -1.0):
             with pytest.raises(ValueError, match="dt must be positive"):
                 run(model, np.zeros(1), U_SC, 0.0, dt=dt, horizon=10.0)
