@@ -79,9 +79,12 @@ def map_modes(Y: np.ndarray, V_r: np.ndarray, V_z: np.ndarray) -> np.ndarray:
 def _outputs(X: np.ndarray, C: np.ndarray, Dft: np.ndarray, u: np.ndarray) -> np.ndarray:
     """C X + Dft u of one sample or a stack.
 
-    einsum's own loops: a threaded BLAS GEMM over a long high-order
-    trajectory starts the BLAS thread pool, whose buffers add about 2 MB of
-    resident memory.
+    einsum's own loops, whose result for a row does not depend on the rows
+    stacked with it: ``simulate.run`` passes its trajectory in blocks, whose
+    outputs must not depend on the block size. A BLAS GEMM would also start
+    the BLAS thread pool, whose buffers add about 2 MB of resident memory, on
+    a long high-order stack such as the closed-loop plant's whole trajectory;
+    ``run``'s blocks alone would stay on the calling thread.
     """
     return np.einsum("...o,po->...p", X, C) + u @ Dft.T
 

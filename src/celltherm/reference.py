@@ -151,6 +151,17 @@ def _lerp_weights(nodes: np.ndarray, x: float) -> np.ndarray:
     return w
 
 
+def _differences(f: np.ndarray, h: float, out: np.ndarray) -> None:
+    """df/dx along axis 0 of f (at least 2 rows, node spacing h) into out,
+    in ``np.gradient``'s arithmetic, so bit for bit its result: central
+    differences inside, one-sided first-order ones at both ends."""
+    np.subtract(f[2:], f[:-2], out=out[1:-1])
+    out[1:-1] /= 2.0 * h
+    np.subtract(f[1], f[0], out=out[0])
+    np.subtract(f[-1], f[-2], out=out[-1])
+    out[[0, -1]] /= h
+
+
 class FdSolver:
     """Modal theta-method stepper for one (cell, cooling, grid) triple.
 
@@ -327,10 +338,15 @@ class FdSolver:
 
     def metrics(self, state: np.ndarray, field=None) -> MetricsRecord:
         """Metrics of the field, with gradients from second-order finite
-        differences; ``field`` is ``grid(state)`` if the caller has it."""
+        differences; ``field`` is ``grid(state)`` if the caller has it. The
+        field and both gradients are written into one new block per call,
+        so threads may share a solver."""
         if field is None:
             field = self.grid(state)
-        block = np.stack([field, *np.gradient(field, self.dr, self.dz)])[:, None]
+        block = np.empty((3, 1, *field.shape))
+        block[0, 0] = field
+        _differences(field, self.dr, block[1, 0])
+        _differences(field.T, self.dz, block[2, 0].T)
         return _reduce_fields(np.sum(self._vol_weights * field), [block], single=True)
 
     def surface_flux(self, state: np.ndarray) -> float:

@@ -11,11 +11,13 @@ V_r (x) V_z with eigenvalues (lam_r[i] + lam_z[j]) / rho cp. The two-state TEC
 of ``reference`` and the closed-loop estimator of ``control`` use the same
 kernel.
 
-``run`` steps in modal coordinates and stays there: the outputs come from
-the output map carried over to modal coordinates once per model
-(``ReducedModel.modal_C``), and the metrics are reconstructed straight from
-the modal samples, METRICS_BLOCK at a time. ``SimResult.states`` maps the
-whole trajectory to Galerkin states on first read. Reconstruction is one
+``run`` steps in modal coordinates and stays there, STEP_BLOCK floats of
+states at a time: each block continues from the last state of the one
+before, its outputs come from the output map carried over to modal
+coordinates once per model (``ReducedModel.modal_C``), and only its rows at
+the metric steps are kept. The metrics are reconstructed straight from those
+modal samples, METRICS_BLOCK at a time, and ``SimResult.states`` maps the
+samples to Galerkin states on first read. Reconstruction is one
 separable product per sample: the field, particular part included, is
 R C_aug Z^T with 1D tables R, Z, whose basis blocks carry the mode matrices
 V_r and V_z, and a block-diagonal coefficient matrix C_aug
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -50,6 +53,16 @@ DEFAULT_GRID = (41, 41)
 # study benchmark (2-core box), when scenarios and sweep-geometry ran on pools
 # too, 8 measured as fast as 16 or 32 with 3 to 11 MB less peak memory.
 METRICS_BLOCK = 8
+
+# Modal floats that run steps at once: 256 KB of states that stay in cache
+# while their outputs and metric samples are read, so a run holds no
+# (K+1, order) trajectory. The K steps are split into balanced blocks of at
+# most max(1, STEP_BLOCK // order) steps but, as FdSolver's row blocks, never
+# fewer than two: numpy hands a single input row to GEMV, whose products
+# differ from GEMM's in the last bit. Up to order 16 384, each block's input
+# GEMM, at most 5 * STEP_BLOCK = 163 840 multiply-adds, stays on the calling
+# thread (OpenBLAS threads from 262 144, see reference._SINGLE_THREAD_GEMM_MNK).
+STEP_BLOCK = 32_768
 
 # Serializes FieldEvaluator.of, whose cache the CLI's control pool shares.
 _BUILD_LOCK = threading.Lock()
@@ -86,9 +99,10 @@ class Stepper:
     def step(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.gain * y + v @ self.b_hat
 
-    def trajectory(self, y0: np.ndarray, V: np.ndarray) -> np.ndarray:
+    def trajectory(self, y0: np.ndarray, V: np.ndarray, step0: int = 0) -> np.ndarray:
         """States (K+1, n) from y0 under the input rows V (K, m); raises
-        NumericalError naming the first step whose state is not finite."""
+        NumericalError naming the first step whose state is not finite,
+        counted from ``step0``, the step of y0 in a longer run."""
         Y = np.empty((V.shape[0] + 1, self.gain.size))
         Y[0] = y0
         gain, scratch = self.gain, np.empty_like(self.gain)
@@ -102,7 +116,7 @@ class Stepper:
         # again: the last state shows whether any step failed
         if not np.all(np.isfinite(Y[-1])):
             first = np.argmin(np.all(np.isfinite(Y), axis=1))
-            raise NumericalError(f"non-finite state at step {first}")
+            raise NumericalError(f"non-finite state at step {step0 + first}")
         return Y
 
 
@@ -317,23 +331,26 @@ class FieldEvaluator:
 
 @dataclass(frozen=True, eq=False)
 class SimResult(MetricSeries):
-    """Trajectories of one reduced-model run.
+    """Outputs and metric samples of one reduced-model run.
 
     ``outputs`` holds the four mid-side temperatures [surface, core, top,
-    bottom]; the metric arrays are sampled every ``metrics_stride`` steps on
-    the reconstruction grid. The trajectory is kept in modal coordinates,
-    with the two 1D mode matrices (V_r, V_z) that map it to Galerkin states,
-    not the model: a result keeps no model alive.
+    bottom] at every step; the metric arrays are sampled every
+    ``metrics_stride`` steps on the reconstruction grid, at
+    ``metrics_times``. Only the states of those S samples are kept, in modal
+    coordinates, with the two 1D mode matrices (V_r, V_z) that map them to
+    Galerkin states, not the model: a result keeps no model alive. A caller
+    that needs the state at every step passes ``metrics_stride=1``.
     """
 
     times: np.ndarray
-    modal: np.ndarray           # (K+1, order) modal coordinates
+    modal: np.ndarray           # (S, order) modal coordinates at metrics_times
     modes: tuple                # (V_r, V_z)
     outputs: np.ndarray         # (K+1, 4)
 
     @cached_property
     def states(self) -> np.ndarray:
-        """Galerkin states (K+1, order), mapped on first read."""
+        """Galerkin states (S, order) at ``metrics_times``, mapped on first
+        read."""
         return map_modes(self.modal, *self.modes)
 
 
@@ -351,7 +368,8 @@ def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
 
     ``u`` is a constant input vector / BoundaryInput or an array with one row
     per step (K+1 rows); ``w`` a scalar or per-step array, both already
-    resampled to dt.
+    resampled to dt. The states are stepped STEP_BLOCK floats at a time and
+    kept only at the metric steps, ``metric_steps(K, metrics_stride)``.
     """
     stepper = discretize(model, dt)
     n_steps = step_count(horizon, dt)
@@ -359,11 +377,28 @@ def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
     u_arr = per_step_inputs(u, model.spec.shape, n_steps + 1)
     w_arr = per_step(w, n_steps + 1, "w")
     evaluator = FieldEvaluator.of(model, *grid_shape)
-    modal = stepper.trajectory(model.to_modal(X0),
-                               np.column_stack([u_arr, w_arr])[:-1])
+    inputs = np.column_stack([u_arr, w_arr])
     idx = metric_steps(n_steps, metrics_stride)
-    metrics = evaluator.metrics(modal[idx], u_arr[idx])
+    rows = max(1, STEP_BLOCK // model.order)
+    n_blocks = max(1, min(-(-n_steps // rows), n_steps // 2))
+    y = model.to_modal(X0)
+    if n_blocks == 1:
+        # no block bookkeeping: on a 10-step O=1 run it cost about 4 % of
+        # the run, which compare-tec's O1/TEC timing shows
+        Y = stepper.trajectory(y, inputs[:-1])
+        outputs, modal = model.modal_outputs(Y, u_arr), Y[idx]
+    else:
+        outputs, samples, a = [], [], 0
+        for i in range(n_blocks):
+            k0, k1 = i * n_steps // n_blocks, (i + 1) * n_steps // n_blocks
+            Y = stepper.trajectory(y, inputs[k0:k1], k0)   # states k0..k1
+            lo = 1 if i else 0   # state k0 closed the block before
+            outputs.append(model.modal_outputs(Y[lo:], u_arr[k0 + lo:k1 + 1]))
+            b = bisect_right(idx, k1, a)
+            samples.append(Y[[k - k0 for k in idx[a:b]]])
+            a, y = b, Y[-1]
+        outputs, modal = np.concatenate(outputs), np.concatenate(samples)
+    metrics = evaluator.metrics(modal, u_arr[idx])
     return SimResult(times=times, modal=modal,
                      modes=(model.modes_r.V, model.modes_z.V),
-                     outputs=model.modal_outputs(modal, u_arr),
-                     metrics_times=times[idx], **vars(metrics))
+                     outputs=outputs, metrics_times=times[idx], **vars(metrics))

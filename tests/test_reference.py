@@ -33,6 +33,7 @@ from celltherm.reference import (
     FdConfig,
     FdSolver,
     TecModel,
+    _differences,
     _ghost_node_operator,
     fd_solve,
     tridiagonal_modes,
@@ -40,6 +41,7 @@ from celltherm.reference import (
     tec_run,
     timing_harness,
 )
+from celltherm.simulate import _reduce_fields
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -524,6 +526,31 @@ class TestBlockedGrid:
         state = np.random.default_rng(n_r * n_z).standard_normal((n_r, n_z))
         dense = solver._modes_r.V @ state @ solver._modes_z.V.T
         assert np.abs(solver.grid(state) - dense).max() <= 1e-13 * np.abs(dense).max()
+
+
+class TestFdMetrics:
+    @pytest.mark.parametrize("spec", [PAPER, POUCH_CELL], ids=["cylinder", "pouch"])
+    @pytest.mark.parametrize("n_r, n_z", [(3, 3), (7, 33), (33, 7), (128, 128)])
+    def test_differences_are_np_gradient_bit_for_bit(self, spec, n_r, n_z):
+        """The gradients written into the metrics block are np.gradient's, so
+        the metrics equal the reduction of the stacked field and
+        np.gradient arrays bit for bit, on random fields and grids."""
+        rng = np.random.default_rng(n_r * n_z)
+        solver = FdSolver(spec, ALL_SIDES, FdConfig(n_r, n_z, 0.5))
+        field = rng.uniform(-20.0, 60.0, (n_r, n_z))
+        h = rng.uniform(1e-4, 1e-2, 2)
+        d_r, d_z = np.empty_like(field), np.empty_like(field)
+        _differences(field, h[0], d_r)
+        _differences(field.T, h[1], d_z.T)
+        want = np.gradient(field, *h)
+        assert np.array_equal(d_r, want[0]) and np.array_equal(d_z, want[1])
+
+        state = rng.standard_normal((n_r, n_z))
+        field = solver.grid(state)
+        block = np.stack([field, *np.gradient(field, solver.dr, solver.dz)])[:, None]
+        want = _reduce_fields(np.sum(solver._vol_weights * field), [block], single=True)
+        for got in (solver.metrics(state), solver.metrics(state, field)):
+            assert vars(got) == vars(want)
 
 
 def expm_tec_run(model, q, dt, n_steps, T0):

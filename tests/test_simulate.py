@@ -9,6 +9,7 @@ second-order finite differences and trapezoid sums of the reconstructed field.
 import gc
 import sys
 import threading
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -148,7 +149,8 @@ class TestDiscretize:
         zeros = np.zeros_like(u)
 
         def states(x, uu, ww):
-            return run(model, x, uu, ww, dt, 3 * dt, metrics_stride=10**9).states
+            return run(model, x, uu, ww, dt, 3 * dt, grid_shape=(5, 5),
+                       metrics_stride=1).states
 
         total = states(x0, u, w)
         parts = states(x0, zeros, 0.0) + states(np.zeros(model.order), u, w)
@@ -172,7 +174,7 @@ class TestDiscretize:
         x = np.linspace(-1, 1, model.order)
         u = U_SC
         a = one_step(model, x, u, 5e4, 0.2)
-        b = run(model, x, u, 5e4, 0.1, 0.2, metrics_stride=10**9).states[2]
+        b = run(model, x, u, 5e4, 0.1, 0.2, metrics_stride=10**9).states[-1]
         assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -186,7 +188,7 @@ class TestDiscretize:
         x = rng.standard_normal(model.order)
         u = 1e3 * rng.standard_normal(model.n_inputs)
         a = one_step(model, x, u, 5e4, 2 * dt)
-        b = run(model, x, u, 5e4, dt, 2 * dt, metrics_stride=10**9).states[2]
+        b = run(model, x, u, 5e4, dt, 2 * dt, metrics_stride=10**9).states[-1]
         assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
     def test_zoh_matches_fine_rk4(self):
@@ -291,7 +293,7 @@ class TestRun:
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(model.order)
         q = 1e5 * rng.standard_normal(9)
-        res = run(model, x0, zeros, q, dt, 8 * dt, metrics_stride=10**9)
+        res = run(model, x0, zeros, q, dt, 8 * dt, grid_shape=(5, 5), metrics_stride=1)
         heat = model.rho_cp * cell_volume(spec) * (res.states @ model.F) / unit_mean
         generated = cell_volume(spec) * dt * np.concatenate([[0.0], np.cumsum(q[:-1])])
         scale = np.abs(heat - heat[0]).max() + np.abs(generated).max()
@@ -345,11 +347,24 @@ class TestRun:
         assert np.all(res.T_max >= res.T_mean - 1e-12)
         assert np.all(res.T_mean >= res.T_min - 1e-12)
 
-    def test_unstable_dynamics_reported_with_step(self):
+    @pytest.mark.parametrize("rows", [None, 3, 7])
+    def test_unstable_dynamics_reported_with_step(self, monkeypatch, rows):
+        """The error names the run's step, also when the first non-finite
+        state lies in a later block of ``rows`` steps (None: the default)."""
         model = assemble(PAPER, SC, 2, 2)
         unstable = replace(model, stiff_r=-200.0 * model.stiff_r,
                            stiff_z=-200.0 * model.stiff_z)
-        with pytest.raises(NumericalError, match="step"):
+        stepper = discretize(unstable, 5.0)
+        y, v = unstable.to_modal(np.ones(model.order)), np.append(U_SC, 0.0)
+        first = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.all(np.isfinite(y)):
+                y = stepper.gain * y + v @ stepper.b_hat
+                first += 1
+        if rows is not None:
+            monkeypatch.setattr(simulate, "STEP_BLOCK", rows * model.order)
+            assert first > rows   # a block-local index is at most rows
+        with pytest.raises(NumericalError, match=rf"non-finite state at step {first}$"):
             run(unstable, np.ones(model.order), U_SC, 0.0, dt=5.0, horizon=500.0)
 
     def test_boundary_input_accepted(self):
@@ -388,29 +403,79 @@ class TestTrajectory:
             stepper.trajectory(np.zeros(2), V)
 
 
+class TestStream:
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
+           st.floats(0.05, 50.0), st.integers(0, 40), st.integers(1, 9),
+           st.integers(0, 2**32 - 1))
+    def test_blocks_match_one_block_bit_for_bit(self, cell, M, N, dt, K, stride, seed):
+        """Stepping in blocks of at most 1, 3 or 7 steps (never fewer than
+        two), or of the default size, gives the outputs, the sampled modal
+        states and every metric of one block over the whole run, bit for
+        bit."""
+        model = assemble(*cell, M, N)
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal(model.order)
+        u = 1e3 * rng.standard_normal((K + 1, model.n_inputs))
+        w = 1e5 * rng.standard_normal(K + 1)
+
+        def blocked(step_block):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulate, "STEP_BLOCK", step_block)
+                return run(model, x0, u, w, dt, K * dt, grid_shape=(5, 4),
+                           metrics_stride=stride)
+
+        whole = blocked(max(K, 1) * model.order)
+        assert whole.outputs.shape == (K + 1, 4)
+        assert whole.modal.shape == (len(metric_steps(K, stride)), model.order)
+        for step_block in (model.order, 3 * model.order, 7 * model.order,
+                           simulate.STEP_BLOCK):
+            res = blocked(step_block)
+            for name, value in vars(whole).items():
+                if name != "modes":
+                    assert np.array_equal(getattr(res, name), value), (step_block, name)
+
+    def test_long_run_holds_no_trajectory(self):
+        """A K-step run at O=400 keeps its traced heap below a quarter of the
+        (K, order) trajectory it never holds."""
+        model = assemble(PAPER, SC, 20, 20)
+        x0 = project_initial_state(model, 15.0, U_SC)
+        K = 4_000
+        tracemalloc.start()
+        try:
+            res = run(model, x0, U_SC, 1e5, dt=1.0, horizon=float(K),
+                      metrics_stride=10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.outputs.shape == (K + 1, 4)
+        assert peak < K * model.order * 8 / 4
+
+
 class TestModalFirst:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(cells_and_coolings(), st.integers(1, 6), st.integers(1, 6),
            st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
     def test_random_cells_outputs_and_states_from_the_modal_trajectory(
             self, cell, M, N, dt, seed):
-        """``run`` keeps the trajectory modal: its outputs equal C X + Dft u
-        of the Galerkin states, and the states it maps on first read are
-        ``from_modal`` of that trajectory, bit for bit."""
+        """``run`` keeps the sampled states modal: its outputs at the sampled
+        steps equal C X + Dft u of the Galerkin states, and the states it
+        maps on first read are ``from_modal`` of those samples, bit for bit."""
         model = assemble(*cell, M, N)
         rng = np.random.default_rng(seed)
         u = 1e3 * rng.standard_normal((7, model.n_inputs))
         w = 1e5 * rng.standard_normal(7)
         res = run(model, rng.standard_normal(model.order), u, w, dt, 6 * dt,
                   grid_shape=(5, 5), metrics_stride=4)
+        idx = metric_steps(6, 4)
         assert np.array_equal(res.states, model.from_modal(res.modal))
         assert res.states is res.states
-        assert_close_rel(res.outputs, model.outputs(res.states, u), 1e-12)
+        assert_close_rel(res.outputs[idx], model.outputs(res.states, u[idx]), 1e-12)
 
     @pytest.mark.parametrize("K, stride", [(30, 7), (30, 1), (30, 10**9), (0, 1)])
     def test_run_maps_states_only_when_read(self, monkeypatch, K, stride):
         """``run`` takes its metrics from the modal samples and maps no state
-        back; the first read of ``states`` maps the trajectory once."""
+        back; the first read of ``states`` maps the samples once."""
         model = assemble(PAPER, SC, 3, 3)
         mapped = []
 
@@ -423,11 +488,12 @@ class TestModalFirst:
         x0 = project_initial_state(model, 15.0, U_SC)
         res = run(model, x0, U_SC, 1e5, dt=2.0, horizon=2.0 * K,
                   grid_shape=(5, 5), metrics_stride=stride)
+        n_samples = len(metric_steps(K, stride))
         assert mapped == []
-        assert res.metrics_times.size == len(metric_steps(K, stride))
-        assert res.states.shape == (K + 1, model.order)
+        assert res.metrics_times.size == n_samples
+        assert res.states.shape == (n_samples, model.order)
         assert res.states is res.states
-        assert mapped == [(K + 1, model.order)]
+        assert mapped == [(n_samples, model.order)]
 
     def test_result_keeps_no_model_alive(self):
         """A result holds the two 1D mode matrices, not the model, so the
@@ -587,7 +653,8 @@ def _heated_from_outside():
     model = assemble(PAPER, cooling, 3, 3)
     u = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
     x0 = project_initial_state(model, 15.0, np.zeros(3))
-    res = run(model, x0, u, 0.0, dt=5.0, horizon=60.0, metrics_stride=10**9)
+    res = run(model, x0, u, 0.0, dt=5.0, horizon=60.0, grid_shape=(5, 5),
+              metrics_stride=1)
     return model, res.modal, u
 
 
