@@ -353,10 +353,10 @@ def _run_order(spec, cooling, order, cfg, q_series):
     leaves assembly out and several runs share one model."""
     model = _order_model(spec, cooling, order)
     u = boundary_input_from_cooling(cooling).as_vector(spec.shape)
-    x0 = project_initial_state(model, cfg["t_init_C"], u)
+    y0 = project_initial_state(model, cfg["t_init_C"], u)
     grid = (cfg["grid"]["n_r"], cfg["grid"]["n_z"])
     return lambda metrics_stride: run(
-        model, x0, u, q_series, cfg["dt_s"], cfg["horizon_s"], grid_shape=grid,
+        model, y0, u, q_series, cfg["dt_s"], cfg["horizon_s"], grid_shape=grid,
         metrics_stride=metrics_stride)
 
 

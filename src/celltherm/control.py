@@ -4,13 +4,14 @@ One PI controller per actively cooled side manipulates that side's coolant
 free-stream temperature (the convection coefficients stay fixed per
 scenario, so u_side = h_side * T_inf,side makes the coolant temperature the
 physical handle). The mean temperature is not measurable, so an open-loop
-estimator mirrors the reduced model: it is propagated with the commanded
-inputs, in modal coordinates through the package's one ZOH kernel
-(``simulate.Stepper``), and its volume mean, a precomputed row, feeds the
-error. The estimator never reads the plant, so a run first issues the whole
-command sequence from the estimator alone, then runs the plant once, open
-loop, under the recorded commands: a reduced-model plant through one
-``Stepper.trajectory``, its outputs and one batched metrics call taken from
+estimator mirrors the reduced model: it starts from the modal coordinates
+of ``galerkin.project_initial_state``, is propagated with the commanded
+inputs through the package's one ZOH kernel (``simulate.Stepper``), and its
+volume mean, a precomputed row, feeds the error. The estimator never reads
+the plant, so a run first issues the whole command sequence from the
+estimator alone, then runs the plant once, open loop, under the recorded
+commands: a reduced-model plant through one ``Stepper.trajectory`` from its
+own modal projection, its outputs and one batched metrics call taken from
 the modal trajectory as in ``simulate.run``, an FD plant stepped as
 ``fd_solve`` steps, on the plant's own solver, with each command held over
 the FD steps of its control step. The estimator and a reduced-model plant
@@ -77,7 +78,7 @@ class OpenLoopEstimator:
         evaluator = FieldEvaluator.of(model, *grid_shape)
         self._mean_row = evaluator.mean_state_row
         self._mean_input_row = evaluator.mean_input_row
-        self.y = model.to_modal(project_initial_state(model, T_init, u0))
+        self.y = project_initial_state(model, T_init, u0)
 
     def mean_temperature(self, u_applied: np.ndarray) -> float:
         return float(self._mean_row @ self.y + self._mean_input_row @ u_applied)
@@ -190,7 +191,7 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         # the field at step k is reconstructed with the input applied up to k
         u_rec = np.vstack([u_baseline, u_hist[:-1]])
         modal = discretize(plant, dt).trajectory(
-            plant.to_modal(project_initial_state(plant, T_init, u_baseline)),
+            project_initial_state(plant, T_init, u_baseline),
             np.column_stack([u_hist[:-1], q_arr[:-1]]))
         outputs = plant.modal_outputs(modal, u_rec)
         metrics = FieldEvaluator.of(plant, *grid_shape).metrics(modal, u_rec)

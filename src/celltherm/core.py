@@ -265,7 +265,13 @@ def constant_profile(q: float) -> HeatProfile:
 
 
 def step_count(horizon: float, dt: float) -> int:
-    """Whole steps of dt in [0, horizon]; a multiple of dt rounded low counts."""
+    """Whole steps of dt in [0, horizon]; a multiple of dt rounded low counts.
+    The one check of every stepped run's grid: dt must be positive and
+    finite, the horizon finite and >= 0."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError("dt must be positive and finite")
+    if not (math.isfinite(horizon) and horizon >= 0.0):
+        raise ValueError("horizon must be finite and >= 0")
     return int(np.floor(horizon / dt + 1e-9))
 
 
@@ -301,10 +307,6 @@ def resample_profile(profile: HeatProfile, dt: float, horizon: float) -> np.ndar
     the last sample hold the last value. Returns an array of shape (K+1,) for
     volumetric profiles or (K+1, 3) for electrical ones.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if horizon < 0.0:
-        raise ValueError("horizon must be >= 0")
     grid = np.arange(step_count(horizon, dt) + 1) * dt
     idx = np.searchsorted(profile.times, grid + 1e-12 * max(dt, 1.0), side="right") - 1
     idx = np.clip(idx, 0, len(profile.times) - 1)

@@ -36,11 +36,11 @@ step map and the dissipativity check, and cond(G) = cond(Gr) cond(Gz), so no
 (MN)^2 matrix is formed; ``particular.ParticularComponents.solve`` checks it
 on Gram matrices bitwise equal to Gr and Gz. G and A are derived properties,
 for inspection.
-``to_modal`` and ``from_modal`` map states to and from the modal coordinates
-(V_r (x) V_z)^-1 X in which ``simulate`` steps, and ``modal_C`` carries the
-output map over to them, so that the outputs of a modal trajectory need no
-state (``modal_outputs``); ``simulate.FieldEvaluator`` reads modal
-coordinates too.
+Outside this assembly every state is in the modal coordinates
+Y = (V_r (x) V_z)^-1 X of these modes: ``project_initial_state`` returns them,
+``simulate`` steps them, ``modal_C`` carries the output map over to them
+(``modal_outputs``) and ``simulate.FieldEvaluator`` reads them. No Galerkin
+state is formed on the way.
 
 B columns apply the same spatial operator to the per-side particular
 components, P holds their plain Galerkin moments for ``project_initial_state``,
@@ -67,26 +67,6 @@ from .particular import (
 
 # Mid-points of the surface, core, top, and bottom sides in scaled coordinates.
 OUTPUT_LOCATIONS = ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0))
-
-
-def map_modes(Y: np.ndarray, V_r: np.ndarray, V_z: np.ndarray) -> np.ndarray:
-    """States (V_r (x) V_z) Y of modal coordinates Y (..., M N), as
-    V_r y V_z^T per M x N sample."""
-    y = Y.reshape(-1, V_r.shape[0], V_z.shape[0])
-    return (V_r @ y @ V_z.T).reshape(Y.shape)
-
-
-def _outputs(X: np.ndarray, C: np.ndarray, Dft: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """C X + Dft u of one sample or a stack.
-
-    einsum's own loops, whose result for a row does not depend on the rows
-    stacked with it: ``simulate.run`` passes its trajectory in blocks, whose
-    outputs must not depend on the block size. A BLAS GEMM would also start
-    the BLAS thread pool, whose buffers add about 2 MB of resident memory, on
-    a long high-order stack such as the closed-loop plant's whole trajectory;
-    ``run``'s blocks alone would stay on the calling thread.
-    """
-    return np.einsum("...o,po->...p", X, C) + u @ Dft.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,16 +139,6 @@ class ReducedModel:
         ``simulate.FieldEvaluator.of``."""
         return {}
 
-    def to_modal(self, X) -> np.ndarray:
-        """Modal coordinates (V_r (x) V_z)^-1 X of states X (..., order)."""
-        X = np.asarray(X, dtype=float)
-        x = X.reshape(-1, self.M, self.N)
-        return (self.modes_r.V_inv @ x @ self.modes_z.V_inv.T).reshape(X.shape)
-
-    def from_modal(self, Y: np.ndarray) -> np.ndarray:
-        """States (V_r (x) V_z) Y of modal coordinates Y (..., order)."""
-        return map_modes(Y, self.modes_r.V, self.modes_z.V)
-
     @cached_property
     def modal_C(self) -> np.ndarray:
         """The output map C (V_r (x) V_z), (4, order), on modal coordinates:
@@ -176,15 +146,19 @@ class ReducedModel:
         c = self.C.reshape(-1, self.M, self.N)
         return (self.modes_r.V.T @ c @ self.modes_z.V).reshape(self.C.shape)
 
-    def outputs(self, X: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Mid-side temperatures Y = C X + Dft u of Galerkin states X, one
-        sample or a stack; the dense reference of ``modal_outputs``."""
-        return _outputs(X, self.C, self.Dft, u)
-
     def modal_outputs(self, Y: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Mid-side temperatures C (V_r (x) V_z) Y + Dft u of modal
-        coordinates Y, one sample or a stack."""
-        return _outputs(Y, self.modal_C, self.Dft, u)
+        coordinates Y, one sample or a stack.
+
+        The product runs in einsum's own loops, whose result for a row does
+        not depend on the rows stacked with it: ``simulate.run`` passes its
+        trajectory in blocks, whose outputs must not depend on the block
+        size. A BLAS GEMM would also start the BLAS thread pool, whose buffers
+        add about 2 MB of resident memory, on a long high-order stack such as
+        the closed-loop plant's whole trajectory; ``run``'s blocks alone would
+        stay on the calling thread.
+        """
+        return np.einsum("...o,po->...p", Y, self.modal_C) + u @ self.Dft.T
 
 
 def _pencil_modes(stiff: np.ndarray, gram: np.ndarray) -> Modes:
@@ -313,13 +287,16 @@ def assemble(spec: CellSpec, cooling: CoolingConfig, M: int, N: int) -> ReducedM
 
 
 def project_initial_state(model: ReducedModel, T_init: float, u0) -> np.ndarray:
-    """Galerkin projection of the homogeneous part of a uniform initial field.
+    """Modal coordinates Y(0) of the Galerkin projection of the homogeneous
+    part of a uniform initial field.
 
-    Solves G X(0) = rho cp < w (T_init - T_p(.) u0), eta > so that the
-    reconstruction T_h(0) + T_p u0 approximates the uniform T_init; the
-    moments R = T_init F - P u0 come from the model's own assembly pass. With
-    G = rho cp (Gr (x) Gz) this is X(0) = Gr^-1 R Gz^-1 for R as an M x N
-    matrix, two small solves instead of one with G.
+    The projection solves G X(0) = rho cp < w (T_init - T_p(.) u0), eta > so
+    that the reconstruction T_h(0) + T_p u0 approximates the uniform T_init;
+    the moments R = T_init F - P u0 come from the model's own assembly pass.
+    With G = rho cp (Gr (x) Gz), X(0) = Gr^-1 R Gz^-1 for R as an M x N
+    matrix, and with V_inv = Q^T gram per direction (``_pencil_modes``) its
+    modal coordinates V_inv,r X(0) V_inv,z^T are Q_r^T R Q_z: two products,
+    no solve.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (model.n_inputs,):
@@ -329,6 +306,4 @@ def project_initial_state(model: ReducedModel, T_init: float, u0) -> np.ndarray:
     moments = float(T_init) * model.F.reshape(model.M, model.N)
     for col, value in enumerate(u0):
         moments -= value * model.P[:, col].reshape(model.M, model.N)
-    return np.linalg.solve(model.gram_r,
-                           np.linalg.solve(model.gram_z, moments.T).T).ravel()
-
+    return (model.modes_r.V.T @ moments @ model.modes_z.V).ravel()

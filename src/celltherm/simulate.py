@@ -11,21 +11,20 @@ V_r (x) V_z with eigenvalues (lam_r[i] + lam_z[j]) / rho cp. The two-state TEC
 of ``reference`` and the closed-loop estimator of ``control`` use the same
 kernel.
 
-``run`` steps in modal coordinates and stays there, STEP_BLOCK floats of
-states at a time: each block continues from the last state of the one
-before, its outputs come from the output map carried over to modal
-coordinates once per model (``ReducedModel.modal_C``), and only its rows at
-the metric steps are kept. The metrics are reconstructed straight from those
-modal samples, METRICS_BLOCK at a time, and ``SimResult.states`` maps the
-samples to Galerkin states on first read. Reconstruction is one
-separable product per sample: the field, particular part included, is
-R C_aug Z^T with 1D tables R, Z, whose basis blocks carry the mode matrices
-V_r and V_z, and a block-diagonal coefficient matrix C_aug
-(``FieldEvaluator``). Gradients are computed by analytic differentiation of
-the expansions (not finite differences of the grid), with the coordinate
-scale factors folded into the derivative tables. The reduced model and the
-FD oracle of ``reference`` reduce their fields to ``MetricsRecord``s through
-one routine, ``_reduce_fields``.
+``run`` takes the modal coordinates of ``galerkin.project_initial_state``
+and steps them, STEP_BLOCK floats of states at a time: each block continues
+from the last state of the one before, its outputs come from the output map
+carried over to modal coordinates once per model (``ReducedModel.modal_C``),
+and only its rows at the metric steps are kept, as ``SimResult.states``. The
+metrics are reconstructed straight from those modal samples, METRICS_BLOCK
+at a time. Reconstruction is one separable product per sample: the field,
+particular part included, is R C_aug Z^T with 1D tables R, Z, whose basis
+blocks carry the mode matrices V_r and V_z, and a block-diagonal
+coefficient matrix C_aug (``FieldEvaluator``). Gradients are computed by
+analytic differentiation of the expansions (not finite differences of the
+grid), with the coordinate scale factors folded into the derivative tables.
+The reduced model and the FD oracle of ``reference`` reduce their fields to
+``MetricsRecord``s through one routine, ``_reduce_fields``.
 """
 
 from __future__ import annotations
@@ -34,14 +33,13 @@ import math
 import threading
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .core import per_step, per_step_inputs, step_count
 from .chebyshev import basis_table
 from .exceptions import NumericalError
-from .galerkin import ReducedModel, map_modes
+from .galerkin import ReducedModel
 from .particular import axial_scale, radial_scale, radial_weight
 
 DEFAULT_GRID = (41, 41)
@@ -122,8 +120,8 @@ class Stepper:
 
 def discretize(model: ReducedModel, dt: float) -> Stepper:
     """Exact zero-order-hold discretization of the reduced model, inputs
-    [u; w] held constant over a step, acting on modal coordinates
-    (``ReducedModel.to_modal``).
+    [u; w] held constant over a step, acting on the modal coordinates
+    (V_r (x) V_z)^-1 X of the Galerkin states X.
 
     With G^-1 A = V diag(lam) V^-1, V = V_r (x) V_z and
     lam = (lam_r[i] + lam_z[j]) / rho cp, the modal input map V^-1 G^-1 [B F]
@@ -214,7 +212,7 @@ class FieldEvaluator:
 
     The whole field, particular part included, is one separable product of
     1D tables, as in sum factorization (Orszag, J. Comput. Phys. 37, 1980).
-    A sample is its modal coordinates Y (``ReducedModel.to_modal``) and
+    A sample is its modal coordinates Y, as ``run`` steps them, and its
     inputs u. The state part Phi_r X Phi_z^T of the field, X = V_r Y V_z^T,
     is (Phi_r V_r) Y (Phi_z V_z)^T, so the 1D basis tables Phi carry the mode
     matrices. Each particular component is one product g(r) f(z)
@@ -336,22 +334,15 @@ class SimResult(MetricSeries):
     ``outputs`` holds the four mid-side temperatures [surface, core, top,
     bottom] at every step; the metric arrays are sampled every
     ``metrics_stride`` steps on the reconstruction grid, at
-    ``metrics_times``. Only the states of those S samples are kept, in modal
-    coordinates, with the two 1D mode matrices (V_r, V_z) that map them to
-    Galerkin states, not the model: a result keeps no model alive. A caller
-    that needs the state at every step passes ``metrics_stride=1``.
+    ``metrics_times``. Only the states of those S samples are kept, in the
+    modal coordinates the run steps, and a result holds arrays only: no
+    model and no mode matrices. A caller that needs the state at every step
+    passes ``metrics_stride=1``.
     """
 
     times: np.ndarray
-    modal: np.ndarray           # (S, order) modal coordinates at metrics_times
-    modes: tuple                # (V_r, V_z)
+    states: np.ndarray          # (S, order) modal coordinates at metrics_times
     outputs: np.ndarray         # (K+1, 4)
-
-    @cached_property
-    def states(self) -> np.ndarray:
-        """Galerkin states (S, order) at ``metrics_times``, mapped on first
-        read."""
-        return map_modes(self.modal, *self.modes)
 
 
 def metric_steps(n_steps: int, stride: int) -> list:
@@ -362,15 +353,19 @@ def metric_steps(n_steps: int, stride: int) -> list:
     return idx
 
 
-def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
+def run(model: ReducedModel, Y0, u, w, dt: float, horizon: float,
         grid_shape=DEFAULT_GRID, metrics_stride: int = 1) -> SimResult:
-    """Step the model over [0, horizon] with staircase inputs.
+    """Step the model over [0, horizon] with staircase inputs from the modal
+    coordinates Y0 (order,), as ``galerkin.project_initial_state`` gives them.
 
     ``u`` is a constant input vector / BoundaryInput or an array with one row
     per step (K+1 rows); ``w`` a scalar or per-step array, both already
     resampled to dt. The states are stepped STEP_BLOCK floats at a time and
     kept only at the metric steps, ``metric_steps(K, metrics_stride)``.
     """
+    y = np.asarray(Y0, dtype=float)
+    if y.shape != (model.order,):
+        raise ValueError(f"Y0 must have shape ({model.order},), not {y.shape}")
     stepper = discretize(model, dt)
     n_steps = step_count(horizon, dt)
     times = np.arange(n_steps + 1) * dt
@@ -381,12 +376,11 @@ def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
     idx = metric_steps(n_steps, metrics_stride)
     rows = max(1, STEP_BLOCK // model.order)
     n_blocks = max(1, min(-(-n_steps // rows), n_steps // 2))
-    y = model.to_modal(X0)
     if n_blocks == 1:
         # no block bookkeeping: on a 10-step O=1 run it cost about 4 % of
         # the run, which compare-tec's O1/TEC timing shows
         Y = stepper.trajectory(y, inputs[:-1])
-        outputs, modal = model.modal_outputs(Y, u_arr), Y[idx]
+        outputs, states = model.modal_outputs(Y, u_arr), Y[idx]
     else:
         outputs, samples, a = [], [], 0
         for i in range(n_blocks):
@@ -397,8 +391,7 @@ def run(model: ReducedModel, X0, u, w, dt: float, horizon: float,
             b = bisect_right(idx, k1, a)
             samples.append(Y[[k - k0 for k in idx[a:b]]])
             a, y = b, Y[-1]
-        outputs, modal = np.concatenate(outputs), np.concatenate(samples)
-    metrics = evaluator.metrics(modal, u_arr[idx])
-    return SimResult(times=times, modal=modal,
-                     modes=(model.modes_r.V, model.modes_z.V),
-                     outputs=outputs, metrics_times=times[idx], **vars(metrics))
+        outputs, states = np.concatenate(outputs), np.concatenate(samples)
+    metrics = evaluator.metrics(states, u_arr[idx])
+    return SimResult(times=times, states=states, outputs=outputs,
+                     metrics_times=times[idx], **vars(metrics))

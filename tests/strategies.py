@@ -1,5 +1,6 @@
-"""Hypothesis strategies shared by the test modules."""
+"""Hypothesis strategies and helpers shared by the test modules."""
 
+import numpy as np
 from hypothesis import strategies as st
 
 from celltherm.core import CYLINDRICAL, POUCH, CellSpec, CoolingConfig, SideCooling
@@ -26,3 +27,14 @@ def cells_and_coolings(draw):
         h = 5.0 + 995.0 * draw(unit) if cooled else 0.0
         sides.append(SideCooling(h, 40.0 * draw(unit)))
     return spec, CoolingConfig(*sides)
+
+
+def to_modal(model, X, inverse=False):
+    """The modal coordinates (V_r (x) V_z)^-1 X of Galerkin states X
+    (..., order), or with ``inverse`` the Galerkin states (V_r (x) V_z) X of
+    modal coordinates X: the map between a dense Galerkin reference and the
+    modal coordinates in which the package keeps every state."""
+    r, z = model.modes_r, model.modes_z
+    left, right = (r.V, z.V) if inverse else (r.V_inv, z.V_inv)
+    X = np.asarray(X, dtype=float)
+    return (left @ X.reshape(-1, model.M, model.N) @ right.T).reshape(X.shape)

@@ -4,7 +4,8 @@ PASS/FAIL line (run with `pytest -s tests/test_acceptance.py -v` to see them).
 Criteria
 --------
  1. Robin-basis residuals for every scenario's boundary pair
- 2. Spectral convergence; O=1 closer to FD than the two-state TEC
+ 2. Spectral convergence; O=1 closer to FD than the two-state TEC; the FD
+    oracle's observed order and error bar
  3. Analytic radial steady state (surface rise / core-surface difference)
  4. Adiabatic energy balance for reduced and FD models
  5. Zero-state superposition of per-side inputs (cylindrical and pouch)
@@ -94,12 +95,27 @@ def test_criterion_1_basis_residuals():
 
 # ---------------------------------------------------------------- criterion 2
 
-@pytest.fixture(scope="module")
-def fd_sc_reference():
+def _fd_sc_outputs(n):
     # outputs every 20th FD step (dt 0.05 s): the models' 1 s samples
     return fd_solve(PAPER, scenario_cooling("SC"), None, 1e5,
-                    FdConfig(128, 128, 0.05), T_init=15.0, horizon=600.0,
+                    FdConfig(n, n, 0.05), T_init=15.0, horizon=600.0,
                     metrics_stride=10**9, output_stride=20)
+
+
+@pytest.fixture(scope="module")
+def fd_sc_reference():
+    return _fd_sc_outputs(128)
+
+
+@pytest.fixture(scope="module")
+def fd_sc_error_bar(fd_sc_reference):
+    """(p, e): the FD oracle's observed order of spatial convergence from the
+    32^2, 64^2 and 128^2 grids, and the Richardson estimate e of its 128^2
+    output error, max |u_64 - u_128| / (2^p - 1)."""
+    coarse, mid = (_fd_sc_outputs(n).outputs for n in (32, 64))
+    d_mid = np.abs(mid - fd_sc_reference.outputs).max()
+    p = float(np.log2(np.abs(coarse - mid).max() / d_mid))
+    return p, float(d_mid / (2.0**p - 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -123,19 +139,23 @@ def tec_errors_vs_fd(fd_sc_reference):
             float(np.abs(t_c - ref[:, 1]).max()))
 
 
-def test_criterion_2_spectral_convergence(csg_errors_vs_fd, tec_errors_vs_fd):
+def test_criterion_2_spectral_convergence(csg_errors_vs_fd, tec_errors_vs_fd,
+                                          fd_sc_error_bar):
     errs = {o: float(e.max()) for o, e in csg_errors_vs_fd.items()}
     seq = [errs[o] for o in (1, 4, 9, 16, 25)]
     monotone = all(b <= a + 1e-6 for a, b in zip(seq, seq[1:]))
     o1_surf, o1_core = csg_errors_vs_fd[1][:2]
     tec_surf, tec_core = tec_errors_vs_fd
+    p, e_fd = fd_sc_error_bar
+    resolved = 1.8 <= p <= 2.2 and errs[25] >= 10.0 * e_fd
     ok = (monotone and errs[25] <= 0.1
-          and o1_core < tec_core and o1_surf < tec_surf)
+          and o1_core < tec_core and o1_surf < tec_surf and resolved)
     _report(2, ok, "max output error vs FD: " +
             ", ".join(f"O={o}: {errs[o]:.3f}" for o in (1, 4, 9, 16, 25)) +
             " degC (non-increasing; O=25 <= 0.1); O=1 vs TEC: core "
             f"{o1_core:.3f} < {tec_core:.3f}, surface {o1_surf:.3f} < "
-            f"{tec_surf:.3f} degC")
+            f"{tec_surf:.3f} degC; FD order p {p:.2f} (in [1.8, 2.2]), 128^2 "
+            f"error ~{e_fd:.1e} degC (O=25 error {errs[25] / e_fd:.0f}x, >= 10x)")
     assert monotone, "errors must be non-increasing in model order"
     assert errs[25] <= 0.1, f"O=25 error {errs[25]:.4f} exceeds 0.1 degC"
     # The paper claims O=1 beats the TEC in accuracy and gives no O=1 figure
@@ -147,6 +167,11 @@ def test_criterion_2_spectral_convergence(csg_errors_vs_fd, tec_errors_vs_fd):
     assert o1_surf < tec_surf, (
         f"surface: O=1 error {o1_surf:.4f} not below TEC T_s error "
         f"{tec_surf:.4f} degC")
+    # The FD oracle's own error bar: the O=25 error is not oracle error.
+    assert 1.8 <= p <= 2.2, f"FD observed order {p:.3f} outside [1.8, 2.2]"
+    assert errs[25] >= 10.0 * e_fd, (
+        f"O=25 error {errs[25]:.4f} within 10x of the FD error estimate "
+        f"{e_fd:.2e} degC")
 
 
 # ---------------------------------------------------------------- criterion 3

@@ -232,7 +232,7 @@ class TestClosedLoop:
             means.append(est.mean_temperature(u * (1.0 + 0.1 * k)))
         u_rows = np.vstack([u] + [u * (1.0 + 0.1 * k) for k in range(10)])
         modal = discretize(model, 4.0).trajectory(
-            model.to_modal(project_initial_state(model, 15.0, u)),
+            project_initial_state(model, 15.0, u),
             np.column_stack([u_rows[1:], np.full(10, 6e4)]))
         metrics = FieldEvaluator(model).metrics(modal, u_rows)
         np.testing.assert_allclose(means, metrics.T_mean, rtol=1e-13)

@@ -23,9 +23,28 @@ from celltherm.core import (
     scenario_cooling,
     step_count,
 )
+from celltherm.control import closed_loop_run
+from celltherm.galerkin import assemble
+from celltherm.reference import FdConfig, TecModel, fd_solve, tec_run
+from celltherm.simulate import run
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
+SC = scenario_cooling("SC")
+
+# Every stepped run as a call of (dt, horizon), on the smallest model or grid.
+STEPPED_RUNS = {
+    "step_count": lambda dt, horizon: step_count(horizon, dt),
+    "run": lambda dt, horizon: run(assemble(PAPER, SC, 1, 1), np.zeros(1),
+                                   np.zeros(3), 0.0, dt, horizon),
+    "tec_run": lambda dt, horizon: tec_run(TecModel(), 1.0, dt, horizon),
+    "fd_solve": lambda dt, horizon: fd_solve(PAPER, SC, None, 0.0,
+                                             FdConfig(3, 3, dt), horizon=horizon),
+    "closed_loop_run": lambda dt, horizon: closed_loop_run(
+        assemble(PAPER, SC, 1, 1), "SC", 20.0, 0.0, dt, horizon),
+    "resample_profile": lambda dt, horizon: resample_profile(
+        constant_profile(1.0), dt, horizon),
+}
 
 
 class TestBernardi:
@@ -138,6 +157,20 @@ class TestResample:
 
 
 class TestStepGrid:
+    @pytest.mark.parametrize("quantity, dt, horizon", [
+        ("horizon", 1.0, -1.0), ("horizon", 1.0, np.inf), ("horizon", 1.0, np.nan),
+        ("dt", 0.0, 10.0), ("dt", -1.0, 10.0), ("dt", np.inf, 10.0),
+        ("dt", np.nan, 10.0),
+    ], ids=["horizon-negative", "horizon-inf", "horizon-nan", "dt-zero",
+            "dt-negative", "dt-inf", "dt-nan"])
+    @pytest.mark.parametrize("caller", list(STEPPED_RUNS))
+    def test_bad_step_grid_rejected_by_name(self, caller, quantity, dt, horizon):
+        """A negative or non-finite horizon, or a dt that is not positive and
+        finite, is a ValueError that names the quantity, from every stepped
+        run: not an IndexError, an OverflowError or a negative dimension."""
+        with pytest.raises(ValueError, match=quantity):
+            STEPPED_RUNS[caller](dt, horizon)
+
     def test_step_count_forgives_rounding_of_a_multiple(self):
         assert 0.3 / 0.1 < 3.0   # rounds below the multiple
         assert step_count(0.3, 0.1) == 3

@@ -42,7 +42,7 @@ from celltherm.particular import (
     robin_pairs,
 )
 from celltherm.simulate import FieldEvaluator, discretize, run
-from strategies import cells_and_coolings
+from strategies import cells_and_coolings, to_modal
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -121,8 +121,9 @@ class TestAssembleStructure:
         model = assemble(PAPER, scenario_cooling("SC"), 3, 3)
         for _ in range(5):
             x = rng.standard_normal(model.order)
-            states = run(model, x, np.zeros(3), 0.0, dt=5.0, horizon=100.0,
-                         grid_shape=(5, 5), metrics_stride=1).states
+            res = run(model, to_modal(model, x), np.zeros(3), 0.0, dt=5.0,
+                      horizon=100.0, grid_shape=(5, 5), metrics_stride=1)
+            states = to_modal(model, res.states, inverse=True)
             energy = np.einsum("ki,ij,kj->k", states, model.G, states)
             assert np.all(energy[1:] <= energy[:-1] * (1 + 1e-12))
 
@@ -285,8 +286,8 @@ class TestQuadratureGuard:
 class TestInitialState:
     def test_zero_everything(self):
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
-        x0 = project_initial_state(model, 0.0, np.zeros(3))
-        assert np.abs(x0).max() < 1e-12
+        y0 = project_initial_state(model, 0.0, np.zeros(3))
+        assert np.abs(y0).max() < 1e-12
 
     def test_uniform_field_reconstruction_improves_with_order(self):
         """With u0 = 0 the bare constant violates the Robin data, so the
@@ -295,9 +296,9 @@ class TestInitialState:
         errors = []
         for count in (1, 2, 3, 4, 5):
             model = assemble(PAPER, scenario_cooling("SC"), count, count)
-            x0 = project_initial_state(model, 15.0, np.zeros(3))
+            y0 = project_initial_state(model, 15.0, np.zeros(3))
             ev = FieldEvaluator(model, 21, 21)
-            grid = ev.field(model.to_modal(x0), np.zeros(3))
+            grid = ev.field(y0, np.zeros(3))
             errors.append(float(np.sum(ev._vol_weights * np.abs(grid.values - 15.0))))
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 1.0
@@ -307,9 +308,9 @@ class TestInitialState:
         u0 = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
         for count in (3, 4):
             model = assemble(PAPER, cooling, count, count)
-            x0 = project_initial_state(model, 15.0, u0)
+            y0 = project_initial_state(model, 15.0, u0)
             ev = FieldEvaluator(model, 3, 3)
-            grid = ev.field(model.to_modal(x0), u0)
+            grid = ev.field(y0, u0)
             assert np.abs(grid.values - 15.0).max() <= 0.1
 
     def test_wrong_input_size_rejected(self):
@@ -327,6 +328,22 @@ class TestInitialState:
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
         with pytest.raises(ValueError, match="finite"):
             project_initial_state(model, T_init, u0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 8), st.integers(1, 8),
+           st.floats(-20.0, 60.0), st.integers(0, 2**32 - 1))
+    def test_random_cells_projection_is_the_modal_image_of_the_dense_solve(
+            self, cell, M, N, T_init, seed):
+        """The modal projection Q_r^T R Q_z is (V_r (x) V_z)^-1 of the
+        Galerkin state that the dense mass matrix gives:
+        G X(0) = rho cp vec(R), R = T_init F - P u0."""
+        model = assemble(*cell, M, N)
+        u0 = 1e4 * np.random.default_rng(seed).standard_normal(model.n_inputs)
+        moments = T_init * model.F - model.P @ u0
+        x0 = np.linalg.solve(model.G, model.rho_cp * moments)
+        want = to_modal(model, x0)
+        got = project_initial_state(model, T_init, u0)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(cells_and_coolings(), st.integers(1, 12), st.integers(1, 12))

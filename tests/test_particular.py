@@ -447,9 +447,9 @@ class TestFeedthrough:
     def test_zero_inputs_leave_only_cx(self):
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
         assert np.all(model.Dft @ np.zeros(3) == 0.0)
-        x = np.linspace(-1.0, 2.0, model.order)
-        assert np.array_equal(model.outputs(x, np.zeros(3)),
-                              np.einsum("o,po->p", x, model.C))
+        y = np.linspace(-1.0, 2.0, model.order)
+        assert np.array_equal(model.modal_outputs(y, np.zeros(3)),
+                              np.einsum("o,po->p", y, model.modal_C))
 
     def test_top_output_dominated_by_top_input(self):
         dft = assemble(PAPER, scenario_cooling("btTC"), 3, 3).Dft

@@ -11,7 +11,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from celltherm import galerkin, simulate
+from celltherm import simulate
 from celltherm.core import (
     CYLINDRICAL,
     POUCH,
@@ -33,17 +33,18 @@ from celltherm.core import (
 )
 from celltherm.chebyshev import basis_matrix
 from celltherm.exceptions import NumericalError
-from celltherm.galerkin import assemble, map_modes, project_initial_state
+from celltherm.galerkin import assemble, project_initial_state
 from celltherm.particular import axial_scale, radial_scale
 from celltherm.simulate import (
     METRICS_BLOCK,
     FieldEvaluator,
+    SimResult,
     Stepper,
     discretize,
     metric_steps,
     run,
 )
-from strategies import cells_and_coolings
+from strategies import cells_and_coolings, to_modal
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -78,9 +79,15 @@ def expm_zoh(model, dt):
     return phi[:n, :n], phi[:n, n:]
 
 
+def galerkin_run(model, x0, *args, **kwargs):
+    """Galerkin states (S, order) of a ``run`` from the Galerkin state x0."""
+    res = run(model, to_modal(model, x0), *args, **kwargs)
+    return to_modal(model, res.states, inverse=True)
+
+
 def one_step(model, x, u, w, dt):
-    """State after one ``run`` step of length dt."""
-    return run(model, x, u, w, dt, dt, metrics_stride=10**9).states[1]
+    """Galerkin state after one ``run`` step of length dt."""
+    return galerkin_run(model, x, u, w, dt, dt, metrics_stride=10**9)[1]
 
 
 def run_zoh(model, dt):
@@ -149,8 +156,8 @@ class TestDiscretize:
         zeros = np.zeros_like(u)
 
         def states(x, uu, ww):
-            return run(model, x, uu, ww, dt, 3 * dt, grid_shape=(5, 5),
-                       metrics_stride=1).states
+            return galerkin_run(model, x, uu, ww, dt, 3 * dt, grid_shape=(5, 5),
+                                metrics_stride=1)
 
         total = states(x0, u, w)
         parts = states(x0, zeros, 0.0) + states(np.zeros(model.order), u, w)
@@ -174,7 +181,7 @@ class TestDiscretize:
         x = np.linspace(-1, 1, model.order)
         u = U_SC
         a = one_step(model, x, u, 5e4, 0.2)
-        b = run(model, x, u, 5e4, 0.1, 0.2, metrics_stride=10**9).states[-1]
+        b = galerkin_run(model, x, u, 5e4, 0.1, 0.2, metrics_stride=10**9)[-1]
         assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -188,7 +195,7 @@ class TestDiscretize:
         x = rng.standard_normal(model.order)
         u = 1e3 * rng.standard_normal(model.n_inputs)
         a = one_step(model, x, u, 5e4, 2 * dt)
-        b = run(model, x, u, 5e4, dt, 2 * dt, metrics_stride=10**9).states[-1]
+        b = galerkin_run(model, x, u, 5e4, dt, 2 * dt, metrics_stride=10**9)[-1]
         assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
     def test_zoh_matches_fine_rk4(self):
@@ -199,7 +206,7 @@ class TestDiscretize:
         u, w = U_SC, 8e4
         rhs = lambda x: a_c @ x + b_c @ u + f_c * w
 
-        x_rk = project_initial_state(model, 15.0, u)
+        x_rk = to_modal(model, project_initial_state(model, 15.0, u), inverse=True)
         h = 0.001
         for _ in range(5000):
             k1 = rhs(x_rk)
@@ -289,12 +296,14 @@ class TestRun:
             cooling.surface, cooling.core, cooling.top, cooling.bottom)))
         model = assemble(spec, insulated, M, N)
         zeros = np.zeros(model.n_inputs)
-        unit_mean = model.F @ project_initial_state(model, 1.0, zeros)
+        unit_mean = model.F @ to_modal(model, project_initial_state(model, 1.0, zeros),
+                                       inverse=True)
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(model.order)
         q = 1e5 * rng.standard_normal(9)
-        res = run(model, x0, zeros, q, dt, 8 * dt, grid_shape=(5, 5), metrics_stride=1)
-        heat = model.rho_cp * cell_volume(spec) * (res.states @ model.F) / unit_mean
+        states = galerkin_run(model, x0, zeros, q, dt, 8 * dt, grid_shape=(5, 5),
+                              metrics_stride=1)
+        heat = model.rho_cp * cell_volume(spec) * (states @ model.F) / unit_mean
         generated = cell_volume(spec) * dt * np.concatenate([[0.0], np.cumsum(q[:-1])])
         scale = np.abs(heat - heat[0]).max() + np.abs(generated).max()
         assert np.abs(heat - heat[0] - generated).max() <= 1e-12 * scale
@@ -355,8 +364,8 @@ class TestRun:
         unstable = replace(model, stiff_r=-200.0 * model.stiff_r,
                            stiff_z=-200.0 * model.stiff_z)
         stepper = discretize(unstable, 5.0)
-        y, v = unstable.to_modal(np.ones(model.order)), np.append(U_SC, 0.0)
-        first = 0
+        y0, v = to_modal(unstable, np.ones(model.order)), np.append(U_SC, 0.0)
+        y, first = y0, 0
         with np.errstate(over="ignore", invalid="ignore"):
             while np.all(np.isfinite(y)):
                 y = stepper.gain * y + v @ stepper.b_hat
@@ -365,7 +374,16 @@ class TestRun:
             monkeypatch.setattr(simulate, "STEP_BLOCK", rows * model.order)
             assert first > rows   # a block-local index is at most rows
         with pytest.raises(NumericalError, match=rf"non-finite state at step {first}$"):
-            run(unstable, np.ones(model.order), U_SC, 0.0, dt=5.0, horizon=500.0)
+            run(unstable, y0, U_SC, 0.0, dt=5.0, horizon=500.0)
+
+    @pytest.mark.parametrize("y0", [15.0, np.zeros(1), np.zeros(5), np.zeros((2, 4))],
+                             ids=["scalar", "one", "order+1", "two-rows"])
+    def test_initial_state_of_another_shape_rejected(self, y0):
+        """A scalar or a length-1 state would otherwise broadcast over every
+        mode of the O=4 model."""
+        model = assemble(PAPER, SC, 2, 2)
+        with pytest.raises(ValueError, match=r"Y0 must have shape \(4,\)"):
+            run(model, y0, U_SC, 0.0, dt=1.0, horizon=5.0)
 
     def test_boundary_input_accepted(self):
         model = assemble(PAPER, SC, 1, 1)
@@ -427,13 +445,12 @@ class TestStream:
 
         whole = blocked(max(K, 1) * model.order)
         assert whole.outputs.shape == (K + 1, 4)
-        assert whole.modal.shape == (len(metric_steps(K, stride)), model.order)
+        assert whole.states.shape == (len(metric_steps(K, stride)), model.order)
         for step_block in (model.order, 3 * model.order, 7 * model.order,
                            simulate.STEP_BLOCK):
             res = blocked(step_block)
             for name, value in vars(whole).items():
-                if name != "modes":
-                    assert np.array_equal(getattr(res, name), value), (step_block, name)
+                assert np.array_equal(getattr(res, name), value), (step_block, name)
 
     def test_long_run_holds_no_trajectory(self):
         """A K-step run at O=400 keeps its traced heap below a quarter of the
@@ -458,50 +475,54 @@ class TestModalFirst:
            st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
     def test_random_cells_outputs_and_states_from_the_modal_trajectory(
             self, cell, M, N, dt, seed):
-        """``run`` keeps the sampled states modal: its outputs at the sampled
-        steps equal C X + Dft u of the Galerkin states, and the states it
-        maps on first read are ``from_modal`` of those samples, bit for bit."""
+        """``run`` keeps the sampled states modal: they are the rows of the
+        modal trajectory at the sampled steps, bit for bit, and its outputs
+        there equal C X + Dft u of the Galerkin states X they map to."""
         model = assemble(*cell, M, N)
         rng = np.random.default_rng(seed)
         u = 1e3 * rng.standard_normal((7, model.n_inputs))
         w = 1e5 * rng.standard_normal(7)
-        res = run(model, rng.standard_normal(model.order), u, w, dt, 6 * dt,
-                  grid_shape=(5, 5), metrics_stride=4)
+        y0 = rng.standard_normal(model.order)
+        res = run(model, y0, u, w, dt, 6 * dt, grid_shape=(5, 5), metrics_stride=4)
         idx = metric_steps(6, 4)
-        assert np.array_equal(res.states, model.from_modal(res.modal))
-        assert res.states is res.states
-        assert_close_rel(res.outputs[idx], model.outputs(res.states, u[idx]), 1e-12)
+        modal = discretize(model, dt).trajectory(y0, np.column_stack([u, w])[:-1])
+        assert np.array_equal(res.states, modal[idx])
+        names = {f.name for f in fields(SimResult)}
+        assert "states" in names and not names & {"modal", "modes"}
+        X = to_modal(model, res.states, inverse=True)
+        assert_close_rel(res.outputs[idx], X @ model.C.T + u[idx] @ model.Dft.T, 1e-12)
 
-    @pytest.mark.parametrize("K, stride", [(30, 7), (30, 1), (30, 10**9), (0, 1)])
-    def test_run_maps_states_only_when_read(self, monkeypatch, K, stride):
-        """``run`` takes its metrics from the modal samples and maps no state
-        back; the first read of ``states`` maps the samples once."""
-        model = assemble(PAPER, SC, 3, 3)
-        mapped = []
-
-        def spy(Y, V_r, V_z):
-            mapped.append(Y.shape)
-            return map_modes(Y, V_r, V_z)
-
-        for module in (galerkin, simulate):
-            monkeypatch.setattr(module, "map_modes", spy)
-        x0 = project_initial_state(model, 15.0, U_SC)
-        res = run(model, x0, U_SC, 1e5, dt=2.0, horizon=2.0 * K,
-                  grid_shape=(5, 5), metrics_stride=stride)
-        n_samples = len(metric_steps(K, stride))
-        assert mapped == []
-        assert res.metrics_times.size == n_samples
-        assert res.states.shape == (n_samples, model.order)
-        assert res.states is res.states
-        assert mapped == [(n_samples, model.order)]
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 8), st.integers(1, 8),
+           st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
+    def test_random_cells_states_are_the_modal_image_of_the_dense_recursion(
+            self, cell, M, N, dt, seed):
+        """At ``metrics_stride=1`` the states of ``run`` are the modal
+        coordinates of the dense Galerkin recursion X' = Ad X + Bd [u; w],
+        stepped with the augmented exponential, at every step."""
+        model = assemble(*cell, M, N)
+        rng = np.random.default_rng(seed)
+        K = 5
+        x0 = rng.standard_normal(model.order)
+        u = 1e3 * rng.standard_normal((K + 1, model.n_inputs))
+        w = 1e5 * rng.standard_normal(K + 1)
+        ad, bd = expm_zoh(model, dt)
+        X = [x0]
+        for k in range(K):
+            X.append(ad @ X[-1] + bd @ np.append(u[k], w[k]))
+        res = run(model, to_modal(model, x0), u, w, dt, K * dt, grid_shape=(5, 5),
+                  metrics_stride=1)
+        assert_close_rel(res.states, to_modal(model, np.array(X)), 1e-10)
 
     def test_result_keeps_no_model_alive(self):
-        """A result holds the two 1D mode matrices, not the model, so the
-        model is freed by reference counting while the result lives on."""
+        """A result holds arrays only, neither the model nor its mode
+        matrices, so the model is freed by reference counting while the
+        result lives on."""
         model = assemble(PAPER, SC, 2, 2)
-        x0 = project_initial_state(model, 15.0, U_SC)
-        res = run(model, x0, U_SC, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 9))
-        states = model.from_modal(res.modal)
+        y0 = project_initial_state(model, 15.0, U_SC)
+        res = run(model, y0, U_SC, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 9))
+        states = res.states.copy()
+        assert all(isinstance(v, np.ndarray) for v in vars(res).values())
         alive = weakref.ref(model)
         gc.disable()
         try:
@@ -523,7 +544,7 @@ class TestReconstruct:
         model = assemble(PAPER, scenario_cooling("aTSC"), 3, 3)
         x = np.linspace(-0.5, 0.5, model.order)
         u = np.array([6000.0, 6000.0, 6000.0])
-        grid = FieldEvaluator(model, 41, 41).field(model.to_modal(x), u)
+        grid = FieldEvaluator(model, 41, 41).field(to_modal(model, x), u)
         y = model.C @ x + model.Dft @ u
         mid = 20   # index of 0.0 in linspace(-1, 1, 41)
         assert grid.values[-1, mid] == pytest.approx(y[0], abs=1e-10)
@@ -548,7 +569,7 @@ class TestReconstruct:
         X = rng.uniform(-20.0, 40.0, (n_samples, model.order))
         u = rng.uniform(0.0, 4e4, (n_samples, model.n_inputs))
         ev = FieldEvaluator(model, n_r, n_z)
-        Y = model.to_modal(X)
+        Y = to_modal(model, X)
 
         grid = ev.field(Y, u)
         want = [expansion(model, X, u, ev.r_nodes, ev.z_nodes, dr, dz)
@@ -655,7 +676,7 @@ def _heated_from_outside():
     x0 = project_initial_state(model, 15.0, np.zeros(3))
     res = run(model, x0, u, 0.0, dt=5.0, horizon=60.0, grid_shape=(5, 5),
               metrics_stride=1)
-    return model, res.modal, u
+    return model, res.states, u
 
 
 class TestMetrics:
@@ -667,7 +688,7 @@ class TestMetrics:
         eigenvectors, which the expansion test bounds."""
         model = assemble(PAPER, INSULATED, 1, 1)
         x = np.array([20.0])
-        m = FieldEvaluator(model, 11, 11).metrics(model.to_modal(x), np.zeros(3))
+        m = FieldEvaluator(model, 11, 11).metrics(to_modal(model, x), np.zeros(3))
         assert m.T_mean == pytest.approx(20.0)
         assert m.dT == 0.0
         assert m.dTr_max == 0.0 and m.dTz_max == 0.0
@@ -756,7 +777,7 @@ class TestMetrics:
             "dTr_mean": (np.abs(T_r).mean(axis=grid), T_r),
             "dTz_mean": (np.abs(T_z).mean(axis=grid), T_z),
         }
-        Y = model.to_modal(X)
+        Y = to_modal(model, X)
         stacked = ev.metrics(Y, u)
         single = ev.metrics(Y[0], u[0])
         for name, (ref, field) in want.items():
