@@ -14,9 +14,13 @@ commands: a reduced-model plant through one ``Stepper.trajectory`` from its
 own modal projection, its outputs and one batched metrics call taken from
 the modal trajectory as in ``simulate.run``, an FD plant stepped as
 ``fd_solve`` steps, on the plant's own solver, with each command held over
-the FD steps of its control step. The estimator and a reduced-model plant
+the FD steps of its control step. The reduced models take the cooling
+powers u = h T_inf of the commands; the FD plant takes the commanded
+coolant temperatures themselves. The estimator and a reduced-model plant
 share the model's cached ``FieldEvaluator``.
-Passive sides hold their baseline coolant temperature for the whole run.
+Passive sides, and a side outside the input vector (a cylinder's core),
+hold their baseline coolant temperature for the whole run. The horizon and
+the heat series are checked before any model is built.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoolingConfig, active_sides, input_sides, per_step, step_count
+from .core import SIDES, CoolingConfig, active_sides, input_sides, per_step, step_count
 from .galerkin import ReducedModel, assemble, project_initial_state
 from .reference import FdSolver, _fd_solve_on, step_ratio
 from .simulate import DEFAULT_GRID, FieldEvaluator, discretize
@@ -120,6 +124,8 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
     each command over dt / ``plant.cfg.dt`` FD steps, which must be an
     integer.
     """
+    n_steps = step_count(horizon, dt)
+    q_arr = per_step(q, n_steps + 1, "q")
     if isinstance(scenario, str):
         active = active_sides(scenario)
     else:
@@ -139,17 +145,15 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
     if isinstance(plant, ReducedModel):
         est_model = estimator_model if estimator_model is not None else plant
     elif isinstance(plant, FdSolver):
-        est_model = estimator_model if estimator_model is not None else \
-            assemble(plant.spec, plant.cooling, 3, 3)
         fd_steps = step_ratio(dt, plant.cfg.dt)
         if fd_steps is None:
             raise ValueError(f"control step {dt} s is not a whole number of "
                              f"FD steps of {plant.cfg.dt} s")
+        est_model = estimator_model if estimator_model is not None else \
+            assemble(plant.spec, plant.cooling, 3, 3)
     else:
         raise TypeError("plant must be a ReducedModel or FdSolver")
     estimator = OpenLoopEstimator(est_model, dt, T_init, u_baseline, grid_shape)
-    n_steps = step_count(horizon, dt)
-    q_arr = per_step(q, n_steps + 1, "q")
 
     controllers = {
         side: PiController(gains[0], gains[1],
@@ -158,9 +162,7 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         for side in active
     }
 
-    shape = (n_steps + 1, len(sides))
-    coolant = np.empty(shape)
-    u_hist = np.empty(shape)
+    coolant = np.empty((n_steps + 1, len(sides)))
     t_hat = np.empty(n_steps + 1)
 
     u_applied = u_baseline.copy()
@@ -173,19 +175,19 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
                 tinf_cmd[j] = pi_step(controllers[side], error, dt)
         u_applied = h_vec * tinf_cmd
         coolant[k] = tinf_cmd
-        u_hist[k] = u_applied
         estimator.step(u_applied, q_arr[k])
     t_hat[n_steps] = estimator.mean_temperature(u_applied)
     coolant[n_steps] = coolant[n_steps - 1] if n_steps > 0 else baseline_tinf
-    u_hist[n_steps] = u_applied
+    u_hist = h_vec * coolant
 
     if isinstance(plant, FdSolver):
         # each command held over its FD steps, sampled once per control step
         n_fd = n_steps * fd_steps
+        tinf = np.tile([cooling.side(s).T_inf for s in SIDES], (n_steps + 1, 1))
+        tinf[:, [SIDES.index(s) for s in sides]] = coolant
         metrics = _fd_solve_on(
-            plant, np.repeat(u_hist, fd_steps, axis=0)[:n_fd + 1],
-            np.repeat(q_arr, fd_steps)[:n_fd + 1], T_init, n_fd * plant.cfg.dt,
-            fd_steps, fd_steps)
+            plant, np.repeat(tinf, fd_steps, axis=0)[:n_fd + 1],
+            np.repeat(q_arr, fd_steps)[:n_fd + 1], T_init, fd_steps, fd_steps)
         outputs = metrics.outputs
     else:
         # the field at step k is reconstructed with the input applied up to k

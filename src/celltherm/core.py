@@ -12,7 +12,9 @@ Conventions
 * Boundary inputs are u_side = h_side * T_inf,side (W m^-2), one per side.
   A cylindrical cell's core is never cooled (h_core = 0), so its input vector
   has three entries [u_surface, u_top, u_bottom]; a pouch cell has four
-  [u_front, u_back, u_top, u_bottom].
+  [u_front, u_back, u_top, u_bottom]. The FD oracle of ``reference`` takes
+  the coolant temperatures T_inf themselves, one per side in ``SIDES``
+  order, so a cooled core keeps its own.
 * The 2D pouch model uses a unit depth of 1 m for all volume and energy
   bookkeeping; every per-volume quantity is consistent under that convention.
 """
@@ -285,19 +287,15 @@ def per_step(values, n_times: int, name: str) -> np.ndarray:
     return arr
 
 
-def per_step_inputs(u, shape: str, n_times: int) -> np.ndarray:
-    """Model input rows (n_times, n_inputs) of a cell shape: a constant input
-    vector or BoundaryInput held over n_times samples, or exactly n_times
-    rows."""
-    if isinstance(u, BoundaryInput):
-        u = u.as_vector(shape)
-    u = np.asarray(u, dtype=float)
-    n_inputs = len(input_sides(shape))
-    if u.ndim == 1:
-        u = np.broadcast_to(u, (n_times, u.size))
-    if u.shape != (n_times, n_inputs):
-        raise ValueError(f"u must broadcast to ({n_times}, {n_inputs})")
-    return u
+def per_step_rows(values, width: int, n_times: int, name: str) -> np.ndarray:
+    """Rows (n_times, width): one row of width entries held over n_times
+    samples, or exactly n_times rows."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 1:
+        arr = np.broadcast_to(arr, (n_times, arr.size))
+    if arr.shape != (n_times, width):
+        raise ValueError(f"{name} must broadcast to ({n_times}, {width})")
+    return arr
 
 
 def resample_profile(profile: HeatProfile, dt: float, horizon: float) -> np.ndarray:

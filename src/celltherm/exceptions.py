@@ -23,7 +23,8 @@ class IllConditionedBasisError(ModelError):
 
 
 class AssemblyError(ModelError):
-    """Galerkin assembly failed its quadrature-convergence or solvability checks."""
+    """Galerkin assembly failed: a 1D pencil is not diagonalizable or the
+    model is not dissipative."""
 
 
 class NumericalError(ModelError):

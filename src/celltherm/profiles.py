@@ -3,9 +3,9 @@
 Drive-cycle CSV contract (bit-exact headers):
 
     t_s,q_Wm3                 volumetric heat samples
-    t_s,I_A,V_V,Vocv_V        electrical samples, converted through the
-                              current-overpotential heat formula when a cell
-                              volume is supplied
+    t_s,I_A,V_V,Vocv_V        electrical samples; ``HeatProfile.to_volumetric``
+                              converts them through the current-overpotential
+                              heat formula
 
 Synthetic kinds: a constant rate, a rectangular pulse train, and a seeded
 band-limited random drive standing in for a real-world velocity cycle (which
@@ -24,6 +24,10 @@ from .exceptions import ConfigError
 
 Q_HEADER = ["t_s", "q_Wm3"]
 IVO_HEADER = ["t_s", "I_A", "V_V", "Vocv_V"]
+
+# random_drive's open-circuit voltage (V) and moving-average length (samples)
+DRIVE_V_OCV = 3.3
+DRIVE_SMOOTH_WINDOW = 15
 
 
 def pulse_train(amplitude: float, period: float, duty: float, horizon: float,
@@ -51,8 +55,7 @@ def pulse_train(amplitude: float, period: float, duty: float, horizon: float,
 
 def random_drive(peak_current: float, horizon: float, seed: int,
                  step: float = 1.0, internal_resistance: float = 2e-3,
-                 scale: float = 2.0, v_ocv: float = 3.3,
-                 smooth_window: int = 15) -> HeatProfile:
+                 scale: float = 2.0) -> HeatProfile:
     """Seeded band-limited random current profile as an electrical heat input.
 
     White noise is smoothed by a moving average (band limiting), normalized
@@ -64,23 +67,23 @@ def random_drive(peak_current: float, horizon: float, seed: int,
         raise ValueError("random drive needs positive step and horizon")
     rng = np.random.default_rng(seed)
     n = step_count(horizon, step) + 1
-    raw = rng.standard_normal(n + smooth_window)
-    kernel = np.ones(smooth_window) / smooth_window
+    raw = rng.standard_normal(n + DRIVE_SMOOTH_WINDOW)
+    kernel = np.ones(DRIVE_SMOOTH_WINDOW) / DRIVE_SMOOTH_WINDOW
     smooth = np.convolve(raw, kernel, mode="valid")[:n]
     peak = np.abs(smooth).max()
     current = peak_current * smooth / (peak if peak > 0 else 1.0)
     r_eff = scale * internal_resistance
-    voltage = v_ocv + current * r_eff
-    values = np.column_stack([current, voltage, np.full(n, v_ocv)])
+    voltage = DRIVE_V_OCV + current * r_eff
+    values = np.column_stack([current, voltage, np.full(n, DRIVE_V_OCV)])
     return HeatProfile(np.arange(n) * step, values, ELECTRICAL_IVO)
 
 
-def ingest_drive_cycle(path, cell_volume: float | None = None) -> HeatProfile:
+def ingest_drive_cycle(path) -> HeatProfile:
     """Parse a drive-cycle CSV into a heat profile.
 
-    Electrical files are converted to volumetric heat when ``cell_volume``
-    is given, otherwise returned as electrical samples. Malformed rows and
-    non-monotone times raise ConfigError with the offending line number.
+    Electrical files are returned as electrical samples, which
+    ``HeatProfile.to_volumetric`` converts. Malformed rows and non-monotone
+    times raise ConfigError with the offending line number.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -111,14 +114,10 @@ def ingest_drive_cycle(path, cell_volume: float | None = None) -> HeatProfile:
     data = np.array(rows)
     try:
         if n_cols == 2:
-            profile = HeatProfile(data[:, 0], data[:, 1], VOLUMETRIC_Q)
-        else:
-            profile = HeatProfile(data[:, 0], data[:, 1:], ELECTRICAL_IVO)
+            return HeatProfile(data[:, 0], data[:, 1], VOLUMETRIC_Q)
+        return HeatProfile(data[:, 0], data[:, 1:], ELECTRICAL_IVO)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    if profile.kind == ELECTRICAL_IVO and cell_volume is not None:
-        return profile.to_volumetric(cell_volume)
-    return profile
 
 
 def emit_drive_cycle(profile: HeatProfile, path):

@@ -21,7 +21,8 @@ diagonalized once (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
 coordinates, O(n_r n_z) per step instead of a sparse solve. Every input
 column and every mid-side output is an outer product of a radial and an
 axial vector, so the solver keeps only those 1D factors. With X the
-(n_r, n_z) matrix of modal coefficients and v = [T_inf, q], a step is
+(n_r, n_z) matrix of modal coefficients and v = [T_inf, q] (the four
+coolant temperatures in ``SIDES`` order and the heat rate), a step is
 
     X <- g * X + s * (in_r diag(v) in_z)        (* elementwise)
 
@@ -54,8 +55,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SIDES, CellSpec, CoolingConfig, Modes, input_sides, per_step,
-                   per_step_inputs, step_count)
+from .core import (SIDES, CellSpec, CoolingConfig, Modes, per_step, per_step_rows,
+                   step_count)
 from .exceptions import NumericalError, UnsupportedShapeError
 from .simulate import (MetricSeries, MetricsRecord, Stepper, _reduce_fields,
                        _trapezoid, metric_steps)
@@ -184,6 +185,9 @@ class FdSolver:
     point k. The convection coefficients are baked into the modes; coolant
     temperatures and the heat rate enter as affine per-step inputs, so
     closed-loop runs with varying coolant commands reuse the decomposition.
+    ``step``, as ``fd_solve``, takes the four coolant temperatures in
+    ``SIDES`` order, a cylinder's core included; the reduced model's
+    cooling powers u = h T_inf never enter.
     The input term of the last v is remembered and reused while v repeats
     bit for bit (a held input, as a staircase heat profile gives), so a
     repeated step returns exactly what a fresh solver would. ``step(..., n)``
@@ -270,19 +274,6 @@ class FdSolver:
     def uniform_field(self, T: float) -> np.ndarray:
         """Solver state of the uniform field T."""
         return float(T) * self._unit
-
-    def tinf_from_inputs(self, u_vec: np.ndarray) -> np.ndarray:
-        """Coolant temperatures [surface, core, top, bottom] from the model
-        input vector (u = h T_inf); sides with h = 0 are insulated and their
-        entry is ignored by the operator."""
-        sides = input_sides(self.spec.shape)
-        by_side = dict(zip(sides, np.asarray(u_vec, dtype=float)))
-        tinf = np.zeros(4)
-        for col, side in enumerate(SIDES):
-            h = self.cooling.side(side).h
-            if h > 0.0:
-                tinf[col] = by_side.get(side, 0.0) / h
-        return tinf
 
     def step(self, state: np.ndarray, tinf: np.ndarray, q: float,
              n: int = 1) -> np.ndarray:
@@ -374,38 +365,39 @@ class FdResult(MetricSeries):
     z_nodes: np.ndarray
 
 
-def fd_solve(spec: CellSpec, cooling: CoolingConfig, u, q, cfg: FdConfig,
+def fd_solve(spec: CellSpec, cooling: CoolingConfig, tinf, q, cfg: FdConfig,
              T_init: float = 15.0, horizon: float = 600.0,
              metrics_stride: int = 1, output_stride: int = 1) -> FdResult:
     """Integrate the original PDE over [0, horizon].
 
-    ``u`` is None (baseline coolant temperatures from the cooling config), a
-    constant model-input vector, or a per-step array of exactly K+1 rows;
-    ``q`` a scalar or exactly K+1 samples of the volumetric heat rate.
-    Outputs are sampled at ``metric_steps(K, output_stride)`` and metrics at
-    ``metric_steps(K, metrics_stride)``. Between two samples or input
-    changes the input is held, and the solver takes those steps as one.
+    ``tinf`` holds the coolant temperatures per side in ``SIDES`` order
+    [surface, core, top, bottom]: None for the cooling config's own, one
+    (4,) row held over the run, or exactly K+1 rows. A side with h = 0 is
+    insulated, and its entry has no effect. ``q`` is a scalar or exactly K+1
+    samples of the volumetric heat rate. Both are checked before the
+    solver is built. Outputs are sampled at ``metric_steps(K, output_stride)``
+    and metrics at ``metric_steps(K, metrics_stride)``. Between two samples
+    or input changes the input is held, and the solver takes those steps as
+    one.
     """
-    return _fd_solve_on(FdSolver(spec, cooling, cfg), u, q, T_init, horizon,
+    n_times = step_count(horizon, cfg.dt) + 1
+    if tinf is None:
+        tinf = [cooling.side(s).T_inf for s in SIDES]
+    tinf_arr = per_step_rows(tinf, len(SIDES), n_times, "tinf")
+    q_arr = per_step(q, n_times, "q")
+    return _fd_solve_on(FdSolver(spec, cooling, cfg), tinf_arr, q_arr, T_init,
                         metrics_stride, output_stride)
 
 
-def _fd_solve_on(solver: FdSolver, u, q, T_init: float, horizon: float,
-                 metrics_stride: int, output_stride: int) -> FdResult:
-    """``fd_solve`` on a given solver, which may have stepped before."""
-    dt = solver.cfg.dt
-    n_steps = step_count(horizon, dt)
-
-    if u is None:
-        # Straight from the config: a cylinder's input vector has no core
-        # entry, so a cooled core would lose its coolant temperature.
-        baseline = np.array([solver.cooling.side(s).T_inf for s in SIDES])
-    else:
-        u_arr = per_step_inputs(u, solver.spec.shape, n_steps + 1)
-    q_arr = per_step(q, n_steps + 1, "q")
-    # the input columns over the steps; a held span ends where one changes
-    columns = [q_arr[:n_steps]] + ([] if u is None else list(u_arr[:n_steps].T))
-    changed = np.any([c[1:] != c[:-1] for c in columns], axis=0)
+def _fd_solve_on(solver: FdSolver, tinf_arr: np.ndarray, q_arr: np.ndarray,
+                 T_init: float, metrics_stride: int,
+                 output_stride: int) -> FdResult:
+    """``fd_solve`` on a given solver, which may have stepped before, with
+    checked (K+1, 4) coolant temperatures and K+1 heat samples."""
+    n_steps = len(q_arr) - 1
+    # a held span ends where q or a coolant temperature changes
+    columns = np.column_stack([q_arr[:n_steps], tinf_arr[:n_steps]])
+    changed = np.any(columns[1:] != columns[:-1], axis=1)
 
     output_idx = metric_steps(n_steps, output_stride)
     metric_idx = metric_steps(n_steps, metrics_stride)
@@ -420,14 +412,14 @@ def _fd_solve_on(solver: FdSolver, u, q, T_init: float, horizon: float,
     for start, end in zip(ends, ends[1:]):
         if start in metric_set:
             rows.append(solver.metrics(state))
-        tinf = baseline if u is None else solver.tinf_from_inputs(u_arr[start])
-        state = solver.step(state, tinf, q_arr[start], end - start)
+        state = solver.step(state, tinf_arr[start], q_arr[start], end - start)
         if end in output_set:
             outputs.append(solver.outputs(state))
     # the last step is always sampled: its field is the final field
     field = solver.grid(state)
     rows.append(solver.metrics(state, field))
 
+    dt = solver.cfg.dt
     return FdResult(
         times=np.array(output_idx) * dt, outputs=np.array(outputs),
         metrics_times=np.array(metric_idx) * dt,

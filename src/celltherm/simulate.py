@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import per_step, per_step_inputs, step_count
+from .core import BoundaryInput, per_step, per_step_rows, step_count
 from .chebyshev import basis_table
 from .exceptions import NumericalError
 from .galerkin import ReducedModel
@@ -369,7 +369,9 @@ def run(model: ReducedModel, Y0, u, w, dt: float, horizon: float,
     stepper = discretize(model, dt)
     n_steps = step_count(horizon, dt)
     times = np.arange(n_steps + 1) * dt
-    u_arr = per_step_inputs(u, model.spec.shape, n_steps + 1)
+    if isinstance(u, BoundaryInput):
+        u = u.as_vector(model.spec.shape)
+    u_arr = per_step_rows(u, model.n_inputs, n_steps + 1, "u")
     w_arr = per_step(w, n_steps + 1, "w")
     evaluator = FieldEvaluator.of(model, *grid_shape)
     inputs = np.column_stack([u_arr, w_arr])

@@ -25,6 +25,7 @@ from celltherm.cli import (
     solve_constant_volume,
     write_csv,
 )
+from celltherm.control import DEFAULT_GAINS, DEFAULT_LIMITS
 from celltherm.core import HeatProfile, cell_volume, CellSpec
 from celltherm.exceptions import ConfigError
 from celltherm.profiles import (
@@ -33,6 +34,8 @@ from celltherm.profiles import (
     pulse_train,
     random_drive,
 )
+from celltherm.reference import FdConfig, TecModel
+from celltherm.simulate import DEFAULT_GRID
 
 FAST_CFG = {
     "schema_version": 1,
@@ -116,6 +119,19 @@ class TestConfig:
     def test_defaults_load_without_file(self):
         cfg = load_config(None)
         assert cfg["orders"] == DEFAULTS["orders"]
+
+    def test_schema_defaults_are_the_library_defaults(self):
+        """Each default the schema repeats equals the library's own."""
+        assert CellSpec(**DEFAULTS["cell"]) == celltherm.PAPER_CELL
+        fd = DEFAULTS["fd"]
+        assert FdConfig(fd["n_r"], fd["n_z"], fd["dt_s"], fd["scheme"]) == FdConfig()
+        tec = DEFAULTS["tec"]
+        assert TecModel(tec["C_c"], tec["C_s"], tec["R_c"], tec["R_u"],
+                        T_inf=tec["T_inf_C"]) == TecModel()
+        ctl = DEFAULTS["control"]
+        assert (ctl["kp"], ctl["ki"]) == DEFAULT_GAINS
+        assert tuple(ctl["limits_C"]) == DEFAULT_LIMITS
+        assert (DEFAULTS["grid"]["n_r"], DEFAULTS["grid"]["n_z"]) == DEFAULT_GRID
 
     def test_unknown_top_level_key_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -282,7 +298,7 @@ class TestDriveCycleIO:
     def test_four_column_zero_current(self, tmp_path):
         path = tmp_path / "ivo.csv"
         path.write_text("t_s,I_A,V_V,Vocv_V\n0.0,0.0,3.3,3.3\n5.0,0.0,3.2,3.3\n")
-        profile = ingest_drive_cycle(path, cell_volume=6.27e-4)
+        profile = ingest_drive_cycle(path).to_volumetric(6.27e-4)
         assert profile.kind == "volumetric_q"
         assert np.all(profile.values == 0.0)
 

@@ -8,6 +8,7 @@ tracking-band checks.
 import numpy as np
 import pytest
 
+from celltherm import control
 from celltherm.control import (
     OpenLoopEstimator,
     PiController,
@@ -16,6 +17,7 @@ from celltherm.control import (
 )
 from celltherm.core import (
     CYLINDRICAL,
+    SIDES,
     CellSpec,
     boundary_input_from_cooling,
     scenario_cooling,
@@ -102,7 +104,7 @@ class TestEstimator:
         u = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
         est = OpenLoopEstimator(model, dt=2.0, T_init=15.0, u0=u)
         field = solver.uniform_field(15.0)
-        tinf = solver.tinf_from_inputs(u)
+        tinf = [cooling.side(s).T_inf for s in SIDES]
         for _ in range(3000):
             field = solver.step(field, tinf, 5e4)
             est.step(u, 5e4)
@@ -180,7 +182,11 @@ class TestClosedLoop:
         trace = closed_loop_run(FdSolver(PAPER, cooling, cfg), "aTSC", 20.0, q,
                                 dt=2.0, horizon=60.0,
                                 estimator_model=assemble(PAPER, cooling, 2, 2))
-        fd = fd_solve(PAPER, cooling, np.repeat(trace.u, 4, axis=0)[:121],
+        # the cylinder's core is no model input and keeps its baseline
+        tinf = np.column_stack([trace.coolant[:, trace.sides.index(s)]
+                                if s in trace.sides else
+                                np.full(31, cooling.side(s).T_inf) for s in SIDES])
+        fd = fd_solve(PAPER, cooling, np.repeat(tinf, 4, axis=0)[:121],
                       np.repeat(q, 4)[:121], cfg, horizon=60.0)
         np.testing.assert_allclose(trace.T_mean, fd.T_mean[::4], rtol=0, atol=1e-12)
         np.testing.assert_allclose(trace.dTr_mean, fd.dTr_mean[::4], rtol=1e-12)
@@ -219,6 +225,24 @@ class TestClosedLoop:
         for dt in (0.0, -1.0):
             with pytest.raises(ValueError, match="dt must be positive"):
                 closed_loop_run(model, "SC", 20.0, 1e4, dt=dt, horizon=10.0)
+
+    @pytest.mark.parametrize("plant", ["fd", "rom"])
+    @pytest.mark.parametrize("horizon", [-1.0, np.inf, np.nan])
+    def test_bad_horizon_raises_before_any_build(self, monkeypatch, plant, horizon):
+        """The step grid is checked first: no estimator model is assembled
+        and no estimator is built for a run that cannot start."""
+        cooling = scenario_cooling("aTSC")
+        plant = (FdSolver(PAPER, cooling, FdConfig(16, 16, 0.5)) if plant == "fd"
+                 else assemble(PAPER, cooling, 2, 2))
+        built = []
+        assemble_, init = control.assemble, OpenLoopEstimator.__init__
+        monkeypatch.setattr(control, "assemble",
+                            lambda *a: built.append("assemble") or assemble_(*a))
+        monkeypatch.setattr(OpenLoopEstimator, "__init__",
+                            lambda *a: built.append("estimator") or init(*a))
+        with pytest.raises(ValueError, match="horizon"):
+            closed_loop_run(plant, "aTSC", 20.0, 4e4, dt=2.0, horizon=horizon)
+        assert built == []
 
     def test_estimated_mean_is_the_reconstructed_mean(self):
         """The estimator's precomputed modal row gives the volume mean of the

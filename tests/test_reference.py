@@ -23,7 +23,6 @@ from celltherm.core import (
     CellSpec,
     CoolingConfig,
     SideCooling,
-    input_sides,
     scenario_cooling,
 )
 from celltherm.exceptions import NumericalError, UnsupportedShapeError
@@ -121,13 +120,43 @@ class TestFdBasics:
         assert np.abs(fd.final_field - 15.0).max() <= 1e-10
 
     def test_equilibrium_with_cooled_core(self):
-        """With u = None every coolant temperature comes from the config,
+        """With tinf = None every coolant temperature comes from the config,
         the core's included, although a cylinder's model input vector has no
         core entry."""
         fd = fd_solve(PAPER, ALL_SIDES, None, 0.0, FdConfig(32, 32, 0.5),
                       T_init=15.0, horizon=100.0, metrics_stride=10**9)
         assert np.abs(fd.outputs - 15.0).max() <= 1e-9
         assert np.abs(fd.final_field - 15.0).max() <= 1e-9
+
+    def test_explicit_baseline_temperatures_equal_the_config_run(self):
+        """On a cylinder with a cooled core, the config's own coolant
+        temperatures passed as one row, or as one row per step, give the
+        None run bit for bit: the core keeps its coolant."""
+        cooling = CoolingConfig(SideCooling(400.0, 15.0), SideCooling(120.0, 25.0),
+                                SideCooling(30.0, 10.0), SideCooling(250.0, 20.0))
+        cfg, horizon = FdConfig(16, 16, 0.5), 600.0
+        baseline = [cooling.side(s).T_inf for s in SIDES]
+        runs = [fd_solve(PAPER, cooling, tinf, 5e4, cfg, 15.0, horizon, 100)
+                for tinf in (None, baseline, np.tile(baseline, (1201, 1)))]
+        for fd in runs[1:]:
+            for name in ("outputs", "final_field", "T_mean", "dTr_max"):
+                assert getattr(fd, name).tobytes() == getattr(runs[0], name).tobytes()
+
+    @pytest.mark.parametrize("args", [
+        dict(horizon=-1.0), dict(horizon=np.inf), dict(horizon=np.nan),
+        dict(q=np.full(5, 1e5)), dict(tinf=[15.0] * 3)],
+        ids=["negative", "inf", "nan", "short-q", "narrow-tinf"])
+    def test_bad_grid_or_series_raises_before_the_solver_is_built(self, monkeypatch,
+                                                                  args):
+        built = []
+        init = FdSolver.__init__
+        monkeypatch.setattr(FdSolver, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        run = {"tinf": None, "q": 1e5, "horizon": 10.0, **args}
+        with pytest.raises(ValueError, match="horizon|must broadcast"):
+            fd_solve(PAPER, ALL_SIDES, run["tinf"], run["q"],
+                     FdConfig(16, 16, 0.5), horizon=run["horizon"])
+        assert built == []
 
     @pytest.mark.parametrize("horizon,stride", [(0.0, 1), (4.0, 1), (5.0, 3), (5.0, 10**9)])
     def test_one_field_reconstruction_per_metric_sample(self, monkeypatch, horizon,
@@ -218,7 +247,7 @@ class TestFdBasics:
         for n in (50, 10):
             with pytest.raises(ValueError, match=r"q must broadcast to \(11,\)"):
                 fd_solve(PAPER, cooling, None, np.full(n, 1e4), cfg, horizon=10.0)
-        with pytest.raises(ValueError, match=r"u must broadcast to \(11, 3\)"):
+        with pytest.raises(ValueError, match=r"tinf must broadcast to \(11, 4\)"):
             fd_solve(PAPER, cooling, np.full(5, 6000.0), 1e4, cfg, horizon=10.0)
         held = fd_solve(PAPER, cooling, None, 1e4, cfg, horizon=10.0)
         series = fd_solve(PAPER, cooling, None, np.full(11, 1e4), cfg, horizon=10.0)
@@ -279,15 +308,10 @@ class TestFdEquivalence:
         cfg = FdConfig(8, 5, 2.0, scheme)
         n_steps = 30
         rng = np.random.default_rng(11)
+        # every side cooled, a cylinder's core too, by its own coolant
         tinf_all = rng.uniform(5.0, 30.0, (n_steps + 1, 4))
-        if spec.is_cylindrical:
-            tinf_all[:, 1] = 0.0   # a cylinder's input vector has no core entry
-        sides = [ALL_SIDES.surface, ALL_SIDES.core, ALL_SIDES.top, ALL_SIDES.bottom]
-        u_all = tinf_all * np.array([s.h for s in sides])
-        if spec.is_cylindrical:
-            u_all = u_all[:, [0, 2, 3]]
         q = rng.uniform(0.0, 2e5, n_steps + 1)
-        fd = fd_solve(spec, ALL_SIDES, u_all, q, cfg, T_init=20.0,
+        fd = fd_solve(spec, ALL_SIDES, tinf_all, q, cfg, T_init=20.0,
                       horizon=n_steps * cfg.dt, metrics_stride=4)
         r, z, fields = _dense_fd_reference(spec, ALL_SIDES, cfg,
                                            tinf_all[:-1], q[:-1], 20.0)
@@ -317,7 +341,7 @@ class TestFdEquivalence:
         solver = FdSolver(spec, ALL_SIDES, cfg)
         state = solver.uniform_field(20.0)
         for k in range(n_steps):
-            state = solver.step(state, solver.tinf_from_inputs(u_all[k]), q[k])
+            state = solver.step(state, tinf_all[k], q[k])
             np.testing.assert_allclose(solver.outputs(state), fd.outputs[k + 1],
                                        rtol=0, atol=1e-12)
         np.testing.assert_allclose(solver.grid(state), fd.final_field,
@@ -478,12 +502,9 @@ class TestHeldSteps:
         tinf = np.array([t for t, _ in rows])
         # with q held, only the coolant temperatures change
         q = np.array([rows[0][1] if hold_q else q for _, q in rows])
-        h = {side: cooling.side(side).h for side in SIDES}
-        u = np.column_stack([h[side] * tinf[:, SIDES.index(side)]
-                             for side in input_sides(spec.shape)])
         horizon = (len(rows) - 1) * cfg.dt
-        every = fd_solve(spec, cooling, u, q, cfg, 20.0, horizon, metrics_stride)
-        strided = fd_solve(spec, cooling, u, q, cfg, 20.0, horizon, metrics_stride,
+        every = fd_solve(spec, cooling, tinf, q, cfg, 20.0, horizon, metrics_stride)
+        strided = fd_solve(spec, cooling, tinf, q, cfg, 20.0, horizon, metrics_stride,
                            output_stride=stride)
         idx = list(range(0, len(every.times), stride))
         idx += [] if idx[-1] == len(every.times) - 1 else [len(every.times) - 1]
