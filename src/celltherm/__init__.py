@@ -22,7 +22,13 @@ from .core import (
     resample_profile,
     scenario_cooling,
 )
-from .galerkin import OUTPUT_LOCATIONS, ReducedModel, assemble, project_initial_state
+from .galerkin import (
+    OUTPUT_LOCATIONS,
+    ReducedModel,
+    assemble,
+    assemble_library,
+    project_initial_state,
+)
 from .simulate import FieldEvaluator, MetricsRecord, SimResult, discretize, run
 
 __version__ = "0.1.0"

@@ -83,6 +83,13 @@ class BasisSet:
     def max_degree(self) -> int:
         return self.count + 1
 
+    def leading(self, count: int) -> "BasisSet":
+        """The first ``count`` functions. Each phi_k depends only on k and
+        the Robin pairs, so they are the basis ``build_basis`` gives for
+        ``count``, bit for bit."""
+        return BasisSet(count, self.robin_minus, self.robin_plus,
+                        self.combo[:count], self.coeffs[:count, :count + 2])
+
 
 def build_basis(count: int, robin_minus, robin_plus) -> BasisSet:
     """Construct the first `count` basis functions for the given Robin pairs.
@@ -164,6 +171,10 @@ class BasisTable:
 
     def __getitem__(self, deriv: int) -> np.ndarray:
         return self.derivs[deriv]
+
+    def leading(self, count: int) -> "BasisTable":
+        """The table of the first ``count`` basis functions: leading columns."""
+        return BasisTable(self.nodes, {d: t[:, :count] for d, t in self.derivs.items()})
 
 
 def basis_table(bs: BasisSet, x, derivs=(0,)) -> BasisTable:

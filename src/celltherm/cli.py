@@ -56,7 +56,7 @@ from .core import (
 )
 from .control import closed_loop_run
 from .exceptions import ConfigError, ModelError, NumericalError, UnsupportedShapeError
-from .galerkin import assemble, project_initial_state
+from .galerkin import assemble, assemble_library, project_initial_state
 from .profiles import ingest_drive_cycle, pulse_train, random_drive
 from .reference import (
     REFERENCE_TIME_REDUCTION_PCT,
@@ -71,9 +71,6 @@ from .reference import (
 from .simulate import MetricsRecord, run
 
 SCHEMA_VERSION = 1
-
-# a metrics stride beyond any horizon: metrics only at the first and last step
-_NO_METRICS = 10**9
 
 _REQUIRED = object()   # no default: the key must be given
 _OPTIONAL = object()   # no default: the key may be left out
@@ -342,17 +339,27 @@ def _metric_columns(result):
             *(getattr(result, f.name) for f in fields(MetricsRecord))]
 
 
-def _order_model(spec, cooling, order):
+def _order_size(order):
     root = int(round(math.sqrt(order)))
-    return assemble(spec, cooling, root, root)
+    return root, root
 
 
-def _run_order(spec, cooling, order, cfg, q_series):
-    """Assemble the model of one order and return its run over the
-    configured horizon as a callable of the metrics stride, so that timing
-    leaves assembly out and several runs share one model."""
-    model = _order_model(spec, cooling, order)
-    u = boundary_input_from_cooling(cooling).as_vector(spec.shape)
+def _order_model(spec, cooling, order):
+    return assemble(spec, cooling, *_order_size(order))
+
+
+def _order_models(spec, cooling, orders):
+    """The model of each order, by order, from one library of the cell and
+    cooling."""
+    library = assemble_library(spec, cooling, map(_order_size, orders))
+    return {order: library[_order_size(order)] for order in orders}
+
+
+def _runner(model, cfg, q_series):
+    """The model's run over the configured horizon, as a callable of the
+    metrics stride (None: outputs only), so that timing leaves assembly out
+    and several runs share one model."""
+    u = boundary_input_from_cooling(model.cooling).as_vector(model.spec.shape)
     y0 = project_initial_state(model, cfg["t_init_C"], u)
     grid = (cfg["grid"]["n_r"], cfg["grid"]["n_z"])
     return lambda metrics_stride: run(
@@ -364,9 +371,11 @@ def cmd_simulate(cfg, out_dir: Path):
     spec = _cell_from_config(cfg)
     cooling = _cooling_from_config(cfg, spec)
     q_series = _q_series(cfg, spec, cfg["dt_s"])
-    for order in cfg["orders"]:
-        result = _run_order(spec, cooling, order, cfg, q_series)(
-            cfg["metrics_stride"])
+    models = _order_models(spec, cooling, cfg["orders"])
+    for order in dict.fromkeys(cfg["orders"]):
+        # each model, with its modes and field evaluator, is released after its
+        # run: held together to the last run, they raised peak memory
+        result = _runner(models.pop(order), cfg, q_series)(cfg["metrics_stride"])
         write_csv(out_dir / f"trace_O{order}.csv", _TRACE_HEADER,
                   [result.times, *result.outputs.T])
         write_csv(out_dir / f"metrics_O{order}.csv", _METRIC_HEADER,
@@ -404,6 +413,12 @@ def _errors_vs_fd(fd, times, **series):
 
 
 def cmd_validate(cfg, out_dir: Path):
+    """Max |model - FD| of the four mid-side outputs per scenario and order.
+
+    Per scenario, one FD run and one model library (``assemble_library``)
+    give every order. Both take outputs only (``metrics_stride=None``): no
+    field is reconstructed, since no metric is written.
+    """
     _presets_only(cfg, "validate")
     spec = _cell_from_config(cfg)
     # FD outputs only at the model's steps, when those fall on FD steps
@@ -414,10 +429,11 @@ def cmd_validate(cfg, out_dir: Path):
     per_scenario = {}
     for name in cfg["scenarios"]:
         cooling = scenario_cooling(name, spec.shape, T_inf=cfg["t_init_C"])
-        fd = _fd_reference(cfg, spec, cooling, q_fd, _NO_METRICS, stride)
+        fd = _fd_reference(cfg, spec, cooling, q_fd, None, stride)
+        models = _order_models(spec, cooling, cfg["orders"])
         errors = {}
         for order in cfg["orders"]:
-            result = _run_order(spec, cooling, order, cfg, q_series)(_NO_METRICS)
+            result = _runner(models[order], cfg, q_series)(None)
             ref = _subsample(fd.times, fd.outputs, result.times)
             err = float(np.abs(result.outputs - ref).max())
             rows.append((name, order, err))
@@ -448,17 +464,19 @@ def cmd_compare_tec(cfg, out_dir: Path):
     tec_cfg = cfg["tec"]
     tec = TecModel(tec_cfg["C_c"], tec_cfg["C_s"], tec_cfg["R_c"],
                    tec_cfg["R_u"], tec_cfg["T_inf_C"])
-    runs = {order: _run_order(spec, cooling, order, cfg, q_series)
-            for order in cfg["orders"]}
+    runs = {order: _runner(model, cfg, q_series)
+            for order, model in _order_models(spec, cooling, cfg["orders"]).items()}
 
     # Timed before the FD reference: the millisecond-scale timed runs are
     # slowed by heavy numerical work just before them (a threaded BLAS call
-    # leaves spinning helper threads behind for about 0.15 s).
+    # leaves spinning helper threads behind for about 0.15 s). Each timed
+    # callable discretizes, steps and forms outputs, and nothing else: the
+    # model runs take no metric sample, as the TEC run takes none.
     timing_summary = None
     if cfg["timing"]["enabled"]:
         entries = [("TEC", lambda: tec_run(tec, q_series * vol, dt, horizon,
                                            T0=cfg["t_init_C"]))]
-        entries += [(f"O{order}", functools.partial(runs[order], _NO_METRICS))
+        entries += [(f"O{order}", functools.partial(runs[order], None))
                     for order in cfg["orders"]]
         table = timing_harness(entries, cfg["timing"]["repetitions"])
         by_name = {row["model"]: row["mean_ms"] for row in table}
@@ -509,7 +527,7 @@ _SCENARIO_METRICS = ("T_mean", "T_max", "dTr_max", "dTz_max", "dT")
 
 def _scenario_point(spec, cfg, name, q_series):
     cooling = scenario_cooling(name, spec.shape, T_inf=cfg["t_init_C"])
-    result = _run_order(spec, cooling, cfg["orders"][0], cfg, q_series)(
+    result = _runner(_order_model(spec, cooling, cfg["orders"][0]), cfg, q_series)(
         cfg["metrics_stride"])
     merits = {m: float(getattr(result, m).max()) for m in _SCENARIO_METRICS}
     return result, merits
@@ -629,7 +647,7 @@ def _sweep_point(spec, cfg, ratio, q_series):
     except ValueError:
         return None
     cooling = scenario_cooling(cfg["scenario"], cell.shape, T_inf=cfg["t_init_C"])
-    result = _run_order(cell, cooling, cfg["orders"][0], cfg, q_series)(
+    result = _runner(_order_model(cell, cooling, cfg["orders"][0]), cfg, q_series)(
         cfg["metrics_stride"])
     return {
         "L_m": length, "R_out_m": r_out, "volume_m3": cell_volume(cell),

@@ -130,6 +130,8 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         active = active_sides(scenario)
     else:
         active = tuple(scenario)
+    if not isinstance(plant, (ReducedModel, FdSolver)):
+        raise TypeError("plant must be a ReducedModel or FdSolver")
     cooling: CoolingConfig = plant.cooling
     sides = input_sides(plant.spec.shape)
     for side in active:
@@ -144,15 +146,13 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
 
     if isinstance(plant, ReducedModel):
         est_model = estimator_model if estimator_model is not None else plant
-    elif isinstance(plant, FdSolver):
+    else:
         fd_steps = step_ratio(dt, plant.cfg.dt)
         if fd_steps is None:
             raise ValueError(f"control step {dt} s is not a whole number of "
                              f"FD steps of {plant.cfg.dt} s")
         est_model = estimator_model if estimator_model is not None else \
             assemble(plant.spec, plant.cooling, 3, 3)
-    else:
-        raise TypeError("plant must be a ReducedModel or FdSolver")
     estimator = OpenLoopEstimator(est_model, dt, T_init, u_baseline, grid_shape)
 
     controllers = {

@@ -13,9 +13,11 @@ product carries the physical radius as weight for cylindrical cells; the
 first-derivative (gamma) term then has constant integrand alpha*k_r, so all
 assembled integrands are polynomials, of degree at most 2 max(M, N) + 3, and
 the Gauss rule of order n = max(M, N) + 3 integrates them exactly (Shen,
-SIAM J. Sci. Comput. 15, 1994), and ``assemble`` runs one pass at that
-order. ``test_default_order_is_exact`` proves the rule exact on random
-cells: a second pass at 2n moves no factor beyond rounding.
+SIAM J. Sci. Comput. 15, 1994). ``test_default_order_is_exact`` proves the
+rule exact on random cells: a second pass at 2n moves no factor beyond
+rounding. ``assemble_library`` runs one pass at the order of its largest
+M and N and slices every smaller model out of it; ``assemble`` is the
+library of one model.
 
 Each basis is evaluated once per node set, as a 1D table of values and
 derivatives, and every particular component is one separable product (see
@@ -33,9 +35,8 @@ symmetric-definite 1D pencil (Sr, Gr), (Sz, Gz) is diagonalized once (fast
 diagonalization: Lynch, Rice & Thomas, Numer. Math. 6, 1964, here on Shen's
 compact Robin-adapted Chebyshev-Galerkin bases); its modes give the exact
 step map and the dissipativity check, and cond(G) = cond(Gr) cond(Gz), so no
-(MN)^2 matrix is formed; ``particular.ParticularComponents.solve`` checks it
-on Gram matrices bitwise equal to Gr and Gz. G and A are derived properties,
-for inspection.
+(MN)^2 matrix is formed; the assembly pass checks it once
+(``_check_conditioning``). G and A are derived properties, for inspection.
 Outside this assembly every state is in the modal coordinates
 Y = (V_r (x) V_z)^-1 X of these modes: ``project_initial_state`` returns them,
 ``simulate`` steps them, ``modal_C`` carries the output map over to them
@@ -56,7 +57,7 @@ import numpy as np
 
 from .core import CYLINDRICAL, CellSpec, CoolingConfig, Modes, input_sides
 from .chebyshev import BasisSet, BasisTable, basis_table, build_basis, gauss_quadrature
-from .exceptions import AssemblyError
+from .exceptions import AssemblyError, IllConditionedBasisError
 from .particular import (
     ParticularComponents,
     axial_scale,
@@ -204,20 +205,65 @@ def _moments(r: BasisTable, z: BasisTable, w_r: np.ndarray, w_z: np.ndarray,
     return (r[0].T @ (w_r * fr).T) @ (z[0].T @ (w_z * fz).T).T
 
 
-# bench/tracer.py reads the 6th positional argument as the quadrature order
-def _assemble_matrices(spec, cooling, basis_r, basis_z, components, order):
+def _gauss_tables(spec: CellSpec, basis_r: BasisSet, basis_z: BasisSet, order: int):
+    """The 1D tables of the Gauss rule with ``order`` nodes: basis_r's values,
+    first (cylinders only) and second derivatives, basis_z's values and
+    second derivatives, the radially weighted weights and the plain ones."""
     quad = gauss_quadrature(order)
     x, wq = quad.nodes, quad.weights
-    wr = wq * radial_weight(spec, x)
-    alpha, beta = radial_scale(spec), axial_scale(spec)
-    cylindrical = spec.is_cylindrical
-    r = basis_table(basis_r, x, (0, 1, 2) if cylindrical else (0, 2))
+    r = basis_table(basis_r, x, (0, 1, 2) if spec.is_cylindrical else (0, 2))
     z = basis_table(basis_z, x, (0, 2))
+    return r, z, wq * radial_weight(spec, x), wq
 
+
+def _lifting_moments(spec: CellSpec, r: BasisTable, z: BasisTable, wr: np.ndarray,
+                     wq: np.ndarray, components: ParticularComponents):
+    """(B, P) of one model from the tables of its bases: B applies the scaled
+    diffusion operator to each input side's particular component, P holds
+    the component's plain Galerkin moments, one column per side."""
+    alpha, beta = radial_scale(spec), axial_scale(spec)
+    # w L[T_p], L the scaled diffusion operator, as (coefficient, radial
+    # quadrature weight, dr, dz) terms of the separable components
+    terms = [(alpha**2 * spec.k_r, wr, 2, 0), (beta**2 * spec.k_z, wr, 0, 2)]
+    if spec.is_cylindrical:
+        terms.append((alpha * spec.k_r, wq, 1, 0))
+    sides = input_sides(spec.shape)
+    B = np.empty((r[0].shape[1] * z[0].shape[1], len(sides)))
+    P = np.empty_like(B)
+    for col, side in enumerate(sides):
+        B[:, col] = sum(coef * _moments(r, z, w_r, wq,
+                                        *components.factors(side, r, z, dr, dz))
+                        for coef, w_r, dr, dz in terms).ravel()
+        P[:, col] = _moments(r, z, wr, wq, *components.factors(side, r, z)).ravel()
+    return B, P
+
+
+def _check_conditioning(gram_r: np.ndarray, gram_z: np.ndarray) -> None:
+    """Reject bases whose Gram matrix G ~ Gr (x) Gz is numerically singular:
+    cond(G) = cond(Gr) cond(Gz) must not exceed 1e12. The eigenvalues of a
+    leading block of an SPD matrix lie between the whole matrix's extreme
+    ones (Cauchy interlacing), so a check at a library's top size covers
+    every member."""
+    cond = np.linalg.cond(gram_r) * np.linalg.cond(gram_z)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise IllConditionedBasisError(
+            f"basis Gram matrices are numerically singular (cond={cond:.3g})")
+
+
+# bench/tracer.py reads the 6th positional argument as the quadrature order
+def _assemble_matrices(spec, cooling, basis_r, basis_z, sizes, order):
+    """One Gauss pass with ``order`` nodes over the bases basis_r, basis_z, and
+    from it the factors of every basis size (M, N) in ``sizes``, none larger
+    than the bases: {(M, N): (factors by ReducedModel field name, particular
+    components)}. The Gram, stiffness and F factors of a size are leading
+    blocks of the pass's; B and P are contracted from its leading table
+    columns with the size's own particular components."""
+    r, z, wr, wq = _gauss_tables(spec, basis_r, basis_z, order)
+    alpha, beta = radial_scale(spec), axial_scale(spec)
     gram_r = r[0].T @ (wr[:, None] * r[0])
     gram_z = z[0].T @ (wq[:, None] * z[0])
     stiff_r = alpha**2 * spec.k_r * (r[0].T @ (wr[:, None] * r[2]))
-    if cylindrical:
+    if spec.is_cylindrical:
         # w * gamma == alpha k_r, so this term carries no radius weight
         stiff_r = stiff_r + alpha * spec.k_r * (r[0].T @ (wq[:, None] * r[1]))
     stiff_z = beta**2 * spec.k_z * (z[0].T @ (wq[:, None] * z[2]))
@@ -225,65 +271,83 @@ def _assemble_matrices(spec, cooling, basis_r, basis_z, components, order):
     # plus Robin boundary terms that are symmetric in (i, j).
     stiff_r = 0.5 * (stiff_r + stiff_r.T)
     stiff_z = 0.5 * (stiff_z + stiff_z.T)
-    F = np.kron(r[0].T @ wr, z[0].T @ wq)
+    load_r, load_z = r[0].T @ wr, z[0].T @ wq   # F = load_r (x) load_z
+    _check_conditioning(gram_r, gram_z)
 
-    # w L[T_p], L the scaled diffusion operator, as (coefficient, radial
-    # quadrature weight, dr, dz) terms of the separable components
-    terms = [(alpha**2 * spec.k_r, wr, 2, 0), (beta**2 * spec.k_z, wr, 0, 2)]
-    if cylindrical:
-        terms.append((alpha * spec.k_r, wq, 1, 0))
-    sides = input_sides(spec.shape)
-    B = np.empty((F.size, len(sides)))
-    P = np.empty_like(B)
-    for col, side in enumerate(sides):
-        B[:, col] = sum(coef * _moments(r, z, w_r, wq,
-                                        *components.factors(side, r, z, dr, dz))
-                        for coef, w_r, dr, dz in terms).ravel()
-        P[:, col] = _moments(r, z, wr, wq, *components.factors(side, r, z)).ravel()
-    return gram_r, stiff_r, gram_z, stiff_z, B, F, P
+    members = {}
+    for M, N in sizes:
+        components = ParticularComponents.solve(
+            spec, basis_r.leading(M), basis_z.leading(N),
+            gram_r[:M, :M], load_r[:M], gram_z[:N, :N], load_z[:N])
+        B, P = _lifting_moments(spec, r.leading(M), z.leading(N), wr, wq, components)
+        factors = dict(gram_r=gram_r[:M, :M], stiff_r=stiff_r[:M, :M],
+                       gram_z=gram_z[:N, :N], stiff_z=stiff_z[:N, :N],
+                       B=B, F=np.kron(load_r[:M], load_z[:N]), P=P)
+        members[M, N] = factors, components
+    return members
+
+
+def assemble_library(spec: CellSpec, cooling: CoolingConfig, sizes) -> dict:
+    """The reduced models of one cell and cooling setup for every basis size
+    (M, N) in ``sizes``, by size, from one exact Gauss pass at the largest
+    M and N.
+
+    A basis function phi_k depends only on k and the Robin pairs
+    (``chebyshev.build_basis``), so each member's bases are the leading
+    functions of the largest ones, and its Gram, stiffness, F and C factors
+    are leading blocks of theirs (Shen, SIAM J. Sci. Comput. 16(1), 1995).
+    Each member's particular components project 1 onto its own bases, so B,
+    P and Dft are contracted per member. A member is the model ``assemble``
+    gives for its size up to round-off: its integrals come from a rule exact
+    to a higher degree. The conditioning check runs once, at the top size;
+    each member is checked for dissipativity.
+    """
+    sizes = list(dict.fromkeys(sizes))
+    if not sizes:
+        raise ValueError("a model library needs at least one basis size")
+    if any(M < 1 or N < 1 for M, N in sizes):
+        raise ValueError("basis counts M, N must be >= 1")
+    if spec.shape == CYLINDRICAL and cooling.core.h != 0.0:
+        raise ValueError("cylindrical cells require core h = 0")
+    top_M, top_N = max(M for M, _ in sizes), max(N for _, N in sizes)
+
+    r_pair, z_pair = robin_pairs(spec, cooling)
+    basis_r = build_basis(top_M, *r_pair)
+    basis_z = build_basis(top_N, *z_pair)
+    members = _assemble_matrices(spec, cooling, basis_r, basis_z, sizes,
+                                 default_quad_order(top_M, top_N))
+
+    out_r, out_z = np.array(OUTPUT_LOCATIONS).T
+    r_out = basis_table(basis_r, out_r)
+    z_out = basis_table(basis_z, out_z)
+    library = {}
+    for (M, N), (factors, components) in members.items():
+        r_m, z_m = r_out.leading(M), z_out.leading(N)
+        C = np.einsum("im,in->imn", r_m[0], z_m[0]).reshape(len(out_r), M * N)
+        model = ReducedModel(spec=spec, cooling=cooling, M=M, N=N, **factors,
+                             C=C, Dft=components.point_values(r_m, z_m),
+                             basis_r=components.basis_r, basis_z=components.basis_z,
+                             particular=components)
+        # Dissipativity: every eigenvalue lam_r[i] + lam_z[j] of the Kronecker
+        # sum is <= 0. Zero is legal: an insulated cell conserves its mean.
+        lam = np.add.outer(model.modes_r.lam, model.modes_z.lam)
+        if lam.max() > 1e-9 * np.abs(lam).max():
+            raise AssemblyError(
+                f"model is not dissipative: largest eigenvalue {lam.max():.3g} > 0 "
+                f"(largest magnitude {np.abs(lam).max():.3g})")
+        library[M, N] = model
+    return library
 
 
 def assemble(spec: CellSpec, cooling: CoolingConfig, M: int, N: int) -> ReducedModel:
-    """Build the reduced model of order M*N for one cell and cooling setup.
+    """Build the reduced model of order M*N for one cell and cooling setup:
+    the library of that one size (``assemble_library``).
 
     The basis depends on the convection coefficients (it absorbs the
     homogeneous Robin conditions), so a new cooling configuration needs a
     new call: a model is never updated in place.
     """
-    if M < 1 or N < 1:
-        raise ValueError("basis counts M, N must be >= 1")
-    if spec.shape == CYLINDRICAL and cooling.core.h != 0.0:
-        raise ValueError("cylindrical cells require core h = 0")
-    order = default_quad_order(M, N)
-
-    r_pair, z_pair = robin_pairs(spec, cooling)
-    basis_r = build_basis(M, *r_pair)
-    basis_z = build_basis(N, *z_pair)
-    components = ParticularComponents.solve(spec, basis_r, basis_z,
-                                            gauss_quadrature(order))
-
-    names = ("gram_r", "stiff_r", "gram_z", "stiff_z", "B", "F", "P")
-    factors = dict(zip(names, _assemble_matrices(spec, cooling, basis_r, basis_z,
-                                                 components, order)))
-
-    out_r, out_z = np.array(OUTPUT_LOCATIONS).T
-    r_out = basis_table(basis_r, out_r)
-    z_out = basis_table(basis_z, out_z)
-    C = np.einsum("im,in->imn", r_out[0], z_out[0]).reshape(len(out_r), M * N)
-    Dft = components.point_values(r_out, z_out)
-
-    model = ReducedModel(spec=spec, cooling=cooling, M=M, N=N, **factors,
-                         C=C, Dft=Dft, basis_r=basis_r, basis_z=basis_z,
-                         particular=components)
-
-    # Dissipativity: every eigenvalue lam_r[i] + lam_z[j] of the Kronecker sum
-    # is <= 0. Zero is legal: an insulated cell conserves its mean.
-    lam = np.add.outer(model.modes_r.lam, model.modes_z.lam)
-    if lam.max() > 1e-9 * np.abs(lam).max():
-        raise AssemblyError(
-            f"model is not dissipative: largest eigenvalue {lam.max():.3g} > 0 "
-            f"(largest magnitude {np.abs(lam).max():.3g})")
-    return model
+    return assemble_library(spec, cooling, [(M, N)])[M, N]
 
 
 def project_initial_state(model: ReducedModel, T_init: float, u0) -> np.ndarray:

@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SIDES, CellSpec, CoolingConfig, input_sides
-from .chebyshev import BasisSet, BasisTable, Quadrature, basis_table
-from .exceptions import DegenerateBoundaryError, IllConditionedBasisError
+from .chebyshev import BasisSet, BasisTable, basis_table
+from .exceptions import DegenerateBoundaryError
 
 # Relative threshold below which a 2x2 boundary system counts as singular.
 _DEGENERATE_RTOL = 1e-12
@@ -141,28 +141,20 @@ class ParticularComponents:
 
     @classmethod
     def solve(cls, spec: CellSpec, basis_r: BasisSet, basis_z: BasisSet,
-              quad: Quadrature) -> "ParticularComponents":
+              gram_r: np.ndarray, load_r: np.ndarray, gram_z: np.ndarray,
+              load_z: np.ndarray) -> "ParticularComponents":
         """Solve the four boundary Galerkin systems for unit inputs.
 
-        Its Gram matrices are bitwise the Gr and Gz ``assemble`` builds at
-        the same order, so this is the package's one conditioning check:
-        cond(G) = cond(Gr) cond(Gz) must not exceed 1e12.
+        All four share the projections of 1, e_r = Gr^-1 s_r and
+        e_z = Gz^-1 s_z, whose Gram matrices Gr, Gz and sources s_r, s_z
+        (the 1D factors of F = s_r (x) s_z) come from the assembly pass of
+        ``galerkin``, which also checks their conditioning.
         """
-        x, wz = quad.nodes, quad.weights
-        wr = wz * radial_weight(spec, x)
-        r = basis_table(basis_r, x)[0]
-        z = basis_table(basis_z, x)[0]
-        gram_r = r.T @ (wr[:, None] * r)
-        gram_z = z.T @ (wz[:, None] * z)
-        cond = np.linalg.cond(gram_r) * np.linalg.cond(gram_z)
-        if not np.isfinite(cond) or cond > 1e12:
-            raise IllConditionedBasisError(
-                f"basis Gram matrices are numerically singular (cond={cond:.3g})")
         surface, core = _lifting_pairs(basis_r, "surface/core")
         top, bottom = _lifting_pairs(basis_z, "top/bottom")
         return cls(spec, basis_r, basis_z,
-                   e_r=np.linalg.solve(gram_r, r.T @ wr),
-                   e_z=np.linalg.solve(gram_z, z.T @ wz),
+                   e_r=np.linalg.solve(gram_r, load_r),
+                   e_z=np.linalg.solve(gram_z, load_z),
                    surface=surface, core=core, top=top, bottom=bottom)
 
     def factors(self, side: str, r: BasisTable, z: BasisTable,

@@ -340,13 +340,14 @@ class FdSolver:
         _differences(field.T, self.dz, block[2, 0].T)
         return _reduce_fields(np.sum(self._vol_weights * field), [block], single=True)
 
-    def surface_flux(self, state: np.ndarray) -> float:
-        """Mean convective flux h_s (T_surface - T_inf) out of the outer face,
-        W m^-2 (z-averaged with trapezoid weights)."""
+    def surface_flux(self, state: np.ndarray, tinf: np.ndarray) -> float:
+        """Mean convective flux h_s (T_surface - T_inf,s) out of the outer
+        face, W m^-2 (z-averaged with trapezoid weights), with ``tinf`` the
+        coolant temperatures the state was stepped with, in ``SIDES`` order
+        as ``step`` takes them."""
         tz = _trapezoid(self.cfg.n_z)
         t_surf = np.sum(self.grid(state)[-1] * tz) / tz.sum()
-        side = self.cooling.surface
-        return side.h * (t_surf - side.T_inf)
+        return self.cooling.surface.h * (t_surf - tinf[SIDES.index("surface")])
 
 
 def step_ratio(dt: float, dt_fd: float) -> int | None:
@@ -367,7 +368,7 @@ class FdResult(MetricSeries):
 
 def fd_solve(spec: CellSpec, cooling: CoolingConfig, tinf, q, cfg: FdConfig,
              T_init: float = 15.0, horizon: float = 600.0,
-             metrics_stride: int = 1, output_stride: int = 1) -> FdResult:
+             metrics_stride: int | None = 1, output_stride: int = 1) -> FdResult:
     """Integrate the original PDE over [0, horizon].
 
     ``tinf`` holds the coolant temperatures per side in ``SIDES`` order
@@ -376,7 +377,9 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, tinf, q, cfg: FdConfig,
     insulated, and its entry has no effect. ``q`` is a scalar or exactly K+1
     samples of the volumetric heat rate. Both are checked before the
     solver is built. Outputs are sampled at ``metric_steps(K, output_stride)``
-    and metrics at ``metric_steps(K, metrics_stride)``. Between two samples
+    and metrics at ``metric_steps(K, metrics_stride)``, so an outputs-only
+    run, ``metrics_stride=None``, takes no metric sample and its metric
+    arrays are empty; ``final_field`` is always formed. Between two samples
     or input changes the input is held, and the solver takes those steps as
     one.
     """
@@ -390,7 +393,7 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, tinf, q, cfg: FdConfig,
 
 
 def _fd_solve_on(solver: FdSolver, tinf_arr: np.ndarray, q_arr: np.ndarray,
-                 T_init: float, metrics_stride: int,
+                 T_init: float, metrics_stride: int | None,
                  output_stride: int) -> FdResult:
     """``fd_solve`` on a given solver, which may have stepped before, with
     checked (K+1, 4) coolant temperatures and K+1 heat samples."""
@@ -415,9 +418,9 @@ def _fd_solve_on(solver: FdSolver, tinf_arr: np.ndarray, q_arr: np.ndarray,
         state = solver.step(state, tinf_arr[start], q_arr[start], end - start)
         if end in output_set:
             outputs.append(solver.outputs(state))
-    # the last step is always sampled: its field is the final field
     field = solver.grid(state)
-    rows.append(solver.metrics(state, field))
+    if metric_idx:   # the last step is then sampled: its field is the final field
+        rows.append(solver.metrics(state, field))
 
     dt = solver.cfg.dt
     return FdResult(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -164,8 +164,10 @@ class MetricsRecord:
 
     @classmethod
     def stack(cls, records) -> "MetricsRecord":
-        """One record of arrays from a sequence of single-sample records."""
-        return cls(*np.array([list(vars(r).values()) for r in records]).T)
+        """One record of arrays from a sequence of single-sample records;
+        empty arrays if there are none."""
+        values = np.array([list(vars(r).values()) for r in records], dtype=float)
+        return cls(*values.reshape(-1, len(fields(cls))).T)
 
 
 def _trapezoid(n: int) -> np.ndarray:
@@ -334,10 +336,11 @@ class SimResult(MetricSeries):
     ``outputs`` holds the four mid-side temperatures [surface, core, top,
     bottom] at every step; the metric arrays are sampled every
     ``metrics_stride`` steps on the reconstruction grid, at
-    ``metrics_times``. Only the states of those S samples are kept, in the
-    modal coordinates the run steps, and a result holds arrays only: no
-    model and no mode matrices. A caller that needs the state at every step
-    passes ``metrics_stride=1``.
+    ``metrics_times``, and are empty for an outputs-only run
+    (``metrics_stride=None``). Only the states of those S samples are kept,
+    in the modal coordinates the run steps, and a result holds arrays only:
+    no model and no mode matrices. A caller that needs the state at every
+    step passes ``metrics_stride=1``.
     """
 
     times: np.ndarray
@@ -345,8 +348,11 @@ class SimResult(MetricSeries):
     outputs: np.ndarray         # (K+1, 4)
 
 
-def metric_steps(n_steps: int, stride: int) -> list:
-    """Sampled step indices: every ``stride``-th step and the last one."""
+def metric_steps(n_steps: int, stride: int | None) -> list:
+    """Sampled step indices: every ``stride``-th step and the last one, or
+    none for ``stride=None``."""
+    if stride is None:
+        return []
     idx = list(range(0, n_steps + 1, max(1, stride)))
     if idx[-1] != n_steps:
         idx.append(n_steps)
@@ -354,14 +360,17 @@ def metric_steps(n_steps: int, stride: int) -> list:
 
 
 def run(model: ReducedModel, Y0, u, w, dt: float, horizon: float,
-        grid_shape=DEFAULT_GRID, metrics_stride: int = 1) -> SimResult:
+        grid_shape=DEFAULT_GRID, metrics_stride: int | None = 1) -> SimResult:
     """Step the model over [0, horizon] with staircase inputs from the modal
     coordinates Y0 (order,), as ``galerkin.project_initial_state`` gives them.
 
     ``u`` is a constant input vector / BoundaryInput or an array with one row
     per step (K+1 rows); ``w`` a scalar or per-step array, both already
     resampled to dt. The states are stepped STEP_BLOCK floats at a time and
-    kept only at the metric steps, ``metric_steps(K, metrics_stride)``.
+    kept only at the metric steps, ``metric_steps(K, metrics_stride)``. An
+    outputs-only run, ``metrics_stride=None``, keeps no state and builds no
+    ``FieldEvaluator``: its states have shape (0, order) and its metric
+    arrays are empty.
     """
     y = np.asarray(Y0, dtype=float)
     if y.shape != (model.order,):
@@ -373,7 +382,6 @@ def run(model: ReducedModel, Y0, u, w, dt: float, horizon: float,
         u = u.as_vector(model.spec.shape)
     u_arr = per_step_rows(u, model.n_inputs, n_steps + 1, "u")
     w_arr = per_step(w, n_steps + 1, "w")
-    evaluator = FieldEvaluator.of(model, *grid_shape)
     inputs = np.column_stack([u_arr, w_arr])
     idx = metric_steps(n_steps, metrics_stride)
     rows = max(1, STEP_BLOCK // model.order)
@@ -394,6 +402,9 @@ def run(model: ReducedModel, Y0, u, w, dt: float, horizon: float,
             samples.append(Y[[k - k0 for k in idx[a:b]]])
             a, y = b, Y[-1]
         outputs, states = np.concatenate(outputs), np.concatenate(samples)
-    metrics = evaluator.metrics(states, u_arr[idx])
+    if idx:
+        metrics = FieldEvaluator.of(model, *grid_shape).metrics(states, u_arr[idx])
+    else:
+        metrics = MetricsRecord.stack([])
     return SimResult(times=times, states=states, outputs=outputs,
                      metrics_times=times[idx], **vars(metrics))

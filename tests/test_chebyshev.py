@@ -175,6 +175,26 @@ class TestBuildBasis:
             for d in (0, 1, 2):
                 assert np.array_equal(table[d], basis_matrix(bs, x, d))
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 30), st.data())
+    def test_leading_functions_are_the_smaller_basis(self, cell, count, data):
+        """phi_k depends only on k and the Robin pairs: the first functions
+        of a basis, and their table's leading columns, are bit for bit
+        those of the smaller basis."""
+        small = data.draw(st.integers(1, count))
+        x = np.linspace(-1.0, 1.0, 7)
+        for pair in robin_pairs(*cell):
+            big, want = build_basis(count, *pair), build_basis(small, *pair)
+            got = big.leading(small)
+            assert got.count == small
+            assert (got.robin_minus, got.robin_plus) == (want.robin_minus, want.robin_plus)
+            assert np.array_equal(got.combo, want.combo)
+            assert np.array_equal(got.coeffs, want.coeffs)
+            table = basis_table(big, x, (0, 2)).leading(small)
+            assert table[0].shape == table[2].shape == (x.size, small)
+            np.testing.assert_allclose(table[0], basis_matrix(want, x), rtol=0,
+                                       atol=1e-13 * np.abs(table[0]).max())
+
     def test_degenerate_pair_rejected(self):
         with pytest.raises(BasisConstructionError):
             build_basis(3, (0.0, 0.0), (1.0, 0.0))

@@ -34,8 +34,9 @@ from celltherm.profiles import (
     pulse_train,
     random_drive,
 )
-from celltherm.reference import FdConfig, TecModel
-from celltherm.simulate import DEFAULT_GRID
+from celltherm import galerkin
+from celltherm.reference import FdConfig, FdSolver, TecModel
+from celltherm.simulate import DEFAULT_GRID, FieldEvaluator
 
 FAST_CFG = {
     "schema_version": 1,
@@ -407,6 +408,50 @@ class TestCommands:
         rows = (tmp_path / "out/validate/errors.csv").read_text().splitlines()[1:]
         errs = [float(r.split(",")[2]) for r in rows]
         assert errs[1] < errs[0]
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        """Counts of the field evaluators built, the evaluator and FD metric
+        samples taken, and the assembly passes run."""
+        counts = dict.fromkeys(("evaluators", "rom_metrics", "fd_metrics", "passes"), 0)
+
+        def counting(owner, name, key):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(FieldEvaluator, "__init__", "evaluators")
+        counting(FieldEvaluator, "metrics", "rom_metrics")
+        counting(FdSolver, "metrics", "fd_metrics")
+        counting(galerkin, "_assemble_matrices", "passes")
+        return counts
+
+    def test_validate_computes_only_what_it_writes(self, tmp_path, work):
+        """validate writes output errors only: no field evaluator, no metric
+        sample, and one assembly pass per scenario for all its orders."""
+        path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out"),
+                                     "orders": [1, 4, 9], "scenarios": ["SC", "aTSC"]})
+        assert main(["validate", "--config", str(path)]) == 0
+        assert work == {"evaluators": 0, "rom_metrics": 0, "fd_metrics": 0, "passes": 2}
+
+    def test_compare_tec_times_outputs_only_runs(self, tmp_path, work):
+        """The timed model runs take no metric sample: only the run that
+        writes each trace does, and one library gives every order."""
+        path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out"),
+                                     "timing": {"enabled": True, "repetitions": 3}})
+        assert main(["compare-tec", "--config", str(path)]) == 0
+        assert (tmp_path / "out/compare-tec/timing.txt").exists()
+        assert work["rom_metrics"] == len(FAST_CFG["orders"])
+        assert work["passes"] == 1
+
+    def test_simulate_assembles_one_library(self, tmp_path, work):
+        path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out"),
+                                     "orders": [9, 1, 4]})
+        assert main(["simulate", "--config", str(path)]) == 0
+        assert work["passes"] == 1
 
     def test_compare_tec_rejects_pouch(self, tmp_path):
         path = _write_cfg(tmp_path, {

@@ -286,3 +286,8 @@ class TestClosedLoop:
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
         with pytest.raises(ValueError):
             closed_loop_run(model, ("core",), 20.0, 0.0, dt=1.0, horizon=10.0)
+
+    def test_plant_of_another_type_rejected(self):
+        """The plant's type is checked before any of its fields is read."""
+        with pytest.raises(TypeError, match="plant must be a ReducedModel or FdSolver"):
+            closed_loop_run(object(), "SC", 20.0, 1e4, 1.0, 10.0)

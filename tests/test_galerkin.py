@@ -34,7 +34,6 @@ from celltherm.galerkin import (
     project_initial_state,
 )
 from celltherm.particular import (
-    ParticularComponents,
     axial_scale,
     radial_scale,
     radial_weight,
@@ -109,8 +108,10 @@ class TestAssembleStructure:
         real = galerkin._assemble_matrices
 
         def sign_flipped(*args):
-            gram_r, stiff_r, *rest = real(*args)
-            return (gram_r, -stiff_r, *rest)
+            members = real(*args)
+            for factors, _ in members.values():
+                factors["stiff_r"] = -factors["stiff_r"]
+            return members
 
         monkeypatch.setattr(galerkin, "_assemble_matrices", sign_flipped)
         with pytest.raises(AssemblyError, match="not dissipative"):
@@ -242,10 +243,11 @@ class TestPencilModes:
 class TestQuadratureGuard:
     def test_rank_deficient_quadrature_rejected(self):
         # three nodes cannot tell four basis functions apart
-        r_pair, z_pair = robin_pairs(PAPER, scenario_cooling("SC"))
+        cooling = scenario_cooling("SC")
+        r_pair, z_pair = robin_pairs(PAPER, cooling)
         with pytest.raises(IllConditionedBasisError):
-            ParticularComponents.solve(PAPER, build_basis(4, *r_pair),
-                                       build_basis(4, *z_pair), gauss_quadrature(3))
+            galerkin._assemble_matrices(PAPER, cooling, build_basis(4, *r_pair),
+                                        build_basis(4, *z_pair), [(4, 4)], 3)
 
     def test_default_order_formula(self):
         assert default_quad_order(4, 4) == 7
@@ -262,15 +264,24 @@ class TestQuadratureGuard:
         terms cancel: at N = 30, k_z = 100 W/m/K and L = 5 cm they are 1e4
         times larger than B, and B's rounding reaches 5e-12 relative (the
         same at 4n against 8n with the full-grid assembly this replaced), so
-        B is held to 1e-11 and the other factors to 1e-12."""
+        B is held to 1e-11 and the other factors to 1e-12. B and P are the
+        moments of the model's own particular components under both rules: a
+        pass's own components solve with its own Gram matrices, whose
+        rounding would move them too."""
         spec, cooling = cell
         model = assemble(spec, cooling, M, N)
         n = default_quad_order(M, N)
-        args = (spec, cooling, model.basis_r, model.basis_z, model.particular)
-        names = ("gram_r", "stiff_r", "gram_z", "stiff_z", "B", "F", "P")
-        exact = galerkin._assemble_matrices(*args, n)
-        doubled = galerkin._assemble_matrices(*args, 2 * n)
-        for name, a, b in zip(names, exact, doubled):
+
+        def factors(order):
+            tables = galerkin._gauss_tables(spec, model.basis_r, model.basis_z, order)
+            B, P = galerkin._lifting_moments(spec, *tables, model.particular)
+            members = galerkin._assemble_matrices(spec, cooling, model.basis_r,
+                                                  model.basis_z, [(M, N)], order)
+            return {**members[M, N][0], "B": B, "P": P}
+
+        exact, doubled = factors(n), factors(2 * n)
+        for name in ("gram_r", "stiff_r", "gram_z", "stiff_z", "B", "F", "P"):
+            a, b = exact[name], doubled[name]
             rtol = 1e-11 if name == "B" else 1e-12
             assert np.abs(a - b).max() <= rtol * np.abs(b).max(), name
 
@@ -361,6 +372,73 @@ class TestInitialState:
             grid = model.particular.component_grid(side, x, x)
             want = (r.T @ (wr[:, None] * grid * wq) @ z).ravel()
             assert np.abs(model.P[:, col] - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestLibrary:
+    """``assemble_library``: one Gauss pass at the largest size, every member
+    sliced from it."""
+
+    # Bounds on the largest move of a member against ``assemble`` at its
+    # size, relative to the factor's largest entry (outputs: degC). Over 400
+    # undirected random examples (tops up to 30 x 30, two smaller members
+    # each) the worst were: Gram and stiffness factors 1.2e-14, F 5.1e-15,
+    # P 1.1e-14, C 0 (bit for bit), Dft 1.6e-15, B 2.1e-12 (B applies the
+    # cancelling second derivatives, see test_default_order_is_exact), the
+    # pencil eigenvalues 1.1e-13, a 20-step run's outputs 3.9e-12 degC.
+    BOUNDS = {"gram_r": 1e-13, "stiff_r": 1e-13, "gram_z": 1e-13, "stiff_z": 1e-13,
+              "F": 1e-13, "P": 1e-13, "C": 1e-13, "Dft": 1e-13, "B": 2e-11,
+              "lam_r": 1e-12, "lam_z": 1e-12, "outputs_C": 1e-10}
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 30), st.integers(1, 30), st.data())
+    def test_members_match_standalone_assembly(self, cell, M, N, data):
+        spec, cooling = cell
+        sizes = [(M, N), *((data.draw(st.integers(1, M)), data.draw(st.integers(1, N)))
+                           for _ in range(2))]
+        library = galerkin.assemble_library(spec, cooling, sizes)
+        assert set(library) == set(sizes)
+        u = 0.5 * boundary_input_from_cooling(cooling).as_vector(spec.shape)
+        for size, member in library.items():
+            alone = assemble(spec, cooling, *size)
+            assert (member.M, member.N) == size
+            moves = {name: (getattr(member, name), getattr(alone, name))
+                     for name in self.BOUNDS if hasattr(alone, name)}
+            moves["lam_r"] = member.modes_r.lam, alone.modes_r.lam
+            moves["lam_z"] = member.modes_z.lam, alone.modes_z.lam
+            for name, (a, b) in moves.items():
+                assert a.shape == b.shape, name
+                scale = np.abs(b).max() or 1.0
+                assert np.abs(a - b).max() <= self.BOUNDS[name] * scale, (name, size)
+            a, b = (run(m, project_initial_state(m, 15.0, u), u, 1e5, 5.0, 100.0,
+                        metrics_stride=None).outputs for m in (member, alone))
+            assert np.abs(a - b).max() <= self.BOUNDS["outputs_C"], size
+
+    def test_top_member_is_the_standalone_model(self):
+        """The largest member is assembled exactly as ``assemble`` does it."""
+        library = galerkin.assemble_library(PAPER, scenario_cooling("aTSC"),
+                                            [(2, 3), (4, 5), (1, 1)])
+        alone = assemble(PAPER, scenario_cooling("aTSC"), 4, 5)
+        for name in ("gram_r", "stiff_r", "gram_z", "stiff_z", "B", "F", "P", "C", "Dft"):
+            assert np.array_equal(getattr(library[4, 5], name), getattr(alone, name)), name
+
+    def test_one_conditioning_check_per_library(self, monkeypatch):
+        checked = []
+        real = galerkin._check_conditioning
+        monkeypatch.setattr(galerkin, "_check_conditioning",
+                            lambda gr, gz: checked.append((len(gr), len(gz))) or real(gr, gz))
+        galerkin.assemble_library(PAPER, scenario_cooling("SC"), [(1, 1), (3, 3), (5, 4)])
+        assert checked == [(5, 4)]
+
+    def test_ill_conditioned_top_size_rejected(self):
+        """cond(Gr) cond(Gz) of the paper cell passes 1e12 near 450 x 450
+        (2.9e12); the small member is never built."""
+        with pytest.raises(IllConditionedBasisError):
+            galerkin.assemble_library(PAPER, scenario_cooling("SC"), [(1, 1), (450, 450)])
+
+    @pytest.mark.parametrize("sizes", [[], [(0, 2)], [(3, 3), (2, 0)]])
+    def test_bad_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError):
+            galerkin.assemble_library(PAPER, scenario_cooling("SC"), sizes)
 
 
 class TestReassemble:

@@ -176,6 +176,29 @@ class TestFdBasics:
             state = solver.step(state, np.full(4, 15.0), 1e5)
         np.testing.assert_array_equal(fd.final_field, grid(solver, state))
 
+    @pytest.mark.parametrize("stride", [1, 5])
+    def test_outputs_only_run(self, monkeypatch, stride):
+        """``metrics_stride=None`` gives the outputs and the final field of
+        a run sampled at the same steps bit for bit, calls no
+        ``FdSolver.metrics``, reconstructs the field once, for
+        ``final_field``, and leaves the metric arrays empty."""
+        q = np.linspace(0.0, 1e5, 21)
+        sampled = fd_solve(PAPER, ALL_SIDES, None, q, FdConfig(12, 10, 0.5),
+                           horizon=10.0, metrics_stride=stride, output_stride=stride)
+        calls = []
+        grid, metrics = FdSolver.grid, FdSolver.metrics
+        monkeypatch.setattr(FdSolver, "grid",
+                            lambda self, state: calls.append("grid") or grid(self, state))
+        monkeypatch.setattr(FdSolver, "metrics",
+                            lambda self, *a: calls.append("metrics") or metrics(self, *a))
+        fd = fd_solve(PAPER, ALL_SIDES, None, q, FdConfig(12, 10, 0.5),
+                      horizon=10.0, metrics_stride=None, output_stride=stride)
+        assert calls == ["grid"]
+        np.testing.assert_array_equal(fd.times, sampled.times)
+        np.testing.assert_array_equal(fd.outputs, sampled.outputs)
+        np.testing.assert_array_equal(fd.final_field, sampled.final_field)
+        assert fd.metrics_times.shape == fd.T_mean.shape == fd.dTz_mean.shape == (0,)
+
     def test_insulated_energy_balance(self):
         fd = fd_solve(PAPER, INSULATED, None, 5e4, FdConfig(64, 64, 0.1),
                       T_init=15.0, horizon=50.0, metrics_stride=50)
@@ -217,7 +240,18 @@ class TestFdBasics:
         for _ in range(4000):
             field = solver.step(field, tinf, 1e5)
         expected = 1e5 * (0.032**2 - 0.004**2) / (2 * 0.032)
-        assert solver.surface_flux(field) == pytest.approx(expected, rel=0.01)
+        assert solver.surface_flux(field, tinf) == pytest.approx(expected, rel=0.01)
+
+    def test_surface_flux_uses_the_stepped_coolant(self):
+        """A cell held on 25 degC surface coolant, not its config's 15 degC,
+        settles at 25 degC and sheds no heat: the flux is taken against the
+        coolant the state was stepped with (measured 1.3e-11 W m^-2; against
+        the config's T_inf it would read 4000)."""
+        solver = FdSolver(PAPER, RADIAL_ONLY, FdConfig(16, 16, 10.0))
+        tinf = np.array([25.0, 15.0, 15.0, 15.0])
+        field = solver.step(solver.uniform_field(15.0), tinf, 0.0, 3000)
+        assert np.allclose(solver.outputs(field), 25.0, rtol=0.0, atol=1e-9)
+        assert abs(solver.surface_flux(field, tinf)) <= 1e-9
 
     def test_pouch_grid(self):
         pouch = CellSpec(shape=POUCH, L=0.2, D=0.1, rho=2118.0, cp=795.0,

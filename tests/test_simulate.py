@@ -38,6 +38,7 @@ from celltherm.particular import axial_scale, radial_scale
 from celltherm.simulate import (
     METRICS_BLOCK,
     FieldEvaluator,
+    MetricsRecord,
     SimResult,
     Stepper,
     discretize,
@@ -216,7 +217,7 @@ class TestDiscretize:
             x_rk = x_rk + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
         res = run(model, project_initial_state(model, 15.0, u), u, w,
-                  dt=0.1, horizon=5.0, metrics_stride=10**9)
+                  dt=0.1, horizon=5.0, metrics_stride=None)
         y_rk = model.C @ x_rk + model.Dft @ u
         assert np.abs(res.outputs[-1] - y_rk).max() <= 1e-6
 
@@ -277,9 +278,9 @@ class TestRun:
             u = np.zeros(3)
             u[j] = 1500.0
             parts.append(run(model, np.zeros(model.order), u, 0.0, dt=5.0,
-                             horizon=100.0, metrics_stride=10**9).outputs)
+                             horizon=100.0, metrics_stride=None).outputs)
         total = run(model, np.zeros(model.order), np.full(3, 1500.0), 0.0,
-                    dt=5.0, horizon=100.0, metrics_stride=10**9).outputs
+                    dt=5.0, horizon=100.0, metrics_stride=None).outputs
         diff = np.abs(sum(parts) - total).max()
         assert diff <= 1e-9 * max(1.0, np.abs(total).max())
 
@@ -334,10 +335,10 @@ class TestRun:
         x0 = project_initial_state(model, 15.0, U_SC)
         q_coarse = np.resize(np.repeat([1e5, 0.0, 5e4], 4), 13)
         res_a = run(model, x0, U_SC, q_coarse, dt=10.0, horizon=120.0,
-                    metrics_stride=10**9)
+                    metrics_stride=None)
         q_fine = np.repeat(q_coarse, 2)[:25]
         res_b = run(model, x0, U_SC, q_fine, dt=5.0, horizon=120.0,
-                    metrics_stride=10**9)
+                    metrics_stride=None)
         assert np.abs(res_a.outputs[-1] - res_b.outputs[-1]).max() <= 1e-8
 
     def test_outputs_within_field_extrema(self):
@@ -461,12 +462,32 @@ class TestStream:
         tracemalloc.start()
         try:
             res = run(model, x0, U_SC, 1e5, dt=1.0, horizon=float(K),
-                      metrics_stride=10**9)
+                      metrics_stride=None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert res.outputs.shape == (K + 1, 4)
         assert peak < K * model.order * 8 / 4
+
+    @pytest.mark.parametrize("M,N,K", [(1, 1, 10), (3, 3, 120), (20, 20, 200)])
+    def test_outputs_only_run(self, M, N, K):
+        """``metrics_stride=None`` gives the outputs of a fully sampled run
+        bit for bit, in one block (O=1, 9) or several (O=400), keeps no
+        state, takes no metric sample and builds no FieldEvaluator."""
+        model = assemble(PAPER, SC, M, N)
+        x0 = project_initial_state(model, 15.0, U_SC)
+        q = np.linspace(0.0, 1e5, K + 1)
+        res = run(model, x0, U_SC, q, dt=1.0, horizon=float(K), metrics_stride=None)
+        assert model.evaluators == {}
+        full = run(model, x0, U_SC, q, dt=1.0, horizon=float(K), grid_shape=(5, 5),
+                   metrics_stride=1)
+        assert np.array_equal(res.outputs, full.outputs)
+        assert np.array_equal(res.times, full.times)
+        assert res.states.shape == (0, model.order)
+        assert metric_steps(K, None) == []
+        for f in fields(MetricsRecord):
+            assert getattr(res, f.name).shape == (0,), f.name
+        assert res.metrics_times.shape == (0,)
 
 
 class TestModalFirst:
