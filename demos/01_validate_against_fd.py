@@ -17,7 +17,6 @@ from celltherm.reference import FdConfig, fd_solve
 
 spec = ct.PAPER_CELL
 cooling = ct.scenario_cooling("SC")
-u = ct.boundary_input_from_cooling(cooling).as_vector(spec.shape)
 q = 1e5          # W/m^3
 horizon = 600.0  # s
 
@@ -30,8 +29,8 @@ print(f"  surface/core mid-points at t = {horizon:.0f} s: "
 print("\norder  states  max |output error| over the run")
 library = ct.assemble_library(spec, cooling, [(n, n) for n in (1, 2, 3, 4, 5)])
 for model in library.values():
-    x0 = ct.project_initial_state(model, 15.0, u)
-    res = ct.run(model, x0, u, q, dt=1.0, horizon=horizon, metrics_stride=None)
+    x0 = ct.project_initial_state(model, 15.0)
+    res = ct.run(model, x0, None, q, dt=1.0, horizon=horizon, metrics_stride=None)
     err = np.abs(res.outputs - fd.outputs[::20]).max()
     print(f"O={model.order:<4d} {model.order:>5d}  {err:10.4f} degC")
 

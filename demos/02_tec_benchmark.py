@@ -31,9 +31,8 @@ fd = fd_solve(spec, cooling, None, resample_profile(profile, 0.1, horizon),
               metrics_stride=10)
 
 model = ct.assemble(spec, cooling, 1, 1)
-u = ct.boundary_input_from_cooling(cooling).as_vector(spec.shape)
-x0 = ct.project_initial_state(model, 15.0, u)
-res = ct.run(model, x0, u, q, dt, horizon, metrics_stride=1)
+x0 = ct.project_initial_state(model, 15.0)
+res = ct.run(model, x0, None, q, dt, horizon, metrics_stride=1)
 
 tec = TecModel()   # C_c = 1079.6 J/K, C_s = 48.35 J/K, R_c = 0.65, R_u = 0.08
 _, t_c, t_s = tec_run(tec, q * vol, dt, horizon)

@@ -27,9 +27,8 @@ merits = {}
 for name in ct.SCENARIOS:
     cooling = ct.scenario_cooling(name)
     model = ct.assemble(spec, cooling, 4, 4)
-    u = ct.boundary_input_from_cooling(cooling).as_vector(spec.shape)
-    x0 = ct.project_initial_state(model, 15.0, u)
-    res = ct.run(model, x0, u, q, dt=2.0, horizon=horizon, metrics_stride=5)
+    x0 = ct.project_initial_state(model, 15.0)
+    res = ct.run(model, x0, None, q, dt=2.0, horizon=horizon, metrics_stride=5)
     merits[name] = (res.T_mean.max(), res.T_max.max(), res.dTr_max.max(),
                     res.dTz_max.max(), res.dT.max())
     t_mean, t_max, d_r, d_z, d_t = merits[name]

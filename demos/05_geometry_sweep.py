@@ -26,9 +26,8 @@ for ratio in (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0):
                        k_r=spec.k_r, k_z=spec.k_z)
     cooling = ct.scenario_cooling("btTC")
     model = ct.assemble(cell, cooling, 4, 4)
-    u = ct.boundary_input_from_cooling(cooling).as_vector(cell.shape)
-    x0 = ct.project_initial_state(model, 15.0, u)
-    res = ct.run(model, x0, u, q, dt=2.0, horizon=horizon, metrics_stride=10)
+    x0 = ct.project_initial_state(model, 15.0)
+    res = ct.run(model, x0, None, q, dt=2.0, horizon=horizon, metrics_stride=10)
     print(f"{ratio:>7.1f} {1e3 * length:>8.1f} {1e3 * r_out:>10.1f} "
           f"{res.T_mean.max():>7.2f}C {res.dTr_max.max():>7.0f}/m "
           f"{res.dTz_max.max():>7.0f}/m")

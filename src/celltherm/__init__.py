@@ -2,20 +2,18 @@
 
 A spectral-Galerkin discretization with Robin-adapted Chebyshev bases turns
 the 2D heat equation of a cylindrical or pouch cell into a small LTI
-state-space system whose inputs are the per-side cooling powers, validated
+state-space system driven by the coolant temperature of each side, validated
 against an in-package finite-difference solver and a two-state lumped
 benchmark, and applied to cooling-scenario analysis, closed-loop mean
 temperature control, and constant-volume geometry sweeps.
 """
 
 from .core import (
-    BoundaryInput,
     CellSpec,
     CoolingConfig,
     HeatProfile,
     SideCooling,
     SCENARIOS,
-    boundary_input_from_cooling,
     cell_volume,
     constant_profile,
     input_sides,

@@ -48,7 +48,6 @@ from .core import (
     CellSpec,
     CoolingConfig,
     SideCooling,
-    boundary_input_from_cooling,
     cell_volume,
     constant_profile,
     resample_profile,
@@ -359,11 +358,10 @@ def _runner(model, cfg, q_series):
     """The model's run over the configured horizon, as a callable of the
     metrics stride (None: outputs only), so that timing leaves assembly out
     and several runs share one model."""
-    u = boundary_input_from_cooling(model.cooling).as_vector(model.spec.shape)
-    y0 = project_initial_state(model, cfg["t_init_C"], u)
+    y0 = project_initial_state(model, cfg["t_init_C"])
     grid = (cfg["grid"]["n_r"], cfg["grid"]["n_z"])
     return lambda metrics_stride: run(
-        model, y0, u, q_series, cfg["dt_s"], cfg["horizon_s"], grid_shape=grid,
+        model, y0, None, q_series, cfg["dt_s"], cfg["horizon_s"], grid_shape=grid,
         metrics_stride=metrics_stride)
 
 

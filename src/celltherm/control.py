@@ -1,26 +1,24 @@
 """Closed-loop regulation of the mean cell temperature.
 
 One PI controller per actively cooled side manipulates that side's coolant
-free-stream temperature (the convection coefficients stay fixed per
-scenario, so u_side = h_side * T_inf,side makes the coolant temperature the
-physical handle). The mean temperature is not measurable, so an open-loop
-estimator mirrors the reduced model: it starts from the modal coordinates
-of ``galerkin.project_initial_state``, is propagated with the commanded
-inputs through the package's one ZOH kernel (``simulate.Stepper``), and its
-volume mean, a precomputed row, feeds the error. The estimator never reads
-the plant, so a run first issues the whole command sequence from the
-estimator alone, then runs the plant once, open loop, under the recorded
-commands: a reduced-model plant through one ``Stepper.trajectory`` from its
-own modal projection, its outputs and one batched metrics call taken from
-the modal trajectory as in ``simulate.run``, an FD plant stepped as
-``fd_solve`` steps, on the plant's own solver, with each command held over
-the FD steps of its control step. The reduced models take the cooling
-powers u = h T_inf of the commands; the FD plant takes the commanded
-coolant temperatures themselves. The estimator and a reduced-model plant
-share the model's cached ``FieldEvaluator``.
-Passive sides, and a side outside the input vector (a cylinder's core),
-hold their baseline coolant temperature for the whole run. The horizon and
-the heat series are checked before any model is built.
+free-stream temperature, the physical handle of its channel (the convection
+coefficients stay fixed per scenario). Each command is a row of coolant
+temperatures in ``SIDES`` order, which every model takes as it is. The mean
+temperature is not measurable, so an open-loop estimator mirrors the reduced
+model: it starts from the modal coordinates of
+``galerkin.project_initial_state``, is propagated with the commands through
+the package's one ZOH kernel (``simulate.Stepper``), and its volume mean, a
+precomputed row, feeds the error. The estimator never reads the plant, so a
+run first issues the whole command sequence from the estimator alone, then
+runs the plant once, open loop, under the recorded commands: a reduced-model
+plant through one ``Stepper.trajectory`` from its own modal projection, its
+outputs and one batched metrics call taken from the modal trajectory as in
+``simulate.run``, an FD plant stepped as ``fd_solve`` steps, on the plant's
+own solver, with each command held over the FD steps of its control step.
+The estimator and a reduced-model plant share the model's cached
+``FieldEvaluator``. Passive sides, and a side outside the model's inputs (a
+cylinder's core), hold their baseline coolant temperature for the whole run.
+The horizon and the heat series are checked before any model is built.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIDES, CoolingConfig, active_sides, input_sides, per_step, step_count
+from .core import SIDES, active_sides, input_sides, per_step, step_count
 from .galerkin import ReducedModel, assemble, project_initial_state
 from .reference import FdSolver, _fd_solve_on, step_ratio
 from .simulate import DEFAULT_GRID, FieldEvaluator, discretize
@@ -71,24 +69,32 @@ def pi_step(c: PiController, error: float, dt: float) -> float:
 
 
 class OpenLoopEstimator:
-    """Reduced model stepped in modal coordinates with the commanded inputs,
-    no feedback correction. Its volume-mean estimate is one precomputed row.
-    It never reads the plant, so a closed-loop run issues every command
-    before the plant runs."""
+    """Reduced model stepped in modal coordinates with the commanded coolant
+    temperatures, no feedback correction. Its volume-mean estimate is one
+    precomputed row. It never reads the plant, so a closed-loop run issues
+    every command before the plant runs."""
 
     def __init__(self, model: ReducedModel, dt: float, T_init: float,
-                 u0: np.ndarray, grid_shape=DEFAULT_GRID):
+                 tinf0=None, grid_shape=DEFAULT_GRID):
         self._stepper = discretize(model, dt)
         evaluator = FieldEvaluator.of(model, *grid_shape)
         self._mean_row = evaluator.mean_state_row
         self._mean_input_row = evaluator.mean_input_row
-        self.y = project_initial_state(model, T_init, u0)
+        self._cooling_powers = model.cooling_powers
+        self.y = project_initial_state(model, T_init, tinf0)
+        # [u; w] of the last step (u0 before the first)
+        self._v = np.append(model.inputs(tinf0, 1, "tinf0")[0], 0.0)
+        self._u = self._v[:-1]
 
-    def mean_temperature(self, u_applied: np.ndarray) -> float:
-        return float(self._mean_row @ self.y + self._mean_input_row @ u_applied)
+    def mean_temperature(self) -> float:
+        """The volume mean of the state under the inputs of its last step."""
+        return float(self._mean_row @ self.y + self._mean_input_row @ self._u)
 
-    def step(self, u: np.ndarray, w: float):
-        self.y = self._stepper.step(self.y, np.append(u, w))
+    def step(self, tinf: np.ndarray, w: float):
+        """One step under the coolant temperatures tinf (4,) and heat rate w."""
+        self._cooling_powers(tinf, out=self._u)
+        self._v[-1] = w
+        self.y = self._stepper.step(self.y, self._v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,7 +108,7 @@ class ControlTrace:
     sides: tuple                 # model input order
     active: tuple                # sides under PI control
     coolant: np.ndarray          # (K+1, n_inputs) commanded coolant temps, degC
-    u: np.ndarray                # (K+1, n_inputs) cooling powers, W m^-2
+    u: np.ndarray                # (K+1, n_inputs) their cooling powers h T_inf, W m^-2
     T_mean: np.ndarray           # plant volume mean
     T_hat_mean: np.ndarray       # estimator volume mean
     outputs: np.ndarray          # plant mid-side temperatures
@@ -132,7 +138,7 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         active = tuple(scenario)
     if not isinstance(plant, (ReducedModel, FdSolver)):
         raise TypeError("plant must be a ReducedModel or FdSolver")
-    cooling: CoolingConfig = plant.cooling
+    cooling = plant.cooling
     sides = input_sides(plant.spec.shape)
     for side in active:
         if side not in sides:
@@ -140,10 +146,7 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         if cooling.side(side).h <= 0.0:
             raise ValueError(f"active side {side!r} has no convection")
 
-    baseline_tinf = np.array([cooling.side(s).T_inf for s in sides])
-    h_vec = np.array([cooling.side(s).h for s in sides])
-    u_baseline = h_vec * baseline_tinf
-
+    baseline = cooling.T_inf
     if isinstance(plant, ReducedModel):
         est_model = estimator_model if estimator_model is not None else plant
     else:
@@ -153,52 +156,45 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
                              f"FD steps of {plant.cfg.dt} s")
         est_model = estimator_model if estimator_model is not None else \
             assemble(plant.spec, plant.cooling, 3, 3)
-    estimator = OpenLoopEstimator(est_model, dt, T_init, u_baseline, grid_shape)
+    estimator = OpenLoopEstimator(est_model, dt, T_init, baseline, grid_shape)
 
-    controllers = {
-        side: PiController(gains[0], gains[1],
-                           baseline=cooling.side(side).T_inf,
-                           output_limits=limits)
-        for side in active
-    }
+    controllers = [(j, PiController(gains[0], gains[1], baseline=baseline[j],
+                                    output_limits=limits))
+                   for j in map(SIDES.index, active)]
 
-    coolant = np.empty((n_steps + 1, len(sides)))
+    # the coolant temperatures commanded over each step, in SIDES order; the
+    # last row repeats the last command at the horizon
+    tinf = np.tile(baseline, (n_steps + 1, 1))
     t_hat = np.empty(n_steps + 1)
-
-    u_applied = u_baseline.copy()
     for k in range(n_steps):
-        t_hat[k] = estimator.mean_temperature(u_applied)
+        t_hat[k] = estimator.mean_temperature()
         error = setpoint - t_hat[k]
-        tinf_cmd = baseline_tinf.copy()
-        for j, side in enumerate(sides):
-            if side in controllers:
-                tinf_cmd[j] = pi_step(controllers[side], error, dt)
-        u_applied = h_vec * tinf_cmd
-        coolant[k] = tinf_cmd
-        estimator.step(u_applied, q_arr[k])
-    t_hat[n_steps] = estimator.mean_temperature(u_applied)
-    coolant[n_steps] = coolant[n_steps - 1] if n_steps > 0 else baseline_tinf
-    u_hist = h_vec * coolant
+        command = tinf[k]
+        for j, controller in controllers:
+            command[j] = pi_step(controller, error, dt)
+        estimator.step(command, q_arr[k])
+    t_hat[n_steps] = estimator.mean_temperature()
+    tinf[n_steps] = tinf[max(n_steps - 1, 0)]
 
+    # the cooling powers of the reduced plant, or of the FD plant's estimator
+    u = (est_model if isinstance(plant, FdSolver) else plant).cooling_powers(tinf)
     if isinstance(plant, FdSolver):
         # each command held over its FD steps, sampled once per control step
         n_fd = n_steps * fd_steps
-        tinf = np.tile([cooling.side(s).T_inf for s in SIDES], (n_steps + 1, 1))
-        tinf[:, [SIDES.index(s) for s in sides]] = coolant
         metrics = _fd_solve_on(
             plant, np.repeat(tinf, fd_steps, axis=0)[:n_fd + 1],
             np.repeat(q_arr, fd_steps)[:n_fd + 1], T_init, fd_steps, fd_steps)
         outputs = metrics.outputs
     else:
         # the field at step k is reconstructed with the input applied up to k
-        u_rec = np.vstack([u_baseline, u_hist[:-1]])
+        u_rec = np.vstack([plant.cooling_powers(baseline), u[:-1]])
         modal = discretize(plant, dt).trajectory(
-            project_initial_state(plant, T_init, u_baseline),
-            np.column_stack([u_hist[:-1], q_arr[:-1]]))
+            project_initial_state(plant, T_init, baseline),
+            np.column_stack([u[:-1], q_arr[:-1]]))
         outputs = plant.modal_outputs(modal, u_rec)
         metrics = FieldEvaluator.of(plant, *grid_shape).metrics(modal, u_rec)
     return ControlTrace(
         times=np.arange(n_steps + 1) * dt, setpoint=setpoint, sides=sides,
-        active=active, coolant=coolant, u=u_hist, T_mean=metrics.T_mean,
-        T_hat_mean=t_hat, outputs=outputs, dTr_mean=metrics.dTr_mean,
-        dTz_mean=metrics.dTz_mean)
+        active=active, coolant=tinf[:, [SIDES.index(s) for s in sides]], u=u,
+        T_mean=metrics.T_mean, T_hat_mean=t_hat, outputs=outputs,
+        dTr_mean=metrics.dTr_mean, dTz_mean=metrics.dTz_mean)

@@ -1,6 +1,6 @@
 """Domain types shared by all modules: cell geometry and properties, per-side
-cooling configuration, boundary inputs, heat-generation profiles, and the
-modal decomposition of a 1D operator.
+cooling configuration, heat-generation profiles, the checks of per-step
+inputs, and the modal decomposition of a 1D operator.
 
 Conventions
 -----------
@@ -9,12 +9,11 @@ Conventions
 * The four cooling sides are named ``surface``, ``core``, ``top``, ``bottom``.
   For pouch cells ``surface`` plays the role of the front face and ``core``
   the back face.
-* Boundary inputs are u_side = h_side * T_inf,side (W m^-2), one per side.
-  A cylindrical cell's core is never cooled (h_core = 0), so its input vector
-  has three entries [u_surface, u_top, u_bottom]; a pouch cell has four
-  [u_front, u_back, u_top, u_bottom]. The FD oracle of ``reference`` takes
-  the coolant temperatures T_inf themselves, one per side in ``SIDES``
-  order, so a cooled core keeps its own.
+* Every model takes its cooling as coolant temperatures T_inf (degC) in
+  ``SIDES`` order: None for the config's own (``CoolingConfig.T_inf``), one
+  row held over a run or one row per step (``per_step_rows``). A side with
+  h = 0, as a cylinder's core, is insulated and its entry has no effect. The
+  reduced model forms its inputs u = h T_inf (W m^-2) itself.
 * The 2D pouch model uses a unit depth of 1 m for all volume and energy
   bookkeeping; every per-volume quantity is consistent under that convention.
 """
@@ -132,6 +131,11 @@ class CoolingConfig:
             raise ValueError(f"unknown side {name!r}")
         return getattr(self, name)
 
+    @property
+    def T_inf(self) -> tuple:
+        """The coolant temperature of each side, in ``SIDES`` order."""
+        return tuple(self.side(s).T_inf for s in SIDES)
+
 
 def scenario_cooling(name: str, shape: str = CYLINDRICAL,
                      T_inf: float = 15.0) -> CoolingConfig:
@@ -165,33 +169,9 @@ def active_sides(name: str) -> tuple:
     return SCENARIOS[name]
 
 
-@dataclass(frozen=True)
-class BoundaryInput:
-    """Cooling power applied per unit area (W m^-2), u_side = h_side * T_inf,side."""
-
-    surface: float = 0.0
-    core: float = 0.0
-    top: float = 0.0
-    bottom: float = 0.0
-
-    def as_vector(self, shape: str) -> np.ndarray:
-        """Input vector in model order: [u_s, u_t, u_b] for cylindrical cells
-        (the core is never excited), [u_fs, u_bs, u_t, u_b] for pouch cells."""
-        if shape == CYLINDRICAL:
-            if self.core != 0.0:
-                raise ValueError("cylindrical cells have u_core = 0")
-            return np.array([self.surface, self.top, self.bottom])
-        return np.array([self.surface, self.core, self.top, self.bottom])
-
-
 def input_sides(shape: str) -> tuple:
-    """Side names corresponding to the entries of the model input vector."""
+    """The reduced model's input sides, in order (a cylinder's core has none)."""
     return ("surface", "top", "bottom") if shape == CYLINDRICAL else SIDES
-
-
-def boundary_input_from_cooling(cooling: CoolingConfig) -> BoundaryInput:
-    """Baseline boundary inputs u = h * T_inf from a cooling configuration."""
-    return BoundaryInput(*(cooling.side(s).h * cooling.side(s).T_inf for s in SIDES))
 
 
 def cell_volume(spec: CellSpec) -> float:
@@ -278,23 +258,24 @@ def step_count(horizon: float, dt: float) -> int:
 
 
 def per_step(values, n_times: int, name: str) -> np.ndarray:
-    """A scalar held over n_times samples, or an array of exactly n_times."""
+    """A finite scalar held over n_times samples, or an array of exactly
+    n_times finite samples."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = np.broadcast_to(arr, (n_times,))
-    if arr.shape != (n_times,):
+    if arr.shape not in ((), (n_times,)):
         raise ValueError(f"{name} must broadcast to ({n_times},)")
-    return arr
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr if arr.ndim else np.broadcast_to(arr, (n_times,))
 
 
 def per_step_rows(values, width: int, n_times: int, name: str) -> np.ndarray:
-    """Rows (n_times, width): one row of width entries held over n_times
-    samples, or exactly n_times rows."""
+    """Checked rows of width finite entries: one row (width,), which the
+    caller holds over n_times samples, or exactly n_times rows."""
     arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        arr = np.broadcast_to(arr, (n_times, arr.size))
-    if arr.shape != (n_times, width):
+    if arr.shape not in ((width,), (n_times, width)):
         raise ValueError(f"{name} must broadcast to ({n_times}, {width})")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     return arr
 
 

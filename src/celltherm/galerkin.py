@@ -8,7 +8,7 @@ tensor products, giving
     G dX/dt = A X + B u + F w,      Y = C X + Dft u,
 
 with X = [c_11, ..., c_1N, c_21, ..., c_MN]^T (row-major over (m, n)),
-u the per-side cooling powers, and w the volumetric heat rate. The inner
+u the input sides' cooling powers h T_inf, and w the heat rate. The inner
 product carries the physical radius as weight for cylindrical cells; the
 first-derivative (gamma) term then has constant integrand alpha*k_r, so all
 assembled integrands are polynomials, of degree at most 2 max(M, N) + 3, and
@@ -55,7 +55,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CYLINDRICAL, CellSpec, CoolingConfig, Modes, input_sides
+from .core import (CYLINDRICAL, SIDES, CellSpec, CoolingConfig, Modes, input_sides,
+                   per_step_rows)
 from .chebyshev import BasisSet, BasisTable, basis_table, build_basis, gauss_quadrature
 from .exceptions import AssemblyError, IllConditionedBasisError
 from .particular import (
@@ -79,6 +80,7 @@ class ReducedModel:
     docstring): ``gram_r``/``stiff_r`` are M x M, ``gram_z``/``stiff_z``
     N x N, and the stiffness factors are symmetric. Column i of ``P``
     holds the Galerkin moments of input side i's particular component.
+    The inputs u are formed from coolant temperatures by ``cooling_powers``.
     """
 
     spec: CellSpec
@@ -109,6 +111,32 @@ class ReducedModel:
     @property
     def sides(self) -> tuple:
         return input_sides(self.spec.shape)
+
+    @cached_property
+    def _coolant_gains(self) -> np.ndarray:
+        """diag(h) over ``SIDES``, cut to the input sides' columns."""
+        return np.diag([self.cooling.side(s).h for s in SIDES])[
+            :, [SIDES.index(s) for s in self.sides]]
+
+    def cooling_powers(self, tinf, out=None) -> np.ndarray:
+        """The inputs u = h T_inf (..., n_inputs) over ``sides`` of finite
+        coolant temperatures (..., 4) in ``SIDES`` order: T_inf @ diag(h),
+        each entry one exact product, and a cylinder's core has no effect."""
+        return np.matmul(tinf, self._coolant_gains, out=out)
+
+    def inputs(self, tinf, n_times: int, name: str = "tinf") -> np.ndarray:
+        """The inputs u (n_times, n_inputs) of coolant temperatures in
+        ``SIDES`` order: None for the cooling config's own, one (4,) row held
+        over n_times samples, or n_times rows (``per_step_rows``)."""
+        # a held row is converted once, then held; the config's own (checked
+        # by SideCooling) once per model
+        u = (self._config_inputs if tinf is None else
+             self.cooling_powers(per_step_rows(tinf, len(SIDES), n_times, name)))
+        return np.broadcast_to(u, (n_times, self.n_inputs))
+
+    @cached_property
+    def _config_inputs(self) -> np.ndarray:
+        return self.cooling_powers(self.cooling.T_inf)
 
     @property
     def rho_cp(self) -> float:
@@ -350,9 +378,11 @@ def assemble(spec: CellSpec, cooling: CoolingConfig, M: int, N: int) -> ReducedM
     return assemble_library(spec, cooling, [(M, N)])[M, N]
 
 
-def project_initial_state(model: ReducedModel, T_init: float, u0) -> np.ndarray:
+def project_initial_state(model: ReducedModel, T_init: float,
+                          tinf0=None) -> np.ndarray:
     """Modal coordinates Y(0) of the Galerkin projection of the homogeneous
-    part of a uniform initial field.
+    part of a uniform initial field, under the coolant temperatures ``tinf0``
+    in ``SIDES`` order (None: the config's own), whose inputs u0 it carries.
 
     The projection solves G X(0) = rho cp < w (T_init - T_p(.) u0), eta > so
     that the reconstruction T_h(0) + T_p u0 approximates the uniform T_init;
@@ -362,11 +392,9 @@ def project_initial_state(model: ReducedModel, T_init: float, u0) -> np.ndarray:
     modal coordinates V_inv,r X(0) V_inv,z^T are Q_r^T R Q_z: two products,
     no solve.
     """
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (model.n_inputs,):
-        raise ValueError(f"u0 must have shape ({model.n_inputs},)")
-    if not (np.isfinite(T_init) and np.all(np.isfinite(u0))):
-        raise ValueError("T_init and u0 must be finite")
+    if not np.isfinite(T_init):
+        raise ValueError("T_init must be finite")
+    u0 = model.inputs(tinf0, 1, "tinf0")[0]
     moments = float(T_init) * model.F.reshape(model.M, model.N)
     for col, value in enumerate(u0):
         moments -= value * model.P[:, col].reshape(model.M, model.N)

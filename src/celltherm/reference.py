@@ -186,8 +186,7 @@ class FdSolver:
     temperatures and the heat rate enter as affine per-step inputs, so
     closed-loop runs with varying coolant commands reuse the decomposition.
     ``step``, as ``fd_solve``, takes the four coolant temperatures in
-    ``SIDES`` order, a cylinder's core included; the reduced model's
-    cooling powers u = h T_inf never enter.
+    ``SIDES`` order, a cylinder's core included.
     The input term of the last v is remembered and reused while v repeats
     bit for bit (a held input, as a staircase heat profile gives), so a
     repeated step returns exactly what a fresh solver would. ``step(..., n)``
@@ -375,18 +374,18 @@ def fd_solve(spec: CellSpec, cooling: CoolingConfig, tinf, q, cfg: FdConfig,
     [surface, core, top, bottom]: None for the cooling config's own, one
     (4,) row held over the run, or exactly K+1 rows. A side with h = 0 is
     insulated, and its entry has no effect. ``q`` is a scalar or exactly K+1
-    samples of the volumetric heat rate. Both are checked before the
-    solver is built. Outputs are sampled at ``metric_steps(K, output_stride)``
-    and metrics at ``metric_steps(K, metrics_stride)``, so an outputs-only
-    run, ``metrics_stride=None``, takes no metric sample and its metric
-    arrays are empty; ``final_field`` is always formed. Between two samples
-    or input changes the input is held, and the solver takes those steps as
-    one.
+    samples of the volumetric heat rate. Both are checked, every entry
+    finite, before the solver is built. Outputs are sampled at
+    ``metric_steps(K, output_stride)`` and metrics at ``metric_steps(K,
+    metrics_stride)``, so an outputs-only run, ``metrics_stride=None``, takes
+    no metric sample and its metric arrays are empty; ``final_field`` is
+    always formed. Between two samples or input changes the input is held,
+    and the solver takes those steps as one.
     """
     n_times = step_count(horizon, cfg.dt) + 1
-    if tinf is None:
-        tinf = [cooling.side(s).T_inf for s in SIDES]
-    tinf_arr = per_step_rows(tinf, len(SIDES), n_times, "tinf")
+    tinf_arr = per_step_rows(cooling.T_inf if tinf is None else tinf,
+                             len(SIDES), n_times, "tinf")
+    tinf_arr = np.broadcast_to(tinf_arr, (n_times, len(SIDES)))
     q_arr = per_step(q, n_times, "q")
     return _fd_solve_on(FdSolver(spec, cooling, cfg), tinf_arr, q_arr, T_init,
                         metrics_stride, output_stride)

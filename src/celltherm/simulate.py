@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import BoundaryInput, per_step, per_step_rows, step_count
+from .core import per_step, step_count
 from .chebyshev import basis_table
 from .exceptions import NumericalError
 from .galerkin import ReducedModel
@@ -359,29 +359,27 @@ def metric_steps(n_steps: int, stride: int | None) -> list:
     return idx
 
 
-def run(model: ReducedModel, Y0, u, w, dt: float, horizon: float,
+def run(model: ReducedModel, Y0, tinf, w, dt: float, horizon: float,
         grid_shape=DEFAULT_GRID, metrics_stride: int | None = 1) -> SimResult:
     """Step the model over [0, horizon] with staircase inputs from the modal
     coordinates Y0 (order,), as ``galerkin.project_initial_state`` gives them.
 
-    ``u`` is a constant input vector / BoundaryInput or an array with one row
-    per step (K+1 rows); ``w`` a scalar or per-step array, both already
-    resampled to dt. The states are stepped STEP_BLOCK floats at a time and
-    kept only at the metric steps, ``metric_steps(K, metrics_stride)``. An
-    outputs-only run, ``metrics_stride=None``, keeps no state and builds no
-    ``FieldEvaluator``: its states have shape (0, order) and its metric
-    arrays are empty.
+    ``tinf`` holds the coolant temperatures in ``SIDES`` order as ``fd_solve``
+    takes them (None, one (4,) row or K+1 rows; ``ReducedModel.inputs``),
+    ``w`` a scalar or K+1 heat samples, both already resampled to dt. The
+    states are stepped STEP_BLOCK floats at a time and kept only at the metric
+    steps, ``metric_steps(K, metrics_stride)``. An outputs-only run,
+    ``metrics_stride=None``, keeps no state and builds no ``FieldEvaluator``:
+    its states have shape (0, order) and its metric arrays are empty.
     """
     y = np.asarray(Y0, dtype=float)
     if y.shape != (model.order,):
         raise ValueError(f"Y0 must have shape ({model.order},), not {y.shape}")
-    stepper = discretize(model, dt)
     n_steps = step_count(horizon, dt)
-    times = np.arange(n_steps + 1) * dt
-    if isinstance(u, BoundaryInput):
-        u = u.as_vector(model.spec.shape)
-    u_arr = per_step_rows(u, model.n_inputs, n_steps + 1, "u")
+    u_arr = model.inputs(tinf, n_steps + 1)
     w_arr = per_step(w, n_steps + 1, "w")
+    stepper = discretize(model, dt)
+    times = np.arange(n_steps + 1) * dt
     inputs = np.column_stack([u_arr, w_arr])
     idx = metric_steps(n_steps, metrics_stride)
     rows = max(1, STEP_BLOCK // model.order)

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import strategies as st
 
-from celltherm.core import CYLINDRICAL, POUCH, CellSpec, CoolingConfig, SideCooling
+from celltherm.core import CYLINDRICAL, POUCH, SIDES, CellSpec, CoolingConfig, SideCooling
 
 
 @st.composite
@@ -38,3 +38,12 @@ def to_modal(model, X, inverse=False):
     left, right = (r.V, z.V) if inverse else (r.V_inv, z.V_inv)
     X = np.asarray(X, dtype=float)
     return (left @ X.reshape(-1, model.M, model.N) @ right.T).reshape(X.shape)
+
+
+def cooling_powers(model, tinf):
+    """The inputs u = h T_inf (..., n_inputs) of coolant temperatures
+    (..., 4) in ``SIDES`` order, formed by hand side by side from the
+    model's cooling config: the reference for the package's own."""
+    tinf = np.asarray(tinf, dtype=float)
+    return np.stack([model.cooling.side(s).h * tinf[..., SIDES.index(s)]
+                     for s in model.sides], axis=-1)

@@ -37,7 +37,6 @@ from celltherm.core import (
     CellSpec,
     CoolingConfig,
     SideCooling,
-    boundary_input_from_cooling,
     cell_volume,
     resample_profile,
     scenario_cooling,
@@ -74,9 +73,8 @@ def _model(spec, cooling, order):
 
 def _baseline_run(spec, cooling, order, q, dt, horizon, stride=10**9):
     model = _model(spec, cooling, order)
-    u = boundary_input_from_cooling(cooling).as_vector(spec.shape)
-    x0 = project_initial_state(model, 15.0, u)
-    return run(model, x0, u, q, dt, horizon, metrics_stride=stride), u, model
+    x0 = project_initial_state(model, 15.0)
+    return run(model, x0, None, q, dt, horizon, metrics_stride=stride)
 
 
 # ---------------------------------------------------------------- criterion 1
@@ -125,7 +123,7 @@ def csg_errors_vs_fd(fd_sc_reference):
     ref = fd_sc_reference.outputs
     errors = {}
     for order in (1, 4, 9, 16, 25):
-        result, _, _ = _baseline_run(PAPER, cooling, order, 1e5, 1.0, 600.0)
+        result = _baseline_run(PAPER, cooling, order, 1e5, 1.0, 600.0)
         errors[order] = np.abs(result.outputs - ref).max(axis=0)
     return errors
 
@@ -187,7 +185,7 @@ def test_criterion_3_radial_steady_state():
     ok = True
     details = []
     for order in (16, 25):
-        result, _, _ = _baseline_run(PAPER, cooling, order, q, 100.0, 40000.0)
+        result = _baseline_run(PAPER, cooling, order, q, 100.0, 40000.0)
         y = result.outputs[-1]
         rise = y[0] - 15.0
         diff = y[1] - y[0]
@@ -207,7 +205,7 @@ def test_criterion_4_energy_balance():
     expected = 5e4 / (PAPER.rho * PAPER.cp)
     slopes = {}
     for order in (1, 9):
-        result, _, _ = _baseline_run(PAPER, insulated, order, 5e4, 1.0, 100.0,
+        result = _baseline_run(PAPER, insulated, order, 5e4, 1.0, 100.0,
                                      stride=25)
         slopes[f"O={order}"] = (result.T_mean[-1] - result.T_mean[0]) / (
             result.metrics_times[-1] - result.metrics_times[0])
@@ -231,12 +229,12 @@ def test_criterion_5_superposition():
         model = _model(spec, cooling, 9)
         n_in = model.n_inputs
         total = np.zeros((41, 4))
-        for j in range(n_in):
-            u = np.zeros(n_in)
-            u[j] = 2000.0
-            total = total + run(model, np.zeros(model.order), u, 0.0, 5.0,
+        for j in range(4):
+            tinf = np.zeros(4)
+            tinf[j] = 5.0
+            total = total + run(model, np.zeros(model.order), tinf, 0.0, 5.0,
                                 200.0, metrics_stride=10**9).outputs
-        combined = run(model, np.zeros(model.order), np.full(n_in, 2000.0),
+        combined = run(model, np.zeros(model.order), np.full(4, 5.0),
                        0.0, 5.0, 200.0, metrics_stride=10**9).outputs
         rel = np.abs(total - combined).max() / np.abs(combined).max()
         ok &= rel <= 1e-9
@@ -267,9 +265,8 @@ def test_criterion_7_tec_vs_csg_fidelity():
                   T_init=15.0, horizon=horizon, metrics_stride=10)
 
     model = _model(PAPER, cooling, 1)
-    u = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
-    x0 = project_initial_state(model, 15.0, u)
-    res = run(model, x0, u, q, dt, horizon, metrics_stride=1)
+    x0 = project_initial_state(model, 15.0)
+    res = run(model, x0, None, q, dt, horizon, metrics_stride=1)
 
     tec = TecModel()
     times, t_c, t_s = tec_run(tec, q * VOL, dt, horizon)
@@ -296,7 +293,7 @@ def test_criterion_8_scenario_ordering():
     merits = {}
     for name in SCENARIOS:
         cooling = scenario_cooling(name)
-        result, _, _ = _baseline_run(PAPER, cooling, 16, 1e5, 2.0, 600.0,
+        result = _baseline_run(PAPER, cooling, 16, 1e5, 2.0, 600.0,
                                      stride=5)
         merits[name] = {
             "T_mean": result.T_mean.max(), "T_max": result.T_max.max(),
@@ -349,7 +346,7 @@ def test_criterion_10_geometry_sweep():
                         R_in=PAPER.R_in, rho=PAPER.rho, cp=PAPER.cp,
                         k_r=PAPER.k_r, k_z=PAPER.k_z)
         cooling = scenario_cooling("btTC")
-        result, _, _ = _baseline_run(cell, cooling, 16, 1e5, 2.0, 600.0,
+        result = _baseline_run(cell, cooling, 16, 1e5, 2.0, 600.0,
                                      stride=10)
         t_means.append(result.T_mean.max())
         dz_maxes.append(result.dTz_max.max())
@@ -376,11 +373,10 @@ def test_criterion_11_timing_report():
     entries = [("TEC", lambda: tec_run(tec, q * VOL, dt, horizon))]
     for order in (1, 4, 9, 16, 25):
         model = _model(PAPER, cooling, order)
-        u = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
-        x0 = project_initial_state(model, 15.0, u)
+        x0 = project_initial_state(model, 15.0)
         entries.append((f"O={order}",
-                        lambda m=model, x=x0, uu=u: run(
-                            m, x, uu, q, dt, horizon, metrics_stride=None)))
+                        lambda m=model, x=x0: run(
+                            m, x, None, q, dt, horizon, metrics_stride=None)))
     table = timing_harness(entries, repetitions=5)
     by_name = {row["model"]: row["mean_ms"] for row in table}
     ratio = by_name["O=1"] / by_name["TEC"]

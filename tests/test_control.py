@@ -19,12 +19,21 @@ from celltherm.core import (
     CYLINDRICAL,
     SIDES,
     CellSpec,
-    boundary_input_from_cooling,
     scenario_cooling,
 )
 from celltherm.galerkin import assemble, project_initial_state
 from celltherm.reference import FdConfig, FdSolver, fd_solve
 from celltherm.simulate import FieldEvaluator, discretize, run
+from strategies import cooling_powers
+
+def commanded_coolant(trace, cooling):
+    """The commanded coolant temperatures (K+1, 4) of a trace in ``SIDES``
+    order: the cylinder's core is no model input and keeps its baseline."""
+    return np.column_stack([trace.coolant[:, trace.sides.index(s)]
+                            if s in trace.sides else
+                            np.full(len(trace.times), cooling.side(s).T_inf)
+                            for s in SIDES])
+
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -73,27 +82,26 @@ class TestPiStep:
 class TestEstimator:
     def test_nominal_estimator_equals_plant(self):
         model = assemble(PAPER, scenario_cooling("aTSC"), 3, 3)
-        u = boundary_input_from_cooling(model.cooling).as_vector(CYLINDRICAL)
         trace = closed_loop_run(model, "aTSC", 20.0, 4e4, dt=2.0, horizon=100.0)
         assert np.abs(trace.T_mean - trace.T_hat_mean).max() <= 1e-9
 
     def test_estimate_mean_steps_the_state(self):
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
-        u = boundary_input_from_cooling(model.cooling).as_vector(CYLINDRICAL)
-        est = OpenLoopEstimator(model, dt=5.0, T_init=15.0, u0=u)
+        tinf = np.array(model.cooling.T_inf)
+        est = OpenLoopEstimator(model, dt=5.0, T_init=15.0, tinf0=tinf)
         y_before = est.y.copy()
-        est.step(u, 5e4)
+        est.step(tinf, 5e4)
         assert not np.allclose(est.y, y_before)
-        assert est.mean_temperature(u) > 15.0
+        assert est.mean_temperature() > 15.0
 
     def test_zero_heat_equilibrium_estimate_constant(self):
         model = assemble(PAPER, scenario_cooling("SC"), 3, 3)
-        u = boundary_input_from_cooling(model.cooling).as_vector(CYLINDRICAL)
-        est = OpenLoopEstimator(model, dt=10.0, T_init=15.0, u0=u)
-        first = est.mean_temperature(u)
+        tinf = np.array(model.cooling.T_inf)
+        est = OpenLoopEstimator(model, dt=10.0, T_init=15.0)
+        first = est.mean_temperature()
         for _ in range(20):
-            est.step(u, 0.0)
-        assert est.mean_temperature(u) == pytest.approx(first, abs=5e-3)
+            est.step(tinf, 0.0)
+        assert est.mean_temperature() == pytest.approx(first, abs=5e-3)
 
     def test_low_order_estimator_tracks_fd_plant_steady(self):
         """Open-loop O=4 estimate vs the FD field under constant heat:
@@ -101,15 +109,14 @@ class TestEstimator:
         cooling = scenario_cooling("SC")
         solver = FdSolver(PAPER, cooling, FdConfig(48, 48, 2.0))
         model = assemble(PAPER, cooling, 2, 2)
-        u = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
-        est = OpenLoopEstimator(model, dt=2.0, T_init=15.0, u0=u)
+        est = OpenLoopEstimator(model, dt=2.0, T_init=15.0)
         field = solver.uniform_field(15.0)
-        tinf = [cooling.side(s).T_inf for s in SIDES]
+        tinf = np.array(cooling.T_inf)
         for _ in range(3000):
             field = solver.step(field, tinf, 5e4)
-            est.step(u, 5e4)
+            est.step(tinf, 5e4)
         fd_mean = solver.metrics(field).T_mean
-        assert abs(est.mean_temperature(u) - fd_mean) <= 0.3
+        assert abs(est.mean_temperature() - fd_mean) <= 0.3
 
 
 class TestClosedLoop:
@@ -129,6 +136,18 @@ class TestClosedLoop:
             j = trace.sides.index(side)
             baseline = model.cooling.side(side).h * model.cooling.side(side).T_inf
             assert np.all(trace.u[:, j] == baseline)
+
+    def test_last_row_repeats_the_last_command(self):
+        """Row K of the record repeats the command of the last step; with no
+        step at all it is the baseline."""
+        model = assemble(PAPER, scenario_cooling("bTC"), 2, 2)
+        trace = closed_loop_run(model, "bTC", 20.0, 1.2e5, dt=2.0, horizon=20.0)
+        j = trace.sides.index("bottom")
+        assert trace.coolant[-2, j] != 15.0
+        assert np.array_equal(trace.coolant[-1], trace.coolant[-2])
+        assert np.array_equal(trace.u[-1], trace.u[-2])
+        trace = closed_loop_run(model, "bTC", 20.0, 1.2e5, dt=2.0, horizon=0.0)
+        assert np.array_equal(trace.coolant, [[15.0, 15.0, 15.0]])
 
     def test_commands_respect_limits(self):
         model = assemble(PAPER, scenario_cooling("bTC"), 2, 2)
@@ -182,10 +201,7 @@ class TestClosedLoop:
         trace = closed_loop_run(FdSolver(PAPER, cooling, cfg), "aTSC", 20.0, q,
                                 dt=2.0, horizon=60.0,
                                 estimator_model=assemble(PAPER, cooling, 2, 2))
-        # the cylinder's core is no model input and keeps its baseline
-        tinf = np.column_stack([trace.coolant[:, trace.sides.index(s)]
-                                if s in trace.sides else
-                                np.full(31, cooling.side(s).T_inf) for s in SIDES])
+        tinf = commanded_coolant(trace, cooling)
         fd = fd_solve(PAPER, cooling, np.repeat(tinf, 4, axis=0)[:121],
                       np.repeat(q, 4)[:121], cfg, horizon=60.0)
         np.testing.assert_allclose(trace.T_mean, fd.T_mean[::4], rtol=0, atol=1e-12)
@@ -248,15 +264,16 @@ class TestClosedLoop:
         """The estimator's precomputed modal row gives the volume mean of the
         reconstructed field along a driven trajectory."""
         model = assemble(PAPER, scenario_cooling("btTC"), 3, 3)
-        u = boundary_input_from_cooling(model.cooling).as_vector(CYLINDRICAL)
-        est = OpenLoopEstimator(model, dt=4.0, T_init=15.0, u0=u)
-        means = [est.mean_temperature(u)]
+        tinf = np.array(model.cooling.T_inf)
+        est = OpenLoopEstimator(model, dt=4.0, T_init=15.0, tinf0=tinf)
+        means = [est.mean_temperature()]
         for k in range(10):
-            est.step(u * (1.0 + 0.1 * k), 6e4)
-            means.append(est.mean_temperature(u * (1.0 + 0.1 * k)))
-        u_rows = np.vstack([u] + [u * (1.0 + 0.1 * k) for k in range(10)])
+            est.step(tinf * (1.0 + 0.1 * k), 6e4)
+            means.append(est.mean_temperature())
+        u_rows = cooling_powers(
+            model, np.vstack([tinf] + [tinf * (1.0 + 0.1 * k) for k in range(10)]))
         modal = discretize(model, 4.0).trajectory(
-            project_initial_state(model, 15.0, u),
+            project_initial_state(model, 15.0, tinf),
             np.column_stack([u_rows[1:], np.full(10, 6e4)]))
         metrics = FieldEvaluator(model).metrics(modal, u_rows)
         np.testing.assert_allclose(means, metrics.T_mean, rtol=1e-13)
@@ -273,9 +290,11 @@ class TestClosedLoop:
         q = np.linspace(2e4, 8e4, 61)
         trace = closed_loop_run(model, "aTSC", 20.0, q, dt=2.0, horizon=120.0,
                                 estimator_model=est)
-        u0 = boundary_input_from_cooling(model.cooling).as_vector(CYLINDRICAL)
-        res = run(model, project_initial_state(model, 15.0, u0), trace.u, q,
+        tinf = commanded_coolant(trace, model.cooling)
+        res = run(model, project_initial_state(model, 15.0), tinf, q,
                   dt=2.0, horizon=120.0, metrics_stride=10**9)
+        assert np.array_equal(trace.u, cooling_powers(model, tinf))
+        u0 = cooling_powers(model, model.cooling.T_inf)
         u_rec = np.vstack([u0, trace.u[:-1]])
         np.testing.assert_allclose(trace.outputs - u_rec @ model.Dft.T,
                                    res.outputs - trace.u @ model.Dft.T,

@@ -10,15 +10,14 @@ from celltherm.core import (
     POUCH,
     SCENARIOS,
     SIDES,
-    BoundaryInput,
     CellSpec,
     HeatProfile,
     SideCooling,
     bernardi_q,
-    boundary_input_from_cooling,
     cell_volume,
     constant_profile,
     per_step,
+    per_step_rows,
     resample_profile,
     scenario_cooling,
     step_count,
@@ -36,7 +35,7 @@ SC = scenario_cooling("SC")
 STEPPED_RUNS = {
     "step_count": lambda dt, horizon: step_count(horizon, dt),
     "run": lambda dt, horizon: run(assemble(PAPER, SC, 1, 1), np.zeros(1),
-                                   np.zeros(3), 0.0, dt, horizon),
+                                   None, 0.0, dt, horizon),
     "tec_run": lambda dt, horizon: tec_run(TecModel(), 1.0, dt, horizon),
     "fd_solve": lambda dt, horizon: fd_solve(PAPER, SC, None, 0.0,
                                              FdConfig(3, 3, dt), horizon=horizon),
@@ -171,6 +170,24 @@ class TestStepGrid:
         with pytest.raises(ValueError, match=quantity):
             STEPPED_RUNS[caller](dt, horizon)
 
+    @pytest.mark.parametrize("caller, name", [
+        ("run", "w"), ("tec_run", "q"), ("fd_solve", "q"), ("closed_loop_run", "q")])
+    def test_non_finite_last_heat_sample_rejected_by_name(self, caller, name):
+        """The last heat sample is read by no step, but a NaN there is still
+        a ValueError that names the series."""
+        q = np.r_[np.full(10, 1e4), np.nan]
+        calls = {
+            "run": lambda: run(assemble(PAPER, SC, 1, 1), np.zeros(1), None, q,
+                               1.0, 10.0),
+            "tec_run": lambda: tec_run(TecModel(), q, 1.0, 10.0),
+            "fd_solve": lambda: fd_solve(PAPER, SC, None, q, FdConfig(3, 3, 1.0),
+                                         horizon=10.0),
+            "closed_loop_run": lambda: closed_loop_run(
+                assemble(PAPER, SC, 1, 1), "SC", 20.0, q, 1.0, 10.0),
+        }
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            calls[caller]()
+
     def test_step_count_forgives_rounding_of_a_multiple(self):
         assert 0.3 / 0.1 < 3.0   # rounds below the multiple
         assert step_count(0.3, 0.1) == 3
@@ -185,6 +202,32 @@ class TestStepGrid:
         for bad in (np.ones(3), np.ones(5), np.ones((4, 1))):
             with pytest.raises(ValueError, match=r"q must broadcast to \(4,\)"):
                 per_step(bad, 4, "q")
+
+    def test_per_step_rows_checks_one_row_or_every_row(self):
+        """One row comes back as it is, for the caller to hold; n_times rows
+        as they are; any other shape is an error naming the argument."""
+        row = [1.0, 2.0, 3.0, 4.0]
+        assert np.array_equal(per_step_rows(row, 4, 3, "tinf"), row)
+        rows = np.arange(12.0).reshape(3, 4)
+        assert np.array_equal(per_step_rows(rows, 4, 3, "tinf"), rows)
+        for bad in (np.ones(3), np.ones(5), np.ones((2, 4)), np.ones((3, 3)), 1.0):
+            with pytest.raises(ValueError, match=r"tinf must broadcast to \(3, 4\)"):
+                per_step_rows(bad, 4, 3, "tinf")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected_by_name(self, bad):
+        """A non-finite entry anywhere, a held value or the last sample
+        included, is a ValueError naming the argument; a held row is
+        checked before it is held."""
+        for values in (bad, np.r_[1.0, 2.0, 3.0, bad]):
+            with pytest.raises(ValueError, match="w must be finite"):
+                per_step(values, 4, "w")
+        with pytest.raises(ValueError, match="tinf must be finite"):
+            per_step_rows([15.0, bad, 15.0, 15.0], 4, 10**9, "tinf")
+        rows = np.full((3, 4), 15.0)
+        rows[-1, 1] = bad
+        with pytest.raises(ValueError, match="tinf must be finite"):
+            per_step_rows(rows, 4, 3, "tinf")
 
 
 class TestScenarios:
@@ -213,27 +256,6 @@ class TestScenarios:
     def test_unknown_scenario(self):
         with pytest.raises(ValueError):
             scenario_cooling("XYZ")
-
-
-class TestBoundaryInput:
-    def test_cylindrical_drops_core(self):
-        u = BoundaryInput(surface=1.0, top=2.0, bottom=3.0)
-        assert list(u.as_vector(CYLINDRICAL)) == [1.0, 2.0, 3.0]
-
-    def test_cylindrical_core_must_be_zero(self):
-        with pytest.raises(ValueError):
-            BoundaryInput(surface=1.0, core=5.0).as_vector(CYLINDRICAL)
-
-    def test_pouch_keeps_four(self):
-        u = BoundaryInput(1.0, 2.0, 3.0, 4.0)
-        assert list(u.as_vector(POUCH)) == [1.0, 2.0, 3.0, 4.0]
-
-    def test_baseline_from_cooling(self):
-        cfg = scenario_cooling("SC", T_inf=15.0)
-        u = boundary_input_from_cooling(cfg)
-        assert u.surface == pytest.approx(400.0 * 15.0)
-        assert u.core == 0.0
-        assert u.top == pytest.approx(30.0 * 15.0)
 
 
 class TestValidation:
@@ -290,6 +312,11 @@ class TestValidation:
         vq = p.to_volumetric(6.27e-4)
         assert vq.values[0] == pytest.approx(2.871e4, rel=1e-3)
         assert vq.values[1] == 0.0
+
+    def test_coolant_temperatures_in_sides_order(self):
+        cfg = replace(scenario_cooling("SC"), top=SideCooling(30.0, 25.0))
+        assert cfg.T_inf == (15.0, 15.0, 25.0, 15.0)
+        assert SIDES == ("surface", "core", "top", "bottom")
 
     def test_cooling_side_lookup(self):
         cfg = scenario_cooling("btTC")

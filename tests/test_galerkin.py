@@ -22,7 +22,6 @@ from celltherm.core import (
     CellSpec,
     CoolingConfig,
     SideCooling,
-    boundary_input_from_cooling,
     scenario_cooling,
 )
 from celltherm import galerkin
@@ -41,7 +40,7 @@ from celltherm.particular import (
     robin_pairs,
 )
 from celltherm.simulate import FieldEvaluator, discretize, run
-from strategies import cells_and_coolings, to_modal
+from strategies import cells_and_coolings, cooling_powers, to_modal
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -122,7 +121,7 @@ class TestAssembleStructure:
         model = assemble(PAPER, scenario_cooling("SC"), 3, 3)
         for _ in range(5):
             x = rng.standard_normal(model.order)
-            res = run(model, to_modal(model, x), np.zeros(3), 0.0, dt=5.0,
+            res = run(model, to_modal(model, x), np.zeros(4), 0.0, dt=5.0,
                       horizon=100.0, grid_shape=(5, 5), metrics_stride=1)
             states = to_modal(model, res.states, inverse=True)
             energy = np.einsum("ki,ij,kj->k", states, model.G, states)
@@ -297,17 +296,17 @@ class TestQuadratureGuard:
 class TestInitialState:
     def test_zero_everything(self):
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
-        y0 = project_initial_state(model, 0.0, np.zeros(3))
+        y0 = project_initial_state(model, 0.0, np.zeros(4))
         assert np.abs(y0).max() < 1e-12
 
     def test_uniform_field_reconstruction_improves_with_order(self):
-        """With u0 = 0 the bare constant violates the Robin data, so the
-        projection defect is a boundary layer; its volume-weighted mean
-        shrinks steadily with order."""
+        """With coolant at 0 degC, u0 = 0, the bare constant violates the
+        Robin data, so the projection defect is a boundary layer; its
+        volume-weighted mean shrinks steadily with order."""
         errors = []
         for count in (1, 2, 3, 4, 5):
             model = assemble(PAPER, scenario_cooling("SC"), count, count)
-            y0 = project_initial_state(model, 15.0, np.zeros(3))
+            y0 = project_initial_state(model, 15.0, np.zeros(4))
             ev = FieldEvaluator(model, 21, 21)
             grid = ev.field(y0, np.zeros(3))
             errors.append(float(np.sum(ev._vol_weights * np.abs(grid.values - 15.0))))
@@ -316,29 +315,31 @@ class TestInitialState:
 
     def test_paper_baseline_within_tenth_degree_for_order_nine(self):
         cooling = scenario_cooling("SC")
-        u0 = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
         for count in (3, 4):
             model = assemble(PAPER, cooling, count, count)
-            y0 = project_initial_state(model, 15.0, u0)
+            y0 = project_initial_state(model, 15.0)
             ev = FieldEvaluator(model, 3, 3)
-            grid = ev.field(y0, u0)
+            grid = ev.field(y0, model.cooling_powers(cooling.T_inf))
             assert np.abs(grid.values - 15.0).max() <= 0.1
 
-    def test_wrong_input_size_rejected(self):
+    @pytest.mark.parametrize("shape", [(3,), (5,), (2, 4)])
+    def test_wrong_input_size_rejected(self, shape):
+        """A cylinder, too, takes all four coolant temperatures: a row of
+        its three input sides is an error that names the argument."""
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
-        with pytest.raises(ValueError):
-            project_initial_state(model, 15.0, np.zeros(4))
+        with pytest.raises(ValueError, match=r"tinf0 must broadcast to \(1, 4\)"):
+            project_initial_state(model, 15.0, np.zeros(shape))
 
-    @pytest.mark.parametrize("T_init, u0", [
-        (np.nan, [0.0, 0.0, 0.0]),
-        (np.inf, [0.0, 0.0, 0.0]),
-        (15.0, [6000.0, np.nan, 0.0]),
-        (15.0, [-np.inf, 0.0, 0.0]),
-    ], ids=["nan-T", "inf-T", "nan-u0", "inf-u0"])
-    def test_non_finite_initial_data_rejected(self, T_init, u0):
+    @pytest.mark.parametrize("T_init, tinf0", [
+        (np.nan, [15.0, 15.0, 15.0, 15.0]),
+        (np.inf, [15.0, 15.0, 15.0, 15.0]),
+        (15.0, [15.0, np.nan, 15.0, 15.0]),
+        (15.0, [-np.inf, 15.0, 15.0, 15.0]),
+    ], ids=["nan-T", "inf-T", "nan-tinf0", "inf-tinf0"])
+    def test_non_finite_initial_data_rejected(self, T_init, tinf0):
         model = assemble(PAPER, scenario_cooling("SC"), 2, 2)
         with pytest.raises(ValueError, match="finite"):
-            project_initial_state(model, T_init, u0)
+            project_initial_state(model, T_init, tinf0)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(cells_and_coolings(), st.integers(1, 8), st.integers(1, 8),
@@ -349,11 +350,11 @@ class TestInitialState:
         Galerkin state that the dense mass matrix gives:
         G X(0) = rho cp vec(R), R = T_init F - P u0."""
         model = assemble(*cell, M, N)
-        u0 = 1e4 * np.random.default_rng(seed).standard_normal(model.n_inputs)
-        moments = T_init * model.F - model.P @ u0
+        tinf0 = 40.0 * np.random.default_rng(seed).standard_normal(4)
+        moments = T_init * model.F - model.P @ cooling_powers(model, tinf0)
         x0 = np.linalg.solve(model.G, model.rho_cp * moments)
         want = to_modal(model, x0)
-        got = project_initial_state(model, T_init, u0)
+        got = project_initial_state(model, T_init, tinf0)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -397,7 +398,7 @@ class TestLibrary:
                            for _ in range(2))]
         library = galerkin.assemble_library(spec, cooling, sizes)
         assert set(library) == set(sizes)
-        u = 0.5 * boundary_input_from_cooling(cooling).as_vector(spec.shape)
+        tinf = 0.5 * np.array(cooling.T_inf)
         for size, member in library.items():
             alone = assemble(spec, cooling, *size)
             assert (member.M, member.N) == size
@@ -409,7 +410,7 @@ class TestLibrary:
                 assert a.shape == b.shape, name
                 scale = np.abs(b).max() or 1.0
                 assert np.abs(a - b).max() <= self.BOUNDS[name] * scale, (name, size)
-            a, b = (run(m, project_initial_state(m, 15.0, u), u, 1e5, 5.0, 100.0,
+            a, b = (run(m, project_initial_state(m, 15.0, tinf), tinf, 1e5, 5.0, 100.0,
                         metrics_stride=None).outputs for m in (member, alone))
             assert np.abs(a - b).max() <= self.BOUNDS["outputs_C"], size
 
@@ -477,12 +478,10 @@ class TestThinShellLimit:
                                 SideCooling(30.0, 15.0), SideCooling(30.0, 15.0))
         mc = assemble(thin, cooling, 4, 4)
         mp = assemble(slab, cooling, 4, 4)
-        uc = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
-        up = boundary_input_from_cooling(cooling).as_vector(POUCH)
-        xc = project_initial_state(mc, 15.0, uc)
-        xp = project_initial_state(mp, 15.0, up)
-        rc = run(mc, xc, uc, 1e5, dt=2.0, horizon=300.0, metrics_stride=10**9)
-        rp = run(mp, xp, up, 1e5, dt=2.0, horizon=300.0, metrics_stride=10**9)
+        xc = project_initial_state(mc, 15.0)
+        xp = project_initial_state(mp, 15.0)
+        rc = run(mc, xc, None, 1e5, dt=2.0, horizon=300.0, metrics_stride=10**9)
+        rp = run(mp, xp, None, 1e5, dt=2.0, horizon=300.0, metrics_stride=10**9)
         rise_c = rc.outputs - 15.0
         rise_p = rp.outputs - 15.0
         rel = np.abs(rise_c - rise_p).max() / np.abs(rise_p).max()

@@ -23,18 +23,18 @@ from celltherm import simulate
 from celltherm.core import (
     CYLINDRICAL,
     POUCH,
-    BoundaryInput,
     CellSpec,
     CoolingConfig,
     SideCooling,
-    boundary_input_from_cooling,
     cell_volume,
     scenario_cooling,
 )
 from celltherm.chebyshev import basis_matrix
+from celltherm.control import OpenLoopEstimator
 from celltherm.exceptions import NumericalError
 from celltherm.galerkin import assemble, project_initial_state
 from celltherm.particular import axial_scale, radial_scale
+from celltherm.reference import FdConfig, fd_solve
 from celltherm.simulate import (
     METRICS_BLOCK,
     FieldEvaluator,
@@ -45,12 +45,13 @@ from celltherm.simulate import (
     metric_steps,
     run,
 )
-from strategies import cells_and_coolings, to_modal
+from strategies import cells_and_coolings, cooling_powers, to_modal
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
 SC = scenario_cooling("SC")
-U_SC = boundary_input_from_cooling(SC).as_vector(CYLINDRICAL)
+# SC's own cooling powers h T_inf on the surface, top and bottom, W m^-2
+U_SC = np.array([400.0, 30.0, 30.0]) * 15.0
 
 # closed-form radial steady state with insulated tabs, q = 1e5:
 # surface rise q (R_out^2 - R_in^2) / (2 h R_out)
@@ -87,13 +88,15 @@ def galerkin_run(model, x0, *args, **kwargs):
 
 
 def one_step(model, x, u, w, dt):
-    """Galerkin state after one ``run`` step of length dt."""
-    return galerkin_run(model, x, u, w, dt, dt, metrics_stride=10**9)[1]
+    """Galerkin state after one exact step of length dt of the discretized
+    model (``discretize``) under the inputs [u; w]."""
+    y = discretize(model, dt).trajectory(to_modal(model, x), np.append(u, w)[None])
+    return to_modal(model, y[1], inverse=True)
 
 
-def run_zoh(model, dt):
-    """(Ad, Bd) read off ``run``, one step from each unit state and each unit
-    input [u; w]."""
+def step_zoh(model, dt):
+    """(Ad, Bd) read off the discretized model, one step from each unit state
+    and each unit input [u; w]."""
     n, m = model.order, model.n_inputs
     ad = np.column_stack([one_step(model, e, np.zeros(m), 0.0, dt)
                           for e in np.eye(n)])
@@ -133,7 +136,7 @@ class TestDiscretize:
         model = assemble(spec, cooling, M, N)
         for dt in (0.1, 1.0, 20.0):
             ad, bd = expm_zoh(model, dt)
-            ad_run, bd_run = run_zoh(model, dt)
+            ad_run, bd_run = step_zoh(model, dt)
             assert_close_rel(ad_run, ad, 1e-12)
             assert_close_rel(bd_run, bd, 1e-12)
 
@@ -141,29 +144,31 @@ class TestDiscretize:
     @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
            st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
     def test_random_cells_match_augmented_expm(self, cell, M, N, dt, seed):
-        """``run`` reproduces the augmented exponential for random physical
-        cells, coolings, orders <= 25 and steps, and superposes: the response
-        to (x0, u, w) is the zero-input plus the zero-state response."""
+        """The discretized model reproduces the augmented exponential for
+        random physical cells, coolings, orders <= 25 and steps, and ``run``
+        follows it and superposes: the response to (x0, T_inf, w) is the
+        zero-input plus the zero-state response."""
         model = assemble(*cell, M, N)
         ad, bd = expm_zoh(model, dt)
-        ad_run, bd_run = run_zoh(model, dt)
+        ad_run, bd_run = step_zoh(model, dt)
         assert_close_rel(ad_run, ad, 1e-12)
         assert_close_rel(bd_run, bd, 1e-12)
 
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(model.order)
-        u = 1e3 * rng.standard_normal((4, model.n_inputs))
+        tinf = 40.0 * rng.standard_normal((4, 4))
         w = 1e5 * rng.standard_normal(4)
-        zeros = np.zeros_like(u)
+        zeros = np.zeros_like(tinf)
 
-        def states(x, uu, ww):
-            return galerkin_run(model, x, uu, ww, dt, 3 * dt, grid_shape=(5, 5),
+        def states(x, tt, ww):
+            return galerkin_run(model, x, tt, ww, dt, 3 * dt, grid_shape=(5, 5),
                                 metrics_stride=1)
 
-        total = states(x0, u, w)
-        parts = states(x0, zeros, 0.0) + states(np.zeros(model.order), u, w)
+        total = states(x0, tinf, w)
+        parts = states(x0, zeros, 0.0) + states(np.zeros(model.order), tinf, w)
         assert_close_rel(total, parts, 1e-12)
-        assert_close_rel(total[1], ad @ x0 + bd @ np.append(u[0], w[0]), 1e-12)
+        u0 = cooling_powers(model, tinf[0])
+        assert_close_rel(total[1], ad @ x0 + bd @ np.append(u0, w[0]), 1e-12)
 
     def test_pure_integrator_limit(self):
         model = assemble(PAPER, SC, 2, 2)
@@ -180,23 +185,22 @@ class TestDiscretize:
     def test_semigroup_two_half_steps(self):
         model = assemble(PAPER, SC, 2, 2)
         x = np.linspace(-1, 1, model.order)
-        u = U_SC
-        a = one_step(model, x, u, 5e4, 0.2)
-        b = galerkin_run(model, x, u, 5e4, 0.1, 0.2, metrics_stride=10**9)[-1]
+        a = one_step(model, x, U_SC, 5e4, 0.2)
+        b = galerkin_run(model, x, None, 5e4, 0.1, 0.2, metrics_stride=10**9)[-1]
         assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(cells_and_coolings(), st.integers(1, 12), st.integers(1, 12),
            st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
     def test_random_cells_semigroup(self, cell, M, N, dt, seed):
-        """One exact step of 2 dt is two steps of dt under held inputs, on
-        random cells, coolings and M, N <= 12."""
+        """One exact step of 2 dt is two ``run`` steps of dt under held
+        inputs, on random cells, coolings and M, N <= 12."""
         model = assemble(*cell, M, N)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(model.order)
-        u = 1e3 * rng.standard_normal(model.n_inputs)
-        a = one_step(model, x, u, 5e4, 2 * dt)
-        b = galerkin_run(model, x, u, 5e4, dt, 2 * dt, metrics_stride=10**9)[-1]
+        tinf = 40.0 * rng.standard_normal(4)
+        a = one_step(model, x, cooling_powers(model, tinf), 5e4, 2 * dt)
+        b = galerkin_run(model, x, tinf, 5e4, dt, 2 * dt, metrics_stride=10**9)[-1]
         assert np.abs(a - b).max() <= 1e-10 * max(1.0, np.abs(a).max())
 
     def test_zoh_matches_fine_rk4(self):
@@ -207,7 +211,7 @@ class TestDiscretize:
         u, w = U_SC, 8e4
         rhs = lambda x: a_c @ x + b_c @ u + f_c * w
 
-        x_rk = to_modal(model, project_initial_state(model, 15.0, u), inverse=True)
+        x_rk = to_modal(model, project_initial_state(model, 15.0), inverse=True)
         h = 0.001
         for _ in range(5000):
             k1 = rhs(x_rk)
@@ -216,7 +220,7 @@ class TestDiscretize:
             k4 = rhs(x_rk + h * k3)
             x_rk = x_rk + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
-        res = run(model, project_initial_state(model, 15.0, u), u, w,
+        res = run(model, project_initial_state(model, 15.0), None, w,
                   dt=0.1, horizon=5.0, metrics_stride=None)
         y_rk = model.C @ x_rk + model.Dft @ u
         assert np.abs(res.outputs[-1] - y_rk).max() <= 1e-6
@@ -228,18 +232,18 @@ class TestDiscretize:
                 discretize(model, dt)
         for dt in (0.0, -1.0):
             with pytest.raises(ValueError, match="dt must be positive"):
-                run(model, np.zeros(1), U_SC, 0.0, dt=dt, horizon=10.0)
+                run(model, np.zeros(1), None, 0.0, dt=dt, horizon=10.0)
 
 
 class TestRun:
     def test_heat_series_needs_one_sample_per_time(self):
         model = assemble(PAPER, SC, 1, 1)
-        x0 = project_initial_state(model, 15.0, U_SC)
+        x0 = project_initial_state(model, 15.0)
         for n in (3, 50):
             with pytest.raises(ValueError, match=r"w must broadcast to \(11,\)"):
-                run(model, x0, U_SC, np.full(n, 1e4), dt=1.0, horizon=10.0)
-        res = run(model, x0, U_SC, np.full(11, 1e4), dt=1.0, horizon=10.0)
-        ref = run(model, x0, U_SC, 1e4, dt=1.0, horizon=10.0)
+                run(model, x0, None, np.full(n, 1e4), dt=1.0, horizon=10.0)
+        res = run(model, x0, None, np.full(11, 1e4), dt=1.0, horizon=10.0)
+        ref = run(model, x0, None, 1e4, dt=1.0, horizon=10.0)
         assert np.array_equal(res.outputs, ref.outputs)
 
     def test_equilibrium_holds(self):
@@ -248,8 +252,8 @@ class TestRun:
         basis cannot represent the exact constant, so machine-level equality
         is not attainable; see also the initial-projection tests)."""
         model = assemble(PAPER, SC, 5, 5)
-        x0 = project_initial_state(model, 15.0, U_SC)
-        res = run(model, x0, U_SC, 0.0, dt=20.0, horizon=2000.0,
+        x0 = project_initial_state(model, 15.0)
+        res = run(model, x0, None, 0.0, dt=20.0, horizon=2000.0,
                   metrics_stride=10)
         assert np.abs(res.outputs - 15.0).max() <= 0.01
         # and the trajectory is essentially stationary
@@ -257,16 +261,16 @@ class TestRun:
 
     def test_insulated_energy_balance(self):
         model = assemble(PAPER, INSULATED, 2, 2)
-        x0 = project_initial_state(model, 15.0, np.zeros(3))
-        res = run(model, x0, np.zeros(3), 5e4, dt=1.0, horizon=100.0,
+        x0 = project_initial_state(model, 15.0)
+        res = run(model, x0, None, 5e4, dt=1.0, horizon=100.0,
                   metrics_stride=20)
         slope = np.diff(res.T_mean) / np.diff(res.metrics_times)
         expected = 5e4 / (PAPER.rho * PAPER.cp)
         assert np.abs(slope - expected).max() <= 1e-3 * expected
 
     def test_radial_steady_state_surface_rise(self):
-        u = boundary_input_from_cooling(RADIAL_ONLY).as_vector(CYLINDRICAL)
         model = assemble(PAPER, RADIAL_ONLY, 3, 3)
+        u = cooling_powers(model, RADIAL_ONLY.T_inf)
         x_inf = np.linalg.solve(model.A, -(model.B @ u + model.F * 1e5))
         y_inf = model.C @ x_inf + model.Dft @ u
         assert y_inf[0] - 15.0 == pytest.approx(SURFACE_RISE, rel=0.01)
@@ -274,12 +278,12 @@ class TestRun:
     def test_superposition_zero_state(self):
         model = assemble(PAPER, scenario_cooling("aTSC"), 2, 2)
         parts = []
-        for j in range(3):
-            u = np.zeros(3)
-            u[j] = 1500.0
-            parts.append(run(model, np.zeros(model.order), u, 0.0, dt=5.0,
+        for j in range(4):   # 1500 W m^-2 on each actively cooled side
+            tinf = np.zeros(4)
+            tinf[j] = 3.75
+            parts.append(run(model, np.zeros(model.order), tinf, 0.0, dt=5.0,
                              horizon=100.0, metrics_stride=None).outputs)
-        total = run(model, np.zeros(model.order), np.full(3, 1500.0), 0.0,
+        total = run(model, np.zeros(model.order), np.full(4, 3.75), 0.0,
                     dt=5.0, horizon=100.0, metrics_stride=None).outputs
         diff = np.abs(sum(parts) - total).max()
         assert diff <= 1e-9 * max(1.0, np.abs(total).max())
@@ -296,7 +300,7 @@ class TestRun:
         insulated = CoolingConfig(*(SideCooling(0.0, s.T_inf) for s in (
             cooling.surface, cooling.core, cooling.top, cooling.bottom)))
         model = assemble(spec, insulated, M, N)
-        zeros = np.zeros(model.n_inputs)
+        zeros = np.zeros(4)
         unit_mean = model.F @ to_modal(model, project_initial_state(model, 1.0, zeros),
                                        inverse=True)
         rng = np.random.default_rng(seed)
@@ -313,38 +317,38 @@ class TestRun:
     @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
            st.floats(0.05, 50.0), st.integers(0, 2**32 - 1))
     def test_random_cells_superpose_per_side(self, cell, M, N, dt, seed):
-        """From rest, the response to u_a + u_b is the response to u_b plus
-        that to each side's share of u_a: states, outputs (feedthrough
-        included) and the volume mean."""
+        """From rest, the response to coolant temperatures T_a + T_b is the
+        response to T_b plus that to each side's share of T_a: states,
+        outputs (feedthrough included) and the volume mean."""
         model = assemble(*cell, M, N)
         rng = np.random.default_rng(seed)
-        u_a, u_b = 1e3 * rng.standard_normal((2, 5, model.n_inputs))
+        t_a, t_b = 40.0 * rng.standard_normal((2, 5, 4))
 
-        def response(u):
-            res = run(model, np.zeros(model.order), u, 0.0, dt, 4 * dt,
+        def response(tinf):
+            res = run(model, np.zeros(model.order), tinf, 0.0, dt, 4 * dt,
                       grid_shape=(5, 5), metrics_stride=1)
             return res.states, res.outputs, res.T_mean
 
-        parts = [response(u_a * e) for e in np.eye(model.n_inputs)] + [response(u_b)]
-        for total, pieces in zip(response(u_a + u_b), zip(*parts)):
+        parts = [response(t_a * e) for e in np.eye(4)] + [response(t_b)]
+        for total, pieces in zip(response(t_a + t_b), zip(*parts)):
             scale = max(np.abs(p).max() for p in pieces)
             assert np.abs(total - sum(pieces)).max() <= 1e-12 * scale
 
     def test_zoh_exact_for_staircase_inputs(self):
         model = assemble(PAPER, SC, 2, 2)
-        x0 = project_initial_state(model, 15.0, U_SC)
+        x0 = project_initial_state(model, 15.0)
         q_coarse = np.resize(np.repeat([1e5, 0.0, 5e4], 4), 13)
-        res_a = run(model, x0, U_SC, q_coarse, dt=10.0, horizon=120.0,
+        res_a = run(model, x0, None, q_coarse, dt=10.0, horizon=120.0,
                     metrics_stride=None)
         q_fine = np.repeat(q_coarse, 2)[:25]
-        res_b = run(model, x0, U_SC, q_fine, dt=5.0, horizon=120.0,
+        res_b = run(model, x0, None, q_fine, dt=5.0, horizon=120.0,
                     metrics_stride=None)
         assert np.abs(res_a.outputs[-1] - res_b.outputs[-1]).max() <= 1e-8
 
     def test_outputs_within_field_extrema(self):
         model = assemble(PAPER, scenario_cooling("btTC"), 3, 3)
-        x0 = project_initial_state(model, 15.0, U_SC)
-        res = run(model, x0, U_SC, 1e5, dt=5.0, horizon=300.0, metrics_stride=1)
+        x0 = project_initial_state(model, 15.0)
+        res = run(model, x0, None, 1e5, dt=5.0, horizon=300.0, metrics_stride=1)
         for k, t in enumerate(res.metrics_times):
             i = int(round(t / 5.0))
             assert res.T_min[k] - 1e-9 <= res.outputs[i].min()
@@ -352,8 +356,8 @@ class TestRun:
 
     def test_max_mean_min_ordering(self):
         model = assemble(PAPER, SC, 3, 3)
-        x0 = project_initial_state(model, 15.0, U_SC)
-        res = run(model, x0, U_SC, 1e5, dt=5.0, horizon=200.0, metrics_stride=4)
+        x0 = project_initial_state(model, 15.0)
+        res = run(model, x0, None, 1e5, dt=5.0, horizon=200.0, metrics_stride=4)
         assert np.all(res.T_max >= res.T_mean - 1e-12)
         assert np.all(res.T_mean >= res.T_min - 1e-12)
 
@@ -375,7 +379,7 @@ class TestRun:
             monkeypatch.setattr(simulate, "STEP_BLOCK", rows * model.order)
             assert first > rows   # a block-local index is at most rows
         with pytest.raises(NumericalError, match=rf"non-finite state at step {first}$"):
-            run(unstable, y0, U_SC, 0.0, dt=5.0, horizon=500.0)
+            run(unstable, y0, None, 0.0, dt=5.0, horizon=500.0)
 
     @pytest.mark.parametrize("y0", [15.0, np.zeros(1), np.zeros(5), np.zeros((2, 4))],
                              ids=["scalar", "one", "order+1", "two-rows"])
@@ -384,13 +388,155 @@ class TestRun:
         mode of the O=4 model."""
         model = assemble(PAPER, SC, 2, 2)
         with pytest.raises(ValueError, match=r"Y0 must have shape \(4,\)"):
-            run(model, y0, U_SC, 0.0, dt=1.0, horizon=5.0)
+            run(model, y0, None, 0.0, dt=1.0, horizon=5.0)
 
-    def test_boundary_input_accepted(self):
+
+def reference_run(model, y0, tinf, w, dt):
+    """Every modal state and the outputs of a run under the coolant rows
+    tinf (K+1, 4), formed without ``run``: u = h T_inf by hand, then the
+    discretized model's trajectory and the model's modal outputs."""
+    u = cooling_powers(model, tinf)
+    Y = discretize(model, dt).trajectory(y0, np.column_stack([u, w])[:-1])
+    return Y, model.modal_outputs(Y, u)
+
+
+def reference_projection(model, T_init, tinf0):
+    """The modal initial state Q_r^T (T_init F - P u0) Q_z with u0 = h T_inf
+    by hand, its moments summed side by side."""
+    moments = float(T_init) * model.F.reshape(model.M, model.N)
+    for col, value in enumerate(cooling_powers(model, tinf0)):
+        moments -= value * model.P[:, col].reshape(model.M, model.N)
+    return (model.modes_r.V.T @ moments @ model.modes_z.V).ravel()
+
+
+class TestCoolantInputs:
+    """Every model takes coolant temperatures in ``SIDES`` order: None for
+    the config's own, one (4,) row held over a run, or one row per step."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
+           st.floats(0.05, 50.0), st.integers(0, 12), st.floats(-20.0, 60.0),
+           st.integers(0, 2**32 - 1))
+    def test_random_cells_explicit_rows_match_the_reference(
+            self, cell, M, N, dt, K, T_init, seed):
+        """``run`` and ``project_initial_state`` under explicit coolant rows
+        equal, bit for bit, the same steps taken on cooling powers formed by
+        hand; a held row equals its rows repeated."""
+        model = assemble(*cell, M, N)
+        rng = np.random.default_rng(seed)
+        tinf = 40.0 * rng.standard_normal((K + 1, 4))
+        w = 1e5 * rng.standard_normal(K + 1)
+        y0 = project_initial_state(model, T_init, tinf[0])
+        assert np.array_equal(y0, reference_projection(model, T_init, tinf[0]))
+        res = run(model, y0, tinf, w, dt, K * dt, grid_shape=(5, 4), metrics_stride=1)
+        states, outputs = reference_run(model, y0, tinf, w, dt)
+        assert np.array_equal(res.states, states)
+        assert np.array_equal(res.outputs, outputs)
+        held = run(model, y0, tinf[0], w, dt, K * dt, metrics_stride=None)
+        assert np.array_equal(
+            held.outputs, reference_run(model, y0, np.tile(tinf[0], (K + 1, 1)), w, dt)[1])
+        assert np.array_equal(model.cooling_powers(tinf), cooling_powers(model, tinf))
+
+    def test_config_cooling_powers(self):
+        """The inputs of a config's own coolant temperatures are h T_inf of
+        the input sides: three on a cylinder, whose core has none, four in
+        ``SIDES`` order on a pouch. A held row is converted, not repeated."""
         model = assemble(PAPER, SC, 1, 1)
-        u = BoundaryInput(surface=6000.0, top=450.0, bottom=450.0)
-        res = run(model, np.zeros(1), u, 0.0, dt=1.0, horizon=5.0)
-        assert res.outputs.shape == (6, 4)
+        assert np.array_equal(model.cooling_powers(SC.T_inf), U_SC)
+        for tinf in (None, SC.T_inf):   # converted once, then held
+            held = model.inputs(tinf, 10**9)
+            assert held.shape == (10**9, 3) and held.strides[0] == 0
+            assert np.array_equal(held[-1], U_SC)
+        cooling = CoolingConfig(SideCooling(400.0, 15.0), SideCooling(120.0, 25.0),
+                                SideCooling(30.0, 10.0), SideCooling(250.0, 20.0))
+        pouch = assemble(POUCH_CELL, cooling, 1, 1)
+        assert np.array_equal(pouch.cooling_powers(cooling.T_inf),
+                              [6000.0, 3000.0, 300.0, 5000.0])
+
+    @pytest.mark.parametrize("spec, cooling", [
+        (PAPER, scenario_cooling("aTSC")),
+        (POUCH_CELL, CoolingConfig(SideCooling(400.0, 15.0), SideCooling(120.0, 25.0),
+                                   SideCooling(30.0, 10.0), SideCooling(250.0, 20.0))),
+    ], ids=["cylinder", "pouch"])
+    def test_none_is_the_config_row_bit_for_bit(self, spec, cooling):
+        """None, the config's own row and that row per step give the same
+        initial state and run, bit for bit, on the reduced model and the FD
+        oracle."""
+        model = assemble(spec, cooling, 3, 2)
+        row = np.array(cooling.T_inf)
+        y0 = project_initial_state(model, 15.0)
+        assert np.array_equal(project_initial_state(model, 15.0, row), y0)
+        runs = [run(model, y0, tinf, 5e4, 2.0, 20.0, grid_shape=(5, 5))
+                for tinf in (None, row, np.tile(row, (11, 1)))]
+        fds = [fd_solve(spec, cooling, tinf, 5e4, FdConfig(8, 8, 1.0), horizon=20.0,
+                        metrics_stride=5)
+               for tinf in (None, row, np.tile(row, (21, 1)))]
+        for got in runs[1:]:
+            for name, value in vars(runs[0]).items():
+                assert getattr(got, name).tobytes() == value.tobytes(), name
+        for got in fds[1:]:
+            for name in ("outputs", "final_field", "T_mean", "dTr_max"):
+                assert getattr(got, name).tobytes() == getattr(fds[0], name).tobytes()
+
+    def test_cylinder_core_entry_has_no_effect(self):
+        """A cylinder's core is never cooled: two different finite core
+        coolant temperatures give byte-identical reduced-model and FD runs."""
+        cooling = scenario_cooling("bTSC")
+        model = assemble(PAPER, cooling, 3, 3)
+        rows = [np.array([25.0, core, 10.0, 20.0]) for core in (15.0, -273.0)]
+        runs = [run(model, project_initial_state(model, 15.0, row), row, 5e4, 2.0,
+                    20.0, grid_shape=(5, 5)) for row in rows]
+        fds = [fd_solve(PAPER, cooling, row, 5e4, FdConfig(8, 8, 1.0), horizon=20.0,
+                        metrics_stride=5) for row in rows]
+        for name, value in vars(runs[0]).items():
+            assert getattr(runs[1], name).tobytes() == value.tobytes(), name
+        for name in ("outputs", "final_field", "T_mean", "dTr_max"):
+            assert getattr(fds[1], name).tobytes() == getattr(fds[0], name).tobytes()
+
+    def test_every_model_takes_none_and_a_sides_row_and_rejects_three(self):
+        """``run``, ``project_initial_state``, ``OpenLoopEstimator`` and
+        ``fd_solve`` accept None and a (4,) row; a cylinder's row of its
+        three input sides is an error that names ``tinf``."""
+        model = assemble(PAPER, SC, 2, 2)
+        row, three = np.array(SC.T_inf), np.full(3, 15.0)
+        y0 = project_initial_state(model, 15.0, row)
+        calls = {
+            "run": lambda tinf: run(model, y0, tinf, 0.0, 1.0, 5.0),
+            "project_initial_state": lambda tinf: project_initial_state(model, 15.0, tinf),
+            "OpenLoopEstimator": lambda tinf: OpenLoopEstimator(model, 1.0, 15.0, tinf),
+            "fd_solve": lambda tinf: fd_solve(PAPER, SC, tinf, 0.0, FdConfig(4, 4, 1.0),
+                                              horizon=5.0),
+        }
+        for name, call in calls.items():
+            call(None)
+            call(row)
+            with pytest.raises(ValueError, match="tinf"):
+                call(three)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected_by_name(self, bad):
+        """A non-finite coolant temperature or heat sample is a ValueError
+        naming it, before any step: the insulated core of a cylinder and
+        the last heat sample, which no step reads, included."""
+        model = assemble(PAPER, SC, 2, 2)
+        y0 = project_initial_state(model, 15.0)
+        core = np.array([15.0, bad, 15.0, 15.0])
+        q = np.r_[np.full(5, 5e4), bad]
+        fd = FdConfig(16, 16, 1.0)
+        with pytest.raises(ValueError, match="tinf must be finite"):
+            fd_solve(PAPER, SC, core, 5e4, fd, horizon=5.0)
+        with pytest.raises(ValueError, match="tinf must be finite"):
+            run(model, y0, core, 5e4, 1.0, 5.0)
+        rows = np.tile(SC.T_inf, (6, 1))
+        rows[-1, 0] = bad
+        with pytest.raises(ValueError, match="tinf must be finite"):
+            run(model, y0, rows, 5e4, 1.0, 5.0)
+        with pytest.raises(ValueError, match="w must be finite"):
+            run(model, y0, None, q, 1.0, 5.0)
+        with pytest.raises(ValueError, match="q must be finite"):
+            fd_solve(PAPER, SC, None, q, fd, horizon=5.0)
+        with pytest.raises(ValueError, match="tinf0 must be finite"):
+            OpenLoopEstimator(model, 1.0, 15.0, core)
 
 
 class TestTrajectory:
@@ -435,13 +581,13 @@ class TestStream:
         model = assemble(*cell, M, N)
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal(model.order)
-        u = 1e3 * rng.standard_normal((K + 1, model.n_inputs))
+        tinf = 40.0 * rng.standard_normal((K + 1, 4))
         w = 1e5 * rng.standard_normal(K + 1)
 
         def blocked(step_block):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(simulate, "STEP_BLOCK", step_block)
-                return run(model, x0, u, w, dt, K * dt, grid_shape=(5, 4),
+                return run(model, x0, tinf, w, dt, K * dt, grid_shape=(5, 4),
                            metrics_stride=stride)
 
         whole = blocked(max(K, 1) * model.order)
@@ -457,11 +603,11 @@ class TestStream:
         """A K-step run at O=400 keeps its traced heap below a quarter of the
         (K, order) trajectory it never holds."""
         model = assemble(PAPER, SC, 20, 20)
-        x0 = project_initial_state(model, 15.0, U_SC)
+        x0 = project_initial_state(model, 15.0)
         K = 4_000
         tracemalloc.start()
         try:
-            res = run(model, x0, U_SC, 1e5, dt=1.0, horizon=float(K),
+            res = run(model, x0, None, 1e5, dt=1.0, horizon=float(K),
                       metrics_stride=None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -475,11 +621,11 @@ class TestStream:
         bit for bit, in one block (O=1, 9) or several (O=400), keeps no
         state, takes no metric sample and builds no FieldEvaluator."""
         model = assemble(PAPER, SC, M, N)
-        x0 = project_initial_state(model, 15.0, U_SC)
+        x0 = project_initial_state(model, 15.0)
         q = np.linspace(0.0, 1e5, K + 1)
-        res = run(model, x0, U_SC, q, dt=1.0, horizon=float(K), metrics_stride=None)
+        res = run(model, x0, None, q, dt=1.0, horizon=float(K), metrics_stride=None)
         assert model.evaluators == {}
-        full = run(model, x0, U_SC, q, dt=1.0, horizon=float(K), grid_shape=(5, 5),
+        full = run(model, x0, None, q, dt=1.0, horizon=float(K), grid_shape=(5, 5),
                    metrics_stride=1)
         assert np.array_equal(res.outputs, full.outputs)
         assert np.array_equal(res.times, full.times)
@@ -501,10 +647,11 @@ class TestModalFirst:
         there equal C X + Dft u of the Galerkin states X they map to."""
         model = assemble(*cell, M, N)
         rng = np.random.default_rng(seed)
-        u = 1e3 * rng.standard_normal((7, model.n_inputs))
+        tinf = 40.0 * rng.standard_normal((7, 4))
+        u = cooling_powers(model, tinf)
         w = 1e5 * rng.standard_normal(7)
         y0 = rng.standard_normal(model.order)
-        res = run(model, y0, u, w, dt, 6 * dt, grid_shape=(5, 5), metrics_stride=4)
+        res = run(model, y0, tinf, w, dt, 6 * dt, grid_shape=(5, 5), metrics_stride=4)
         idx = metric_steps(6, 4)
         modal = discretize(model, dt).trajectory(y0, np.column_stack([u, w])[:-1])
         assert np.array_equal(res.states, modal[idx])
@@ -525,13 +672,14 @@ class TestModalFirst:
         rng = np.random.default_rng(seed)
         K = 5
         x0 = rng.standard_normal(model.order)
-        u = 1e3 * rng.standard_normal((K + 1, model.n_inputs))
+        tinf = 40.0 * rng.standard_normal((K + 1, 4))
+        u = cooling_powers(model, tinf)
         w = 1e5 * rng.standard_normal(K + 1)
         ad, bd = expm_zoh(model, dt)
         X = [x0]
         for k in range(K):
             X.append(ad @ X[-1] + bd @ np.append(u[k], w[k]))
-        res = run(model, to_modal(model, x0), u, w, dt, K * dt, grid_shape=(5, 5),
+        res = run(model, to_modal(model, x0), tinf, w, dt, K * dt, grid_shape=(5, 5),
                   metrics_stride=1)
         assert_close_rel(res.states, to_modal(model, np.array(X)), 1e-10)
 
@@ -540,8 +688,8 @@ class TestModalFirst:
         matrices, so the model is freed by reference counting while the
         result lives on."""
         model = assemble(PAPER, SC, 2, 2)
-        y0 = project_initial_state(model, 15.0, U_SC)
-        res = run(model, y0, U_SC, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 9))
+        y0 = project_initial_state(model, 15.0)
+        res = run(model, y0, None, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 9))
         states = res.states.copy()
         assert all(isinstance(v, np.ndarray) for v in vars(res).values())
         alive = weakref.ref(model)
@@ -636,8 +784,8 @@ class TestEvaluatorCache:
         assert FieldEvaluator.of(model, 9, 7) is ev
         assert FieldEvaluator.of(model, 7, 9) is not ev
         assert FieldEvaluator.of(other, 9, 7) is not ev
-        x0 = project_initial_state(model, 15.0, U_SC)
-        run(model, x0, U_SC, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 7))
+        x0 = project_initial_state(model, 15.0)
+        run(model, x0, None, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 7))
         assert model.evaluators == {(9, 7): ev, (7, 9): FieldEvaluator.of(model, 7, 9)}
 
     def test_threads_sharing_a_model_build_one_evaluator(self, monkeypatch):
@@ -674,8 +822,8 @@ class TestEvaluatorCache:
         """The cached evaluator holds no reference back to its model, so
         dropping the model frees it by reference counting alone."""
         model = assemble(PAPER, SC, 2, 2)
-        x0 = project_initial_state(model, 15.0, U_SC)
-        run(model, x0, U_SC, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 9))
+        x0 = project_initial_state(model, 15.0)
+        run(model, x0, None, 1e5, dt=5.0, horizon=20.0, grid_shape=(9, 9))
         assert model.evaluators
         alive = weakref.ref(model)
         gc.disable()
@@ -693,11 +841,10 @@ def _heated_from_outside():
     cooling = CoolingConfig(SideCooling(400.0, 40.0), SideCooling(0.0, 15.0),
                             SideCooling(0.0, 15.0), SideCooling(0.0, 15.0))
     model = assemble(PAPER, cooling, 3, 3)
-    u = boundary_input_from_cooling(cooling).as_vector(CYLINDRICAL)
-    x0 = project_initial_state(model, 15.0, np.zeros(3))
-    res = run(model, x0, u, 0.0, dt=5.0, horizon=60.0, grid_shape=(5, 5),
+    x0 = project_initial_state(model, 15.0, np.zeros(4))
+    res = run(model, x0, None, 0.0, dt=5.0, horizon=60.0, grid_shape=(5, 5),
               metrics_stride=1)
-    return model, res.states, u
+    return model, res.states, cooling_powers(model, cooling.T_inf)
 
 
 class TestMetrics:
@@ -808,8 +955,8 @@ class TestMetrics:
             assert abs(getattr(single, name) - ref[0]) <= tol, name
 
     def test_radial_steady_core_surface_difference(self):
-        u = boundary_input_from_cooling(RADIAL_ONLY).as_vector(CYLINDRICAL)
         model = assemble(PAPER, RADIAL_ONLY, 4, 4)
+        u = cooling_powers(model, RADIAL_ONLY.T_inf)
         x_inf = np.linalg.solve(model.A, -(model.B @ u + model.F * 1e5))
         y_inf = model.C @ x_inf + model.Dft @ u
         assert y_inf[1] - y_inf[0] == pytest.approx(CORE_MINUS_SURF, rel=0.02)
