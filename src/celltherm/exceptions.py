@@ -23,8 +23,8 @@ class IllConditionedBasisError(ModelError):
 
 
 class AssemblyError(ModelError):
-    """Galerkin assembly failed: a 1D pencil is not diagonalizable or the
-    model is not dissipative."""
+    """A 1D pencil of any model (Galerkin, FD or TEC) is not
+    diagonalizable, or a Galerkin model is not dissipative."""
 
 
 class NumericalError(ModelError):

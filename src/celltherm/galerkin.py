@@ -31,12 +31,13 @@ Both operators are Kronecker products of 1D Galerkin matrices,
 with Gr, Gz the weighted Gram (mass) matrices and Sr, Sz the stiffness
 matrices of the two directions, so G^-1 A = (Gr^-1 Sr (x) I + I (x) Gz^-1 Sz)
 / (rho cp) is a Kronecker sum. The model keeps only these four factors. Each
-symmetric-definite 1D pencil (Sr, Gr), (Sz, Gz) is diagonalized once (fast
-diagonalization: Lynch, Rice & Thomas, Numer. Math. 6, 1964, here on Shen's
-compact Robin-adapted Chebyshev-Galerkin bases); its modes give the exact
-step map and the dissipativity check, and cond(G) = cond(Gr) cond(Gz), so no
-(MN)^2 matrix is formed; the assembly pass checks it once
-(``_check_conditioning``). G and A are derived properties, for inspection.
+symmetric-definite 1D pencil (Sr, Gr), (Sz, Gz) is diagonalized once by
+``core.pencil_modes`` (fast diagonalization: Lynch, Rice & Thomas, Numer.
+Math. 6, 1964, here on Shen's compact Robin-adapted Chebyshev-Galerkin
+bases); its modes give the exact step map and the dissipativity check, and
+cond(G) = cond(Gr) cond(Gz), so no (MN)^2 matrix is formed; the assembly
+pass checks it once (``_check_conditioning``). G and A are derived
+properties, for inspection.
 Outside this assembly every state is in the modal coordinates
 Y = (V_r (x) V_z)^-1 X of these modes: ``project_initial_state`` returns them,
 ``simulate`` steps them, ``modal_C`` carries the output map over to them
@@ -56,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (CYLINDRICAL, SIDES, CellSpec, CoolingConfig, Modes, input_sides,
-                   per_step_rows)
+                   pencil_modes, per_step_rows)
 from .chebyshev import BasisSet, BasisTable, basis_table, build_basis, gauss_quadrature
 from .exceptions import AssemblyError, IllConditionedBasisError
 from .particular import (
@@ -155,12 +156,12 @@ class ReducedModel:
     @cached_property
     def modes_r(self) -> Modes:
         """Modes of the radial pencil: Gr^-1 Sr = V diag(lam) V_inv."""
-        return _pencil_modes(self.stiff_r, self.gram_r)
+        return pencil_modes(self.stiff_r, self.gram_r)
 
     @cached_property
     def modes_z(self) -> Modes:
         """Modes of the axial pencil: Gz^-1 Sz = V diag(lam) V_inv."""
-        return _pencil_modes(self.stiff_z, self.gram_z)
+        return pencil_modes(self.stiff_z, self.gram_z)
 
     @cached_property
     def evaluators(self) -> dict:
@@ -188,29 +189,6 @@ class ReducedModel:
         stay on the calling thread.
         """
         return np.einsum("...o,po->...p", Y, self.modal_C) + u @ self.Dft.T
-
-
-def _pencil_modes(stiff: np.ndarray, gram: np.ndarray) -> Modes:
-    """Diagonalize the symmetric-definite pencil (stiff, gram).
-
-    With gram = L L^T (Cholesky), the pencil reduces to the standard
-    symmetric problem C = L^-1 stiff L^-T = W diag(lam) W^T, the reduction
-    LAPACK's ``sygvd`` performs (Golub & Van Loan, Matrix Computations, 4th
-    ed., 8.7). Q = L^-T W is gram-orthonormal (Q^T gram Q = I), so
-    gram^-1 stiff = Q diag(lam) Q^T gram: V = Q and V_inv = Q^T gram, with a
-    real spectrum and no matrix inverse. C is symmetrized explicitly, since
-    numpy's ``eigh`` reads only one triangle. On the paper cell's pencils at
-    M = N = 30, Q^T gram Q = I to 1.3e-14, against 1.6e-14 through ``sygvd``.
-    """
-    try:
-        low = np.linalg.cholesky(gram)
-        half = np.linalg.solve(low, stiff)          # L^-1 stiff
-        c = np.linalg.solve(low, half.T)            # L^-1 stiff L^-T
-        lam, w = np.linalg.eigh(0.5 * (c + c.T))
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"1D Galerkin pencil not diagonalizable: {exc}") from exc
-    q = np.linalg.solve(low.T, w)
-    return Modes(lam, q, q.T @ gram)
 
 
 def default_quad_order(M: int, N: int) -> int:
@@ -388,7 +366,7 @@ def project_initial_state(model: ReducedModel, T_init: float,
     that the reconstruction T_h(0) + T_p u0 approximates the uniform T_init;
     the moments R = T_init F - P u0 come from the model's own assembly pass.
     With G = rho cp (Gr (x) Gz), X(0) = Gr^-1 R Gz^-1 for R as an M x N
-    matrix, and with V_inv = Q^T gram per direction (``_pencil_modes``) its
+    matrix, and with V_inv = Q^T gram per direction (``core.pencil_modes``) its
     modal coordinates V_inv,r X(0) V_inv,z^T are Q_r^T R Q_z: two products,
     no solve.
     """

@@ -15,24 +15,17 @@ nondimensionalization. The cylindrical grid spans r in [R_in, R_out], so no
 axis singularity arises.
 
 The 5-point operator on the node grid is the Kronecker sum
-L_r (x) I + I (x) L_z of two tridiagonal 1D ghost-node operators. Each is
-diagonalized once (fast diagonalization: Lynch, Rice & Thomas, Numer. Math. 6,
-1964), so the same theta-method step becomes elementwise in modal
-coordinates, O(n_r n_z) per step instead of a sparse solve. Every input
-column and every mid-side output is an outer product of a radial and an
-axial vector, so the solver keeps only those 1D factors. With X the
-(n_r, n_z) matrix of modal coefficients and v = [T_inf, q] (the four
-coolant temperatures in ``SIDES`` order and the heat rate), a step is
-
-    X <- g * X + s * (in_r diag(v) in_z)        (* elementwise)
-
-and output k is a_k^T X b_k (see ``FdSolver``); no (n_r n_z)-long input or
-output row is formed. While v is held, n steps collapse into one,
-X <- g^n * X + S_n * (s * in_r diag(v) in_z) with S_n = sum_{i<n} g^i, so
-``fd_solve`` steps once per span between output samples, metric samples and
-input changes. The field itself is transformed back to the grid only at
-metric samples and at the end of a run, by GEMMs over row blocks small
-enough that OpenBLAS runs each on the calling thread.
+L_r (x) I + I (x) L_z of two tridiagonal 1D ghost-node operators L. Each is
+diagonalized once as the pencil (diag(w) L, rho cp w), w the positive
+diagonal that symmetrizes L (fast diagonalization: Lynch, Rice & Thomas,
+Numer. Math. 6, 1964), so a theta-method step is elementwise in modal
+coordinates, O(n_r n_z). Every input column and every mid-side output is an
+outer product of a radial and an axial vector, so the solver keeps only
+those 1D factors (see ``FdSolver``). While the inputs are held, n steps
+collapse into one, so ``fd_solve`` steps once per span between output
+samples, metric samples and input changes. The field is transformed back to
+the grid only at metric samples and at the end of a run, by GEMMs over row
+blocks small enough that OpenBLAS runs each on the calling thread.
 
 The TEC model implements
 
@@ -40,23 +33,24 @@ The TEC model implements
     C_s dT_s/dt = (T_inf - T_s)/R_u + (T_c - T_s)/R_c
 
 with the conduction coupling in the surface equation written so heat leaving
-the core enters the surface (energy-conserving form). Its 2 x 2 matrix is
-tridiagonal with a positive off-diagonal product, so ``tridiagonal_modes``
-diagonalizes it and ``tec_run`` steps it with the reduced model's exact
-zero-order-hold kernel, ``simulate.Stepper``.
+the core enters the surface (energy-conserving form). Its conductance matrix
+C A (C = diag(C_c, C_s)) is symmetric, so (C A, C) is a symmetric-definite
+pencil: ``core.pencil_modes`` diagonalizes it and ``tec_run`` steps it with
+the reduced model's exact zero-order-hold kernel, ``simulate.Stepper``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SIDES, CellSpec, CoolingConfig, Modes, per_step, per_step_rows,
-                   step_count)
+from .core import (SIDES, CellSpec, CoolingConfig, pencil_modes, per_step,
+                   per_step_rows, step_count)
 from .exceptions import NumericalError, UnsupportedShapeError
 from .simulate import (MetricSeries, MetricsRecord, Stepper, _reduce_fields,
                        _trapezoid, metric_steps)
@@ -69,6 +63,12 @@ CRANK_NICOLSON = "crank_nicolson"
 _SINGLE_THREAD_GEMM_MNK = 262_144
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """Reject a bool, a non-integral count (numpy integers pass) or one below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FdConfig:
     n_r: int = 128
@@ -77,69 +77,44 @@ class FdConfig:
     scheme: str = CRANK_NICOLSON
 
     def __post_init__(self):
-        if self.n_r < 3 or self.n_z < 3:
-            raise ValueError("FD grid needs at least 3 nodes per direction")
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError("FdConfig.dt must be finite and positive")
+        _check_count(self.n_r, "FdConfig.n_r", 3)
+        _check_count(self.n_z, "FdConfig.n_z", 3)
+        if isinstance(self.dt, bool) or not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"FdConfig.dt must be finite and positive, not {self.dt!r}")
         if self.scheme not in (BACKWARD_EULER, CRANK_NICOLSON):
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
-def tridiagonal_modes(sub: np.ndarray, diag: np.ndarray,
-                      sup: np.ndarray) -> Modes:
-    """Diagonalize the tridiagonal operator with sub-, main and
-    super-diagonals ``sub``, ``diag``, ``sup``.
-
-    Every product ``sub[i] * sup[i]`` must be positive. Then the positive
-    diagonal D with d[i+1] / d[i] = sqrt(sup[i] / sub[i]) makes
-    S = D L D^-1 symmetric tridiagonal, with off-diagonal sqrt(sub * sup);
-    from S = Q diag(lam) Q^T follow V = D^-1 Q and V^-1 = Q^T D, so the
-    spectrum is real and no complex arithmetic or matrix inverse is needed.
-    V^-1 = Q^T D relies on Q being orthogonal: numpy's dense symmetric
-    ``eigh`` of S keeps Q^T Q = I to 2e-15 on the 128- and 256-node FD
-    operators (LAPACK's tridiagonal ``stev`` driver: 3e-15 to 4.4e-15).
-    """
-    sub, diag, sup = (np.asarray(a, dtype=float) for a in (sub, diag, sup))
-    prod = sub * sup
-    if not np.all(prod > 0.0):
-        raise NumericalError("tridiagonal operator is not symmetrizable: "
-                             "an off-diagonal product is not positive")
-    d = np.concatenate(([1.0], np.cumprod(np.sqrt(sup / sub))))
-    off = np.sqrt(prod)
-    try:
-        lam, q = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"1D eigendecomposition failed: {exc}") from exc
-    return Modes(lam, q / d[:, None], q.T * d[None, :])
-
-
 def _ghost_node_operator(nodes: np.ndarray, k: float, h_lo: float,
                          h_hi: float, radial: bool):
-    """Second-difference operator k (T'' + T'/r) on uniform ``nodes`` (the
-    T'/r term only when ``radial``) with convection closures at both ends.
+    """Second-difference operator L = k (T'' + T'/r) on uniform ``nodes``
+    (the T'/r term only when ``radial``) with convection closures at both ends.
 
     The ghost node beyond each end, T_g = T_inner - (2 d h / k)(T_end - T_inf),
     folds into the end row; its T_inf coefficient is returned as a boundary
-    input column. Returns (sub, diag, sup, b_lo, b_hi).
+    input column. L's off-diagonals are positive, so w = [1, cumprod(sup /
+    sub)] makes diag(w) L symmetric. Returns (diag(w) L dense, w, b_lo, b_hi).
     """
-    d = nodes[1] - nodes[0]
-    conv = k / (2.0 * nodes * d) if radial else np.zeros(nodes.size)
+    n, d = nodes.size, nodes[1] - nodes[0]
+    conv = k / (2.0 * nodes * d) if radial else np.zeros(n)
     c_plus = k / d**2 + conv
     c_minus = k / d**2 - conv
     g_lo = c_minus[0] * 2.0 * d * h_lo / k
     g_hi = c_plus[-1] * 2.0 * d * h_hi / k
-    diag = np.full(nodes.size, -2.0 * k / d**2)
+    diag = np.full(n, -2.0 * k / d**2)
     diag[0] -= g_lo
     diag[-1] -= g_hi
     sup = c_plus[:-1].copy()
     sup[0] += c_minus[0]
     sub = c_minus[1:].copy()
     sub[-1] += c_plus[-1]
-    b_lo = np.zeros(nodes.size)
-    b_lo[0] = g_lo
-    b_hi = np.zeros(nodes.size)
-    b_hi[-1] = g_hi
-    return sub, diag, sup, b_lo, b_hi
+    w = np.concatenate(([1.0], np.cumprod(sup / sub)))
+    stiff = np.zeros((n, n))
+    stiff.flat[::n + 1] = w * diag
+    stiff.flat[1::n + 1] = stiff.flat[n::n + 1] = w[:-1] * sup
+    b_lo, b_hi = np.zeros(n), np.zeros(n)
+    b_lo[0], b_hi[-1] = g_lo, g_hi
+    return stiff, w, b_lo, b_hi
 
 
 def _lerp_weights(nodes: np.ndarray, x: float) -> np.ndarray:
@@ -167,7 +142,8 @@ class FdSolver:
     """Modal theta-method stepper for one (cell, cooling, grid) triple.
 
     The grid operator is the Kronecker sum L_r (x) I + I (x) L_z of two 1D
-    ghost-node operators, each diagonalized once by ``tridiagonal_modes``.
+    ghost-node operators L, each diagonalized once by ``core.pencil_modes``
+    as the pencil (diag(w) L, rho cp w) of its symmetrizing diagonal w.
     The solver state is the (n_r, n_z) matrix X of modal coefficients of the
     field T = V_r X V_z^T; it is opaque to callers, who create it with
     ``uniform_field`` and pass it back to ``step``, ``outputs``, ``metrics``,
@@ -192,12 +168,11 @@ class FdSolver:
     repeated step returns exactly what a fresh solver would. ``step(..., n)``
     takes n steps of one held v at once, with (g^n, S_n) kept for the last n.
 
-    ``grid`` forms V_r X V_z^T by row blocks of V_r whose two GEMMs each
-    stay within OpenBLAS's single-thread size (m n k <= 262 144; 16 rows at
-    128^2) on grids up to about 295^2 nodes. A larger GEMM wakes the BLAS thread pool, whose spinning helpers
-    slow the millisecond-scale timed runs of compare-tec for ~0.15 s
-    afterwards; blocked GEMMs keep the pool asleep (blocking: Goto &
-    van de Geijn, ACM TOMS 34(3), 2008).
+    ``grid`` forms V_r X V_z^T by row blocks of V_r whose two GEMMs each stay
+    within OpenBLAS's single-thread size (m n k <= 262 144; 16 rows at 128^2)
+    on grids up to about 295^2 nodes: a larger GEMM wakes the BLAS thread
+    pool, whose spinning helpers slow the timed runs of compare-tec for
+    ~0.15 s afterwards (blocking: Goto & van de Geijn, ACM TOMS 34(3), 2008).
     """
 
     def __init__(self, spec: CellSpec, cooling: CoolingConfig, cfg: FdConfig):
@@ -214,15 +189,13 @@ class FdSolver:
         n_r, n_z = cfg.n_r, cfg.n_z
         rho_cp = spec.rho * spec.cp
 
-        sub, diag, sup, b_core, b_surface = _ghost_node_operator(
+        stiff, w, b_core, b_surface = _ghost_node_operator(
             self.r_nodes, spec.k_r, cooling.core.h, cooling.surface.h,
             spec.is_cylindrical)
-        self._modes_r = m_r = tridiagonal_modes(
-            sub / rho_cp, diag / rho_cp, sup / rho_cp)
-        sub, diag, sup, b_bottom, b_top = _ghost_node_operator(
+        self._modes_r = m_r = pencil_modes(stiff, rho_cp * w)
+        stiff, w, b_bottom, b_top = _ghost_node_operator(
             self.z_nodes, spec.k_z, cooling.bottom.h, cooling.top.h, False)
-        self._modes_z = m_z = tridiagonal_modes(
-            sub / rho_cp, diag / rho_cp, sup / rho_cp)
+        self._modes_z = m_z = pencil_modes(stiff, rho_cp * w)
         # eigenvalues of the Kronecker sum, in the state's (r, z) order
         lam = m_r.lam[:, None] + m_z.lam[None, :]
 
@@ -276,11 +249,18 @@ class FdSolver:
 
     def step(self, state: np.ndarray, tinf: np.ndarray, q: float,
              n: int = 1) -> np.ndarray:
-        """``n`` implicit steps with inputs held constant over them."""
+        """``n`` implicit steps with inputs held constant over them. The
+        inputs are checked when their term is formed: a non-finite one
+        raises ``NumericalError`` naming ``q`` or the ``tinf`` side."""
         key = struct.pack("5d", *tinf, q)
         memo = self._memo   # one read: a thread swapping in its own is harmless
         if memo[0] != key:
-            term = (self._in_r * np.frombuffer(key)) @ self._in_z
+            v = np.frombuffer(key)
+            bad = [i for i, x in enumerate(v.tolist()) if not math.isfinite(x)]
+            if bad:   # name the first non-finite input
+                name = "q" if bad[0] == len(SIDES) else f"tinf[{SIDES[bad[0]]}]"
+                raise NumericalError(f"FD step input {name} is not finite: {v[bad[0]]}")
+            term = (self._in_r * v) @ self._in_z
             term *= self._in_scale
             memo = self._memo = (key, term)
         gain, total = self._held_gains(n)
@@ -298,10 +278,9 @@ class FdSolver:
         g is 1 for an insulated cell's zero mode, and the quotient loses
         digits for every slow mode. n = 1 gives (g, 1), so one step is
         bit for bit g * X + term."""
+        _check_count(n, "step count", 1)
         held = self._held   # one read, as for the input memo
         if held[0] != n:
-            if not n >= 1:
-                raise ValueError(f"step count must be positive, not {n!r}")
             g = self._gain
             power, total = g, np.ones_like(g)
             for bit in bin(n)[3:]:
@@ -469,7 +448,8 @@ def tec_run(model: TecModel, q, dt: float, horizon: float, T0: float = 15.0):
     (times, T_c, T_s). ``q`` is the total heat rate in W, a scalar or
     per-step array."""
     a, b = model.continuous()
-    modes = tridiagonal_modes(a[1:, 0], np.diag(a), a[:1, 1])
+    cap = np.array([model.C_c, model.C_s])
+    modes = pencil_modes(cap[:, None] * a, cap)   # (C A, C)
     stepper = Stepper.zoh(modes.lam, (modes.V_inv @ b).T, dt)
     n_steps = step_count(horizon, dt)
     q_arr = per_step(q, n_steps + 1, "q")

@@ -1,9 +1,13 @@
-"""Domain types: heat generation, volumes, profiles, scenario presets."""
+"""Domain types: heat generation, volumes, profiles, scenario presets, and
+the one diagonalization of every model's 1D pencil (against scipy)."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from celltherm.core import (
     CYLINDRICAL,
@@ -16,6 +20,7 @@ from celltherm.core import (
     bernardi_q,
     cell_volume,
     constant_profile,
+    pencil_modes,
     per_step,
     per_step_rows,
     resample_profile,
@@ -23,12 +28,16 @@ from celltherm.core import (
     step_count,
 )
 from celltherm.control import closed_loop_run
+from celltherm.exceptions import AssemblyError
 from celltherm.galerkin import assemble
-from celltherm.reference import FdConfig, TecModel, fd_solve, tec_run
+from celltherm.reference import FdConfig, TecModel, _ghost_node_operator, fd_solve, tec_run
 from celltherm.simulate import run
+from strategies import cells_and_coolings
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
+POUCH_CELL = CellSpec(shape=POUCH, L=0.2, D=0.1, rho=2118.0, cp=795.0,
+                      k_r=0.9, k_z=30.0)
 SC = scenario_cooling("SC")
 
 # Every stepped run as a call of (dt, horizon), on the smallest model or grid.
@@ -323,3 +332,134 @@ class TestValidation:
         assert cfg.side("top").h == 400.0
         with pytest.raises(ValueError):
             cfg.side("front")
+
+
+def assert_pencil_modes(stiff, mass):
+    """``pencil_modes`` against scipy's generalized symmetric eigensolver:
+    eigenvalues to 1e-12 of the largest, V^T M V = I and V_inv V = I to
+    1e-12, with M the dense mass or the diagonal of a mass vector."""
+    modes = pencil_modes(stiff, mass)
+    dense = np.diag(mass) if np.ndim(mass) == 1 else mass
+    lam = eigh(stiff, dense, eigvals_only=True)
+    n = lam.size
+    assert np.isrealobj(modes.lam)
+    assert np.abs(modes.lam - lam).max() <= 1e-12 * np.abs(lam).max()
+    np.testing.assert_allclose(modes.V.T @ dense @ modes.V, np.eye(n), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(modes.V_inv @ modes.V, np.eye(n), rtol=0, atol=1e-12)
+    return modes
+
+
+def fd_pencils(spec, n, h_r, h_z):
+    """The FD oracle's radial and axial pencils (diag(w) L, rho cp w) at n
+    nodes, with (low, high) convection coefficients h_r and h_z."""
+    cyl = spec.is_cylindrical
+    r_lo, r_hi = (spec.R_in, spec.R_out) if cyl else (0.0, spec.D)
+    rho_cp = spec.rho * spec.cp
+    for nodes, k, h, radial in ((np.linspace(r_lo, r_hi, n), spec.k_r, h_r, cyl),
+                                (np.linspace(0.0, spec.L, n), spec.k_z, h_z, False)):
+        stiff, w, _, _ = _ghost_node_operator(nodes, k, *h, radial)
+        yield stiff, rho_cp * w
+
+
+class TestPencilModes:
+    """One diagonalization for every model: dense Galerkin Gram masses and
+    diagonal FD and TEC masses."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 30), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_random_spd_pencils_match_scipy(self, n, decades, seed):
+        """Random symmetric stiffness over a random SPD mass whose
+        eigenvalues span ``decades`` decades."""
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        gram = (q * 10.0 ** -rng.uniform(0.0, decades, n)) @ q.T
+        stiff = rng.standard_normal((n, n))
+        assert_pencil_modes(stiff + stiff.T, 0.5 * (gram + gram.T))
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 30), st.integers(1, 30))
+    def test_assembled_pencils_match_scipy(self, cell, M, N):
+        model = assemble(*cell, M, N)
+        assert_pencil_modes(model.stiff_r, model.gram_r)
+        assert_pencil_modes(model.stiff_z, model.gram_z)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 256), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_random_diagonal_masses_match_scipy(self, n, decades, seed):
+        rng = np.random.default_rng(seed)
+        stiff = rng.standard_normal((n, n))
+        assert_pencil_modes(stiff + stiff.T, 10.0 ** -rng.uniform(0.0, decades, n))
+
+    def test_reconstructs_symmetrizable_tridiagonal_operator(self):
+        """A random tridiagonal L with positive off-diagonal products, as the
+        pencil (diag(w) L, w): V diag(lam) V_inv = L, with a real spectrum."""
+        rng = np.random.default_rng(2)
+        n = 40
+        sub, sup = rng.uniform(0.2, 3.0, n - 1), rng.uniform(0.2, 3.0, n - 1)
+        op = np.diag(-rng.uniform(2.0, 8.0, n)) + np.diag(sup, 1) + np.diag(sub, -1)
+        w = np.concatenate(([1.0], np.cumprod(sup / sub)))
+        modes = pencil_modes(w[:, None] * op, w)
+        assert np.isrealobj(modes.lam)
+        np.testing.assert_allclose(modes.V_inv @ modes.V, np.eye(n), atol=1e-12)
+        np.testing.assert_allclose(modes.V @ np.diag(modes.lam) @ modes.V_inv, op,
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 128, 256])
+    @pytest.mark.parametrize("spec", [PAPER, POUCH_CELL], ids=["cylinder", "pouch"])
+    def test_fd_operators_match_scipy(self, spec, n):
+        """Both FD directions, every side cooled, against scipy's generalized
+        solver and against LAPACK's tridiagonal solver on the symmetrized
+        operator D L D^-1, D = diag(sqrt(w))."""
+        for stiff, mass in fd_pencils(spec, n, (120.0, 400.0), (250.0, 30.0)):
+            modes = assert_pencil_modes(stiff, mass)
+            sym = stiff / np.sqrt(np.outer(mass, mass))
+            lam = eigh_tridiagonal(np.diag(sym), np.diag(sym, -1), eigvals_only=True,
+                                   lapack_driver="stev")
+            assert np.abs(modes.lam - lam).max() <= 1e-12 * np.abs(lam).max()
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(3, 128))
+    def test_fd_operators_of_random_cells_match_scipy(self, cell, n):
+        spec, cooling = cell
+        h = [cooling.side(s).h for s in SIDES]   # surface, core, top, bottom
+        for stiff, mass in fd_pencils(spec, n, (h[1], h[0]), (h[3], h[2])):
+            assert_pencil_modes(stiff, mass)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.floats(10.0, 1e4), st.floats(1.0, 1e3), st.floats(0.01, 10.0),
+           st.floats(0.01, 1.0))
+    @example(1079.6, 48.35, 0.65, 0.08)   # the default circuit
+    def test_tec_matches_scipy(self, C_c, C_s, R_c, R_u):
+        """The TEC as the pencil (C A, C): scipy's eigenvalues, and
+        V diag(lam) V_inv = A."""
+        model = TecModel(C_c, C_s, R_c, R_u)
+        a, _ = model.continuous()
+        cap = np.array([C_c, C_s])
+        modes = assert_pencil_modes(cap[:, None] * a, cap)
+        np.testing.assert_allclose(modes.V @ np.diag(modes.lam) @ modes.V_inv, a,
+                                   rtol=0, atol=1e-12 * np.abs(a).max())
+
+    @pytest.mark.parametrize("mass", [
+        -np.eye(3),
+        np.diag([1.0, 0.0, 1.0]),
+        np.array([[1.0, 2.0], [2.0, 1.0]]),
+        np.array([1.0, -1.0, 1.0]),
+        np.array([1.0, 0.0, 1.0]),
+        np.array([1.0, np.nan, 1.0]),
+        np.array([1.0, np.inf, 1.0]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.diag([np.inf, 1.0]),
+    ], ids=["negative", "singular", "indefinite", "diagonal-negative",
+            "diagonal-zero", "diagonal-nan", "diagonal-inf", "nan", "inf"])
+    def test_mass_not_positive_definite_rejected(self, mass):
+        with pytest.raises(AssemblyError, match="not diagonalizable"):
+            pencil_modes(np.eye(len(mass)), mass)
+
+    def test_non_symmetrizable_tridiagonal_rejected(self):
+        """sub * sup < 0 makes a weight of w = [1, cumprod(sup / sub)]
+        negative: the pencil's mass is not positive definite."""
+        sub, sup = np.array([1.0, -1.0]), np.array([1.0, 1.0])
+        op = np.diag([-2.0, -2.0, -2.0]) + np.diag(sup, 1) + np.diag(sub, -1)
+        w = np.concatenate(([1.0], np.cumprod(sup / sub)))
+        with pytest.raises(AssemblyError, match="not diagonalizable"):
+            pencil_modes(w[:, None] * op, w)

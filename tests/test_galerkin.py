@@ -2,8 +2,7 @@
 initial-state projection, and assembly under a new cooling.
 
 Oracles: scipy adaptive quadrature for individual matrix entries, dense
-generalized eigenvalues for dissipativity, scipy's generalized symmetric
-eigensolver for the pencil modes, reconstruction error for the initial
+generalized eigenvalues for dissipativity, reconstruction error for the initial
 projection, and a thin-annulus slab limit for the cylindrical/pouch
 agreement.
 """
@@ -13,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
-from scipy.linalg import eigh
 
 from celltherm.chebyshev import basis_matrix, build_basis, gauss_quadrature
 from celltherm.core import (
@@ -197,46 +195,6 @@ class TestBConsistency:
         ref, _ = dblquad(lambda z, x: radius_from_scaled(PAPER, x) * fr(x) * fz(z),
                          -1, 1, -1, 1, epsabs=1e-12)
         assert model.F[1] == pytest.approx(ref, rel=1e-9, abs=1e-12)
-
-
-def assert_pencil_modes(stiff, gram):
-    """``_pencil_modes`` against scipy's generalized symmetric eigensolver:
-    eigenvalues to 1e-12 of the largest, Q^T gram Q = I and V_inv V = I."""
-    modes = galerkin._pencil_modes(stiff, gram)
-    lam = eigh(stiff, gram, eigvals_only=True)
-    n = lam.size
-    assert np.abs(modes.lam - lam).max() <= 1e-12 * np.abs(lam).max()
-    np.testing.assert_allclose(modes.V.T @ gram @ modes.V, np.eye(n), rtol=0, atol=1e-12)
-    np.testing.assert_allclose(modes.V_inv @ modes.V, np.eye(n), rtol=0, atol=1e-12)
-
-
-class TestPencilModes:
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(st.integers(1, 30), st.floats(0.0, 3.0), st.integers(0, 2**32 - 1))
-    def test_random_spd_pencils_match_scipy(self, n, decades, seed):
-        """Random symmetric stiffness over a random SPD gram whose
-        eigenvalues span ``decades`` decades."""
-        rng = np.random.default_rng(seed)
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        gram = (q * 10.0 ** -rng.uniform(0.0, decades, n)) @ q.T
-        stiff = rng.standard_normal((n, n))
-        assert_pencil_modes(stiff + stiff.T, 0.5 * (gram + gram.T))
-
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
-    @given(cells_and_coolings(), st.integers(1, 30), st.integers(1, 30))
-    def test_assembled_pencils_match_scipy(self, cell, M, N):
-        model = assemble(*cell, M, N)
-        assert_pencil_modes(model.stiff_r, model.gram_r)
-        assert_pencil_modes(model.stiff_z, model.gram_z)
-
-    @pytest.mark.parametrize("gram", [
-        -np.eye(3),
-        np.diag([1.0, 0.0, 1.0]),
-        np.array([[1.0, 2.0], [2.0, 1.0]]),
-    ], ids=["negative", "singular", "indefinite"])
-    def test_gram_not_positive_definite_rejected(self, gram):
-        with pytest.raises(AssemblyError, match="not diagonalizable"):
-            galerkin._pencil_modes(np.eye(len(gram)), gram)
 
 
 class TestQuadratureGuard:

@@ -6,6 +6,7 @@ balance, Richardson self-convergence, the analytic steady state of the
 energy balance.
 """
 
+import re
 import sys
 import threading
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
-from scipy.linalg import eigh_tridiagonal, expm
+from scipy.linalg import expm
 
 from celltherm.core import (
     CYLINDRICAL,
@@ -33,9 +34,7 @@ from celltherm.reference import (
     FdSolver,
     TecModel,
     _differences,
-    _ghost_node_operator,
     fd_solve,
-    tridiagonal_modes,
     tec_metrics,
     tec_run,
     timing_harness,
@@ -260,13 +259,24 @@ class TestFdBasics:
                       FdConfig(16, 16, 1.0), T_init=15.0, horizon=5.0)
         assert np.abs(fd.outputs - 15.0).max() <= 1e-10
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FdConfig(2, 16, 0.1)
-        with pytest.raises(ValueError):
-            FdConfig(16, 16, -1.0)
-        with pytest.raises(ValueError):
-            FdConfig(16, 16, 0.1, "leapfrog")
+    @pytest.mark.parametrize("args, match", [
+        ((2, 16, 0.1), "n_r"),
+        ((16, 16, -1.0), "dt"),
+        ((16, 16, 0.1, "leapfrog"), "scheme"),
+        ((16.0, 16, 0.1), "n_r"),
+        ((16, 16.5, 0.1), "n_z"),
+        ((True, 16, 0.1), "n_r"),
+        ((16, 16, True), "dt"),
+    ], ids=["too-few-nodes", "negative-dt", "scheme", "float-n_r", "float-n_z",
+            "bool-n_r", "bool-dt"])
+    def test_config_validation(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            FdConfig(*args)
+
+    def test_numpy_integer_counts_accepted(self):
+        solver = FdSolver(PAPER, ALL_SIDES, FdConfig(np.int64(8), np.int32(5), 2.0))
+        state = solver.step(solver.uniform_field(15.0), [15.0] * 4, 1e5, np.int64(3))
+        assert solver.grid(state).shape == (8, 5)
 
     @pytest.mark.parametrize("dt", [np.nan, np.inf])
     def test_nonfinite_dt_rejected(self, dt):
@@ -286,50 +296,6 @@ class TestFdBasics:
         held = fd_solve(PAPER, cooling, None, 1e4, cfg, horizon=10.0)
         series = fd_solve(PAPER, cooling, None, np.full(11, 1e4), cfg, horizon=10.0)
         assert np.array_equal(series.outputs, held.outputs)
-
-
-class TestTridiagonalModes:
-    def test_reconstructs_nonsymmetric_operator(self):
-        rng = np.random.default_rng(2)
-        n = 40
-        sub, sup = rng.uniform(0.2, 3.0, n - 1), rng.uniform(0.2, 3.0, n - 1)
-        diag = -rng.uniform(2.0, 8.0, n)
-        op = np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
-        modes = tridiagonal_modes(sub, diag, sup)
-        assert np.isrealobj(modes.lam)
-        np.testing.assert_allclose(modes.V_inv @ modes.V, np.eye(n), atol=1e-12)
-        np.testing.assert_allclose(modes.V @ np.diag(modes.lam) @ modes.V_inv, op,
-                                   atol=1e-12)
-
-    def test_rejects_nonpositive_off_diagonal_product(self):
-        with pytest.raises(NumericalError):
-            tridiagonal_modes([1.0, -1.0], [-2.0, -2.0, -2.0], [1.0, 1.0])
-
-    @staticmethod
-    def assert_matches_tridiagonal_solver(sub, diag, sup):
-        """V_inv V = I, and the eigenvalues equal those of LAPACK's
-        tridiagonal solver on the symmetrized operator, to 1e-12."""
-        modes = tridiagonal_modes(sub, diag, sup)
-        lam = eigh_tridiagonal(diag, np.sqrt(sub * sup), eigvals_only=True,
-                               lapack_driver="stev")
-        n = len(diag)
-        np.testing.assert_allclose(modes.V_inv @ modes.V, np.eye(n), rtol=0, atol=1e-12)
-        assert np.abs(modes.lam - lam).max() <= 1e-12 * np.abs(lam).max()
-
-    @pytest.mark.parametrize("n", [3, 128, 256])
-    @pytest.mark.parametrize("spec", [PAPER, POUCH_CELL], ids=["cylinder", "pouch"])
-    def test_fd_operators_match_tridiagonal_solver(self, spec, n):
-        cyl = spec.shape == CYLINDRICAL
-        r_lo, r_hi = (spec.R_in, spec.R_out) if cyl else (0.0, spec.D)
-        for nodes, k, h_lo, h_hi, radial in (
-                (np.linspace(r_lo, r_hi, n), spec.k_r, 120.0, 400.0, cyl),
-                (np.linspace(0.0, spec.L, n), spec.k_z, 250.0, 30.0, False)):
-            sub, diag, sup, _, _ = _ghost_node_operator(nodes, k, h_lo, h_hi, radial)
-            self.assert_matches_tridiagonal_solver(sub, diag, sup)
-
-    def test_tec_matrix_matches_tridiagonal_solver(self):
-        a, _ = TecModel().continuous()
-        self.assert_matches_tridiagonal_solver(a[1:, 0], np.diag(a), a[0, 1:])
 
 
 class TestFdEquivalence:
@@ -482,7 +448,7 @@ class TestFactoredStep:
         assert not any(t.is_alive() for t in threads)
         assert all(got[s].tobytes() == want[s].tobytes() for s in seeds)
 
-    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("n", [0, -3, 2.0, True])
     def test_non_positive_step_count_rejected(self, n):
         solver = FdSolver(PAPER, ALL_SIDES, FdConfig(8, 5, 2.0))
         with pytest.raises(ValueError, match="step count"):
@@ -503,6 +469,18 @@ class TestFactoredStep:
         for _ in range(2):   # a fresh input term, then a remembered one
             with pytest.raises(NumericalError):
                 solver.step(state, tinf, q)
+
+    @pytest.mark.parametrize("name", [*SIDES, "q"])
+    def test_non_finite_input_is_named(self, name):
+        """A NaN input is rejected with its name: ``q`` or the ``tinf`` side,
+        the insulated core of a cylinder included, where it would not reach
+        the field."""
+        solver = FdSolver(PAPER, scenario_cooling("SC"), FdConfig(8, 5, 2.0))
+        inputs = [15.0] * 4 + [1e5]
+        inputs[[*SIDES, "q"].index(name)] = float("nan")
+        label = "q" if name == "q" else f"tinf[{name}]"
+        with pytest.raises(NumericalError, match=rf"input {re.escape(label)} is not finite"):
+            solver.step(solver.uniform_field(15.0), inputs[:4], inputs[4])
 
 
 class TestHeldSteps:
