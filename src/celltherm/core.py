@@ -5,9 +5,9 @@ inputs, and the modal decomposition of a 1D operator.
 Every model's 1D operator is a symmetric-definite pencil (stiffness, mass),
 which ``pencil_modes`` diagonalizes: the Galerkin pencils (Sr, Gr), (Sz, Gz)
 with dense Gram masses (``galerkin``), each FD ghost-node operator L as
-(diag(w) L, rho cp w) with w the diagonal that symmetrizes L
-(``reference.FdSolver``), and the TEC circuit as (C A, C), C its heat
-capacities (``reference.tec_run``).
+(diag(w) L, rho cp w), w its symmetrizing diagonal (``reference.FdSolver``),
+and the TEC circuit as (C A, C), C its heat capacities (``reference.tec_run``).
+Every model steps in these modes through one recurrence, ``simulate.Stepper``.
 
 Conventions
 -----------
@@ -28,6 +28,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -255,6 +256,12 @@ def constant_profile(q: float) -> HeatProfile:
     return HeatProfile(np.array([0.0]), np.array([float(q)]), VOLUMETRIC_Q)
 
 
+def check_count(value, name: str, least: int) -> None:
+    """Reject a bool, a non-integral count (numpy integers pass) or one below least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+
+
 def step_count(horizon: float, dt: float) -> int:
     """Whole steps of dt in [0, horizon]; a multiple of dt rounded low counts.
     The one check of every stepped run's grid: dt must be positive and
@@ -318,23 +325,27 @@ def pencil_modes(stiff: np.ndarray, mass: np.ndarray) -> Modes:
     reads one triangle) with V = L^-T W; on the paper cell's pencils at
     M = N = 30, V^T mass V = I to 1.3e-14 (``sygvd``: 1.6e-14). A diagonal
     mass given as its vector m reduces by scaling, C = stiff / (sqrt(m)
-    sqrt(m)^T), V = W / sqrt(m) and V_inv = W^T sqrt(m). A mass that is not
-    positive definite and finite raises ``AssemblyError``."""
+    sqrt(m)^T), V = W / sqrt(m) and V_inv = W^T sqrt(m). A non-finite
+    stiffness, mass or spectrum, or an indefinite mass, raises ``AssemblyError``."""
     mass = np.asarray(mass, dtype=float)
     try:
-        if not np.isfinite(mass).all() or mass.ndim == 1 and not (mass > 0.0).all():
-            raise np.linalg.LinAlgError("mass is not finite and positive definite")
+        if not (np.isfinite(stiff).all() and np.isfinite(mass).all()) or \
+                mass.ndim == 1 and not (mass > 0.0).all():
+            raise np.linalg.LinAlgError("non-finite stiffness or mass, or indefinite mass")
         if mass.ndim == 1:
             root = np.sqrt(mass)
             c = stiff / root[:, None]
             c /= root                               # no (n, n) outer product
-            lam, w = np.linalg.eigh(c)
-            return Modes(lam, w / root[:, None], w.T * root)
-        low = np.linalg.cholesky(mass)
-        half = np.linalg.solve(low, stiff)          # L^-1 stiff
-        c = np.linalg.solve(low, half.T)            # L^-1 stiff L^-T
-        lam, w = np.linalg.eigh(0.5 * (c + c.T))
+        else:
+            low = np.linalg.cholesky(mass)
+            c = np.linalg.solve(low, np.linalg.solve(low, stiff).T)   # L^-1 stiff L^-T
+            c = 0.5 * (c + c.T)
+        lam, w = np.linalg.eigh(c)
+        if not np.isfinite(lam).all():
+            raise np.linalg.LinAlgError("non-finite spectrum")
     except np.linalg.LinAlgError as exc:
         raise AssemblyError(f"1D pencil not diagonalizable: {exc}") from exc
+    if mass.ndim == 1:
+        return Modes(lam, w / root[:, None], w.T * root)
     q = np.linalg.solve(low.T, w)
     return Modes(lam, q, q.T @ mass)

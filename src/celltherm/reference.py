@@ -19,13 +19,15 @@ L_r (x) I + I (x) L_z of two tridiagonal 1D ghost-node operators L. Each is
 diagonalized once as the pencil (diag(w) L, rho cp w), w the positive
 diagonal that symmetrizes L (fast diagonalization: Lynch, Rice & Thomas,
 Numer. Math. 6, 1964), so a theta-method step is elementwise in modal
-coordinates, O(n_r n_z). Every input column and every mid-side output is an
-outer product of a radial and an axial vector, so the solver keeps only
-those 1D factors (see ``FdSolver``). While the inputs are held, n steps
-collapse into one, so ``fd_solve`` steps once per span between output
-samples, metric samples and input changes. The field is transformed back to
-the grid only at metric samples and at the end of a run, by GEMMs over row
-blocks small enough that OpenBLAS runs each on the calling thread.
+coordinates, O(n_r n_z): the package's one diagonal recurrence,
+``simulate.Stepper``, which every model steps through. Every input column
+and every mid-side output is an outer product of a radial and an axial
+vector, so the solver keeps only those 1D factors (see ``FdSolver``).
+While the inputs are held, n steps collapse into one, so ``fd_solve``
+steps once per span between output samples, metric samples and input
+changes. The field is transformed back to the grid only at metric samples
+and at the end of a run, by GEMMs over row blocks small enough that
+OpenBLAS runs each on the calling thread.
 
 The TEC model implements
 
@@ -42,15 +44,13 @@ the reduced model's exact zero-order-hold kernel, ``simulate.Stepper``.
 from __future__ import annotations
 
 import math
-import numbers
-import struct
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SIDES, CellSpec, CoolingConfig, pencil_modes, per_step,
-                   per_step_rows, step_count)
+from .core import (SIDES, CellSpec, CoolingConfig, check_count, pencil_modes,
+                   per_step, per_step_rows, step_count)
 from .exceptions import NumericalError, UnsupportedShapeError
 from .simulate import (MetricSeries, MetricsRecord, Stepper, _reduce_fields,
                        _trapezoid, metric_steps)
@@ -63,12 +63,6 @@ CRANK_NICOLSON = "crank_nicolson"
 _SINGLE_THREAD_GEMM_MNK = 262_144
 
 
-def _check_count(value, name: str, least: int) -> None:
-    """Reject a bool, a non-integral count (numpy integers pass) or one below least."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
-
-
 @dataclass(frozen=True)
 class FdConfig:
     n_r: int = 128
@@ -77,8 +71,8 @@ class FdConfig:
     scheme: str = CRANK_NICOLSON
 
     def __post_init__(self):
-        _check_count(self.n_r, "FdConfig.n_r", 3)
-        _check_count(self.n_z, "FdConfig.n_z", 3)
+        check_count(self.n_r, "FdConfig.n_r", 3)
+        check_count(self.n_z, "FdConfig.n_z", 3)
         if isinstance(self.dt, bool) or not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"FdConfig.dt must be finite and positive, not {self.dt!r}")
         if self.scheme not in (BACKWARD_EULER, CRANK_NICOLSON):
@@ -147,26 +141,23 @@ class FdSolver:
     The solver state is the (n_r, n_z) matrix X of modal coefficients of the
     field T = V_r X V_z^T; it is opaque to callers, who create it with
     ``uniform_field`` and pass it back to ``step``, ``outputs``, ``metrics``,
-    ``surface_flux`` and ``grid``. A step is elementwise plus one rank-5
-    product:
+    ``surface_flux`` and ``grid``. A step is the package's one diagonal
+    recurrence (``simulate.Stepper.theta``) on a rank-5 forcing:
 
         X <- g * X + s * (in_r diag(v) in_z),   v = [T_inf, q],
 
-    g = (1 + (1-theta) dt lam) / (1 - theta dt lam),
-    s = dt / (rho cp (1 - theta dt lam)), and column i of in_r and row i of
-    in_z the modal images V_r^-1 a_i and V_z^-1 b_i of input i's two 1D
-    factors (its boundary column along one direction, ones along the other;
-    ones along both for q). Output k is a_k^T X b_k, with a_k = V_r^T w_r and
-    b_k = V_z^T w_z the modal images of the bilinear weights of mid-side
-    point k. The convection coefficients are baked into the modes; coolant
-    temperatures and the heat rate enter as affine per-step inputs, so
-    closed-loop runs with varying coolant commands reuse the decomposition.
-    ``step``, as ``fd_solve``, takes the four coolant temperatures in
-    ``SIDES`` order, a cylinder's core included.
-    The input term of the last v is remembered and reused while v repeats
-    bit for bit (a held input, as a staircase heat profile gives), so a
-    repeated step returns exactly what a fresh solver would. ``step(..., n)``
-    takes n steps of one held v at once, with (g^n, S_n) kept for the last n.
+    g and s the theta-method gain and input scale of the Kronecker sum's
+    eigenvalues, column i of in_r and row i of in_z the modal images
+    V_r^-1 a_i and V_z^-1 b_i of input i's two 1D factors (its boundary
+    column along one direction, ones along the other; ones along both for
+    q). Output k is a_k^T X b_k, with a_k = V_r^T w_r and b_k = V_z^T w_z
+    the modal images of the bilinear weights of mid-side point k. The
+    convection coefficients are baked into the modes; coolant temperatures
+    and the heat rate enter as affine per-step inputs, so closed-loop runs
+    with varying coolant commands reuse the decomposition. ``step``, as
+    ``fd_solve``, takes the four coolant temperatures in ``SIDES`` order, a
+    cylinder's core included, and ``step(..., n)`` takes n steps of one held
+    v at once.
 
     ``grid`` forms V_r X V_z^T by row blocks of V_r whose two GEMMs each stay
     within OpenBLAS's single-thread size (m n k <= 262 144; 16 rows at 128^2)
@@ -196,8 +187,7 @@ class FdSolver:
         stiff, w, b_bottom, b_top = _ghost_node_operator(
             self.z_nodes, spec.k_z, cooling.bottom.h, cooling.top.h, False)
         self._modes_z = m_z = pencil_modes(stiff, rho_cp * w)
-        # eigenvalues of the Kronecker sum, in the state's (r, z) order
-        lam = m_r.lam[:, None] + m_z.lam[None, :]
+        lam = m_r.lam[:, None] + m_z.lam[None, :]   # eigenvalues of the Kronecker sum
 
         one_r, one_z = m_r.V_inv @ np.ones(n_r), m_z.V_inv @ np.ones(n_z)
         # input columns: [T_inf_surface, T_inf_core, T_inf_top, T_inf_bottom, q]
@@ -208,13 +198,7 @@ class FdSolver:
         self._unit = np.outer(one_r, one_z)   # modal coefficients of T = 1
 
         theta = 1.0 if cfg.scheme == BACKWARD_EULER else 0.5
-        denom = 1.0 - theta * cfg.dt * lam
-        self._gain = (1.0 + (1.0 - theta) * cfg.dt * lam) / denom
-        self._in_scale = cfg.dt / (rho_cp * denom)
-        # (bit pattern of the last input row, its input term)
-        self._memo = (None, None)
-        # (last span length n, its (g^n, S_n)): held spans repeat in a run
-        self._held = (None, None)
+        self._stepper = Stepper.theta(lam, cfg.dt, theta, rho_cp)
         rows = max(1, _SINGLE_THREAD_GEMM_MNK // (n_z * max(n_r, n_z)))
         # balanced blocks of at least two rows: numpy hands a single row to
         # GEMV, whose threading threshold is lower. Up to n_z max(n_r, n_z)
@@ -247,50 +231,20 @@ class FdSolver:
         """Solver state of the uniform field T."""
         return float(T) * self._unit
 
-    def step(self, state: np.ndarray, tinf: np.ndarray, q: float,
-             n: int = 1) -> np.ndarray:
-        """``n`` implicit steps with inputs held constant over them. The
-        inputs are checked when their term is formed: a non-finite one
-        raises ``NumericalError`` naming ``q`` or the ``tinf`` side."""
-        key = struct.pack("5d", *tinf, q)
-        memo = self._memo   # one read: a thread swapping in its own is harmless
-        if memo[0] != key:
-            v = np.frombuffer(key)
-            bad = [i for i, x in enumerate(v.tolist()) if not math.isfinite(x)]
-            if bad:   # name the first non-finite input
-                name = "q" if bad[0] == len(SIDES) else f"tinf[{SIDES[bad[0]]}]"
-                raise NumericalError(f"FD step input {name} is not finite: {v[bad[0]]}")
-            term = (self._in_r * v) @ self._in_z
-            term *= self._in_scale
-            memo = self._memo = (key, term)
-        gain, total = self._held_gains(n)
-        out = gain * state
-        out += total * memo[1]
-        # any NaN or inf entry makes the sum non-finite
-        if not math.isfinite(out.sum()):
-            raise NumericalError("FD step produced non-finite values")
-        return out
-
-    def _held_gains(self, n: int):
-        """(g^n, S_n = sum_{i<n} g^i) by binary powering, from
-        (g^2m, S_2m) = (g^m g^m, S_m + g^m S_m) and
-        (g^(m+1), S_(m+1)) = (g g^m, 1 + g S_m). No (1 - g^n) / (1 - g):
-        g is 1 for an insulated cell's zero mode, and the quotient loses
-        digits for every slow mode. n = 1 gives (g, 1), so one step is
-        bit for bit g * X + term."""
-        _check_count(n, "step count", 1)
-        held = self._held   # one read, as for the input memo
-        if held[0] != n:
-            g = self._gain
-            power, total = g, np.ones_like(g)
-            for bit in bin(n)[3:]:
-                total = total + power * total
-                power = power * power
-                if bit == "1":
-                    total = 1.0 + g * total
-                    power = g * power
-            held = self._held = (n, (power, total))
-        return held[1]
+    def step(self, state: np.ndarray, tinf, q: float, n: int = 1) -> np.ndarray:
+        """``n`` implicit steps with the coolant temperatures ``tinf`` (4,) in
+        ``SIDES`` order and the heat rate ``q`` held; a ``tinf`` of another shape
+        raises ``ValueError``, a non-finite input ``NumericalError`` naming it."""
+        if np.shape(tinf) != (len(SIDES),):
+            raise ValueError(f"tinf must have shape ({len(SIDES)},), not {np.shape(tinf)}")
+        v = np.array([*tinf, q], dtype=float)
+        bad = [i for i, x in enumerate(v.tolist()) if not math.isfinite(x)]
+        if bad:   # name the first non-finite input
+            name = "q" if bad[0] == len(SIDES) else f"tinf[{SIDES[bad[0]]}]"
+            raise NumericalError(f"FD step input {name} is not finite: {v[bad[0]]}")
+        term = (self._in_r * v) @ self._in_z
+        term *= self._stepper.b_hat
+        return self._stepper.held(state, term, n)
 
     def outputs(self, state: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of the four mid-side temperatures."""

@@ -8,8 +8,8 @@ phi_1 = expm1(dt lam) / lam. This is Van Loan's augmented-exponential ZOH
 diagonalization (Lynch, Rice & Thomas, Numer. Math. 6, 1964): G^-1 A is the
 Kronecker sum of the two 1D pencils of ``galerkin``, so its modes are
 V_r (x) V_z with eigenvalues (lam_r[i] + lam_z[j]) / rho cp. The two-state TEC
-of ``reference`` and the closed-loop estimator of ``control`` use the same
-kernel.
+and the FD oracle (``Stepper.theta``) of ``reference`` and the closed-loop
+estimator of ``control`` use the same kernel.
 
 ``run`` takes the modal coordinates of ``galerkin.project_initial_state``
 and steps them, STEP_BLOCK floats of states at a time: each block continues
@@ -36,7 +36,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import per_step, step_count
+from .core import check_count, per_step, step_count
 from .chebyshev import basis_table
 from .exceptions import NumericalError
 from .galerkin import ReducedModel
@@ -74,12 +74,14 @@ def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Stepper:
-    """Exact ZOH step of a diagonal LTI system for one fixed dt:
-    y' = gain * y + v @ b_hat for the state y (n,) and the input row v (m,)
-    held over the step."""
+    """Step of a diagonal LTI system for one fixed dt: y' = gain * y + v @ b_hat
+    for the state y (n,) and the input row v (m,) held over the step, exact
+    for ``zoh``, or y' = gain * y + b_hat * f for a forcing f shaped as y."""
 
-    gain: np.ndarray     # (n,)
-    b_hat: np.ndarray    # (m, n)
+    gain: np.ndarray     # (n,), or any state shape
+    b_hat: np.ndarray    # (m, n), or the state's shape for ``theta``
+    # (n, gain^n, S_n) of the last held span; not a field, so building costs no more
+    _held = (None, None, None)
 
     @classmethod
     def zoh(cls, lam: np.ndarray, b: np.ndarray, dt: float) -> "Stepper":
@@ -94,8 +96,41 @@ class Stepper:
             raise NumericalError("modal exponential overflow: unstable dynamics")
         return stepper
 
+    @classmethod
+    def theta(cls, lam: np.ndarray, dt: float, theta: float, capacity: float) -> "Stepper":
+        """Theta step of capacity dy/dt = capacity lam y + f (theta 1/2: Crank &
+        Nicolson, Proc. Camb. Phil. Soc. 43, 1947; 1: backward Euler): gain =
+        (1 + (1-theta) dt lam) / d, b_hat = dt / (capacity d), d = 1 - theta dt lam."""
+        denom = 1.0 - theta * dt * lam
+        return cls((1.0 + (1.0 - theta) * dt * lam) / denom, dt / (capacity * denom))
+
     def step(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.gain * y + v @ self.b_hat
+
+    def held(self, y: np.ndarray, w: np.ndarray, n: int = 1) -> np.ndarray:
+        """n steps from y with the term w (v @ b_hat or b_hat * f) held over them:
+        g^n y + S_n w, g = gain, S_n = sum_{i<n} g^i, by binary powering, as
+        (1 - g^n) / (1 - g) fails at an insulated cell's g = 1 and loses digits
+        for slow modes. n = 1 is bit for bit g y + w; a NaN or inf raises NumericalError."""
+        check_count(n, "step count", 1)
+        held = self._held   # one read: a thread swapping in its own is harmless
+        if held[0] != n:
+            g = power = self.gain
+            total = np.ones_like(g)
+            for bit in bin(n)[3:]:   # (g^2m, S_2m), then (g^(2m+1), S_(2m+1))
+                total = total + power * total
+                power = power * power
+                if bit == "1":
+                    total, power = 1.0 + g * total, g * power
+            held = (n, power, total)
+            object.__setattr__(self, "_held", held)
+        _, power, total = held
+        out = power * y
+        out += total * w
+        # any NaN or inf entry makes the sum non-finite
+        if not math.isfinite(out.sum()):
+            raise NumericalError("held step produced a non-finite state")
+        return out
 
     def trajectory(self, y0: np.ndarray, V: np.ndarray, step0: int = 0) -> np.ndarray:
         """States (K+1, n) from y0 under the input rows V (K, m); raises

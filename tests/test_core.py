@@ -455,6 +455,19 @@ class TestPencilModes:
         with pytest.raises(AssemblyError, match="not diagonalizable"):
             pencil_modes(np.eye(len(mass)), mass)
 
+    @pytest.mark.parametrize("mass", [np.eye(2), np.ones(2)], ids=["dense", "diagonal"])
+    @pytest.mark.parametrize("stiff", [
+        [[np.nan, 0.0], [0.0, -1.0]],
+        [[-1.0, np.inf], [0.0, -1.0]],   # outside the triangle eigh reads
+        [[-1e308, 1e308], [1e308, -1e308]],   # finite, but the spectrum overflows
+    ], ids=["nan", "inf-upper", "overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_stiffness_or_spectrum_rejected(self, stiff, mass):
+        """A NaN eigenvalue would pass a dissipativity check lam.max() <= tol,
+        which reads False on NaN, so the pencil rejects it first."""
+        with pytest.raises(AssemblyError, match="not diagonalizable"):
+            pencil_modes(stiff, mass)
+
     def test_non_symmetrizable_tridiagonal_rejected(self):
         """sub * sup < 0 makes a weight of w = [1, cumprod(sup / sub)]
         negative: the pencil's mass is not positive definite."""

@@ -409,7 +409,7 @@ class TestFactoredStep:
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(fd_cases())
-    def test_remembered_term_is_bit_identical_to_a_fresh_one(self, case):
+    def test_used_solver_steps_bit_identically_to_a_fresh_one(self, case):
         spec, cooling, cfg, seed = case
         solver = FdSolver(spec, cooling, cfg)
         state = solver.uniform_field(20.0)
@@ -466,9 +466,18 @@ class TestFactoredStep:
         solver = FdSolver(PAPER, ALL_SIDES, FdConfig(8, 5, 2.0))
         state = solver.uniform_field(15.0)
         state = solver.step(state, [15.0] * 4, 1e5)
-        for _ in range(2):   # a fresh input term, then a remembered one
+        for _ in range(2):   # the first bad call, then a repeat on the same solver
             with pytest.raises(NumericalError):
                 solver.step(state, tinf, q)
+
+    @pytest.mark.parametrize("tinf", [[15.0] * 3, [[15.0] * 4], 15.0],
+                             ids=["three", "one-by-four", "scalar"])
+    def test_tinf_of_wrong_shape_is_named(self, tinf):
+        """A cylinder's three-entry input row, a (1, 4) row or a scalar is a
+        ValueError naming ``tinf``, not a failure deeper in the step."""
+        solver = FdSolver(PAPER, ALL_SIDES, FdConfig(8, 5, 2.0))
+        with pytest.raises(ValueError, match=r"^tinf must have shape \(4,\)"):
+            solver.step(solver.uniform_field(15.0), tinf, 1e5)
 
     @pytest.mark.parametrize("name", [*SIDES, "q"])
     def test_non_finite_input_is_named(self, name):

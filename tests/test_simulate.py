@@ -568,6 +568,73 @@ class TestTrajectory:
             stepper.trajectory(np.zeros(2), V)
 
 
+class TestHeldStep:
+    """``Stepper.held``: n steps of one held input term at once, and the
+    theta-method constructor the FD oracle steps with."""
+
+    @staticmethod
+    def _stepper(seed, size=40):
+        """Gains of every kind the package steps: 1 exactly (an insulated
+        cell's zero mode), in (0, 1) and in (-1, 0) (Crank-Nicolson's stiff
+        modes)."""
+        rng = np.random.default_rng(seed)
+        gain = rng.choice([1.0, 0.5, -0.5], size) + rng.uniform(-0.5, 0.5, size)
+        gain[rng.random(size) < 0.2] = 1.0
+        gain = np.clip(gain, -1.0 + 1e-9, 1.0)
+        return Stepper(gain, np.ones(size)), rng
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_n_held_steps_match_n_single_steps(self, counts, seed):
+        """Spans of changing and repeated lengths on one stepper, so the
+        kept (gain^n, S_n) of the last span is reused or replaced."""
+        stepper, rng = self._stepper(seed)
+        y = rng.standard_normal(stepper.gain.size)
+        for n in counts:
+            w = rng.standard_normal(y.size)
+            want = y
+            for _ in range(n):
+                want = stepper.gain * want + w
+            y = stepper.held(y, w, n)
+            assert np.abs(y - want).max() <= 1e-12 * np.abs(want).max()
+            y = want
+
+    def test_one_held_step_is_bitwise_a_single_step(self):
+        stepper, rng = self._stepper(7)
+        for _ in range(3):
+            y, w = rng.standard_normal((2, stepper.gain.size))
+            want = (stepper.gain * y + w).tobytes()
+            assert stepper.held(y, w).tobytes() == want
+            assert stepper.held(y, w, 1).tobytes() == want
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_theta_constructor_matches_the_scalar_formula(self, theta):
+        lam = np.array([0.0, -1e-6, -0.3, -7.0, -4e4])
+        dt, capacity = 0.05, 1.7e6
+        stepper = Stepper.theta(lam, dt, theta, capacity)
+        for i, x in enumerate(lam.tolist()):
+            denom = 1.0 - theta * dt * x
+            assert stepper.gain[i] == (1.0 + (1.0 - theta) * dt * x) / denom
+            assert stepper.b_hat[i] == dt / (capacity * denom)
+        assert stepper.gain[0] == 1.0 and np.all(np.abs(stepper.gain) <= 1.0)
+
+    @pytest.mark.parametrize("n", [0, -3, 2.0, True])
+    def test_non_positive_or_non_integral_step_count_rejected(self, n):
+        stepper, _ = self._stepper(3)
+        y = np.zeros(stepper.gain.size)
+        with pytest.raises(ValueError, match="step count"):
+            stepper.held(y, y, n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_raises(self, bad):
+        stepper, _ = self._stepper(5)
+        y = np.zeros(stepper.gain.size)
+        y[3] = bad
+        with pytest.raises(NumericalError, match="non-finite state"):
+            stepper.held(y, np.ones_like(y), 4)
+
+
 class TestStream:
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
