@@ -18,16 +18,14 @@ The 5-point operator on the node grid is the Kronecker sum
 L_r (x) I + I (x) L_z of two tridiagonal 1D ghost-node operators L. Each is
 diagonalized once as the pencil (diag(w) L, rho cp w), w the positive
 diagonal that symmetrizes L (fast diagonalization: Lynch, Rice & Thomas,
-Numer. Math. 6, 1964), so a theta-method step is elementwise in modal
-coordinates, O(n_r n_z): the package's one diagonal recurrence,
-``simulate.Stepper``, which every model steps through. Every input column
-and every mid-side output is an outer product of a radial and an axial
-vector, so the solver keeps only those 1D factors (see ``FdSolver``).
-While the inputs are held, n steps collapse into one, so ``fd_solve``
-steps once per span between output samples, metric samples and input
-changes. The field is transformed back to the grid only at metric samples
-and at the end of a run, by GEMMs over row blocks small enough that
-OpenBLAS runs each on the calling thread.
+Numer. Math. 6, 1964), so a theta-method step is the package's one diagonal
+recurrence, ``simulate.Stepper``, O(n_r n_z). Every input column and every
+mid-side output is an outer product of a radial and an axial vector, so the
+solver keeps only those 1D factors (see ``FdSolver``). While the inputs are
+held, n steps collapse into one, so ``fd_solve`` steps once per span between
+output samples, metric samples and input changes. The field is transformed
+back to the grid only at metric samples and at the end of a run, by GEMMs
+over row blocks small enough that OpenBLAS runs each on the calling thread.
 
 The TEC model implements
 
@@ -154,10 +152,7 @@ class FdSolver:
     the modal images of the bilinear weights of mid-side point k. The
     convection coefficients are baked into the modes; coolant temperatures
     and the heat rate enter as affine per-step inputs, so closed-loop runs
-    with varying coolant commands reuse the decomposition. ``step``, as
-    ``fd_solve``, takes the four coolant temperatures in ``SIDES`` order, a
-    cylinder's core included, and ``step(..., n)`` takes n steps of one held
-    v at once.
+    with varying coolant commands reuse the decomposition.
 
     ``grid`` forms V_r X V_z^T by row blocks of V_r whose two GEMMs each stay
     within OpenBLAS's single-thread size (m n k <= 262 144; 16 rows at 128^2)
@@ -198,7 +193,8 @@ class FdSolver:
         self._unit = np.outer(one_r, one_z)   # modal coefficients of T = 1
 
         theta = 1.0 if cfg.scheme == BACKWARD_EULER else 0.5
-        self._stepper = Stepper.theta(lam, cfg.dt, theta, rho_cp)
+        self._stepper, self._scale = Stepper.theta(lam, cfg.dt, theta, rho_cp)
+        self._memo = (None, None)   # (bytes of the last input row, its term)
         rows = max(1, _SINGLE_THREAD_GEMM_MNK // (n_z * max(n_r, n_z)))
         # balanced blocks of at least two rows: numpy hands a single row to
         # GEMV, whose threading threshold is lower. Up to n_z max(n_r, n_z)
@@ -234,17 +230,21 @@ class FdSolver:
     def step(self, state: np.ndarray, tinf, q: float, n: int = 1) -> np.ndarray:
         """``n`` implicit steps with the coolant temperatures ``tinf`` (4,) in
         ``SIDES`` order and the heat rate ``q`` held; a ``tinf`` of another shape
-        raises ``ValueError``, a non-finite input ``NumericalError`` naming it."""
+        raises ``ValueError``, a non-finite input ``NumericalError`` naming it.
+        The term of a held row (a constant or staircase heat) is formed once."""
         if np.shape(tinf) != (len(SIDES),):
             raise ValueError(f"tinf must have shape ({len(SIDES)},), not {np.shape(tinf)}")
         v = np.array([*tinf, q], dtype=float)
-        bad = [i for i, x in enumerate(v.tolist()) if not math.isfinite(x)]
-        if bad:   # name the first non-finite input
-            name = "q" if bad[0] == len(SIDES) else f"tinf[{SIDES[bad[0]]}]"
-            raise NumericalError(f"FD step input {name} is not finite: {v[bad[0]]}")
-        term = (self._in_r * v) @ self._in_z
-        term *= self._stepper.b_hat
-        return self._stepper.held(state, term, n)
+        memo = self._memo   # one read: a thread swapping in its own is harmless
+        if memo[0] != v.tobytes():   # only finite rows are remembered
+            bad = [i for i, x in enumerate(v.tolist()) if not math.isfinite(x)]
+            if bad:   # name the first non-finite input
+                name = "q" if bad[0] == len(SIDES) else f"tinf[{SIDES[bad[0]]}]"
+                raise NumericalError(f"FD step input {name} is not finite: {v[bad[0]]}")
+            term = (self._in_r * v) @ self._in_z
+            term *= self._scale
+            memo = self._memo = (v.tobytes(), term)
+        return self._stepper.held(state, memo[1], n)
 
     def outputs(self, state: np.ndarray) -> np.ndarray:
         """Bilinear interpolation of the four mid-side temperatures."""

@@ -76,10 +76,10 @@ def _phi1(lam: np.ndarray, dt: float) -> np.ndarray:
 class Stepper:
     """Step of a diagonal LTI system for one fixed dt: y' = gain * y + v @ b_hat
     for the state y (n,) and the input row v (m,) held over the step, exact
-    for ``zoh``, or y' = gain * y + b_hat * f for a forcing f shaped as y."""
+    for ``zoh``; ``held`` takes n steps of a precombined term at once."""
 
-    gain: np.ndarray     # (n,), or any state shape
-    b_hat: np.ndarray    # (m, n), or the state's shape for ``theta``
+    gain: np.ndarray            # (n,), or any state shape for ``held``
+    b_hat: np.ndarray | None    # (m, n); None for ``theta``, stepped by ``held`` only
     # (n, gain^n, S_n) of the last held span; not a field, so building costs no more
     _held = (None, None, None)
 
@@ -97,18 +97,20 @@ class Stepper:
         return stepper
 
     @classmethod
-    def theta(cls, lam: np.ndarray, dt: float, theta: float, capacity: float) -> "Stepper":
-        """Theta step of capacity dy/dt = capacity lam y + f (theta 1/2: Crank &
-        Nicolson, Proc. Camb. Phil. Soc. 43, 1947; 1: backward Euler): gain =
-        (1 + (1-theta) dt lam) / d, b_hat = dt / (capacity d), d = 1 - theta dt lam."""
+    def theta(cls, lam: np.ndarray, dt: float, theta: float,
+              capacity: float) -> tuple["Stepper", np.ndarray]:
+        """Theta step y' = g y + s f of capacity dy/dt = capacity lam y + f
+        (theta 1/2: Crank & Nicolson, Proc. Camb. Phil. Soc. 43, 1947; 1: backward
+        Euler), g = (1 + (1-theta) dt lam) / d, s = dt / (capacity d), d = 1 -
+        theta dt lam: the stepper of gain g, without b_hat, and the scale s."""
         denom = 1.0 - theta * dt * lam
-        return cls((1.0 + (1.0 - theta) * dt * lam) / denom, dt / (capacity * denom))
+        return cls((1.0 + (1.0 - theta) * dt * lam) / denom, None), dt / (capacity * denom)
 
     def step(self, y: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.gain * y + v @ self.b_hat
 
     def held(self, y: np.ndarray, w: np.ndarray, n: int = 1) -> np.ndarray:
-        """n steps from y with the term w (v @ b_hat or b_hat * f) held over them:
+        """n steps from y with the term w (v @ b_hat, or s f) held over them:
         g^n y + S_n w, g = gain, S_n = sum_{i<n} g^i, by binary powering, as
         (1 - g^n) / (1 - g) fails at an insulated cell's g = 1 and loses digits
         for slow modes. n = 1 is bit for bit g y + w; a NaN or inf raises NumericalError."""
@@ -118,8 +120,7 @@ class Stepper:
             g = power = self.gain
             total = np.ones_like(g)
             for bit in bin(n)[3:]:   # (g^2m, S_2m), then (g^(2m+1), S_(2m+1))
-                total = total + power * total
-                power = power * power
+                total, power = total + power * total, power * power
                 if bit == "1":
                     total, power = 1.0 + g * total, g * power
             held = (n, power, total)
@@ -127,8 +128,7 @@ class Stepper:
         _, power, total = held
         out = power * y
         out += total * w
-        # any NaN or inf entry makes the sum non-finite
-        if not math.isfinite(out.sum()):
+        if not math.isfinite(out.sum()):   # a NaN or inf entry makes it non-finite
             raise NumericalError("held step produced a non-finite state")
         return out
 

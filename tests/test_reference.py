@@ -409,7 +409,7 @@ class TestFactoredStep:
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(fd_cases())
-    def test_used_solver_steps_bit_identically_to_a_fresh_one(self, case):
+    def test_remembered_term_is_bit_identical_to_a_fresh_one(self, case):
         spec, cooling, cfg, seed = case
         solver = FdSolver(spec, cooling, cfg)
         state = solver.uniform_field(20.0)
@@ -466,7 +466,7 @@ class TestFactoredStep:
         solver = FdSolver(PAPER, ALL_SIDES, FdConfig(8, 5, 2.0))
         state = solver.uniform_field(15.0)
         state = solver.step(state, [15.0] * 4, 1e5)
-        for _ in range(2):   # the first bad call, then a repeat on the same solver
+        for _ in range(2):   # a fresh input term, then a remembered one
             with pytest.raises(NumericalError):
                 solver.step(state, tinf, q)
 

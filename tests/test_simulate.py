@@ -612,12 +612,14 @@ class TestHeldStep:
     def test_theta_constructor_matches_the_scalar_formula(self, theta):
         lam = np.array([0.0, -1e-6, -0.3, -7.0, -4e4])
         dt, capacity = 0.05, 1.7e6
-        stepper = Stepper.theta(lam, dt, theta, capacity)
+        stepper, scale = Stepper.theta(lam, dt, theta, capacity)
         for i, x in enumerate(lam.tolist()):
             denom = 1.0 - theta * dt * x
             assert stepper.gain[i] == (1.0 + (1.0 - theta) * dt * x) / denom
-            assert stepper.b_hat[i] == dt / (capacity * denom)
+            assert scale[i] == dt / (capacity * denom)
         assert stepper.gain[0] == 1.0 and np.all(np.abs(stepper.gain) <= 1.0)
+        with pytest.raises(ValueError):   # no input matrix: only ``held`` steps it
+            stepper.step(np.zeros(lam.size), np.ones(1))
 
     @pytest.mark.parametrize("n", [0, -3, 2.0, True])
     def test_non_positive_or_non_integral_step_count_rejected(self, n):
