@@ -11,14 +11,16 @@ the package's one ZOH kernel (``simulate.Stepper``), and its volume mean, a
 precomputed row, feeds the error. The estimator never reads the plant, so a
 run first issues the whole command sequence from the estimator alone, then
 runs the plant once, open loop, under the recorded commands: a reduced-model
-plant through one ``Stepper.trajectory`` from its own modal projection, its
-outputs and one batched metrics call taken from the modal trajectory as in
-``simulate.run``, an FD plant stepped as ``fd_solve`` steps, on the plant's
-own solver, with each command held over the FD steps of its control step.
-The estimator and a reduced-model plant share the model's cached
-``FieldEvaluator``. Passive sides, and a side outside the model's inputs (a
-cylinder's core), hold their baseline coolant temperature for the whole run.
-The horizon and the heat series are checked before any model is built.
+plant through ``simulate.run`` from its own modal projection, with metrics
+at every step, an FD plant as ``fd_solve`` runs, on the plant's own solver,
+with each command held over the FD steps of its control step. Either plant
+records step k under the command applied up to k, and step 0 under the
+baseline, as the estimator reads its own state. The estimator and a
+reduced-model plant share the model's cached ``FieldEvaluator``. Passive
+sides, and a side outside the model's inputs (a cylinder's core), hold their
+baseline coolant temperature for the whole run. The horizon, the heat
+series, the setpoint and the controller data are checked before any model is
+built.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SIDES, active_sides, input_sides, per_step, step_count
+from .core import (SIDES, _check_number, active_sides, input_sides, per_step,
+                   step_count)
 from .galerkin import ReducedModel, assemble, project_initial_state
 from .reference import FdSolver, _fd_solve_on, step_ratio
-from .simulate import DEFAULT_GRID, FieldEvaluator, discretize
+from .simulate import DEFAULT_GRID, FieldEvaluator, discretize, run
 
 DEFAULT_GAINS = (2.0, 0.05)
 DEFAULT_LIMITS = (-20.0, 40.0)   # coolant temperature span, degC
@@ -49,7 +52,11 @@ class PiController:
     integral: float = 0.0
 
     def __post_init__(self):
+        for name in ("kp", "ki", "baseline", "integral"):
+            _check_number(self, name)
         lo, hi = self.output_limits
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("PiController.output_limits must be finite")
         if lo > hi:
             raise ValueError("output_limits must satisfy lo <= hi")
 
@@ -145,8 +152,13 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
             raise ValueError(f"active side {side!r} is not a model input")
         if cooling.side(side).h <= 0.0:
             raise ValueError(f"active side {side!r} has no convection")
+    if not math.isfinite(setpoint):
+        raise ValueError("setpoint must be finite")
 
     baseline = cooling.T_inf
+    controllers = [(j, PiController(gains[0], gains[1], baseline=baseline[j],
+                                    output_limits=limits))
+                   for j in map(SIDES.index, active)]
     if isinstance(plant, ReducedModel):
         est_model = estimator_model if estimator_model is not None else plant
     else:
@@ -157,10 +169,6 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         est_model = estimator_model if estimator_model is not None else \
             assemble(plant.spec, plant.cooling, 3, 3)
     estimator = OpenLoopEstimator(est_model, dt, T_init, baseline, grid_shape)
-
-    controllers = [(j, PiController(gains[0], gains[1], baseline=baseline[j],
-                                    output_limits=limits))
-                   for j in map(SIDES.index, active)]
 
     # the coolant temperatures commanded over each step, in SIDES order; the
     # last row repeats the last command at the horizon
@@ -184,17 +192,11 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         metrics = _fd_solve_on(
             plant, np.repeat(tinf, fd_steps, axis=0)[:n_fd + 1],
             np.repeat(q_arr, fd_steps)[:n_fd + 1], T_init, fd_steps, fd_steps)
-        outputs = metrics.outputs
     else:
-        # the field at step k is reconstructed with the input applied up to k
-        u_rec = np.vstack([plant.cooling_powers(baseline), u[:-1]])
-        modal = discretize(plant, dt).trajectory(
-            project_initial_state(plant, T_init, baseline),
-            np.column_stack([u[:-1], q_arr[:-1]]))
-        outputs = plant.modal_outputs(modal, u_rec)
-        metrics = FieldEvaluator.of(plant, *grid_shape).metrics(modal, u_rec)
+        metrics = run(plant, project_initial_state(plant, T_init, baseline), tinf,
+                      q_arr, dt, horizon, grid_shape, metrics_stride=1, tinf0=baseline)
     return ControlTrace(
         times=np.arange(n_steps + 1) * dt, setpoint=setpoint, sides=sides,
         active=active, coolant=tinf[:, [SIDES.index(s) for s in sides]], u=u,
-        T_mean=metrics.T_mean, T_hat_mean=t_hat, outputs=outputs,
+        T_mean=metrics.T_mean, T_hat_mean=t_hat, outputs=metrics.outputs,
         dTr_mean=metrics.dTr_mean, dTz_mean=metrics.dTz_mean)

@@ -183,10 +183,7 @@ class ReducedModel:
         The product runs in einsum's own loops, whose result for a row does
         not depend on the rows stacked with it: ``simulate.run`` passes its
         trajectory in blocks, whose outputs must not depend on the block
-        size. A BLAS GEMM would also start the BLAS thread pool, whose buffers
-        add about 2 MB of resident memory, on a long high-order stack such as
-        the closed-loop plant's whole trajectory; ``run``'s blocks alone would
-        stay on the calling thread.
+        size.
         """
         return np.einsum("...o,po->...p", Y, self.modal_C) + u @ self.Dft.T
 

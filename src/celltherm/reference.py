@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SIDES, CellSpec, CoolingConfig, check_count, pencil_modes,
-                   per_step, per_step_rows, step_count)
+from .core import (SIDES, CellSpec, CoolingConfig, _check_number, check_count,
+                   pencil_modes, per_step, per_step_rows, step_count)
 from .exceptions import NumericalError, UnsupportedShapeError
 from .simulate import (MetricSeries, MetricsRecord, Stepper, _reduce_fields,
                        _trapezoid, metric_steps)
@@ -334,8 +334,8 @@ def _fd_solve_on(solver: FdSolver, tinf_arr: np.ndarray, q_arr: np.ndarray,
     columns = np.column_stack([q_arr[:n_steps], tinf_arr[:n_steps]])
     changed = np.any(columns[1:] != columns[:-1], axis=1)
 
-    output_idx = metric_steps(n_steps, output_stride)
-    metric_idx = metric_steps(n_steps, metrics_stride)
+    output_idx = metric_steps(n_steps, output_stride, "output_stride")
+    metric_idx = metric_steps(n_steps, metrics_stride, "metrics_stride")
     # each span [start, end) holds one input row and ends at the next event
     ends = sorted(set(output_idx) | set(metric_idx)
                   | set((np.flatnonzero(changed) + 1).tolist()))
@@ -374,6 +374,8 @@ class TecModel:
     T_inf: float = 15.0   # degC
 
     def __post_init__(self):
+        for name in ("C_c", "C_s", "R_c", "R_u", "T_inf"):
+            _check_number(self, name)
         for name in ("C_c", "C_s", "R_c", "R_u"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"TecModel.{name} must be positive")

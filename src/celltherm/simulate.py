@@ -383,27 +383,36 @@ class SimResult(MetricSeries):
     outputs: np.ndarray         # (K+1, 4)
 
 
-def metric_steps(n_steps: int, stride: int | None) -> list:
+def metric_steps(n_steps: int, stride: int | None, name: str = "stride") -> list:
     """Sampled step indices: every ``stride``-th step and the last one, or
-    none for ``stride=None``."""
+    none for ``stride=None``. Any other stride must be an integer >= 1; the
+    error names it as ``name``."""
     if stride is None:
         return []
-    idx = list(range(0, n_steps + 1, max(1, stride)))
+    check_count(stride, name, 1)
+    idx = list(range(0, n_steps + 1, stride))
     if idx[-1] != n_steps:
         idx.append(n_steps)
     return idx
 
 
 def run(model: ReducedModel, Y0, tinf, w, dt: float, horizon: float,
-        grid_shape=DEFAULT_GRID, metrics_stride: int | None = 1) -> SimResult:
+        grid_shape=DEFAULT_GRID, metrics_stride: int | None = 1,
+        tinf0=None) -> SimResult:
     """Step the model over [0, horizon] with staircase inputs from the modal
     coordinates Y0 (order,), as ``galerkin.project_initial_state`` gives them.
 
     ``tinf`` holds the coolant temperatures in ``SIDES`` order as ``fd_solve``
     takes them (None, one (4,) row or K+1 rows; ``ReducedModel.inputs``),
-    ``w`` a scalar or K+1 heat samples, both already resampled to dt. The
-    states are stepped STEP_BLOCK floats at a time and kept only at the metric
-    steps, ``metric_steps(K, metrics_stride)``. An outputs-only run,
+    ``w`` a scalar or K+1 heat samples, both already resampled to dt. Step k
+    moves the state from k to k+1 under the inputs of row k. The outputs and
+    metric samples of step k are recorded under the input applied up to k,
+    row k-1, which is the field an FD run under the same rows samples there;
+    step 0 is recorded under ``tinf0``, one (4,) row in ``SIDES`` order that
+    defaults to the first row of ``tinf``. With held coolant every row is the
+    same, so the record does not depend on the convention. The states are
+    stepped STEP_BLOCK floats at a time and kept only at the metric steps,
+    ``metric_steps(K, metrics_stride)``. An outputs-only run,
     ``metrics_stride=None``, keeps no state and builds no ``FieldEvaluator``:
     its states have shape (0, order) and its metric arrays are empty.
     """
@@ -413,30 +422,36 @@ def run(model: ReducedModel, Y0, tinf, w, dt: float, horizon: float,
     n_steps = step_count(horizon, dt)
     u_arr = model.inputs(tinf, n_steps + 1)
     w_arr = per_step(w, n_steps + 1, "w")
+    idx = metric_steps(n_steps, metrics_stride, "metrics_stride")
+    # step k is recorded under row k-1 and step 0 under u0; a held row is
+    # recorded as it is, sparing a copy that compare-tec's O1/TEC timing of a
+    # 10-step O=1 run would see
+    u0 = u_arr[:1] if tinf0 is None else model.inputs(tinf0, 1, "tinf0")
+    held = tinf0 is None and not u_arr.strides[0]
+    u_rec = u_arr if held else np.concatenate([u0, u_arr[:-1]])
     stepper = discretize(model, dt)
     times = np.arange(n_steps + 1) * dt
     inputs = np.column_stack([u_arr, w_arr])
-    idx = metric_steps(n_steps, metrics_stride)
     rows = max(1, STEP_BLOCK // model.order)
     n_blocks = max(1, min(-(-n_steps // rows), n_steps // 2))
     if n_blocks == 1:
         # no block bookkeeping: on a 10-step O=1 run it cost about 4 % of
         # the run, which compare-tec's O1/TEC timing shows
         Y = stepper.trajectory(y, inputs[:-1])
-        outputs, states = model.modal_outputs(Y, u_arr), Y[idx]
+        outputs, states = model.modal_outputs(Y, u_rec), Y[idx]
     else:
         outputs, samples, a = [], [], 0
         for i in range(n_blocks):
             k0, k1 = i * n_steps // n_blocks, (i + 1) * n_steps // n_blocks
             Y = stepper.trajectory(y, inputs[k0:k1], k0)   # states k0..k1
             lo = 1 if i else 0   # state k0 closed the block before
-            outputs.append(model.modal_outputs(Y[lo:], u_arr[k0 + lo:k1 + 1]))
+            outputs.append(model.modal_outputs(Y[lo:], u_rec[k0 + lo:k1 + 1]))
             b = bisect_right(idx, k1, a)
             samples.append(Y[[k - k0 for k in idx[a:b]]])
             a, y = b, Y[-1]
         outputs, states = np.concatenate(outputs), np.concatenate(samples)
     if idx:
-        metrics = FieldEvaluator.of(model, *grid_shape).metrics(states, u_arr[idx])
+        metrics = FieldEvaluator.of(model, *grid_shape).metrics(states, u_rec[idx])
     else:
         metrics = MetricsRecord.stack([])
     return SimResult(times=times, states=states, outputs=outputs,

@@ -71,6 +71,20 @@ class TestPiStep:
             pi_step(c, 1.0, dt)
         assert c.integral == 0.0
 
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"kp": np.nan}, "kp"), ({"kp": True}, "kp"), ({"ki": -np.inf}, "ki"),
+        ({"baseline": np.nan}, "baseline"), ({"integral": np.inf}, "integral"),
+        ({"output_limits": (np.nan, np.nan)}, "output_limits"),
+        ({"output_limits": (-20.0, np.inf)}, "output_limits"),
+    ], ids=["nan-kp", "bool-kp", "inf-ki", "nan-baseline", "inf-integral", "nan-limits",
+            "inf-hi"])
+    def test_non_finite_data_is_named(self, kwargs, name):
+        """Each of kp, ki, baseline, the integral and the limits must be
+        finite: NaN limits fail every comparison, so pi_step would return its
+        raw command unclamped."""
+        with pytest.raises(ValueError, match=f"PiController.{name}"):
+            PiController(**{"kp": 2.0, "ki": 0.05, **kwargs})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             PiController(1.0, 1.0, output_limits=(2.0, 1.0))
@@ -260,6 +274,35 @@ class TestClosedLoop:
             closed_loop_run(plant, "aTSC", 20.0, 4e4, dt=2.0, horizon=horizon)
         assert built == []
 
+    @pytest.mark.parametrize("plant", ["fd", "rom"])
+    @pytest.mark.parametrize("bad, match", [
+        ({"setpoint": np.nan}, "setpoint"),
+        ({"setpoint": np.inf}, "setpoint"),
+        ({"gains": (np.nan, 0.05)}, "kp"),
+        ({"gains": (2.0, np.inf)}, "ki"),
+        ({"limits": (np.nan, 40.0)}, "output_limits"),
+        ({"limits": (-20.0, np.inf)}, "output_limits"),
+        ({"limits": (np.nan, np.nan)}, "output_limits"),
+    ], ids=["nan-setpoint", "inf-setpoint", "nan-kp", "inf-ki", "nan-lo", "inf-hi",
+            "nan-limits"])
+    def test_bad_controller_data_raises_before_any_build(self, monkeypatch, plant,
+                                                         bad, match):
+        """A non-finite setpoint, gain or limit is named, and no estimator
+        model is assembled and no estimator built for it."""
+        cooling = scenario_cooling("aTSC")
+        plant = (FdSolver(PAPER, cooling, FdConfig(16, 16, 0.5)) if plant == "fd"
+                 else assemble(PAPER, cooling, 2, 2))
+        built = []
+        assemble_, init = control.assemble, OpenLoopEstimator.__init__
+        monkeypatch.setattr(control, "assemble",
+                            lambda *a: built.append("assemble") or assemble_(*a))
+        monkeypatch.setattr(OpenLoopEstimator, "__init__",
+                            lambda *a: built.append("estimator") or init(*a))
+        kwargs = {"setpoint": 20.0, **bad}
+        with pytest.raises(ValueError, match=match):
+            closed_loop_run(plant, "aTSC", q=4e4, dt=2.0, horizon=10.0, **kwargs)
+        assert built == []
+
     def test_estimated_mean_is_the_reconstructed_mean(self):
         """The estimator's precomputed modal row gives the volume mean of the
         reconstructed field along a driven trajectory."""
@@ -280,10 +323,10 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("est_count", [None, 2], ids=["nominal", "O4-estimator"])
     def test_rom_plant_replays_its_commands(self, est_count):
-        """The plant record equals an open-loop ``run`` of the plant model
-        under the recorded commands, whether or not the estimator is the
-        plant itself; each row is reconstructed with the input applied up to
-        that step."""
+        """The plant record is, bit for bit, an open-loop ``run`` of the
+        plant model under the recorded commands from the baseline, whether or
+        not the estimator is the plant itself: each row is recorded under the
+        command applied up to that step, and step 0 under the baseline."""
         model = assemble(PAPER, scenario_cooling("aTSC"), 3, 3)
         est = None if est_count is None else \
             assemble(PAPER, scenario_cooling("aTSC"), est_count, est_count)
@@ -292,13 +335,10 @@ class TestClosedLoop:
                                 estimator_model=est)
         tinf = commanded_coolant(trace, model.cooling)
         res = run(model, project_initial_state(model, 15.0), tinf, q,
-                  dt=2.0, horizon=120.0, metrics_stride=10**9)
+                  dt=2.0, horizon=120.0, metrics_stride=1, tinf0=model.cooling.T_inf)
         assert np.array_equal(trace.u, cooling_powers(model, tinf))
-        u0 = cooling_powers(model, model.cooling.T_inf)
-        u_rec = np.vstack([u0, trace.u[:-1]])
-        np.testing.assert_allclose(trace.outputs - u_rec @ model.Dft.T,
-                                   res.outputs - trace.u @ model.Dft.T,
-                                   rtol=0, atol=1e-10)
+        for name in ("outputs", "T_mean", "dTr_mean", "dTz_mean"):
+            assert np.array_equal(getattr(trace, name), getattr(res, name)), name
         assert (np.abs(trace.T_mean - trace.T_hat_mean).max() <= 1e-9) == (est is None)
 
     def test_unknown_active_side_rejected(self):

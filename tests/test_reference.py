@@ -698,6 +698,16 @@ class TestTec:
         with pytest.raises(ValueError, match="dt"):
             tec_run(TecModel(), 0.0, -1.0, 10.0)
 
+    @pytest.mark.parametrize("name", ["C_c", "C_s", "R_c", "R_u", "T_inf"])
+    @pytest.mark.parametrize("bad, match", [(np.nan, "finite"), (np.inf, "finite"),
+                                            (-np.inf, "finite"), (True, "bool")])
+    def test_non_finite_or_bool_field_is_named(self, name, bad, match):
+        """Every field is a finite number, checked before positivity: a NaN
+        capacity would surface as an undiagonalizable pencil, and True or an
+        infinite resistance would run."""
+        with pytest.raises(ValueError, match=f"TecModel.{name} must .*{match}"):
+            TecModel(**{name: bad})
+
     def test_heat_series_needs_one_sample_per_time(self):
         """A 10 s horizon at dt 1 s has 11 sample times: a short series and a
         long one are rejected, not failed on or truncated."""

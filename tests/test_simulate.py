@@ -391,13 +391,16 @@ class TestRun:
             run(model, y0, None, 0.0, dt=1.0, horizon=5.0)
 
 
-def reference_run(model, y0, tinf, w, dt):
+def reference_run(model, y0, tinf, w, dt, tinf0=None):
     """Every modal state and the outputs of a run under the coolant rows
     tinf (K+1, 4), formed without ``run``: u = h T_inf by hand, then the
-    discretized model's trajectory and the model's modal outputs."""
+    discretized model's trajectory and the model's modal outputs, step k
+    under the input applied up to k (row k-1) and step 0 under tinf0, by
+    default the first row."""
     u = cooling_powers(model, tinf)
+    u0 = cooling_powers(model, tinf[0] if tinf0 is None else tinf0)
     Y = discretize(model, dt).trajectory(y0, np.column_stack([u, w])[:-1])
-    return Y, model.modal_outputs(Y, u)
+    return Y, model.modal_outputs(Y, np.vstack([u0, u[:-1]]))
 
 
 def reference_projection(model, T_init, tinf0):
@@ -421,7 +424,8 @@ class TestCoolantInputs:
             self, cell, M, N, dt, K, T_init, seed):
         """``run`` and ``project_initial_state`` under explicit coolant rows
         equal, bit for bit, the same steps taken on cooling powers formed by
-        hand; a held row equals its rows repeated."""
+        hand, each step recorded under the input applied up to it; a held row
+        equals its rows repeated."""
         model = assemble(*cell, M, N)
         rng = np.random.default_rng(seed)
         tinf = 40.0 * rng.standard_normal((K + 1, 4))
@@ -436,6 +440,50 @@ class TestCoolantInputs:
         assert np.array_equal(
             held.outputs, reference_run(model, y0, np.tile(tinf[0], (K + 1, 1)), w, dt)[1])
         assert np.array_equal(model.cooling_powers(tinf), cooling_powers(model, tinf))
+
+    @pytest.mark.parametrize("blocks", [1, 4], ids=["one-block", "four-blocks"])
+    @pytest.mark.parametrize("held", [False, True], ids=["rows", "held-row"])
+    def test_tinf0_changes_only_the_step_0_record(self, monkeypatch, blocks, held):
+        """A ``tinf0`` other than the first row leaves every state bit for bit
+        and every record after step 0; step 0 is recorded under tinf0, its
+        outputs C_modal y0 + Dft u(tinf0) and its metrics those of y0."""
+        model = assemble(PAPER, scenario_cooling("aTSC"), 3, 3)
+        K, dt = 12, 2.0
+        rng = np.random.default_rng(3)
+        tinf = 30.0 * rng.standard_normal(4) if held else \
+            30.0 * rng.standard_normal((K + 1, 4))
+        tinf0 = np.array([-5.0, 8.0, 35.0, 12.0])
+        w = 1e5 * rng.standard_normal(K + 1)
+        y0 = project_initial_state(model, 15.0, tinf0)
+        monkeypatch.setattr(simulate, "STEP_BLOCK", -(-K // blocks) * model.order)
+        base = run(model, y0, tinf, w, dt, K * dt, grid_shape=(5, 5))
+        res = run(model, y0, tinf, w, dt, K * dt, grid_shape=(5, 5), tinf0=tinf0)
+        assert np.array_equal(res.states, base.states)
+        for name, value in vars(base).items():
+            if name not in ("states", "times", "metrics_times"):
+                assert np.array_equal(getattr(res, name)[1:], value[1:]), name
+                assert not np.array_equal(getattr(res, name)[0], value[0]), name
+        u0 = cooling_powers(model, tinf0)
+        assert_close_rel(res.outputs[0], model.modal_C @ y0 + model.Dft @ u0, 1e-12)
+        first = FieldEvaluator(model, 5, 5).metrics(y0[None], u0[None])
+        for f in fields(MetricsRecord):
+            assert_close_rel(getattr(res, f.name)[0], getattr(first, f.name)[0], 1e-12)
+        # tinf0 equal to the first row is the default
+        first_row = tinf if held else tinf[0]
+        same = run(model, y0, tinf, w, dt, K * dt, grid_shape=(5, 5), tinf0=first_row)
+        for name, value in vars(base).items():
+            assert np.array_equal(getattr(same, name), value), name
+
+    @pytest.mark.parametrize("tinf0", [np.full(3, 15.0), np.full((2, 4), 15.0),
+                                       np.full(5, 15.0), 15.0,
+                                       [15.0, np.nan, 15.0, 15.0],
+                                       [15.0, 15.0, np.inf, 15.0]],
+                             ids=["three", "two-rows", "five", "scalar", "nan", "inf"])
+    def test_bad_tinf0_is_named(self, tinf0):
+        model = assemble(PAPER, SC, 2, 2)
+        y0 = project_initial_state(model, 15.0)
+        with pytest.raises(ValueError, match="tinf0"):
+            run(model, y0, None, 1e4, 1.0, 5.0, tinf0=tinf0)
 
     def test_config_cooling_powers(self):
         """The inputs of a config's own coolant temperatures are h T_inf of
@@ -704,6 +752,20 @@ class TestStream:
             assert getattr(res, f.name).shape == (0,), f.name
         assert res.metrics_times.shape == (0,)
 
+    @pytest.mark.parametrize("stride", [0, -3, True, 2.5, np.float64(2.0)])
+    def test_bad_stride_is_named(self, stride):
+        """A stride that is not an integer >= 1 is an error naming it, on
+        ``run`` and on both strides of ``fd_solve``; it never falls back to
+        sampling every step."""
+        model = assemble(PAPER, SC, 2, 2)
+        y0 = project_initial_state(model, 15.0)
+        with pytest.raises(ValueError, match="metrics_stride must be an integer >= 1"):
+            run(model, y0, None, 1e4, 1.0, 5.0, metrics_stride=stride)
+        for name in ("output_stride", "metrics_stride"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+                fd_solve(PAPER, SC, None, 1e4, FdConfig(4, 4, 1.0), horizon=5.0,
+                         **{name: stride})
+
 
 class TestModalFirst:
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -713,7 +775,8 @@ class TestModalFirst:
             self, cell, M, N, dt, seed):
         """``run`` keeps the sampled states modal: they are the rows of the
         modal trajectory at the sampled steps, bit for bit, and its outputs
-        there equal C X + Dft u of the Galerkin states X they map to."""
+        there equal C X + Dft u of the Galerkin states X they map to, u the
+        input applied up to each step (the first row at step 0)."""
         model = assemble(*cell, M, N)
         rng = np.random.default_rng(seed)
         tinf = 40.0 * rng.standard_normal((7, 4))
@@ -727,7 +790,9 @@ class TestModalFirst:
         names = {f.name for f in fields(SimResult)}
         assert "states" in names and not names & {"modal", "modes"}
         X = to_modal(model, res.states, inverse=True)
-        assert_close_rel(res.outputs[idx], X @ model.C.T + u[idx] @ model.Dft.T, 1e-12)
+        u_rec = np.vstack([u[:1], u[:-1]])
+        assert_close_rel(res.outputs[idx], X @ model.C.T + u_rec[idx] @ model.Dft.T,
+                         1e-12)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(cells_and_coolings(), st.integers(1, 8), st.integers(1, 8),
