@@ -354,15 +354,16 @@ def _order_models(spec, cooling, orders):
     return {order: library[_order_size(order)] for order in orders}
 
 
-def _runner(model, cfg, q_series):
+def _runner(model, cfg, q_series, metric_names=None):
     """The model's run over the configured horizon, as a callable of the
     metrics stride (None: outputs only), so that timing leaves assembly out
-    and several runs share one model."""
+    and several runs share one model. The runs take the metrics
+    ``metric_names`` (None: all eight), the ones the command writes."""
     y0 = project_initial_state(model, cfg["t_init_C"])
     grid = (cfg["grid"]["n_r"], cfg["grid"]["n_z"])
     return lambda metrics_stride: run(
         model, y0, None, q_series, cfg["dt_s"], cfg["horizon_s"], grid_shape=grid,
-        metrics_stride=metrics_stride)
+        metrics_stride=metrics_stride, metric_names=metric_names)
 
 
 def cmd_simulate(cfg, out_dir: Path):
@@ -385,12 +386,14 @@ def cmd_simulate(cfg, out_dir: Path):
     return 0
 
 
-def _fd_reference(cfg, spec, cooling, q_series_fd, metrics_stride, output_stride):
+def _fd_reference(cfg, spec, cooling, q_series_fd, metrics_stride, output_stride,
+                  metric_names=None):
     fd_cfg = FdConfig(cfg["fd"]["n_r"], cfg["fd"]["n_z"], cfg["fd"]["dt_s"],
                       cfg["fd"]["scheme"])
     return fd_solve(spec, cooling, None, q_series_fd, fd_cfg,
                     T_init=cfg["t_init_C"], horizon=cfg["horizon_s"],
-                    metrics_stride=metrics_stride, output_stride=output_stride)
+                    metrics_stride=metrics_stride, output_stride=output_stride,
+                    metric_names=metric_names)
 
 
 def _subsample(fd_times, fd_values, times):
@@ -447,6 +450,7 @@ def cmd_validate(cfg, out_dir: Path):
 
 
 _COMPARE_HEADER = ["t_s", "T_mean_C", "T_max_C", "dTr_max_K_per_m"]
+_COMPARE_METRICS = ("T_mean", "T_max", "dTr_max")   # the metrics of that header
 
 
 def cmd_compare_tec(cfg, out_dir: Path):
@@ -462,7 +466,7 @@ def cmd_compare_tec(cfg, out_dir: Path):
     tec_cfg = cfg["tec"]
     tec = TecModel(tec_cfg["C_c"], tec_cfg["C_s"], tec_cfg["R_c"],
                    tec_cfg["R_u"], tec_cfg["T_inf_C"])
-    runs = {order: _runner(model, cfg, q_series)
+    runs = {order: _runner(model, cfg, q_series, _COMPARE_METRICS)
             for order, model in _order_models(spec, cooling, cfg["orders"]).items()}
 
     # Timed before the FD reference: the millisecond-scale timed runs are
@@ -491,9 +495,9 @@ def cmd_compare_tec(cfg, out_dir: Path):
 
     # FD metrics only at the model's steps, when those fall on FD steps
     stride = step_ratio(dt, cfg["fd"]["dt_s"]) or 1
-    fd = _fd_reference(cfg, spec, cooling, q_fd, stride, stride)
+    fd = _fd_reference(cfg, spec, cooling, q_fd, stride, stride, _COMPARE_METRICS)
     write_csv(out_dir / "trace_FD.csv", _COMPARE_HEADER,
-              [fd.metrics_times, fd.T_mean, fd.T_max, fd.dTr_max])
+              [fd.metrics_times, *(getattr(fd, m) for m in _COMPARE_METRICS)])
 
     times, t_c, t_s = tec_run(tec, q_series * vol, dt, horizon,
                               T0=cfg["t_init_C"])
@@ -507,10 +511,9 @@ def cmd_compare_tec(cfg, out_dir: Path):
     for order in cfg["orders"]:
         result = runs[order](cfg["metrics_stride"])
         write_csv(out_dir / f"trace_O{order}.csv", _COMPARE_HEADER,
-                  [result.metrics_times, result.T_mean, result.T_max, result.dTr_max])
+                  [result.metrics_times, *(getattr(result, m) for m in _COMPARE_METRICS)])
         errors[f"O{order}"] = _errors_vs_fd(
-            fd, result.metrics_times, T_mean=result.T_mean, T_max=result.T_max,
-            dTr_max=result.dTr_max)
+            fd, result.metrics_times, **{m: getattr(result, m) for m in _COMPARE_METRICS})
 
     write_summary(out_dir, cfg, {
         "command": "compare-tec",
@@ -630,6 +633,9 @@ def solve_constant_volume(volume: float, ratio: float, r_in: float):
     return ratio * r_out, r_out
 
 
+_SWEEP_METRICS = ("T_mean", "dTr_max", "dTz_max")   # their time maxima are written
+
+
 def _sweep_point(spec, cfg, ratio, q_series):
     """Merits of the constant-volume cell with L/R_out = ratio, or None if
     no such cell exists."""
@@ -645,14 +651,10 @@ def _sweep_point(spec, cfg, ratio, q_series):
     except ValueError:
         return None
     cooling = scenario_cooling(cfg["scenario"], cell.shape, T_inf=cfg["t_init_C"])
-    result = _runner(_order_model(cell, cooling, cfg["orders"][0]), cfg, q_series)(
-        cfg["metrics_stride"])
-    return {
-        "L_m": length, "R_out_m": r_out, "volume_m3": cell_volume(cell),
-        "T_mean": float(result.T_mean.max()),
-        "dTr_max": float(result.dTr_max.max()),
-        "dTz_max": float(result.dTz_max.max()),
-    }
+    result = _runner(_order_model(cell, cooling, cfg["orders"][0]), cfg, q_series,
+                     _SWEEP_METRICS)(cfg["metrics_stride"])
+    return {"L_m": length, "R_out_m": r_out, "volume_m3": cell_volume(cell),
+            **{m: float(getattr(result, m).max()) for m in _SWEEP_METRICS}}
 
 
 def cmd_sweep_geometry(cfg, out_dir: Path):

@@ -14,19 +14,21 @@ runs the plant once, open loop, under the recorded commands: a reduced-model
 plant through ``simulate.run`` from its own modal projection, with metrics
 at every step, an FD plant as ``fd_solve`` runs, on the plant's own solver,
 with each command held over the FD steps of its control step. Either plant
-records step k under the command applied up to k, and step 0 under the
-baseline, as the estimator reads its own state. The estimator and a
-reduced-model plant share the model's cached ``FieldEvaluator``. Passive
+takes only the metrics that a ``ControlTrace`` keeps (``PLANT_METRICS``), so
+a reduced-model plant reconstructs the two gradients and not the field.
+Either plant records step k under the command applied up to k, and step 0
+under the baseline, as the estimator reads its own state. The estimator and
+a reduced-model plant share the model's cached ``FieldEvaluator``. Passive
 sides, and a side outside the model's inputs (a cylinder's core), hold their
 baseline coolant temperature for the whole run. The horizon, the heat
 series, the setpoint and the controller data are checked before any model is
-built.
+built, whatever the active sides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,10 +36,13 @@ from .core import (SIDES, _check_number, active_sides, input_sides, per_step,
                    step_count)
 from .galerkin import ReducedModel, assemble, project_initial_state
 from .reference import FdSolver, _fd_solve_on, step_ratio
-from .simulate import DEFAULT_GRID, FieldEvaluator, discretize, run
+from .simulate import DEFAULT_GRID, FieldEvaluator, discretize, metric_steps, run
 
 DEFAULT_GAINS = (2.0, 0.05)
 DEFAULT_LIMITS = (-20.0, 40.0)   # coolant temperature span, degC
+
+# the plant metrics that a ControlTrace keeps
+PLANT_METRICS = ("T_mean", "dTr_mean", "dTz_mean")
 
 
 @dataclass
@@ -156,8 +161,10 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
         raise ValueError("setpoint must be finite")
 
     baseline = cooling.T_inf
-    controllers = [(j, PiController(gains[0], gains[1], baseline=baseline[j],
-                                    output_limits=limits))
+    # the gains and limits are checked here whatever the active sides: an
+    # empty scenario builds no controller
+    pi = PiController(gains[0], gains[1], output_limits=limits)
+    controllers = [(j, replace(pi, baseline=baseline[j]))
                    for j in map(SIDES.index, active)]
     if isinstance(plant, ReducedModel):
         est_model = estimator_model if estimator_model is not None else plant
@@ -189,12 +196,15 @@ def closed_loop_run(plant, scenario, setpoint: float, q, dt: float,
     if isinstance(plant, FdSolver):
         # each command held over its FD steps, sampled once per control step
         n_fd = n_steps * fd_steps
+        sampled = metric_steps(n_fd, fd_steps)
         metrics = _fd_solve_on(
             plant, np.repeat(tinf, fd_steps, axis=0)[:n_fd + 1],
-            np.repeat(q_arr, fd_steps)[:n_fd + 1], T_init, fd_steps, fd_steps)
+            np.repeat(q_arr, fd_steps)[:n_fd + 1], T_init, sampled, sampled,
+            PLANT_METRICS)
     else:
         metrics = run(plant, project_initial_state(plant, T_init, baseline), tinf,
-                      q_arr, dt, horizon, grid_shape, metrics_stride=1, tinf0=baseline)
+                      q_arr, dt, horizon, grid_shape, metrics_stride=1, tinf0=baseline,
+                      metric_names=PLANT_METRICS)
     return ControlTrace(
         times=np.arange(n_steps + 1) * dt, setpoint=setpoint, sides=sides,
         active=active, coolant=tinf[:, [SIDES.index(s) for s in sides]], u=u,

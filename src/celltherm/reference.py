@@ -50,8 +50,8 @@ import numpy as np
 from .core import (SIDES, CellSpec, CoolingConfig, _check_number, check_count,
                    pencil_modes, per_step, per_step_rows, step_count)
 from .exceptions import NumericalError, UnsupportedShapeError
-from .simulate import (MetricSeries, MetricsRecord, Stepper, _reduce_fields,
-                       _trapezoid, metric_steps)
+from .simulate import (MetricSeries, MetricsRecord, Stepper, _check_metric_names,
+                       _field_kinds, _reduce_fields, _trapezoid, metric_steps)
 
 BACKWARD_EULER = "backward_euler"
 CRANK_NICOLSON = "crank_nicolson"
@@ -259,18 +259,26 @@ class FdSolver:
             np.matmul(v_r[rows] @ state, v_z.T, out=field[rows])
         return field
 
-    def metrics(self, state: np.ndarray, field=None) -> MetricsRecord:
-        """Metrics of the field, with gradients from second-order finite
-        differences; ``field`` is ``grid(state)`` if the caller has it. The
-        field and both gradients are written into one new block per call,
-        so threads may share a solver."""
+    def metrics(self, state: np.ndarray, field=None, names=None) -> MetricsRecord:
+        """The metrics ``names`` (a tuple of ``MetricsRecord`` field names;
+        None for all eight) of the field, as floats, None for each metric not
+        named, with gradients from second-order finite differences; ``field``
+        is ``grid(state)`` if the caller has it. A gradient that no named
+        metric reads is not formed. The field and the gradients are written
+        into one new block per call, so threads may share a solver."""
+        names = _check_metric_names(names)
         if field is None:
             field = self.grid(state)
-        block = np.empty((3, 1, *field.shape))
-        block[0, 0] = field
-        _differences(field, self.dr, block[1, 0])
-        _differences(field.T, self.dz, block[2, 0].T)
-        return _reduce_fields(np.sum(self._vol_weights * field), [block], single=True)
+        kinds = _field_kinds(names)
+        block = np.empty((len(kinds), 1, *field.shape))
+        for kind, slot in zip(kinds, block[:, 0]):
+            if kind == 0:
+                slot[...] = field
+            elif kind == 1:
+                _differences(field, self.dr, slot)
+            else:
+                _differences(field.T, self.dz, slot.T)
+        return _reduce_fields(np.sum(self._vol_weights * field), [block], True, names)
 
     def surface_flux(self, state: np.ndarray, tinf: np.ndarray) -> float:
         """Mean convective flux h_s (T_surface - T_inf,s) out of the outer
@@ -300,42 +308,49 @@ class FdResult(MetricSeries):
 
 def fd_solve(spec: CellSpec, cooling: CoolingConfig, tinf, q, cfg: FdConfig,
              T_init: float = 15.0, horizon: float = 600.0,
-             metrics_stride: int | None = 1, output_stride: int = 1) -> FdResult:
+             metrics_stride: int | None = 1, output_stride: int = 1,
+             metric_names=None) -> FdResult:
     """Integrate the original PDE over [0, horizon].
 
     ``tinf`` holds the coolant temperatures per side in ``SIDES`` order
     [surface, core, top, bottom]: None for the cooling config's own, one
     (4,) row held over the run, or exactly K+1 rows. A side with h = 0 is
     insulated, and its entry has no effect. ``q`` is a scalar or exactly K+1
-    samples of the volumetric heat rate. Both are checked, every entry
-    finite, before the solver is built. Outputs are sampled at
+    samples of the volumetric heat rate. Outputs are sampled at
     ``metric_steps(K, output_stride)`` and metrics at ``metric_steps(K,
     metrics_stride)``, so an outputs-only run, ``metrics_stride=None``, takes
     no metric sample and its metric arrays are empty; ``final_field`` is
-    always formed. Between two samples or input changes the input is held,
-    and the solver takes those steps as one.
+    always formed. ``metric_names``, a tuple of ``MetricsRecord`` field
+    names, selects the metrics of each sample (None: all eight); the others
+    are None, and a gradient that no named metric reads is not formed
+    (``FdSolver.metrics``). The inputs, both strides and the names are
+    checked, every input entry finite, before the solver is built. Between
+    two samples or input changes the input is held, and the solver takes
+    those steps as one.
     """
-    n_times = step_count(horizon, cfg.dt) + 1
+    n_steps = step_count(horizon, cfg.dt)
     tinf_arr = per_step_rows(cooling.T_inf if tinf is None else tinf,
-                             len(SIDES), n_times, "tinf")
-    tinf_arr = np.broadcast_to(tinf_arr, (n_times, len(SIDES)))
-    q_arr = per_step(q, n_times, "q")
+                             len(SIDES), n_steps + 1, "tinf")
+    tinf_arr = np.broadcast_to(tinf_arr, (n_steps + 1, len(SIDES)))
+    q_arr = per_step(q, n_steps + 1, "q")
+    output_idx = metric_steps(n_steps, output_stride, "output_stride")
+    metric_idx = metric_steps(n_steps, metrics_stride, "metrics_stride")
+    names = _check_metric_names(metric_names)
     return _fd_solve_on(FdSolver(spec, cooling, cfg), tinf_arr, q_arr, T_init,
-                        metrics_stride, output_stride)
+                        metric_idx, output_idx, names)
 
 
 def _fd_solve_on(solver: FdSolver, tinf_arr: np.ndarray, q_arr: np.ndarray,
-                 T_init: float, metrics_stride: int | None,
-                 output_stride: int) -> FdResult:
+                 T_init: float, metric_idx: list, output_idx: list,
+                 names: tuple) -> FdResult:
     """``fd_solve`` on a given solver, which may have stepped before, with
-    checked (K+1, 4) coolant temperatures and K+1 heat samples."""
+    checked (K+1, 4) coolant temperatures, K+1 heat samples, sampled steps
+    (``metric_steps``) and metric names (``_check_metric_names``)."""
     n_steps = len(q_arr) - 1
     # a held span ends where q or a coolant temperature changes
     columns = np.column_stack([q_arr[:n_steps], tinf_arr[:n_steps]])
     changed = np.any(columns[1:] != columns[:-1], axis=1)
 
-    output_idx = metric_steps(n_steps, output_stride, "output_stride")
-    metric_idx = metric_steps(n_steps, metrics_stride, "metrics_stride")
     # each span [start, end) holds one input row and ends at the next event
     ends = sorted(set(output_idx) | set(metric_idx)
                   | set((np.flatnonzero(changed) + 1).tolist()))
@@ -346,19 +361,19 @@ def _fd_solve_on(solver: FdSolver, tinf_arr: np.ndarray, q_arr: np.ndarray,
     rows = []
     for start, end in zip(ends, ends[1:]):
         if start in metric_set:
-            rows.append(solver.metrics(state))
+            rows.append(solver.metrics(state, names=names))
         state = solver.step(state, tinf_arr[start], q_arr[start], end - start)
         if end in output_set:
             outputs.append(solver.outputs(state))
     field = solver.grid(state)
     if metric_idx:   # the last step is then sampled: its field is the final field
-        rows.append(solver.metrics(state, field))
+        rows.append(solver.metrics(state, field, names))
 
     dt = solver.cfg.dt
     return FdResult(
         times=np.array(output_idx) * dt, outputs=np.array(outputs),
         metrics_times=np.array(metric_idx) * dt,
-        **vars(MetricsRecord.stack(rows)),
+        **vars(MetricsRecord.stack(rows, names)),
         final_field=field, r_nodes=solver.r_nodes, z_nodes=solver.z_nodes)
 
 

@@ -24,7 +24,10 @@ coefficient matrix C_aug (``FieldEvaluator``). Gradients are computed by
 analytic differentiation of the expansions (not finite differences of the
 grid), with the coordinate scale factors folded into the derivative tables.
 The reduced model and the FD oracle of ``reference`` reduce their fields to
-``MetricsRecord``s through one routine, ``_reduce_fields``.
+``MetricsRecord``s through one routine, ``_reduce_fields``. A caller may name
+the metrics it needs (``metric_names``, ``MetricsRecord`` field names): only
+the fields those metrics read are then formed and reduced, and the metrics
+left out are None.
 """
 
 from __future__ import annotations
@@ -46,10 +49,14 @@ DEFAULT_GRID = (41, 41)
 
 # Samples that FieldEvaluator.metrics reconstructs at once. Stacking amortizes
 # the per-call overhead, but each metrics call holds a buffer of
-# 3 * METRICS_BLOCK * n_r * n_z floats (about 320 KB on the default grid), one
-# per concurrent call: the CLI's control points run on a thread pool. On the
-# study benchmark (2-core box), when scenarios and sweep-geometry ran on pools
-# too, 8 measured as fast as 16 or 32 with 3 to 11 MB less peak memory.
+# n_fields * METRICS_BLOCK * n_r * n_z floats, n_fields the fields its metrics
+# read (about 320 KB for all three on the default grid, 215 KB for the two
+# that control and sweep-geometry read), one per concurrent call: the CLI's
+# control points run on a thread pool. On the study benchmark (2-core box),
+# when scenarios and sweep-geometry ran on pools too, 8 measured as fast as 16
+# or 32 with 3 to 11 MB less peak memory. A 12-sample block for two-field
+# calls measured faster but gave the memory back (study peak RSS 47.97 ->
+# 48.10 MB over 10 interleaved pairs).
 METRICS_BLOCK = 8
 
 # Modal floats that run steps at once: 256 KB of states that stay in cache
@@ -198,11 +205,42 @@ class MetricsRecord:
     dTz_mean: float     # grid mean of |dT/dz|, K/m
 
     @classmethod
-    def stack(cls, records) -> "MetricsRecord":
-        """One record of arrays from a sequence of single-sample records;
-        empty arrays if there are none."""
-        values = np.array([list(vars(r).values()) for r in records], dtype=float)
-        return cls(*values.reshape(-1, len(fields(cls))).T)
+    def stack(cls, records, names=None) -> "MetricsRecord":
+        """One record of arrays from a sequence of single-sample records
+        that hold the metrics ``names`` (None: all), None for the others;
+        empty arrays if there are no records."""
+        names = _check_metric_names(names)
+        return cls(**{name: np.array([getattr(r, name) for r in records], dtype=float)
+                      if name in names else None for name in METRIC_NAMES})
+
+
+METRIC_NAMES = tuple(f.name for f in fields(MetricsRecord))
+
+# The field that each metric reduces: 0 the temperature T, 1 dT/dr, 2 dT/dz.
+# T_mean reads none: it is a linear form of the sample.
+_FIELD_OF = {"T_max": 0, "T_min": 0, "dT": 0, "dTr_max": 1, "dTz_max": 2,
+             "dTr_mean": 1, "dTz_mean": 2}
+
+
+def _check_metric_names(names) -> tuple:
+    """The metric names ``names`` in ``MetricsRecord`` order, all of them for
+    None; raises ValueError for an empty selection and naming an unknown one."""
+    if names is None:
+        return METRIC_NAMES
+    names = tuple(names)
+    unknown = [name for name in names if name not in METRIC_NAMES]
+    if unknown:
+        raise ValueError(f"unknown metric name(s) {unknown}; MetricsRecord has "
+                         f"{', '.join(METRIC_NAMES)}")
+    if not names:
+        raise ValueError("metric names must name at least one metric, or be None for all")
+    return tuple(name for name in METRIC_NAMES if name in names)
+
+
+def _field_kinds(names: tuple) -> tuple:
+    """The fields (0 T, 1 dT/dr, 2 dT/dz) that the checked metric names read,
+    in that order."""
+    return tuple(sorted({_FIELD_OF[name] for name in names if name in _FIELD_OF}))
 
 
 def _trapezoid(n: int) -> np.ndarray:
@@ -211,29 +249,46 @@ def _trapezoid(n: int) -> np.ndarray:
     return np.r_[0.5, np.ones(n - 2), 0.5]
 
 
-def _reduce_fields(T_mean: np.ndarray, blocks, single: bool) -> MetricsRecord:
-    """Metrics of S samples from their means ``T_mean`` (S,) and their
-    fields, given in sample order as blocks (3, b, n_r, n_z) of
-    [T, dT/dr, dT/dz]; the gradients are overwritten with their magnitudes.
-    Floats if ``single``, else one array per metric."""
-    res = np.empty((8, T_mean.size))   # one row per MetricsRecord field, in order
+def _reduce_fields(T_mean: np.ndarray, blocks, single: bool,
+                   names: tuple = METRIC_NAMES) -> MetricsRecord:
+    """The metrics ``names`` (checked, see ``_check_metric_names``) of S
+    samples from their means ``T_mean`` (S,) and their fields, given in
+    sample order as blocks (n_fields, b, n_r, n_z) of the fields that the
+    names read, ``_field_kinds(names)``, and not read if they read none;
+    the gradients are overwritten with their magnitudes. Floats if
+    ``single``, else one array per metric; None for each metric not named."""
+    # one row per MetricsRecord field, in order; zeros, so the rows of the
+    # metrics not named stay finite through the two steps below
+    res = np.zeros((8, T_mean.size))
     res[0] = T_mean
+    kinds = _field_kinds(names)
+    first_grad = 1 if kinds[:1] == (0,) else 0   # the gradients follow T
+    reductions = []   # (reduction, its rows) of the gradient magnitudes
+    if first_grad < len(kinds):
+        lo, hi = 3 + kinds[first_grad], 4 + kinds[-1]   # rows of dTr_max and/or dTz_max
+        if "dTr_max" in names or "dTz_max" in names:
+            reductions.append((np.max, slice(lo, hi)))
+        if "dTr_mean" in names or "dTz_mean" in names:
+            reductions.append((np.sum, slice(lo + 2, hi + 2)))
     i = 0
-    for block in blocks:
+    for block in blocks if kinds else ():   # T_mean alone reads no field
         j = i + block.shape[1]
-        flat = block.reshape(3, j - i, -1)   # a view: each sample's grid is contiguous
-        np.max(flat[0], axis=1, out=res[1, i:j])
-        np.min(flat[0], axis=1, out=res[2, i:j])
-        grads = np.abs(flat[1:], out=flat[1:])
-        np.max(grads, axis=2, out=res[4:6, i:j])
-        np.sum(grads, axis=2, out=res[6:8, i:j])
+        flat = block.reshape(len(kinds), j - i, -1)   # a view: each grid is contiguous
+        if first_grad:
+            np.max(flat[0], axis=1, out=res[1, i:j])
+            np.min(flat[0], axis=1, out=res[2, i:j])
+        grads = np.abs(flat[first_grad:], out=flat[first_grad:])
+        for reduce, rows in reductions:
+            reduce(grads, axis=2, out=res[rows, i:j])
         i = j
     if i:   # the grid means from the sums, once for all blocks
         res[6:8] /= flat.shape[2]
     np.subtract(res[1], res[2], out=res[3])
-    if single:
-        return MetricsRecord(*map(float, res[:, 0]))
-    return MetricsRecord(*res)
+    values = map(float, res[:, 0]) if single else res
+    if len(names) < len(METRIC_NAMES):
+        values = [value if name in names else None
+                  for name, value in zip(METRIC_NAMES, values)]
+    return MetricsRecord(*values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,17 +383,22 @@ class FieldEvaluator:
                             (*Y.shape[:-1], self._sizes[2]))
         return Y.reshape(-1, Y.shape[-1]), u.reshape(-1, u.shape[-1]), Y.ndim == 1
 
-    def _reconstruct(self, Y: np.ndarray, u: np.ndarray, out: np.ndarray):
-        """T, dT/dr and dT/dz of the samples Y (b, order), u (b, n_inputs)
-        into out (3, b, n_r, n_z), which it returns."""
+    def _reconstruct(self, Y: np.ndarray, u: np.ndarray, out: np.ndarray,
+                     kinds=(0, 1, 2)):
+        """The fields ``kinds`` (0 T, 1 dT/dr, 2 dT/dz, in that order) of the
+        samples Y (b, order), u (b, n_inputs) into out (len(kinds), b, n_r,
+        n_z), which it returns."""
         M, N, _ = self._sizes
         c_aug = np.zeros((Y.shape[0], self._r.shape[-1], self._z0t.shape[0]))
         c_aug[:, :M, :N] = Y.reshape(-1, M, N)
         rows, cols = self._u_diag
         c_aug[:, rows, cols] = u
         left = self._r[:, None] @ c_aug           # R0 C_aug and R1 C_aug
-        np.matmul(left, self._z0t, out=out[:2])
-        np.matmul(left[0], self._z1t, out=out[2])
+        n_z0 = len(kinds) - (2 in kinds)           # T and dT/dr end in Z0^T
+        if n_z0:
+            np.matmul(left[kinds[0]:kinds[0] + n_z0], self._z0t, out=out[:n_z0])
+        if 2 in kinds:
+            np.matmul(left[0], self._z1t, out=out[-1])
         return out
 
     def field(self, Y: np.ndarray, u: np.ndarray) -> FieldGrid:
@@ -350,18 +410,26 @@ class FieldEvaluator:
         self._reconstruct(Y, u, out)
         return FieldGrid(self.r_nodes, self.z_nodes, *(out[:, 0] if single else out))
 
-    def metrics(self, Y: np.ndarray, u: np.ndarray) -> MetricsRecord:
-        """Metrics of one sample (modal Y) as floats, or of stacked samples
-        (one input row per sample, or one for all) as arrays, reconstructed
-        METRICS_BLOCK samples at a time into one buffer."""
+    def metrics(self, Y: np.ndarray, u: np.ndarray, names=None) -> MetricsRecord:
+        """The metrics ``names`` (a tuple of ``MetricsRecord`` field names;
+        None for all eight) of one sample (modal Y) as floats, or of stacked
+        samples (one input row per sample, or one for all) as arrays; None
+        for each metric not named. Only the fields that the named metrics
+        read are reconstructed, METRICS_BLOCK samples at a time into one
+        buffer, and none for T_mean alone; each named metric is bit for bit
+        the one of a call for all. An empty selection or an unknown name
+        raises ValueError."""
+        names = _check_metric_names(names)
+        kinds = _field_kinds(names)
         Y, u, single = self._stack(Y, u)
         n = Y.shape[0]
-        buf = np.empty((3, min(n, METRICS_BLOCK), self.r_nodes.size, self.z_nodes.size))
+        buf = np.empty((len(kinds), min(n, METRICS_BLOCK), self.r_nodes.size,
+                        self.z_nodes.size))
         blocks = (self._reconstruct(Y[i:i + METRICS_BLOCK], u[i:i + METRICS_BLOCK],
-                                    buf[:, :min(METRICS_BLOCK, n - i)])
+                                    buf[:, :min(METRICS_BLOCK, n - i)], kinds)
                   for i in range(0, n, METRICS_BLOCK))
         return _reduce_fields(Y @ self.mean_state_row + u @ self.mean_input_row,
-                              blocks, single)
+                              blocks, single, names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,7 +466,7 @@ def metric_steps(n_steps: int, stride: int | None, name: str = "stride") -> list
 
 def run(model: ReducedModel, Y0, tinf, w, dt: float, horizon: float,
         grid_shape=DEFAULT_GRID, metrics_stride: int | None = 1,
-        tinf0=None) -> SimResult:
+        tinf0=None, metric_names=None) -> SimResult:
     """Step the model over [0, horizon] with staircase inputs from the modal
     coordinates Y0 (order,), as ``galerkin.project_initial_state`` gives them.
 
@@ -415,7 +483,13 @@ def run(model: ReducedModel, Y0, tinf, w, dt: float, horizon: float,
     ``metric_steps(K, metrics_stride)``. An outputs-only run,
     ``metrics_stride=None``, keeps no state and builds no ``FieldEvaluator``:
     its states have shape (0, order) and its metric arrays are empty.
+    ``metric_names``, a tuple of ``MetricsRecord`` field names, selects the
+    metrics taken at those steps (None: all eight); the others are None, and
+    only the fields the named ones read are reconstructed
+    (``FieldEvaluator.metrics``). An empty selection or an unknown name
+    raises ValueError before any step.
     """
+    names = _check_metric_names(metric_names)
     y = np.asarray(Y0, dtype=float)
     if y.shape != (model.order,):
         raise ValueError(f"Y0 must have shape ({model.order},), not {y.shape}")
@@ -451,8 +525,9 @@ def run(model: ReducedModel, Y0, tinf, w, dt: float, horizon: float,
             a, y = b, Y[-1]
         outputs, states = np.concatenate(outputs), np.concatenate(samples)
     if idx:
-        metrics = FieldEvaluator.of(model, *grid_shape).metrics(states, u_rec[idx])
+        metrics = FieldEvaluator.of(model, *grid_shape).metrics(states, u_rec[idx],
+                                                                names=names)
     else:
-        metrics = MetricsRecord.stack([])
+        metrics = MetricsRecord.stack([], names)
     return SimResult(times=times, states=states, outputs=outputs,
                      metrics_times=times[idx], **vars(metrics))

@@ -1,9 +1,13 @@
 """Hypothesis strategies and helpers shared by the test modules."""
 
+import inspect
+
 import numpy as np
 from hypothesis import strategies as st
 
 from celltherm.core import CYLINDRICAL, POUCH, SIDES, CellSpec, CoolingConfig, SideCooling
+from celltherm.reference import FdSolver
+from celltherm.simulate import FieldEvaluator
 
 
 @st.composite
@@ -47,3 +51,22 @@ def cooling_powers(model, tinf):
     tinf = np.asarray(tinf, dtype=float)
     return np.stack([model.cooling.side(s).h * tinf[..., SIDES.index(s)]
                      for s in model.sides], axis=-1)
+
+
+def record_metric_names(monkeypatch):
+    """The ``names`` that ``FieldEvaluator.metrics`` and ``FdSolver.metrics``
+    receive, call by call, from now on: {"rom": [...], "fd": [...]}, None
+    for a call that asks for all eight metrics."""
+    received = {"rom": [], "fd": []}
+
+    def recording(key, real):
+        signature = inspect.signature(real)
+
+        def wrapper(*args, **kwargs):
+            received[key].append(signature.bind(*args, **kwargs).arguments.get("names"))
+            return real(*args, **kwargs)
+        return wrapper
+
+    for key, owner in (("rom", FieldEvaluator), ("fd", FdSolver)):
+        monkeypatch.setattr(owner, "metrics", recording(key, owner.metrics))
+    return received

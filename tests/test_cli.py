@@ -36,7 +36,8 @@ from celltherm.profiles import (
 )
 from celltherm import galerkin
 from celltherm.reference import FdConfig, FdSolver, TecModel
-from celltherm.simulate import DEFAULT_GRID, FieldEvaluator
+from celltherm.simulate import DEFAULT_GRID, METRIC_NAMES, FieldEvaluator, _check_metric_names
+from strategies import record_metric_names
 
 FAST_CFG = {
     "schema_version": 1,
@@ -446,6 +447,26 @@ class TestCommands:
         assert (tmp_path / "out/compare-tec/timing.txt").exists()
         assert work["rom_metrics"] == len(FAST_CFG["orders"])
         assert work["passes"] == 1
+
+    @pytest.mark.parametrize("command, rom, fd", [
+        ("control", ("T_mean", "dTr_mean", "dTz_mean"), None),
+        ("sweep-geometry", ("T_mean", "dTr_max", "dTz_max"), None),
+        ("compare-tec", ("T_mean", "T_max", "dTr_max"), ("T_mean", "T_max", "dTr_max")),
+        ("simulate", METRIC_NAMES, None),
+        ("scenarios", METRIC_NAMES, None),
+        ("validate", None, None)])
+    def test_each_command_takes_only_the_metrics_it_writes(self, tmp_path, monkeypatch,
+                                                           command, rom, fd):
+        """The metrics each command asks every ROM and FD metrics call for
+        (None: no call): control the plant means it keeps, sweep-geometry the
+        maxima it writes, compare-tec its three trace columns, and simulate
+        and scenarios all eight."""
+        received = record_metric_names(monkeypatch)
+        path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out")})
+        assert main([command, "--config", str(path)]) == 0
+        for key, want in (("rom", rom), ("fd", fd)):
+            got = {_check_metric_names(names) for names in received[key]}
+            assert got == ({want} if want else set()), key
 
     def test_simulate_assembles_one_library(self, tmp_path, work):
         path = _write_cfg(tmp_path, {"out_dir": str(tmp_path / "out"),

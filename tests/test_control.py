@@ -24,7 +24,7 @@ from celltherm.core import (
 from celltherm.galerkin import assemble, project_initial_state
 from celltherm.reference import FdConfig, FdSolver, fd_solve
 from celltherm.simulate import FieldEvaluator, discretize, run
-from strategies import cooling_powers
+from strategies import cooling_powers, record_metric_names
 
 def commanded_coolant(trace, cooling):
     """The commanded coolant temperatures (K+1, 4) of a trace in ``SIDES``
@@ -239,6 +239,22 @@ class TestClosedLoop:
                         estimator_model=assemble(PAPER, cooling, 2, 2))
         assert built == [plant]
 
+    @pytest.mark.parametrize("plant", ["fd", "rom"])
+    def test_plant_takes_only_the_metrics_the_trace_keeps(self, monkeypatch, plant):
+        """Either plant asks for T_mean, dTr_mean and dTz_mean, the metrics a
+        ControlTrace keeps; the estimator asks for none."""
+        cooling = scenario_cooling("aTSC")
+        model = assemble(PAPER, cooling, 2, 2)
+        plant = FdSolver(PAPER, cooling, FdConfig(16, 16, 0.5)) if plant == "fd" else model
+        received = record_metric_names(monkeypatch)
+        closed_loop_run(plant, "aTSC", 20.0, 4e4, dt=2.0, horizon=20.0,
+                        estimator_model=model)
+        names = ("T_mean", "dTr_mean", "dTz_mean")
+        if isinstance(plant, FdSolver):
+            assert received == {"rom": [], "fd": [names] * 11}
+        else:
+            assert received == {"rom": [names], "fd": []}
+
     def test_fd_plant_rejects_a_fractional_fd_step_count(self):
         cooling = scenario_cooling("SC")
         solver = FdSolver(PAPER, cooling, FdConfig(16, 16, 0.3))
@@ -283,12 +299,15 @@ class TestClosedLoop:
         ({"limits": (np.nan, 40.0)}, "output_limits"),
         ({"limits": (-20.0, np.inf)}, "output_limits"),
         ({"limits": (np.nan, np.nan)}, "output_limits"),
+        ({"scenario": (), "gains": (np.nan, np.nan)}, "kp"),
+        ({"scenario": (), "limits": (np.nan, np.nan)}, "output_limits"),
     ], ids=["nan-setpoint", "inf-setpoint", "nan-kp", "inf-ki", "nan-lo", "inf-hi",
-            "nan-limits"])
+            "nan-limits", "no-side-nan-gains", "no-side-nan-limits"])
     def test_bad_controller_data_raises_before_any_build(self, monkeypatch, plant,
                                                          bad, match):
         """A non-finite setpoint, gain or limit is named, and no estimator
-        model is assembled and no estimator built for it."""
+        model is assembled and no estimator built for it, also when no side
+        is under control and so no controller is built."""
         cooling = scenario_cooling("aTSC")
         plant = (FdSolver(PAPER, cooling, FdConfig(16, 16, 0.5)) if plant == "fd"
                  else assemble(PAPER, cooling, 2, 2))
@@ -298,9 +317,9 @@ class TestClosedLoop:
                             lambda *a: built.append("assemble") or assemble_(*a))
         monkeypatch.setattr(OpenLoopEstimator, "__init__",
                             lambda *a: built.append("estimator") or init(*a))
-        kwargs = {"setpoint": 20.0, **bad}
+        kwargs = {"scenario": "aTSC", "setpoint": 20.0, **bad}
         with pytest.raises(ValueError, match=match):
-            closed_loop_run(plant, "aTSC", q=4e4, dt=2.0, horizon=10.0, **kwargs)
+            closed_loop_run(plant, q=4e4, dt=2.0, horizon=10.0, **kwargs)
         assert built == []
 
     def test_estimated_mean_is_the_reconstructed_mean(self):

@@ -39,7 +39,8 @@ from celltherm.reference import (
     tec_run,
     timing_harness,
 )
-from celltherm.simulate import _reduce_fields
+from celltherm.simulate import METRIC_NAMES, _reduce_fields
+from strategies import cells_and_coolings
 
 PAPER = CellSpec(shape=CYLINDRICAL, L=0.198, R_out=0.032, R_in=0.004,
                  rho=2118.0, cp=795.0, k_r=0.67, k_z=66.6)
@@ -155,6 +156,23 @@ class TestFdBasics:
         with pytest.raises(ValueError, match="horizon|must broadcast"):
             fd_solve(PAPER, ALL_SIDES, run["tinf"], run["q"],
                      FdConfig(16, 16, 0.5), horizon=run["horizon"])
+        assert built == []
+
+    @pytest.mark.parametrize("args, match", [
+        (dict(output_stride=0), "output_stride"), (dict(metrics_stride=0), "metrics_stride"),
+        (dict(output_stride=2.5), "output_stride"), (dict(metric_names=()), "at least one"),
+        (dict(metric_names=("dTr_avg",)), "dTr_avg")],
+        ids=["zero-output-stride", "zero-metrics-stride", "float-output-stride",
+             "no-names", "unknown-name"])
+    def test_bad_stride_or_names_raise_before_the_solver_is_built(self, monkeypatch,
+                                                                  args, match):
+        built = []
+        init = FdSolver.__init__
+        monkeypatch.setattr(FdSolver, "__init__",
+                            lambda self, *a: built.append(1) or init(self, *a))
+        with pytest.raises(ValueError, match=match):
+            fd_solve(PAPER, ALL_SIDES, None, 1e5, FdConfig(64, 64, 0.05), horizon=1.0,
+                     **args)
         assert built == []
 
     @pytest.mark.parametrize("horizon,stride", [(0.0, 1), (4.0, 1), (5.0, 3), (5.0, 10**9)])
@@ -593,6 +611,38 @@ class TestFdMetrics:
         want = _reduce_fields(np.sum(solver._vol_weights * field), [block], single=True)
         for got in (solver.metrics(state), solver.metrics(state, field)):
             assert vars(got) == vars(want)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(3, 20), st.integers(3, 20),
+           st.lists(st.sampled_from(METRIC_NAMES), min_size=1, unique=True),
+           st.integers(0, 2**32 - 1))
+    def test_named_metrics_are_those_of_the_full_call(self, cell, n_r, n_z, names,
+                                                      seed):
+        """For random cells, grids and name subsets, each named metric is
+        the float of a call for all eight, bit for bit, and each other is
+        None; the field passed in or formed gives the same record."""
+        solver = FdSolver(*cell, FdConfig(n_r, n_z, 0.5))
+        state = np.random.default_rng(seed).standard_normal((n_r, n_z))
+        full = solver.metrics(state)
+        for part in (solver.metrics(state, names=tuple(names)),
+                     solver.metrics(state, solver.grid(state), tuple(names))):
+            for name in METRIC_NAMES:
+                want = getattr(full, name) if name in names else None
+                assert getattr(part, name) == want, name
+
+    def test_run_takes_the_named_metrics(self):
+        """fd_solve's named metric series are those of a run for all eight,
+        its outputs and final field the same, and the others None."""
+        q = np.linspace(0.0, 1e5, 21)
+        names = ("T_mean", "T_max", "dTr_max")
+        full = fd_solve(PAPER, ALL_SIDES, None, q, FdConfig(12, 10, 0.5), horizon=10.0,
+                        metrics_stride=4)
+        part = fd_solve(PAPER, ALL_SIDES, None, q, FdConfig(12, 10, 0.5), horizon=10.0,
+                        metrics_stride=4, metric_names=names)
+        for name in ("times", "outputs", "final_field", "metrics_times", *names):
+            assert np.array_equal(getattr(part, name), getattr(full, name)), name
+        for name in set(METRIC_NAMES) - set(names):
+            assert getattr(part, name) is None, name
 
 
 def expm_tec_run(model, q, dt, n_steps, T0):

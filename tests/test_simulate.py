@@ -36,6 +36,7 @@ from celltherm.galerkin import assemble, project_initial_state
 from celltherm.particular import axial_scale, radial_scale
 from celltherm.reference import FdConfig, fd_solve
 from celltherm.simulate import (
+    METRIC_NAMES,
     METRICS_BLOCK,
     FieldEvaluator,
     MetricsRecord,
@@ -1094,3 +1095,83 @@ class TestMetrics:
         x_inf = np.linalg.solve(model.A, -(model.B @ u + model.F * 1e5))
         y_inf = model.C @ x_inf + model.Dft @ u
         assert y_inf[1] - y_inf[0] == pytest.approx(CORE_MINUS_SURF, rel=0.02)
+
+
+class TestMetricSubsets:
+    """A caller names the metrics it needs: the named ones are those of a call
+    for all eight, bit for bit, and the others are None."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(cells_and_coolings(), st.integers(1, 5), st.integers(1, 5),
+           st.integers(2, 17), st.integers(2, 17),
+           st.integers(1, 2 * METRICS_BLOCK + 3),
+           st.lists(st.sampled_from(METRIC_NAMES), min_size=1, unique=True),
+           st.integers(0, 2**32 - 1))
+    def test_named_metrics_are_those_of_the_full_call(self, cell, M, N, n_r, n_z,
+                                                      n_samples, names, seed):
+        """For random cells, orders, grids and name subsets, stacked and one
+        sample at a time."""
+        model = assemble(*cell, M, N)
+        rng = np.random.default_rng(seed)
+        Y = to_modal(model, rng.uniform(-20.0, 40.0, (n_samples, model.order)))
+        u = rng.uniform(0.0, 4e4, (n_samples, model.n_inputs))
+        ev = FieldEvaluator(model, n_r, n_z)
+        for y, v in ((Y, u), (Y[0], u[0])):
+            full, part = ev.metrics(y, v), ev.metrics(y, v, names=tuple(names))
+            for name in METRIC_NAMES:
+                if name in names:
+                    assert np.array_equal(getattr(part, name), getattr(full, name)), name
+                    assert type(getattr(part, name)) is type(getattr(full, name))
+                else:
+                    assert getattr(part, name) is None, name
+
+    @pytest.mark.parametrize("names, fields_read", [
+        (("T_mean",), 0), (("dTr_mean", "dTz_mean"), 2), (("T_max", "dTr_max"), 2),
+        (("dT",), 1), (None, 3)])
+    def test_only_the_fields_read_are_reconstructed(self, monkeypatch, names,
+                                                    fields_read):
+        """The buffer holds the fields the names read, and T_mean alone
+        reconstructs none."""
+        model, modal, u = _heated_from_outside()
+        ev = FieldEvaluator(model, 9, 7)
+        slots = []
+        reconstruct = FieldEvaluator._reconstruct
+        monkeypatch.setattr(FieldEvaluator, "_reconstruct",
+                            lambda self, Y, u, out, *a: slots.append(out.shape[0])
+                            or reconstruct(self, Y, u, out, *a))
+        ev.metrics(modal, u, names=names)
+        n_blocks = -(-modal.shape[0] // METRICS_BLOCK)
+        assert slots == ([fields_read] * n_blocks if fields_read else [])
+
+    @pytest.mark.parametrize("names, match", [
+        ((), "at least one metric"), (("T_mean", "T_avg"), "T_avg"),
+        ("T_mean", "'T'")], ids=["empty", "unknown", "a-string"])
+    def test_empty_or_unknown_names_rejected(self, names, match):
+        """On the evaluator, on ``run`` before any step, and on ``fd_solve``;
+        a bare string is not a tuple of names."""
+        model = assemble(PAPER, SC, 2, 2)
+        y0 = project_initial_state(model, 15.0)
+        with pytest.raises(ValueError, match=match):
+            FieldEvaluator.of(model).metrics(y0, U_SC, names=names)
+        with pytest.raises(ValueError, match=match):
+            run(model, y0, None, 1e4, 1.0, 5.0, metric_names=names)
+        with pytest.raises(ValueError, match=match):
+            fd_solve(PAPER, SC, None, 1e4, FdConfig(4, 4, 1.0), horizon=5.0,
+                     metric_names=names)
+
+    @pytest.mark.parametrize("stride", [1, 3, None])
+    def test_run_takes_the_named_metrics(self, stride):
+        """A run's named metrics are those of a run for all eight, its
+        outputs and states the same; an outputs-only run leaves the named
+        metrics empty and the others None."""
+        model = assemble(PAPER, SC, 3, 3)
+        y0 = project_initial_state(model, 15.0)
+        q = np.linspace(0.0, 1e5, 21)
+        names = ("T_mean", "dTr_max", "dTz_mean")
+        full = run(model, y0, None, q, 1.0, 20.0, metrics_stride=stride)
+        part = run(model, y0, None, q, 1.0, 20.0, metrics_stride=stride,
+                   metric_names=names)
+        for name in ("outputs", "states", "metrics_times", *names):
+            assert np.array_equal(getattr(part, name), getattr(full, name)), name
+        for name in set(METRIC_NAMES) - set(names):
+            assert getattr(part, name) is None, name
