@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import PAPER_CELL, __version__
 from .core import (
     CYLINDRICAL,
     POUCH,
@@ -53,7 +53,7 @@ from .core import (
     resample_profile,
     scenario_cooling,
 )
-from .control import closed_loop_run
+from .control import DEFAULT_GAINS, DEFAULT_LIMITS, closed_loop_run
 from .exceptions import ConfigError, ModelError, NumericalError, UnsupportedShapeError
 from .galerkin import assemble, assemble_library, project_initial_state
 from .profiles import ingest_drive_cycle, pulse_train, random_drive
@@ -67,7 +67,7 @@ from .reference import (
     tec_run,
     timing_harness,
 )
-from .simulate import MetricsRecord, run
+from .simulate import DEFAULT_GRID, MetricsRecord, run
 
 SCHEMA_VERSION = 1
 
@@ -134,6 +134,7 @@ def _list_of(default, item: _Leaf):
                  lambda v: len(v) > 0 and all(map(item.accepts, v)))
 
 
+_FD, _TEC = FdConfig(), TecModel()   # the library's defaults
 _ORDER = _Leaf(_REQUIRED, "integer", "a positive perfect-square integer (O = N^2)",
                lambda o: o >= 1 and math.isqrt(o) ** 2 == o)
 
@@ -141,10 +142,11 @@ SCHEMA = {
     "schema_version": _Leaf(SCHEMA_VERSION, "integer", f"{SCHEMA_VERSION}",
                             lambda v: v == SCHEMA_VERSION),
     "cell": {
-        "shape": _one_of(CYLINDRICAL, (CYLINDRICAL, POUCH)),
-        "L": _positive(0.198), "R_out": _real(0.032), "R_in": _real(0.004),
-        "D": _real(_OPTIONAL), "rho": _positive(2118.0), "cp": _positive(795.0),
-        "k_r": _positive(0.67), "k_z": _positive(66.6),
+        "shape": _one_of(PAPER_CELL.shape, (CYLINDRICAL, POUCH)),
+        "L": _positive(PAPER_CELL.L), "R_out": _real(PAPER_CELL.R_out),
+        "R_in": _real(PAPER_CELL.R_in), "D": _real(_OPTIONAL),
+        "rho": _positive(PAPER_CELL.rho), "cp": _positive(PAPER_CELL.cp),
+        "k_r": _positive(PAPER_CELL.k_r), "k_z": _positive(PAPER_CELL.k_z),
     },
     "scenario": _one_of("SC", tuple(SCENARIOS)),
     "cooling": _Nullable({side: {
@@ -160,7 +162,7 @@ SCHEMA = {
     "out_dir": _Leaf("out", "string", "a directory path"),
     "metrics_stride": _count(1, 1),
     # the least grids FieldEvaluator and FdConfig accept
-    "grid": {"n_r": _count(41, 2), "n_z": _count(41, 2)},
+    "grid": {"n_r": _count(DEFAULT_GRID[0], 2), "n_z": _count(DEFAULT_GRID[1], 2)},
     "heat": _ByKind({"kind": "constant_q", "q_W_per_m3": 1e5}, {
         "constant_q": {"q_W_per_m3": _real()},
         "pulse_train": {
@@ -173,13 +175,14 @@ SCHEMA = {
         "csv": {"path": _Leaf(_REQUIRED, "string", "the path of an existing CSV file",
                               lambda v: Path(v).is_file())},
     }),
-    "fd": {"n_r": _count(128, 3), "n_z": _count(128, 3), "dt_s": _positive(0.05),
-           "scheme": _one_of("crank_nicolson", ("crank_nicolson", "backward_euler"))},
-    "tec": {"C_c": _positive(1079.6), "C_s": _positive(48.35), "R_c": _positive(0.65),
-            "R_u": _positive(0.08), "T_inf_C": _real(15.0)},
+    "fd": {"n_r": _count(_FD.n_r, 3), "n_z": _count(_FD.n_z, 3), "dt_s": _positive(_FD.dt),
+           "scheme": _one_of(_FD.scheme, ("crank_nicolson", "backward_euler"))},
+    "tec": {"C_c": _positive(_TEC.C_c), "C_s": _positive(_TEC.C_s), "R_c": _positive(_TEC.R_c),
+            "R_u": _positive(_TEC.R_u), "T_inf_C": _real(_TEC.T_inf)},
     "control": {
-        "setpoint_C": _real(20.0), "kp": _real(2.0), "ki": _real(0.05),
-        "limits_C": _Leaf([-20.0, 40.0], "array", "[lo, hi] of finite numbers, lo <= hi",
+        "setpoint_C": _real(20.0), "kp": _real(DEFAULT_GAINS[0]), "ki": _real(DEFAULT_GAINS[1]),
+        "limits_C": _Leaf(list(DEFAULT_LIMITS), "array",
+                          "[lo, hi] of finite numbers, lo <= hi",
                           lambda v: (len(v) == 2 and all(map(_TYPES["number"], v))
                                      and v[0] <= v[1])),
         "c_rates": _list_of([1.0, 2.0, 3.0, 4.0], _real()),

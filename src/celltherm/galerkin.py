@@ -56,8 +56,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (CYLINDRICAL, SIDES, CellSpec, CoolingConfig, Modes, input_sides,
-                   pencil_modes, per_step_rows)
+from .core import (CYLINDRICAL, SIDES, CellSpec, CoolingConfig, Modes, check_count,
+                   input_sides, pencil_modes, per_step_rows)
 from .chebyshev import BasisSet, BasisTable, basis_table, build_basis, gauss_quadrature
 from .exceptions import AssemblyError, IllConditionedBasisError
 from .particular import (
@@ -308,8 +308,9 @@ def assemble_library(spec: CellSpec, cooling: CoolingConfig, sizes) -> dict:
     sizes = list(dict.fromkeys(sizes))
     if not sizes:
         raise ValueError("a model library needs at least one basis size")
-    if any(M < 1 or N < 1 for M, N in sizes):
-        raise ValueError("basis counts M, N must be >= 1")
+    for M, N in sizes:
+        check_count(M, "basis count M", 1)
+        check_count(N, "basis count N", 1)
     if spec.shape == CYLINDRICAL and cooling.core.h != 0.0:
         raise ValueError("cylindrical cells require core h = 0")
     top_M, top_N = max(M for M, _ in sizes), max(N for _, N in sizes)

@@ -35,8 +35,9 @@ def pulse_train(amplitude: float, period: float, duty: float, horizon: float,
     """Rectangular volumetric pulses: `amplitude` for the first `duty`
     fraction of every period, `base` otherwise. Default parameters are
     artifact choices, not published values."""
-    if period <= 0.0 or not 0.0 < duty < 1.0:
-        raise ValueError("pulse train needs period > 0 and 0 < duty < 1")
+    if not (0.0 < period < np.inf and 0.0 < duty < 1.0):
+        raise ValueError("pulse train needs a finite period > 0 and 0 < duty < 1")
+    step_count(horizon, period)   # the horizon must be finite and >= 0
     times = [0.0]
     values = [amplitude]
     t = 0.0

@@ -64,9 +64,10 @@ METRICS_BLOCK = 8
 # (K+1, order) trajectory. The K steps are split into balanced blocks of at
 # most max(1, STEP_BLOCK // order) steps but, as FdSolver's row blocks, never
 # fewer than two: numpy hands a single input row to GEMV, whose products
-# differ from GEMM's in the last bit. Up to order 16 384, each block's input
-# GEMM, at most 5 * STEP_BLOCK = 163 840 multiply-adds, stays on the calling
-# thread (OpenBLAS threads from 262 144, see reference._SINGLE_THREAD_GEMM_MNK).
+# differ from GEMM's in the last bit. One loop steps every run, however many
+# blocks it takes. Up to order 16 384, each block's input GEMM, at most
+# 5 * STEP_BLOCK = 163 840 multiply-adds, stays on the calling thread
+# (OpenBLAS threads from 262 144, see reference._SINGLE_THREAD_GEMM_MNK).
 STEP_BLOCK = 32_768
 
 # Serializes FieldEvaluator.of, whose cache the CLI's control pool shares.
@@ -333,8 +334,8 @@ class FieldEvaluator:
 
     def __init__(self, model: ReducedModel, n_r: int = DEFAULT_GRID[0],
                  n_z: int = DEFAULT_GRID[1]):
-        if n_r < 2 or n_z < 2:
-            raise ValueError("reconstruction grid needs at least 2 nodes per direction")
+        check_count(n_r, "reconstruction grid n_r", 2)
+        check_count(n_z, "reconstruction grid n_z", 2)
         self._sizes = (model.M, model.N, model.n_inputs)
         self.r_nodes = np.linspace(-1.0, 1.0, n_r)
         self.z_nodes = np.linspace(-1.0, 1.0, n_z)
@@ -478,16 +479,17 @@ def run(model: ReducedModel, Y0, tinf, w, dt: float, horizon: float,
     row k-1, which is the field an FD run under the same rows samples there;
     step 0 is recorded under ``tinf0``, one (4,) row in ``SIDES`` order that
     defaults to the first row of ``tinf``. With held coolant every row is the
-    same, so the record does not depend on the convention. The states are
-    stepped STEP_BLOCK floats at a time and kept only at the metric steps,
-    ``metric_steps(K, metrics_stride)``. An outputs-only run,
-    ``metrics_stride=None``, keeps no state and builds no ``FieldEvaluator``:
-    its states have shape (0, order) and its metric arrays are empty.
-    ``metric_names``, a tuple of ``MetricsRecord`` field names, selects the
-    metrics taken at those steps (None: all eight); the others are None, and
-    only the fields the named ones read are reconstructed
-    (``FieldEvaluator.metrics``). An empty selection or an unknown name
-    raises ValueError before any step.
+    same, so the record does not depend on the convention. One loop steps
+    the states in blocks of STEP_BLOCK floats, however short the run, and
+    writes the outputs and the states at the metric steps,
+    ``metric_steps(K, metrics_stride)``, into records allocated up front.
+    An outputs-only run, ``metrics_stride=None``, keeps no state and builds
+    no ``FieldEvaluator``: its states have shape (0, order) and its metric
+    arrays are empty. ``metric_names``, a tuple of ``MetricsRecord`` field
+    names, selects the metrics taken at those steps (None: all eight); the
+    others are None, and only the fields the named ones read are
+    reconstructed (``FieldEvaluator.metrics``). An empty selection or an
+    unknown name raises ValueError before any step.
     """
     names = _check_metric_names(metric_names)
     y = np.asarray(Y0, dtype=float)
@@ -497,33 +499,25 @@ def run(model: ReducedModel, Y0, tinf, w, dt: float, horizon: float,
     u_arr = model.inputs(tinf, n_steps + 1)
     w_arr = per_step(w, n_steps + 1, "w")
     idx = metric_steps(n_steps, metrics_stride, "metrics_stride")
-    # step k is recorded under row k-1 and step 0 under u0; a held row is
-    # recorded as it is, sparing a copy that compare-tec's O1/TEC timing of a
-    # 10-step O=1 run would see
     u0 = u_arr[:1] if tinf0 is None else model.inputs(tinf0, 1, "tinf0")
-    held = tinf0 is None and not u_arr.strides[0]
-    u_rec = u_arr if held else np.concatenate([u0, u_arr[:-1]])
+    u_rec = np.concatenate([u0, u_arr[:-1]])
     stepper = discretize(model, dt)
     times = np.arange(n_steps + 1) * dt
     inputs = np.column_stack([u_arr, w_arr])
     rows = max(1, STEP_BLOCK // model.order)
     n_blocks = max(1, min(-(-n_steps // rows), n_steps // 2))
-    if n_blocks == 1:
-        # no block bookkeeping: on a 10-step O=1 run it cost about 4 % of
-        # the run, which compare-tec's O1/TEC timing shows
-        Y = stepper.trajectory(y, inputs[:-1])
-        outputs, states = model.modal_outputs(Y, u_rec), Y[idx]
-    else:
-        outputs, samples, a = [], [], 0
-        for i in range(n_blocks):
-            k0, k1 = i * n_steps // n_blocks, (i + 1) * n_steps // n_blocks
-            Y = stepper.trajectory(y, inputs[k0:k1], k0)   # states k0..k1
-            lo = 1 if i else 0   # state k0 closed the block before
-            outputs.append(model.modal_outputs(Y[lo:], u_rec[k0 + lo:k1 + 1]))
-            b = bisect_right(idx, k1, a)
-            samples.append(Y[[k - k0 for k in idx[a:b]]])
-            a, y = b, Y[-1]
-        outputs, states = np.concatenate(outputs), np.concatenate(samples)
+    outputs = np.empty((n_steps + 1, len(model.modal_C)))
+    states = np.empty((len(idx), model.order))
+    a = 0
+    for i in range(n_blocks):
+        k0, k1 = i * n_steps // n_blocks, (i + 1) * n_steps // n_blocks
+        Y = stepper.trajectory(y, inputs[k0:k1], k0)   # states k0..k1
+        # row k0 closed the block before; rewriting it gives the same bits
+        outputs[k0:k1 + 1] = model.modal_outputs(Y, u_rec[k0:k1 + 1])
+        b = bisect_right(idx, k1, a)
+        if b > a:   # indexing by an empty list costs numpy about a microsecond
+            states[a:b] = Y[[k - k0 for k in idx[a:b]]]
+        a, y = b, Y[-1]
     if idx:
         metrics = FieldEvaluator.of(model, *grid_shape).metrics(states, u_rec[idx],
                                                                 names=names)

@@ -356,6 +356,20 @@ class TestSyntheticProfiles:
         i = list(p.times).index(3.0)
         assert p.values[i] == 0.0
 
+    @pytest.mark.parametrize("period,horizon", [
+        (float("nan"), 600.0), (float("inf"), 600.0), (0.0, 600.0),
+        (100.0, float("nan")), (100.0, float("inf")), (100.0, -float("inf")),
+        (100.0, -1.0)])
+    def test_pulse_train_rejects_bad_period_or_horizon(self, period, horizon):
+        """A period that is not finite and positive, or a horizon that is
+        not finite and >= 0, raises before any pulse is laid out."""
+        with pytest.raises(ValueError, match="period|horizon"):
+            pulse_train(1e5, period, 0.5, horizon)
+
+    def test_pulse_train_of_zero_horizon(self):
+        p = pulse_train(1e5, 100.0, 0.5, 0.0)
+        assert list(p.times) == [0.0] and list(p.values) == [1e5]
+
     def test_random_drive_reproducible(self):
         a = random_drive(90.0, horizon=50.0, seed=11)
         b = random_drive(90.0, horizon=50.0, seed=11)

@@ -399,6 +399,20 @@ class TestLibrary:
         with pytest.raises(ValueError):
             galerkin.assemble_library(PAPER, scenario_cooling("SC"), sizes)
 
+    @pytest.mark.parametrize("M,N,name", [(True, 2, "M"), (2.0, 2, "M"), (2.5, 2, "M"),
+                                          (2, np.float64(3.0), "N"), (2, "3", "N")])
+    def test_non_integral_sizes_rejected_by_name(self, M, N, name):
+        """A bool or non-integral basis count is an error naming it, from
+        ``assemble`` and ``assemble_library`` alike."""
+        with pytest.raises(ValueError, match=f"basis count {name} must be an integer >= 1"):
+            assemble(PAPER, scenario_cooling("SC"), M, N)
+        with pytest.raises(ValueError, match=f"basis count {name} must be an integer >= 1"):
+            galerkin.assemble_library(PAPER, scenario_cooling("SC"), [(1, 1), (M, N)])
+
+    def test_numpy_integer_sizes_accepted(self):
+        model = assemble(PAPER, scenario_cooling("SC"), np.int64(2), np.int32(3))
+        assert model.order == 6
+
 
 class TestReassemble:
     """A new cooling configuration is a new ``assemble`` call."""

@@ -753,6 +753,44 @@ class TestStream:
             assert getattr(res, f.name).shape == (0,), f.name
         assert res.metrics_times.shape == (0,)
 
+    @pytest.mark.parametrize("block", ["default", "one-row"])
+    @pytest.mark.parametrize("stride", [1, 5, None])
+    @pytest.mark.parametrize("with_tinf0", [False, True], ids=["first-row", "tinf0"])
+    @pytest.mark.parametrize("steps", [0.0, 0.5, 1.0], ids=["0", "half-dt", "dt"])
+    def test_runs_of_at_most_one_step(self, steps, with_tinf0, stride, block):
+        """Horizons 0, dt/2 and dt (K = 0, 0, 1) record K+1 outputs, the
+        states at ``metric_steps(K, stride)``, step 0 under ``tinf0`` (by
+        default the first row), and the same record bit for bit at the
+        default block size and at one row per block."""
+        model = assemble(PAPER, scenario_cooling("aTSC"), 2, 2)
+        dt, K = 2.0, int(steps)
+        rng = np.random.default_rng(7)
+        tinf = 30.0 * rng.standard_normal((K + 1, 4))
+        w = 1e5 * rng.standard_normal(K + 1)
+        tinf0 = np.array([-5.0, 8.0, 35.0, 12.0]) if with_tinf0 else None
+        y0 = project_initial_state(model, 15.0, tinf0)
+
+        def blocked(step_block):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(simulate, "STEP_BLOCK", step_block)
+                return run(model, y0, tinf, w, dt, steps * dt, grid_shape=(5, 5),
+                           metrics_stride=stride, tinf0=tinf0)
+
+        res = blocked(simulate.STEP_BLOCK if block == "default" else model.order)
+        assert res.outputs.shape == (K + 1, 4)
+        assert np.array_equal(res.times, np.arange(K + 1) * dt)
+        idx = metric_steps(K, stride)
+        states = discretize(model, dt).trajectory(
+            y0, np.column_stack([cooling_powers(model, tinf), w])[:K])
+        assert res.states.shape == (len(idx), model.order)
+        if idx:
+            assert_close_rel(res.states, states[idx], 1e-12)
+        u0 = cooling_powers(model, tinf[0] if tinf0 is None else tinf0)
+        assert_close_rel(res.outputs[0], model.modal_C @ y0 + model.Dft @ u0, 1e-12)
+        other = blocked(model.order if block == "default" else simulate.STEP_BLOCK)
+        for name, value in vars(res).items():
+            assert np.array_equal(getattr(other, name), value), name
+
     @pytest.mark.parametrize("stride", [0, -3, True, 2.5, np.float64(2.0)])
     def test_bad_stride_is_named(self, stride):
         """A stride that is not an integer >= 1 is an error naming it, on
@@ -904,6 +942,22 @@ class TestReconstruct:
         for a in (first.values, first.dT_dr, first.dT_dz):
             for b in (second.values, second.dT_dr, second.dT_dz):
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("n_r,n_z,name", [(2.5, 41, "n_r"), (41.0, 41, "n_r"),
+                                              (True, 41, "n_r"), (1, 41, "n_r"),
+                                              (41, np.float64(5.0), "n_z"), (41, 1, "n_z")])
+    def test_bad_grid_sizes_rejected_by_name(self, n_r, n_z, name):
+        """A grid size that is not an integer >= 2 is an error naming it,
+        built directly, through ``FieldEvaluator.of`` or by ``run``."""
+        model = assemble(PAPER, SC, 1, 1)
+        match = f"reconstruction grid {name} must be an integer >= 2"
+        with pytest.raises(ValueError, match=match):
+            FieldEvaluator(model, n_r, n_z)
+        with pytest.raises(ValueError, match=match):
+            FieldEvaluator.of(model, n_r, n_z)
+        with pytest.raises(ValueError, match=match):
+            run(model, np.zeros(1), None, 1e4, 1.0, 2.0, grid_shape=(n_r, n_z))
+        assert FieldEvaluator(model, np.int64(3), np.int32(2)).r_nodes.size == 3
 
     def test_default_grid_shape(self):
         model = assemble(PAPER, SC, 1, 1)
